@@ -45,6 +45,21 @@ def setup(bg):
     return grid, d0, coeffs
 
 
+def _oracle_system(bg, n_x1, m, amp):
+    """Small mode system on the window 0.95..1.05 with ``a11``, ``a`` and ``b0``
+    scaled by ``1 + amp cos(pi x2)``, which couples the cosine modes."""
+    L = bg.x1_at_speed(1.05 * CANON.u_s)
+    grid = Grid(L=L, n_x1=n_x1, m=m)
+    coeffs = assemble_coefficients(FlowState.zeros(grid), bg, default_d0(bg, grid))
+    mod = 1.0 + amp * np.cos(np.pi * grid.x2)
+    coeffs.a11, coeffs.a, coeffs.b0 = coeffs.a11 * mod, coeffs.a * mod, coeffs.b0 * mod
+    f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
+        grid.x1 / L, np.cos(np.pi * grid.x2)
+    )
+    f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
+    return grid, ModeSystem(coeffs, f1, f2, grid)
+
+
 class TestPoisson:
     def test_zero_forcing_gives_zero(self, setup):
         grid, _, _ = setup
@@ -150,21 +165,27 @@ class TestEpsSystem:
         assert np.all(Pi * Pi == Pi)
         assert list(sysm.Pi) == [True, True, False, False, True]
 
-    def test_small_instance_matches_dense_integral_oracle(self, bg_narrow):
-        # m = 2, n_x1 = 17, background coefficients, window 0.95..1.05, eps = 1e-2
-        L = bg_narrow.x1_at_speed(1.05 * CANON.u_s)
-        grid = Grid(L=L, n_x1=17, m=2)
-        d0 = default_d0(bg_narrow, grid)
-        coeffs = assemble_coefficients(FlowState.zeros(grid), bg_narrow, d0)
-        f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
-            grid.x1 / L, np.cos(np.pi * grid.x2)
-        )
-        f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
-        sysm = ModeSystem(coeffs, f1, f2, grid)
-        th_b, Th_b = sysm.solve_banded(1e-2)
-        th_d, Th_d = sysm.solve_dense_first_order(1e-2)
-        assert np.max(np.abs(th_b - th_d)) <= 1e-8
-        assert np.max(np.abs(Th_b - Th_d)) <= 1e-8
+    @pytest.mark.parametrize("amp", [0.0, 1e-2, 0.5])
+    @pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)])
+    @pytest.mark.parametrize("eps", ["1e-2", "h1^2"])
+    def test_small_instance_matches_dense_integral_oracle(self, bg_narrow, amp, n_x1, m, eps):
+        # window 0.95..1.05; amp = 0 keeps the background coefficients, which
+        # are exactly mode-diagonal (the preconditioner is then exact), while
+        # amp > 0 couples the modes so GMRES has to close the gap
+        grid, sysm = _oracle_system(bg_narrow, n_x1, m, amp)
+        eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
+        th_b, Th_b = sysm.solve_banded(eps)
+        th_d, Th_d = sysm.solve_dense_first_order(eps)
+        assert np.max(np.abs(th_b - th_d)) <= 1e-12
+        assert np.max(np.abs(Th_b - Th_d)) <= 1e-12
+
+    def test_residual_gate_raises_far_outside_sigma_cap(self, bg_narrow):
+        # an O(1) wall-direction modulation couples the modes as strongly as
+        # the diagonal, so the mode-diagonal preconditioner is poor and GMRES
+        # stalls: the solve must raise instead of returning the iterate
+        grid, sysm = _oracle_system(bg_narrow, 33, 4, 1.0)
+        with pytest.raises(NonConvergenceError, match=r"m=4: .*iterations"):
+            sysm.solve_banded(grid.h1 ** 2)
 
     def test_nonpositive_epsilon_rejected(self, setup):
         grid, _, coeffs = setup
