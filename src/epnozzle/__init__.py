@@ -15,6 +15,7 @@ from .coefficients import (
     CoefficientSet,
     FlowState,
     assemble_coefficients,
+    background_profile,
     check_smallness,
     default_d0,
     momentum_field,

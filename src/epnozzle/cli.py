@@ -58,12 +58,16 @@ def build_problem(cfg: RunConfig):
     return params, bg, grid, boundary_from_config(cfg)
 
 
-def run(cfg: RunConfig, out_dir: Path) -> SolveOutcome:
-    """Full pipeline: background -> regimes -> fixed point -> extraction + artifacts."""
+def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:
+    """Full pipeline: background -> regimes -> fixed point -> extraction + artifacts.
+
+    ``certificate`` is the regime report of ``cfg``'s gas parameters when
+    the caller already holds it; otherwise it is computed here.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     params, bg, grid, bdata = build_problem(cfg)
     bg.write_csv(out_dir / "background.csv")
-    report = certify_regime(params)
+    report = certify_regime(params) if certificate is None else certificate
     trace_path = out_dir / "convergence.jsonl"
     sink = None
     fh = None
@@ -196,7 +200,7 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
             if not report.certified and not row_cfg.override_certificate:
                 rows.append(row)
                 continue
-            outcome = run(row_cfg, out_dir / f"row_{axis}_{value}")
+            outcome = run(row_cfg, out_dir / f"row_{axis}_{value}", certificate=report)
             row["converged"] = outcome.converged
             row["sup_gs_minus_ls"] = outcome.sup_gs_minus_ls
             row["iterations"] = outcome.iterations

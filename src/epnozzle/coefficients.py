@@ -25,6 +25,7 @@ wall conditions before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +89,15 @@ class FlowState:
 
 @dataclass
 class BackgroundProfile:
-    """Background quantities sampled on the station grid (vectors over x1)."""
+    """Background quantities sampled on the station grid (vectors over x1).
 
+    Built once per solve by ``background_profile``: the fixed-point map
+    linearizes about this one background, so every per-iterate helper takes
+    the profile (which also carries the background and the grid).
+    """
+
+    bg: BackgroundSolution
+    grid: Grid
     u1: np.ndarray
     du1: np.ndarray
     E: np.ndarray
@@ -110,6 +118,8 @@ def background_profile(bg: BackgroundSolution, grid: Grid) -> BackgroundProfile:
     A22 = p.gamma * p.S0 * p.J ** (p.gamma - 1) / u1 ** (p.gamma - 1)
     c0 = 1.0 / (p.gamma * p.S0 * data["rho"] ** (p.gamma - 2))
     return BackgroundProfile(
+        bg=bg,
+        grid=grid,
         u1=u1,
         du1=data["du1"],
         E=data["E"],
@@ -152,14 +162,13 @@ class CoefficientSet:
         return np.sum(np.diff(np.sign(det), axis=0) != 0, axis=0)
 
 
-def default_d0(bg: BackgroundSolution, grid: Grid, candidates=(0.2, 0.1, 0.05, 0.025, 0.0125)) -> float:
+def default_d0(prof: BackgroundProfile, candidates=(0.2, 0.1, 0.05, 0.025, 0.0125)) -> float:
     """Largest candidate smallness radius keeping A22 above half its background minimum.
 
     Probes the extreme corner ``z = -d``, ``v1 = u1 + 2d``, ``v2 = 2d`` of
     the admissible box over all stations.
     """
-    p = bg.params
-    prof = background_profile(bg, grid)
+    p = prof.bg.params
     floor = 0.5 * np.min(prof.A22)
     for d in candidates:
         worst = (p.gamma - 1) * (prof.Phi - d - 0.5 * ((prof.u1 + 2 * d) ** 2 + (2 * d) ** 2)) - (
@@ -170,26 +179,44 @@ def default_d0(bg: BackgroundSolution, grid: Grid, candidates=(0.2, 0.1, 0.05, 0
     return candidates[-1]
 
 
-def check_smallness(state: FlowState, bg: BackgroundSolution, d0: float) -> dict:
+class VelocityParts(NamedTuple):
+    """Collocation values of the split velocity ``v = grad(phibar + psi) + curl(phi)``."""
+
+    p1: np.ndarray      # d1 psi
+    q1: np.ndarray      # d2 phi (x1 component of curl phi)
+    v1: np.ndarray
+    v2: np.ndarray
+    Psi: np.ndarray
+    head: np.ndarray    # Phibar + Psi - |v|^2/2
+
+
+def velocity_parts(state: FlowState, prof: BackgroundProfile) -> VelocityParts:
+    """Synthesize the split velocity of an iterate and the Bernoulli head."""
+    p1, q1 = state.psi.d1(), state.phi.d2()
+    v1 = prof.u1[:, None] + p1 + q1
+    v2 = state.psi.d2() - state.phi.d1()
+    Psi = state.Psi.values()
+    head = prof.Phi[:, None] + Psi - 0.5 * (v1 ** 2 + v2 ** 2)
+    return VelocityParts(p1, q1, v1, v2, Psi, head)
+
+
+def check_smallness(state: FlowState, prof: BackgroundProfile, d0: float) -> dict:
     """Admissibility margins (positive = satisfied, 0 = boundary case).
 
     Returns ``{"perturbation": d0 - max(|Psi|, |Dpsi|, |Dphi|),
     "entropy": S0/2 - max|T|, "forward_flow": min v.e1 - u0/2}``.
     """
-    p = bg.params
-    grid = state.grid
-    prof = background_profile(bg, grid)
-    v1 = prof.u1[:, None] + state.psi.d1() + state.phi.d2()
+    v1 = velocity_parts(state, prof).v1
     pert = max(state.Psi.sup_norm(), state.psi.grad_sup_norm(), state.phi.grad_sup_norm())
     return {
         "perturbation": d0 - pert,
-        "entropy": p.S0 / 2.0 - state.T.sup_norm(),
-        "forward_flow": float(np.min(v1)) - bg.u0 / 2.0,
+        "entropy": prof.bg.params.S0 / 2.0 - state.T.sup_norm(),
+        "forward_flow": float(np.min(v1)) - prof.bg.u0 / 2.0,
     }
 
 
-def require_admissible(state: FlowState, bg: BackgroundSolution, d0: float, context: str = "") -> dict:
-    margins = check_smallness(state, bg, d0)
+def require_admissible(state: FlowState, prof: BackgroundProfile, d0: float, context: str = "") -> dict:
+    margins = check_smallness(state, prof, d0)
     bad = [k for k, v in margins.items() if v < 0]
     if bad:
         raise AdmissibilityError(
@@ -197,15 +224,6 @@ def require_admissible(state: FlowState, bg: BackgroundSolution, d0: float, cont
             + (f" {context}" if context else "")
         )
     return margins
-
-
-def _velocity_parts(state: FlowState, prof: BackgroundProfile):
-    """Collocation values of the split velocity and its ingredients."""
-    p1, p2 = state.psi.d1(), state.psi.d2()
-    q1, q2 = state.phi.d2(), -state.phi.d1()
-    v1 = prof.u1[:, None] + p1 + q1
-    v2 = p2 + q2
-    return p1, p2, q1, q2, v1, v2
 
 
 def varrho(T, Psi_plus_Phibar, v_sq, params) -> np.ndarray:
@@ -216,12 +234,7 @@ def varrho(T, Psi_plus_Phibar, v_sq, params) -> np.ndarray:
     return base ** (1.0 / (params.gamma - 1))
 
 
-def assemble_coefficients(
-    state: FlowState,
-    bg: BackgroundSolution,
-    d0: float,
-    check: bool = True,
-) -> CoefficientSet:
+def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) -> CoefficientSet:
     """Evaluate all coefficient and forcing fields at the given iterate.
 
     Raises
@@ -231,21 +244,16 @@ def assemble_coefficients(
     DegenerateStateError
         If ``A22`` drops below its positivity floor.
     """
-    p = bg.params
-    grid = state.grid
-    prof = background_profile(bg, grid)
-    if check:
-        require_admissible(state, bg, d0)
+    p = prof.bg.params
+    require_admissible(state, prof, d0)
 
-    p1, p2, q1, q2, v1, v2 = _velocity_parts(state, prof)
-    Psi = state.Psi.values()
+    p1, q1, v1, v2, Psi, head = velocity_parts(state, prof)
     T = state.T.values()
-    head = prof.Phi[:, None] + Psi - 0.5 * (v1 ** 2 + v2 ** 2)
     A11 = (p.gamma - 1) * head - v1 ** 2
     A12 = -v1 * v2
     A22 = (p.gamma - 1) * head - v2 ** 2
 
-    floor = A22_FLOOR_REL * p.gamma * p.S0 * p.J ** (p.gamma - 1) / bg.u_max ** (p.gamma - 1)
+    floor = A22_FLOOR_REL * p.gamma * p.S0 * p.J ** (p.gamma - 1) / prof.bg.u_max ** (p.gamma - 1)
     if np.min(A22) < floor:
         raise DegenerateStateError(
             f"near-vacuum/degenerate state: min A22 = {np.min(A22):.3e} < floor {floor:.3e}"
@@ -259,7 +267,7 @@ def assemble_coefficients(
     # quadratic remainder of the momentum split
     dPsi1, dPsi2 = state.Psi.d1(), state.Psi.d2()
     Q1 = 0.5 * (p.gamma + 1) * prof.du1[:, None] * (p1 + q1) ** 2 - (
-        dPsi1 * (p1 + q1) + dPsi2 * (p2 + q2)
+        dPsi1 * (p1 + q1) + dPsi2 * v2
     )
     # D(curl phi) = [[d12 phi, -d11 phi], [d22 phi, -d12 phi]]
     ph12, ph11, ph22 = state.phi.d12(), state.phi.d11(), state.phi.d22()
@@ -291,11 +299,10 @@ def assemble_coefficients(
         f3=f3,
         A22=A22,
         d0=d0,
-        grid=grid,
+        grid=prof.grid,
         profile=prof,
     )
-    if check:
-        verify_structure(coeffs)
+    verify_structure(coeffs)
     return coeffs
 
 
@@ -323,7 +330,7 @@ def verify_structure(coeffs: CoefficientSet, tol_scale: float = 1e-9) -> None:
             raise AdmissibilityError(f"wall-normal derivative of {name} nonzero at walls ({worst:.3e})")
 
 
-def momentum_field(state: FlowState, bg: BackgroundSolution, d0: float, check: bool = True):
+def momentum_field(state: FlowState, prof: BackgroundProfile, d0: float, check: bool = True):
     """Pseudo momentum density ``m = (Phibar + Psi - |v|^2/2)^(1/(gamma-1)) v``.
 
     Returns ``(m1, m2, div_residual)`` on the collocation grid.  The
@@ -335,17 +342,12 @@ def momentum_field(state: FlowState, bg: BackgroundSolution, d0: float, check: b
     """
     from .fields import grid_d2_parity_split
 
-    p = bg.params
-    grid = state.grid
-    prof = background_profile(bg, grid)
     if check:
-        require_admissible(state, bg, d0)
-    _, _, _, _, v1, v2 = _velocity_parts(state, prof)
-    Psi = state.Psi.values()
-    head = prof.Phi[:, None] + Psi - 0.5 * (v1 ** 2 + v2 ** 2)
+        require_admissible(state, prof, d0)
+    _, _, v1, v2, _, head = velocity_parts(state, prof)
     if np.any(head <= 0):
         raise DegenerateStateError("momentum density base lost positivity")
-    dens = head ** (1.0 / (p.gamma - 1))
+    dens = head ** (1.0 / (prof.bg.params.gamma - 1))
     m1, m2 = dens * v1, dens * v2
-    div = grid.D1 @ m1 + grid_d2_parity_split(m2, grid)
+    div = prof.grid.D1 @ m1 + grid_d2_parity_split(m2, prof.grid)
     return m1, m2, div

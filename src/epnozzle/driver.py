@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 from .background import BackgroundSolution
 from .boundary import BoundaryDataSpec
 from .coefficients import (
+    BackgroundProfile,
     CoefficientSet,
     FlowState,
     assemble_coefficients,
@@ -35,6 +36,7 @@ from .coefficients import (
     momentum_field,
     require_admissible,
     varrho,
+    velocity_parts,
 )
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
@@ -84,7 +86,6 @@ def fixed_point_solve(
     eps0: float = 0.1,
     tol_eps: float = 1e-6,
     eps_cap: int = 20,
-    eps_floor_factor: float = 1.0,
     certificate=None,
     override_certificate: bool = False,
     sigma_cap: float | None = None,
@@ -118,8 +119,9 @@ def fixed_point_solve(
     cap = default_sigma_cap(bg) if sigma_cap is None else sigma_cap
     if abs(bdata.sigma) > cap:
         raise InputError(f"boundary amplitude sigma={bdata.sigma} exceeds cap {cap}")
+    prof = background_profile(bg, grid)
     if d0 is None:
-        d0 = default_d0(bg, grid)
+        d0 = default_d0(prof)
 
     state = FlowState.zeros(grid)
     increments: list = []
@@ -131,7 +133,7 @@ def fixed_point_solve(
 
     for it in range(1, max_outer + 1):
         iterations = it
-        m1, _, _ = momentum_field(state, bg, d0, check=False)
+        m1, _, _ = momentum_field(state, prof, d0, check=False)
         sf = stream_function(m1, grid)
         label = lagrangian_map(sf)
         T_new = transport_entropy(bdata.s_en_minus_s0, label, grid)
@@ -144,13 +146,12 @@ def fixed_point_solve(
                 trace_sink(entry)
 
         psi_new, Psi_new, phi_new, _, _ = solve_linear_problem(
-            T_new, state, bdata, bg, grid, d0,
-            eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap,
-            eps_floor_factor=eps_floor_factor, trace_sink=sink,
+            T_new, state, bdata, prof, d0,
+            eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink,
         )
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
         new_state = state.blend(update, theta_cur)
-        require_admissible(new_state, bg, d0, context=f"at outer iterate {it}")
+        require_admissible(new_state, prof, d0, context=f"at outer iterate {it}")
         incr = new_state.h1_distance(state)
         increments.append(incr)
         state = new_state
@@ -171,13 +172,13 @@ def fixed_point_solve(
     if not converged:
         raise NonConvergenceError(f"no outer convergence within {max_outer} iterations")
 
-    coeffs = assemble_coefficients(state, bg, d0)
+    coeffs = assemble_coefficients(state, prof, d0)
     x2s, gs = sonic_interface(coeffs, root_tol=root_tol)
     sup_dev = float(np.max(np.abs(gs - bg.l_s)))
-    mach, mismatches = mach_field(state, bg, coeffs, gs)
-    prim = reconstruct_primitives(state, bg)
-    residuals = fixed_point_residuals(state, bg, coeffs, prim)
-    margins = check_smallness(state, bg, d0)
+    prim = reconstruct_primitives(state, prof)
+    mach, mismatches = mach_field(prim, coeffs, gs)
+    residuals = fixed_point_residuals(state, coeffs, prim)
+    margins = check_smallness(state, prof, d0)
     return SolveOutcome(
         state=state,
         background=bg,
@@ -229,22 +230,18 @@ def sonic_interface(coeffs: CoefficientSet, root_tol: float = 1e-12):
     return g.x2.copy(), gs
 
 
-def mach_field(state: FlowState, bg: BackgroundSolution, coeffs: CoefficientSet, gs: np.ndarray):
+def mach_field(prim: dict, coeffs: CoefficientSet, gs: np.ndarray):
     """Mach number ``|u| / sqrt(gamma S rho^(gamma-1))`` plus a classification audit.
 
-    Verifies ``sign(1 - M^2) = sign(a11 - a12^2)`` at every node farther
-    than one cell from the interface and that M crosses 1 exactly once per
-    line; returns ``(M, mismatch_count)``.
+    Reads ``rho, u1, u2, S`` from ``reconstruct_primitives``.  Verifies
+    ``sign(1 - M^2) = sign(a11 - a12^2)`` at every node farther than one
+    cell from the interface and that M crosses 1 exactly once per line;
+    returns ``(M, mismatch_count)``.
     """
-    p = bg.params
-    g = state.grid
-    prof = background_profile(bg, g)
-    u1 = prof.u1[:, None] + state.psi.d1() + state.phi.d2()
-    u2 = state.psi.d2() - state.phi.d1()
-    T = state.T.values()
-    Psi = state.Psi.values()
-    rho = varrho(T, prof.Phi[:, None] + Psi, u1 ** 2 + u2 ** 2, p)
-    sound_sq = p.gamma * (p.S0 + T) * rho ** (p.gamma - 1)
+    gamma = coeffs.profile.bg.params.gamma
+    g = coeffs.grid
+    u1, u2, rho = prim["u1"], prim["u2"], prim["rho"]
+    sound_sq = gamma * prim["S"] * rho ** (gamma - 1)
     M = np.sqrt((u1 ** 2 + u2 ** 2) / sound_sq)
     det = coeffs.det_principal()
     away = np.abs(g.x1[:, None] - gs[None, :]) > 1.5 * g.h1
@@ -255,23 +252,18 @@ def mach_field(state: FlowState, bg: BackgroundSolution, coeffs: CoefficientSet,
     return M, mismatches
 
 
-def reconstruct_primitives(state: FlowState, bg: BackgroundSolution) -> dict:
+def reconstruct_primitives(state: FlowState, prof: BackgroundProfile) -> dict:
     """Primitive fields and residuals of the original balance laws."""
-    p = bg.params
-    g = state.grid
-    prof = background_profile(bg, g)
-    u1 = prof.u1[:, None] + state.psi.d1() + state.phi.d2()
-    u2 = state.psi.d2() - state.phi.d1()
+    p = prof.bg.params
+    g = prof.grid
+    _, _, u1, u2, Psi, _ = velocity_parts(state, prof)
     T = state.T.values()
-    Psi = state.Psi.values()
     S = p.S0 + T
     Phi = prof.Phi[:, None] + Psi
     rho = varrho(T, Phi, u1 ** 2 + u2 ** 2, p)
 
     mass = g.D1 @ (rho * u1) + grid_d2_parity_split(rho * u2, g)
-    poisson = g.D2 @ (prof.Phi[:, None] + state.Psi.values()) + state.Psi.d22() - (
-        rho - p.rho_bar_inf
-    )
+    poisson = g.D2 @ Phi + state.Psi.d22() - (rho - p.rho_bar_inf)
     vorticity = g.D1 @ u2 - grid_d2_parity_split(u1, g) - rho ** (p.gamma - 1) * state.T.d2() / (
         (p.gamma - 1) * u1
     )
@@ -291,7 +283,6 @@ def reconstruct_primitives(state: FlowState, bg: BackgroundSolution) -> dict:
 
 def fixed_point_residuals(
     state: FlowState,
-    bg: BackgroundSolution,
     coeffs: CoefficientSet,
     prim: dict,
     margin: float = 0.05,

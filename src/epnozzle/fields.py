@@ -180,15 +180,6 @@ class Field2D:
     def d12(self) -> np.ndarray:
         return (self.grid.D1 @ self.modes) @ self.grid.basis(self.parity, 1).T
 
-    def eval_x2(self, x2_points) -> np.ndarray:
-        """Synthesize at arbitrary wall-normal points (all stations)."""
-        x2 = np.asarray(x2_points, dtype=float)
-        if self.parity == "cosine":
-            B = np.cos(np.outer(x2, self.grid.cos_freq))
-        else:
-            B = np.sin(np.outer(x2 + 1.0, self.grid.dir_freq))
-        return self.modes @ B.T
-
     # -- algebra ---------------------------------------------------------
     def copy(self) -> "Field2D":
         return Field2D(self.parity, self.modes.copy(), self.grid)
@@ -245,29 +236,9 @@ def grid_d2_parity_split(values: np.ndarray, grid: Grid) -> np.ndarray:
     return d_even + d_odd
 
 
-def state_h1_norm(fields) -> float:
-    """Root-sum-square discrete H1 norm over a collection of fields."""
-    return float(np.sqrt(sum(f.h1_norm() ** 2 for f in fields)))
-
-
 def write_grid_csv(path, field_values: np.ndarray, grid: Grid) -> None:
     """Matrix CSV: one row per station, header carries the x2 nodes."""
     with open(path, "w") as fh:
         fh.write("x1," + ",".join(f"x2={v:.17g}" for v in grid.x2) + "\n")
         for x, row in zip(grid.x1, field_values):
             fh.write(f"{x:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def write_grid_json(path, field_values: np.ndarray, grid: Grid) -> None:
-    """Flat plot-ready JSON: node coordinates plus row-major values."""
-    import json
-
-    payload = {
-        "x1": list(grid.x1),
-        "x2": list(grid.x2),
-        "values": np.asarray(field_values).ravel().tolist(),
-        "shape": list(np.asarray(field_values).shape),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")

@@ -26,13 +26,13 @@ integral equation
     X(x1) = Pi * integral_0^x1 (A X + F) + (Id - Pi) * integral_L^x1 (A X + F)
 
 with trapezoid quadrature is row-equivalent to the box scheme, so the
-dense integral-equation solve doubles as an exact small-instance oracle
-for the production block-banded assembly.  Direct central differencing of
-the third-order form is *not* used: with a sign-changing principal
-coefficient it develops a resonance band of viscosities (around
-``eps ~ 0.1 h^2 .. h``) where the discrete solution blows up by many
-orders, violating the uniform viscous-energy bound the continuation
-relies on; the box scheme stays uniformly bounded down to
+dense integral-equation solve of the test suite (``tests/oracles.py``)
+is an exact small-instance oracle for the block-banded assembly.  Direct
+central differencing of the third-order form is *not* used: with a
+sign-changing principal coefficient it develops a resonance band of
+viscosities (around ``eps ~ 0.1 h^2 .. h``) where the discrete solution
+blows up by many orders, violating the uniform viscous-energy bound the
+continuation relies on; the box scheme stays uniformly bounded down to
 ``eps ~ 0.1 h^2``, so the schedule is floored at ``eps >= h^2``.
 
 The box system is numbered mode-major and solved at each ``eps`` by GMRES
@@ -55,7 +55,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .coefficients import CoefficientSet
+from .coefficients import BackgroundProfile, CoefficientSet
 from .errors import InputError, NonConvergenceError
 from .fields import Field2D, Grid
 
@@ -151,8 +151,8 @@ class ModeSystem:
 
     Carries the per-station coupling blocks (acting on the first-order
     block vector ``X = (X1..X5) = (v, v', v'', w, w')`` of mode
-    coefficients), the projected forcings, and assemblers for both the
-    production banded system and the dense first-order reassembly.
+    coefficients), the projected forcings, and the assembler of the
+    banded box system.
     """
 
     def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray, grid: Grid):
@@ -318,66 +318,6 @@ class ModeSystem:
         sol = sol.reshape(self.K, self.grid.n_x1, 5)
         return sol[:, :, 0].T, sol[:, :, 3].T
 
-    # -- dense integral-equation collocation (oracle) ----------------------
-    def node_block(self, i: int, eps: float) -> np.ndarray:
-        """First-order system block A(x1_i) acting on (X1..X5) mode stacks."""
-        K = self.K
-        A = np.zeros((5 * K, 5 * K))
-        I = np.eye(K)
-        A[0 * K:1 * K, 1 * K:2 * K] = I
-        A[1 * K:2 * K, 2 * K:3 * K] = I
-        A[3 * K:4 * K, 4 * K:5 * K] = I
-        A[2 * K:3 * K, 0 * K:1 * K] = np.diag(self.lam) / eps
-        A[2 * K:3 * K, 1 * K:2 * K] = -self.C2[i] / eps
-        A[2 * K:3 * K, 2 * K:3 * K] = -self.C3[i] / eps
-        A[2 * K:3 * K, 3 * K:4 * K] = -self.C4[i] / eps
-        A[2 * K:3 * K, 4 * K:5 * K] = -self.C5[i] / eps
-        A[4 * K:5 * K, 1 * K:2 * K] = np.diag(np.full(K, self.c1[i]))
-        A[4 * K:5 * K, 3 * K:4 * K] = np.diag(self.lam + self.c0[i])
-        return A
-
-    def solve_dense_first_order(self, eps: float):
-        """Dense collocation of the projected cumulative integral equation.
-
-        Solves ``X = Pi I_0[A X + F] + (Id - Pi) I_L[A X + F]`` with
-        trapezoid cumulatives ``I_0`` / ``I_L``; row-equivalent to the
-        banded box system, so the two solutions agree to solver roundoff.
-        Intended for small instances (dense memory).
-        """
-        g = self.grid
-        n, K, h = g.n_x1, self.K, g.h1
-        B = 5 * K
-        size = n * B
-        blocks = [self.node_block(i, eps) for i in range(n)]
-        Fvec = np.zeros((n, B))
-        Fvec[:, 2 * K:3 * K] = self.F1 / eps
-        Fvec[:, 4 * K:5 * K] = self.F2
-
-        # trapezoid cumulative weight matrices from the two anchors
-        W0 = np.zeros((n, n))
-        for i in range(1, n):
-            W0[i, : i + 1] = h
-            W0[i, 0] = W0[i, i] = h / 2.0
-        WL = np.zeros((n, n))
-        for i in range(n - 1):
-            WL[i, i:] = -h
-            WL[i, i] = WL[i, n - 1] = -h / 2.0
-
-        pi_mask = np.repeat(self.Pi, K)
-        A = np.eye(size)
-        rhs = np.zeros(size)
-        for i in range(n):
-            for j in range(n):
-                w_pi = W0[i, j]
-                w_co = WL[i, j]
-                wcol = np.where(pi_mask, w_pi, w_co)
-                if w_pi == 0.0 and w_co == 0.0:
-                    continue
-                A[i * B:(i + 1) * B, j * B:(j + 1) * B] -= wcol[:, None] * blocks[j]
-                rhs[i * B:(i + 1) * B] += wcol * Fvec[j]
-        sol = np.linalg.solve(A, rhs).reshape(n, 5, K)
-        return sol[:, 0, :], sol[:, 3, :]
-
     def to_fields(self, theta: np.ndarray, Theta: np.ndarray):
         """Convert orthonormal-basis Galerkin coefficients to cosine fields."""
         scale = 1.0 / np.sqrt(self.grid.cos_norm)
@@ -430,14 +370,13 @@ def vanishing_viscosity(
     eps0: float = DEFAULT_EPS0,
     tol_eps: float = DEFAULT_EPS_TOL,
     cap: int = DEFAULT_EPS_CAP,
-    eps_floor_factor: float = 1.0,
     trace_sink=None,
 ):
     """Continue the viscous solves along ``eps_k = eps0 2^-k`` to the limit.
 
     Stops when the discrete-H1 difference of consecutive solutions falls
     below ``tol_eps``, the schedule cap is reached, or the next viscosity
-    would drop below the resolution floor ``eps_floor_factor * h1^2``
+    would drop below the resolution floor ``h1^2``
     (below roughly ``0.1 h1^2`` the discrete problem leaves the continuum
     family because the limit problem sheds two boundary conditions whose
     eps-layers the grid can no longer carry).  The difference trace must
@@ -457,7 +396,7 @@ def vanishing_viscosity(
     prev = None
     energy0 = None
     result = None
-    eps_floor = eps_floor_factor * grid.h1 ** 2
+    eps_floor = grid.h1 ** 2
     for k in range(cap + 1):
         eps = eps0 * 0.5 ** k
         if k > 0 and eps < eps_floor:
@@ -502,31 +441,29 @@ def solve_linear_problem(
     T_tilde: Field2D,
     P,
     bdata,
-    bg,
-    grid: Grid,
+    prof: BackgroundProfile,
     d0: float,
     eps0: float = DEFAULT_EPS0,
     tol_eps: float = DEFAULT_EPS_TOL,
     eps_cap: int = DEFAULT_EPS_CAP,
-    eps_floor_factor: float = 1.0,
     trace_sink=None,
 ):
     """One full linearized sweep at the iterate ``(T_tilde, P)``.
 
-    Assembles the coefficient set at ``P`` (with entropy ``T_tilde``),
-    solves the rotational Poisson problem for the new ``phi``, lifts the
-    boundary data, continues the viscous mixed-type solves to the limit
-    and restores the lifts.  Returns ``(psi, Psi, phi, coeffs, trace)``.
+    Assembles the coefficient set at ``P`` (with entropy ``T_tilde``)
+    about the background profile ``prof``, solves the rotational Poisson
+    problem for the new ``phi``, lifts the boundary data, continues the
+    viscous mixed-type solves to the limit and restores the lifts.  Returns ``(psi, Psi, phi, coeffs, trace)``.
     """
     from .coefficients import FlowState, assemble_coefficients
 
+    grid = prof.grid
     state = FlowState(psi=P.psi, phi=P.phi, Psi=P.Psi, T=T_tilde)
-    coeffs = assemble_coefficients(state, bg, d0)
+    coeffs = assemble_coefficients(state, prof, d0)
     f3_modes = Field2D.from_grid_values("dirichlet", coeffs.f3, grid)
     phi_new = poisson_solve_phi(f3_modes, grid)
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs, grid)
     v, w, trace = vanishing_viscosity(
-        coeffs, f1s, f2s, grid, eps0=eps0, tol_eps=tol_eps, cap=eps_cap,
-        eps_floor_factor=eps_floor_factor, trace_sink=trace_sink,
+        coeffs, f1s, f2s, grid, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
     )
     return v + lift_psi, w + lift_Psi, phi_new, coeffs, trace

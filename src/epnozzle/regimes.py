@@ -24,7 +24,7 @@ arclength between the same speeds measured on the 1D profile.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -164,18 +164,20 @@ def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     return out[0] ** 2
 
 
-def nozzle_length(kappa0: float, kappaL: float, params: GasParameters) -> float:
+def nozzle_length(kappa0: float, kappaL: float, params: GasParameters, J: float | None = None) -> float:
     """Channel length spanned by the speed window ``[kappa0 u_s, kappaL u_s]``.
 
-    ``L = sqrt(h0^3 / 2) J^((gamma-2)/(gamma+1)) sqrt(lambda(kappa0, kappaL))``;
-    agrees with the arclength between the same speeds on the 1D profile.
+    ``L = sqrt(h0^3 / 2) J^((gamma-2)/(gamma+1)) sqrt(lambda(kappa0, kappaL))``
+    at momentum density ``J`` (default ``params.J``); agrees with the
+    arclength between the same speeds on the 1D profile.
     """
     if kappaL < kappa0:
         raise InputError("empty window: kappaL < kappa0")
     if kappaL == kappa0:
         return 0.0
     _check_window(kappa0, kappaL, params)
-    h0, J, g = params.h0, params.J, params.gamma
+    J = params.J if J is None else J
+    h0, g = params.h0, params.gamma
     return np.sqrt(h0 ** 3 / 2.0) * J ** ((g - 2.0) / (g + 1.0)) * np.sqrt(
         lambda_window(kappa0, kappaL, params)
     )
@@ -316,7 +318,8 @@ def certify_regime(
     energy coefficient is positive on the whole window (grid scan at the
     configured resolution plus endpoint refinement); falls back to the
     large-momentum exponent ``eta = gamma / 4``.  An uncertified report
-    (with the best minimum found) is a valid outcome, not an error.
+    (with the best minimum found) is a valid outcome, not an error.  The
+    nozzle length is computed only for the window of the returned report.
     """
     J = params.J if J is None else J
     g = params.gamma
@@ -338,35 +341,17 @@ def certify_regime(
                 kappa0=k0,
                 kappaL=kL,
                 alpha_min=amin,
-                L=nozzle_length(k0, kL, params) if J == params.J else _length_at(k0, kL, params, J),
+                L=float("nan"),
                 certified=amin > 0,
                 J=J,
             )
             if report.certified:
-                return report
+                return replace(report, L=nozzle_length(k0, kL, params, J))
             if best is None or report.alpha_min > best.alpha_min:
                 best = report
             d *= config.d_shrink
     assert best is not None
-    return RegimeReport(
-        eta=best.eta,
-        J_regime="uncertified",
-        d=best.d,
-        kappa0=best.kappa0,
-        kappaL=best.kappaL,
-        alpha_min=best.alpha_min,
-        L=best.L,
-        certified=False,
-        J=J,
-    )
-
-
-def _length_at(kappa0: float, kappaL: float, params: GasParameters, J: float) -> float:
-    """Nozzle length of a window for a momentum density other than params.J."""
-    g, h0 = params.gamma, params.h0
-    return np.sqrt(h0 ** 3 / 2.0) * J ** ((g - 2.0) / (g + 1.0)) * np.sqrt(
-        lambda_window(kappa0, kappaL, params)
-    )
+    return replace(best, J_regime="uncertified", L=nozzle_length(best.kappa0, best.kappaL, params, J))
 
 
 def write_alpha_csv(path, kappa_grid, alpha_values) -> None:

@@ -10,7 +10,8 @@ the axial flux stays positive.  Matching flux values against the inlet
 profile labels every point with the inlet height of its streamline (the
 Lagrangian map); composing the inlet entropy data with that label solves
 the advection problem ``m . grad T = 0`` without tracing a single
-characteristic.  Streamline tracing is kept only as a test oracle.
+characteristic.  The RK4 streamline tracer that checks this lives with the
+test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -64,15 +65,16 @@ def stream_function(m1: np.ndarray, grid: Grid) -> StreamFunction:
 def lagrangian_map(sf: StreamFunction, clamp_tol: float = 1e-8) -> np.ndarray:
     """Inlet streamline label of every grid point.
 
-    Solves ``theta(0, label) = theta(x1, x2)`` per point by bisection on
-    the monotone-cubic interpolant of the inlet profile followed by a
-    Newton polish (tolerance 1e-12).  Targets may exit the inlet flux
+    Solves ``theta(0, label) = theta(x1, x2)`` per point on the
+    monotone-cubic interpolant of the inlet profile: the monotone inverse
+    interpolant ``x2(theta)`` gives the start value, and a Newton polish
+    on the forward interpolant finishes it.  Targets may exit the inlet flux
     range by up to the field's own measured top-wall divergence defect
     (that overshoot *is* the defect, by the divergence theorem) plus the
     ``clamp_tol`` floor; such excursions are clamped with a warning,
     anything larger is an error.
     """
-    if sf.monotone_margin <= 0:
+    if sf.monotone_margin <= 0 or np.any(np.diff(sf.inlet) <= 0):
         raise DegenerateStateError("stream function is not strictly monotone across the channel")
     grid = sf.grid
     inlet = PchipInterpolator(grid.x2, sf.inlet)
@@ -96,14 +98,7 @@ def lagrangian_map(sf: StreamFunction, clamp_tol: float = 1e-8) -> np.ndarray:
         )
     tgt = np.clip(target, lo_v, hi_v)
 
-    lo = np.full_like(tgt, grid.x2[0])
-    hi = np.full_like(tgt, grid.x2[-1])
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        high = inlet(mid) > tgt
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    lab = 0.5 * (lo + hi)
+    lab = PchipInterpolator(sf.inlet, grid.x2)(tgt)
     for _ in range(4):
         f = inlet(lab) - tgt
         d = inlet_d(lab)
@@ -124,46 +119,3 @@ def transport_entropy(s_en_minus_s0, label: np.ndarray, grid: Grid) -> Field2D:
     """
     values = s_en_minus_s0(label)
     return Field2D.from_grid_values("cosine", values, grid)
-
-
-def m_dot_grad(field: Field2D, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Advective residual ``m . grad(field)`` (spectral in x2, central in x1)."""
-    return m1 * field.d1() + m2 * field.d2()
-
-
-def trace_streamlines(sf: StreamFunction, x2_starts, n_steps: int = 400):
-    """RK4 streamline tracing through the stream field (test oracle).
-
-    Integrates ``dx2/dx1 = -d1(theta)/d2(theta)`` with the flux potential
-    represented by a bicubic spline, so the traced paths conserve the
-    spline potential to RK4/interpolation accuracy; entropy transported by
-    the Lagrangian map must then be constant along the traced paths.
-
-    Returns ``(x1 samples, (n_paths, n_steps + 1) array of x2 positions)``.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    grid = sf.grid
-    spline = RectBivariateSpline(grid.x1, grid.x2, sf.theta, kx=3, ky=3)
-
-    xs = np.linspace(grid.x1[0], grid.x1[-1], n_steps + 1)
-    h = xs[1] - xs[0]
-    out = np.empty((len(x2_starts), n_steps + 1))
-    y = np.array(x2_starts, dtype=float)
-    out[:, 0] = y
-
-    def slope(x, yv):
-        yv = np.clip(yv, -1.0, 1.0)
-        num = spline(np.full_like(yv, x), yv, dx=1, grid=False)
-        den = spline(np.full_like(yv, x), yv, dy=1, grid=False)
-        return -num / den
-
-    for i in range(n_steps):
-        x = xs[i]
-        k1 = slope(x, y)
-        k2 = slope(x + h / 2, y + h / 2 * k1)
-        k3 = slope(x + h / 2, y + h / 2 * k2)
-        k4 = slope(x + h, y + h * k3)
-        y = np.clip(y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), -1.0, 1.0)
-        out[:, i + 1] = y
-    return xs, out

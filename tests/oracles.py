@@ -1,7 +1,13 @@
-"""Shared independent oracles for the test suite (quadrature + RK routes)."""
+"""Shared independent oracles for the test suite.
+
+Quadrature and RK routes for the background, the dense integral-equation
+solve of the Galerkin mode system, the RK4 streamline tracer and the
+advective residual of transported fields.
+"""
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import RectBivariateSpline
 
 from epnozzle import flux_F, u_max_root
 
@@ -48,3 +54,105 @@ def rk_station_events(params, u0, rtol=1e-12, max_step=np.inf, dstop=1e-7):
     Hp = (params.J / (params.u_bar_inf * umax ** (g + 1))) * num * (params.u_bar_inf - umax)
     tail = num / (umax ** g * np.sqrt(2 * abs(Hp))) * 2 * np.sqrt(dstop)
     return sol.t_events[0][0], sol.t_events[1][0] + tail
+
+
+def node_block(system, i: int, eps: float) -> np.ndarray:
+    """First-order block A(x1_i) of a ``ModeSystem``, acting on (X1..X5) mode stacks."""
+    K = system.K
+    A = np.zeros((5 * K, 5 * K))
+    I = np.eye(K)
+    A[0 * K:1 * K, 1 * K:2 * K] = I
+    A[1 * K:2 * K, 2 * K:3 * K] = I
+    A[3 * K:4 * K, 4 * K:5 * K] = I
+    A[2 * K:3 * K, 0 * K:1 * K] = np.diag(system.lam) / eps
+    A[2 * K:3 * K, 1 * K:2 * K] = -system.C2[i] / eps
+    A[2 * K:3 * K, 2 * K:3 * K] = -system.C3[i] / eps
+    A[2 * K:3 * K, 3 * K:4 * K] = -system.C4[i] / eps
+    A[2 * K:3 * K, 4 * K:5 * K] = -system.C5[i] / eps
+    A[4 * K:5 * K, 1 * K:2 * K] = np.diag(np.full(K, system.c1[i]))
+    A[4 * K:5 * K, 3 * K:4 * K] = np.diag(system.lam + system.c0[i])
+    return A
+
+
+def solve_dense_first_order(system, eps: float):
+    """Dense collocation of the projected cumulative integral equation.
+
+    Solves ``X = Pi I_0[A X + F] + (Id - Pi) I_L[A X + F]`` for a
+    ``ModeSystem`` with trapezoid cumulatives ``I_0`` / ``I_L``;
+    row-equivalent to the banded box system, so the two solutions agree to
+    solver roundoff.  Intended for small instances (dense memory).
+    """
+    g = system.grid
+    n, K, h = g.n_x1, system.K, g.h1
+    B = 5 * K
+    size = n * B
+    blocks = [node_block(system, i, eps) for i in range(n)]
+    Fvec = np.zeros((n, B))
+    Fvec[:, 2 * K:3 * K] = system.F1 / eps
+    Fvec[:, 4 * K:5 * K] = system.F2
+
+    # trapezoid cumulative weight matrices from the two anchors
+    W0 = np.zeros((n, n))
+    for i in range(1, n):
+        W0[i, : i + 1] = h
+        W0[i, 0] = W0[i, i] = h / 2.0
+    WL = np.zeros((n, n))
+    for i in range(n - 1):
+        WL[i, i:] = -h
+        WL[i, i] = WL[i, n - 1] = -h / 2.0
+
+    pi_mask = np.repeat(system.Pi, K)
+    A = np.eye(size)
+    rhs = np.zeros(size)
+    for i in range(n):
+        for j in range(n):
+            w_pi = W0[i, j]
+            w_co = WL[i, j]
+            wcol = np.where(pi_mask, w_pi, w_co)
+            if w_pi == 0.0 and w_co == 0.0:
+                continue
+            A[i * B:(i + 1) * B, j * B:(j + 1) * B] -= wcol[:, None] * blocks[j]
+            rhs[i * B:(i + 1) * B] += wcol * Fvec[j]
+    sol = np.linalg.solve(A, rhs).reshape(n, 5, K)
+    return sol[:, 0, :], sol[:, 3, :]
+
+
+def m_dot_grad(field, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Advective residual ``m . grad(field)`` (spectral in x2, central in x1)."""
+    return m1 * field.d1() + m2 * field.d2()
+
+
+def trace_streamlines(sf, x2_starts, n_steps: int = 400):
+    """RK4 streamline tracing through the stream field of a ``StreamFunction``.
+
+    Integrates ``dx2/dx1 = -d1(theta)/d2(theta)`` with the flux potential
+    represented by a bicubic spline, so the traced paths conserve the
+    spline potential to RK4/interpolation accuracy; entropy transported by
+    the Lagrangian map must then be constant along the traced paths.
+
+    Returns ``(x1 samples, (n_paths, n_steps + 1) array of x2 positions)``.
+    """
+    grid = sf.grid
+    spline = RectBivariateSpline(grid.x1, grid.x2, sf.theta, kx=3, ky=3)
+
+    xs = np.linspace(grid.x1[0], grid.x1[-1], n_steps + 1)
+    h = xs[1] - xs[0]
+    out = np.empty((len(x2_starts), n_steps + 1))
+    y = np.array(x2_starts, dtype=float)
+    out[:, 0] = y
+
+    def slope(x, yv):
+        yv = np.clip(yv, -1.0, 1.0)
+        num = spline(np.full_like(yv, x), yv, dx=1, grid=False)
+        den = spline(np.full_like(yv, x), yv, dy=1, grid=False)
+        return -num / den
+
+    for i in range(n_steps):
+        x = xs[i]
+        k1 = slope(x, y)
+        k2 = slope(x + h / 2, y + h / 2 * k1)
+        k3 = slope(x + h / 2, y + h / 2 * k2)
+        k4 = slope(x + h, y + h * k3)
+        y = np.clip(y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), -1.0, 1.0)
+        out[:, i + 1] = y
+    return xs, out

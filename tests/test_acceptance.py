@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import oracle_H, rk_station_events
+from oracles import oracle_H, rk_station_events, solve_dense_first_order, trace_streamlines
 
 from epnozzle import (
     BoundaryDataSpec,
@@ -22,6 +22,7 @@ from epnozzle import (
     ModeSystem,
     alpha_profile,
     assemble_coefficients,
+    background_profile,
     certify_regime,
     default_d0,
     fixed_point_solve,
@@ -31,9 +32,8 @@ from epnozzle import (
     solve_background,
 )
 from epnozzle.background import _H_closed, _flux_F_direct
-from epnozzle.coefficients import background_profile
 from epnozzle.regimes import _kappa_H_direct, kappa_H_sonic
-from epnozzle.transport import lagrangian_map, stream_function, trace_streamlines
+from epnozzle.transport import lagrangian_map, stream_function
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 GAS14 = GasParameters(gamma=1.4, zeta0=2.0, J=1.0, S0=1.0)
@@ -204,15 +204,15 @@ def test_criterion_07_linear_solver_oracle():
         bg = solve_background(CANON, 0.95, resolution=401)
         L = bg.x1_at_speed(1.05 * CANON.u_s)
         grid = Grid(L=L, n_x1=17, m=2)
-        d0 = default_d0(bg, grid)
-        coeffs = assemble_coefficients(FlowState.zeros(grid), bg, d0)
+        prof = background_profile(bg, grid)
+        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
         f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
             grid.x1 / L, np.cos(np.pi * grid.x2)
         )
         f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
         system = ModeSystem(coeffs, f1, f2, grid)
         th_b, Th_b = system.solve_banded(1e-2)
-        th_d, Th_d = system.solve_dense_first_order(1e-2)
+        th_d, Th_d = solve_dense_first_order(system, 1e-2)
         assert np.max(np.abs(th_b - th_d)) <= 1e-8
         assert np.max(np.abs(Th_b - Th_d)) <= 1e-8
 
@@ -225,9 +225,8 @@ def test_criterion_08_manufactured_elliptic_convergence(bg_std):
         errs = []
         for n in (101, 201):
             grid = Grid(L=L, n_x1=n, m=4)
-            d0 = default_d0(bg, grid)
-            coeffs = assemble_coefficients(FlowState.zeros(grid), bg, d0)
             prof = background_profile(bg, grid)
+            coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
             x, s = grid.x1, grid.x1 / L
             # v* = p(x) cos(pi x2), w* = q(x): all five boundary rows satisfied
             gfun = np.sin(1.5 * np.pi * s)
@@ -290,9 +289,8 @@ def test_criterion_11_mach_classification(std_run):
         assert np.all(crossings == 1)
 
 
-def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std, bg_std):
+def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std):
     with criterion(12, "inlet entropy trace 1e-10; streamline constancy; residual order >= 1.8"):
-        bg, _ = bg_std
         # (a) inlet trace
         T_inlet = std_run.state.T.values()[0]
         expect = bdata_std.s_en_minus_s0(grid_std.x2)
@@ -301,7 +299,7 @@ def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std, bg_st
         from epnozzle.coefficients import momentum_field
         from epnozzle.transport import stream_function
 
-        m1, _, _ = momentum_field(std_run.state, bg, std_run.d0, check=False)
+        m1, _, _ = momentum_field(std_run.state, std_run.coeffs.profile, std_run.d0, check=False)
         sf = stream_function(m1, grid_std)
         starts = np.linspace(-0.9, 0.9, 7)
         n_steps = 4 * (grid_std.n_x1 - 1)
@@ -338,16 +336,15 @@ def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std, bg_st
         sups = []
         for out in refine_pair + [std_run]:
             g = out.state.grid
-            m1o, m2o, _ = momentum_field(out.state, bg, out.d0, check=False)
+            m1o, m2o, _ = momentum_field(out.state, out.coeffs.profile, out.d0, check=False)
             res = m1o * out.state.T.d1() + m2o * out.state.T.d2()
             sups.append(np.max(np.abs(res[interior_mask(g)])))
         assert all(s <= 1e-6 * SIGMA for s in sups)
         assert sups[1] <= 1.05 * sups[0]
 
 
-def test_criterion_13_conservation_residuals(std_run, refine_pair, bg_std, grid_std):
+def test_criterion_13_conservation_residuals(std_run, refine_pair, grid_std):
     with criterion(13, "div m and electric Poisson residuals refine at order >= 1.8"):
-        bg, _ = bg_std
         from epnozzle.coefficients import momentum_field
 
         # the inlet halo of the shed viscous condition d1(v)=0 decays over
@@ -361,14 +358,14 @@ def test_criterion_13_conservation_residuals(std_run, refine_pair, bg_std, grid_
         for out in refine_pair:
             g = out.state.grid
             mask = halo_free(g)
-            _, _, div = momentum_field(out.state, bg, out.d0, check=False)
+            _, _, div = momentum_field(out.state, out.coeffs.profile, out.d0, check=False)
             vals["div_m"].append(np.sqrt(np.mean(div[mask] ** 2)))
             vals["poisson"].append(np.sqrt(np.mean(out.primitives["residual_poisson"][mask] ** 2)))
         for name, (coarse, fine) in vals.items():
             order = np.log2(coarse / fine)
             assert order >= 1.8, f"{name} residual order {order:.2f}"
         mask = interior_mask(grid_std)
-        _, _, div = momentum_field(std_run.state, bg, std_run.d0, check=False)
+        _, _, div = momentum_field(std_run.state, std_run.coeffs.profile, std_run.d0, check=False)
         assert np.sqrt(np.mean(div[mask] ** 2)) <= 1e-3 * SIGMA
         assert np.sqrt(np.mean(std_run.primitives["residual_poisson"][mask] ** 2)) <= 1e-2 * SIGMA
 

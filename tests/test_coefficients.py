@@ -11,12 +11,13 @@ from epnozzle import (
     GasParameters,
     Grid,
     assemble_coefficients,
+    background_profile,
     check_smallness,
     default_d0,
     momentum_field,
     solve_background,
 )
-from epnozzle.coefficients import background_profile, require_admissible, varrho
+from epnozzle.coefficients import require_admissible, varrho
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 
@@ -33,8 +34,13 @@ def grid(bg):
 
 
 @pytest.fixture(scope="module")
-def d0(bg, grid):
-    return default_d0(bg, grid)
+def prof(bg, grid):
+    return background_profile(bg, grid)
+
+
+@pytest.fixture(scope="module")
+def d0(prof):
+    return default_d0(prof)
 
 
 def small_state(grid, amp=1e-3):
@@ -49,10 +55,9 @@ def small_state(grid, amp=1e-3):
 
 
 class TestZeroState:
-    def test_background_coefficient_values(self, bg, grid, d0):
+    def test_background_coefficient_values(self, prof, grid, d0):
         p = CANON
-        coeffs = assemble_coefficients(FlowState.zeros(grid), bg, d0)
-        prof = background_profile(bg, grid)
+        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, d0)
         expect_a11 = 1.0 - (prof.u1 / p.u_s) ** (p.gamma + 1)
         assert np.max(np.abs(coeffs.a11 - expect_a11[:, None])) < 1e-12
         assert np.max(np.abs(coeffs.a12)) == 0.0
@@ -63,8 +68,8 @@ class TestZeroState:
     def test_sonic_station_values(self, bg, d0):
         # at x1 = l_s with these constants: A22 = u_s^2 = 1, a11 = 0
         gs = Grid(L=bg.l_s * 1.5, n_x1=81, m=4)
-        coeffs = assemble_coefficients(FlowState.zeros(gs), bg, d0)
         prof = background_profile(bg, gs)
+        coeffs = assemble_coefficients(FlowState.zeros(gs), prof, d0)
         i = np.argmin(np.abs(prof.u1 - CANON.u_s))
         assert abs(coeffs.A22[i, 0] - 1.0) < 1e-2          # nearest node only
         assert abs(coeffs.a11[i, 0]) < 5e-2
@@ -76,9 +81,8 @@ class TestZeroState:
         assert A22_s == pytest.approx(1.0, abs=1e-10)
         assert a11_s == pytest.approx(0.0, abs=1e-10)
 
-    def test_background_density_consistency(self, bg, grid):
+    def test_background_density_consistency(self, prof, grid):
         p = CANON
-        prof = background_profile(bg, grid)
         rho_tilde = varrho(
             np.zeros((grid.n_x1, grid.n_x2)),
             prof.Phi[:, None] * np.ones((1, grid.n_x2)),
@@ -87,69 +91,68 @@ class TestZeroState:
         )
         assert np.max(np.abs(rho_tilde / prof.rho[:, None] - 1.0)) < 1e-9
 
-    def test_c_profiles(self, bg, grid, d0):
+    def test_c_profiles(self, prof, grid, d0):
         p = CANON
-        coeffs = assemble_coefficients(FlowState.zeros(grid), bg, d0)
-        prof = background_profile(bg, grid)
+        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, d0)
         assert np.allclose(coeffs.c0, 1.0 / (p.gamma * p.S0 * prof.rho ** (p.gamma - 2)), rtol=1e-12)
         assert np.allclose(coeffs.c1, -prof.u1 * coeffs.c0, rtol=1e-12)
 
-    def test_type_indicator_changes_sign_once(self, bg, grid, d0):
-        coeffs = assemble_coefficients(FlowState.zeros(grid), bg, d0)
+    def test_type_indicator_changes_sign_once(self, prof, grid, d0):
+        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, d0)
         assert np.all(coeffs.sign_change_counts() == 1)
 
 
 class TestPerturbedState:
-    def test_wall_structure_holds(self, bg, grid, d0):
-        coeffs = assemble_coefficients(small_state(grid), bg, d0)  # verify_structure inside
+    def test_wall_structure_holds(self, prof, grid, d0):
+        coeffs = assemble_coefficients(small_state(grid), prof, d0)  # verify_structure inside
         walls = np.abs(coeffs.a12[:, [0, -1]])
         assert np.max(walls) < 1e-12
 
-    def test_a22_slot_is_identity(self, bg, grid, d0):
+    def test_a22_slot_is_identity(self, prof, grid, d0):
         # the normalization divides by A22, so the (2,2) slot is 1 by construction;
         # check the stored A22 is the actual denominator
         state = small_state(grid)
-        coeffs = assemble_coefficients(state, bg, d0)
+        coeffs = assemble_coefficients(state, prof, d0)
         assert np.min(coeffs.A22) > 0
 
-    def test_symmetric_slot_unused(self, bg, grid, d0):
-        coeffs = assemble_coefficients(small_state(grid), bg, d0)
+    def test_symmetric_slot_unused(self, prof, grid, d0):
+        coeffs = assemble_coefficients(small_state(grid), prof, d0)
         # a21 == a12 by definition: only one array is stored
         assert coeffs.a12.shape == (grid.n_x1, grid.n_x2)
 
-    def test_sign_change_still_unique_near_background(self, bg, grid, d0):
-        coeffs = assemble_coefficients(small_state(grid, amp=5e-4), bg, d0)
+    def test_sign_change_still_unique_near_background(self, prof, grid, d0):
+        coeffs = assemble_coefficients(small_state(grid, amp=5e-4), prof, d0)
         assert np.all(coeffs.sign_change_counts() == 1)
 
 
 class TestSmallness:
-    def test_zero_state_margins_maximal(self, bg, grid, d0):
-        margins = check_smallness(FlowState.zeros(grid), bg, d0)
+    def test_zero_state_margins_maximal(self, prof, bg, grid, d0):
+        margins = check_smallness(FlowState.zeros(grid), prof, d0)
         assert margins["perturbation"] == pytest.approx(d0)
         assert margins["entropy"] == pytest.approx(CANON.S0 / 2)
         assert margins["forward_flow"] == pytest.approx(bg.u0 - bg.u0 / 2, rel=1e-10)
 
-    def test_boundary_case_zero_margin(self, bg, grid, d0):
+    def test_boundary_case_zero_margin(self, prof, grid, d0):
         state = FlowState.zeros(grid)
         state.Psi.modes[:, 0] = d0  # |Psi| = d0 exactly
-        margins = check_smallness(state, bg, d0)
+        margins = check_smallness(state, prof, d0)
         assert margins["perturbation"] == pytest.approx(0.0, abs=1e-15)
 
-    def test_doubled_boundary_case_inadmissible(self, bg, grid, d0):
+    def test_doubled_boundary_case_inadmissible(self, prof, grid, d0):
         state = FlowState.zeros(grid)
         state.Psi.modes[:, 0] = 2 * d0
-        margins = check_smallness(state, bg, d0)
+        margins = check_smallness(state, prof, d0)
         assert margins["perturbation"] == pytest.approx(-d0)
         with pytest.raises(AdmissibilityError, match="perturbation"):
-            require_admissible(state, bg, d0)
+            require_admissible(state, prof, d0)
 
-    def test_admissibility_error_propagates_from_assembly(self, bg, grid, d0):
+    def test_admissibility_error_propagates_from_assembly(self, prof, grid, d0):
         state = FlowState.zeros(grid)
         state.T.modes[:, 0] = CANON.S0  # |T| = S0 > S0/2
         with pytest.raises(AdmissibilityError, match="entropy"):
-            assemble_coefficients(state, bg, d0)
+            assemble_coefficients(state, prof, d0)
 
-    def test_A22_admissible_lower_bound(self, bg, grid, d0):
+    def test_A22_admissible_lower_bound(self, prof, bg, grid, d0):
         # any admissible state keeps A22 >= gamma S0 J^(gamma-1) / (2 u_max^(gamma-1))
         p = CANON
         bound = p.gamma * p.S0 * p.J ** (p.gamma - 1) / (2 * bg.u_max ** (p.gamma - 1))
@@ -157,11 +160,10 @@ class TestSmallness:
             state = FlowState.zeros(grid)
             state.Psi.modes[:, 0] = -amp
             state.psi.modes[:, 1] = amp / 4
-            coeffs = assemble_coefficients(state, bg, d0)
+            coeffs = assemble_coefficients(state, prof, d0)
             assert np.min(coeffs.A22) >= bound
 
-    def test_default_d0_keeps_A22_above_half_background(self, bg, grid, d0):
-        prof = background_profile(bg, grid)
+    def test_default_d0_keeps_A22_above_half_background(self, prof, d0):
         p = CANON
         worst = (p.gamma - 1) * (
             prof.Phi - d0 - 0.5 * ((prof.u1 + 2 * d0) ** 2 + (2 * d0) ** 2)
@@ -170,16 +172,16 @@ class TestSmallness:
 
 
 class TestMomentum:
-    def test_zero_state_constant_flux(self, bg, grid, d0):
+    def test_zero_state_constant_flux(self, prof, grid, d0):
         p = CANON
-        m1, m2, div = momentum_field(FlowState.zeros(grid), bg, d0)
+        m1, m2, div = momentum_field(FlowState.zeros(grid), prof, d0)
         expect = (p.gamma * p.S0 / (p.gamma - 1)) ** (1.0 / (p.gamma - 1)) * p.J
         assert np.max(np.abs(m1 - expect)) < 1e-12
         assert np.max(np.abs(m2)) == 0.0
         assert np.max(np.abs(div)) <= 1e-9
 
-    def test_degenerate_state_raises(self, bg, grid, d0):
+    def test_degenerate_state_raises(self, prof, grid, d0):
         state = FlowState.zeros(grid)
-        state.Psi.modes[:, 0] = -0.9 * np.min(background_profile(bg, grid).A22)
+        state.Psi.modes[:, 0] = -0.9 * np.min(prof.A22)
         with pytest.raises((DegenerateStateError, AdmissibilityError)):
-            momentum_field(state, bg, d0)
+            momentum_field(state, prof, d0)

@@ -222,19 +222,6 @@ class TestBoundaryData:
         assert bdata.scaled(0.5).sigma == 1.0
 
 
-class TestFieldExports:
-    def test_grid_json_round_trip(self, tmp_path):
-        from epnozzle.fields import Grid, write_grid_json
-
-        g = Grid(L=0.5, n_x1=11, m=2)
-        vals = np.outer(g.x1, np.cos(np.pi * g.x2))
-        write_grid_json(tmp_path / "f.json", vals, g)
-        data = json.loads((tmp_path / "f.json").read_text())
-        assert data["shape"] == [g.n_x1, g.n_x2]
-        back = np.array(data["values"]).reshape(data["shape"])
-        assert np.max(np.abs(back - vals)) == 0.0
-
-
 class TestExitCodes:
     def test_non_convergence_exit_code(self, tmp_path):
         text = BASE_CONFIG + "\nsolver.max_outer = 1\n"

@@ -11,6 +11,7 @@ from epnozzle import (
     Grid,
     InputError,
     assemble_coefficients,
+    background_profile,
     certify_regime,
     default_d0,
     fixed_point_solve,
@@ -108,6 +109,25 @@ class TestZeroPerturbation:
         assert zero_run.classification_mismatches == 0
 
 
+class TestBackgroundProfileOnce:
+    def test_profile_built_once_per_solve(self, bg, grid, monkeypatch):
+        import epnozzle.coefficients
+        import epnozzle.driver
+
+        calls = []
+        original = epnozzle.coefficients.background_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(epnozzle.coefficients, "background_profile", counting)
+        monkeypatch.setattr(epnozzle.driver, "background_profile", counting)
+        out = fixed_point_solve(bg, BoundaryDataSpec.zero(), grid, override_certificate=True)
+        assert out.converged
+        assert len(calls) == 1
+
+
 class TestPerturbedRun:
     def test_contraction(self, std_run):
         assert std_run.converged
@@ -187,10 +207,9 @@ class TestExtractionHelpers:
         # purely subsonic window: no sign change -> internal error
         from epnozzle.errors import InternalError
 
-        sub_bg = bg
         grid = Grid(L=0.5 * bg.l_s, n_x1=51, m=2)
-        d0 = default_d0(sub_bg, grid)
-        coeffs = assemble_coefficients(FlowState.zeros(grid), sub_bg, d0)
+        prof = background_profile(bg, grid)
+        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
         with pytest.raises(InternalError):
             sonic_interface(coeffs)
 

@@ -97,11 +97,6 @@ class TestField2D:
         order = np.log2(e1 / e2)
         assert order >= 1.9
 
-    def test_eval_x2_matches_grid_synthesis(self):
-        rng = np.random.default_rng(11)
-        f = Field2D("cosine", rng.standard_normal((GRID.n_x1, GRID.n_cos)), GRID)
-        assert np.max(np.abs(f.eval_x2(GRID.x2) - f.values())) < 1e-12
-
     def test_h1_norm_of_constant(self):
         modes = np.zeros((GRID.n_x1, GRID.n_cos))
         modes[:, 0] = 2.0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import solve_dense_first_order
+
 from epnozzle import (
     BoundaryDataSpec,
     Field2D,
@@ -13,6 +15,7 @@ from epnozzle import (
     ModeSystem,
     NonConvergenceError,
     assemble_coefficients,
+    background_profile,
     default_d0,
     lift_boundary_data,
     poisson_solve_phi,
@@ -40,8 +43,9 @@ def bg_narrow():
 def setup(bg):
     L = bg.x1_at_speed(1.1 * CANON.u_s)
     grid = Grid(L=L, n_x1=101, m=4)
-    d0 = default_d0(bg, grid)
-    coeffs = assemble_coefficients(FlowState.zeros(grid), bg, d0)
+    prof = background_profile(bg, grid)
+    d0 = default_d0(prof)
+    coeffs = assemble_coefficients(FlowState.zeros(grid), prof, d0)
     return grid, d0, coeffs
 
 
@@ -50,7 +54,8 @@ def _oracle_system(bg, n_x1, m, amp):
     scaled by ``1 + amp cos(pi x2)``, which couples the cosine modes."""
     L = bg.x1_at_speed(1.05 * CANON.u_s)
     grid = Grid(L=L, n_x1=n_x1, m=m)
-    coeffs = assemble_coefficients(FlowState.zeros(grid), bg, default_d0(bg, grid))
+    prof = background_profile(bg, grid)
+    coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
     mod = 1.0 + amp * np.cos(np.pi * grid.x2)
     coeffs.a11, coeffs.a, coeffs.b0 = coeffs.a11 * mod, coeffs.a * mod, coeffs.b0 * mod
     f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
@@ -175,7 +180,7 @@ class TestEpsSystem:
         grid, sysm = _oracle_system(bg_narrow, n_x1, m, amp)
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
         th_b, Th_b = sysm.solve_banded(eps)
-        th_d, Th_d = sysm.solve_dense_first_order(eps)
+        th_d, Th_d = solve_dense_first_order(sysm, eps)
         assert np.max(np.abs(th_b - th_d)) <= 1e-12
         assert np.max(np.abs(Th_b - Th_d)) <= 1e-12
 
@@ -274,7 +279,8 @@ class TestSolveLinearProblem:
         grid, d0, _ = setup
         state = FlowState.zeros(grid)
         psi, Psi, phi, _, trace = solve_linear_problem(
-            Field2D.zeros("cosine", grid), state, BoundaryDataSpec.zero(), bg, grid, d0
+            Field2D.zeros("cosine", grid), state, BoundaryDataSpec.zero(),
+            background_profile(bg, grid), d0,
         )
         assert psi.sup_norm() == 0.0
         assert Psi.sup_norm() == 0.0
@@ -285,7 +291,7 @@ class TestSolveLinearProblem:
         state = FlowState.zeros(grid)
         bdata = BoundaryDataSpec(sigma=1e-5, e_modes=((1, 1.0),), s_modes=((1, 1.0),), w_modes=((1, 1.0),))
         psi, Psi, phi, _, _ = solve_linear_problem(
-            Field2D.zeros("cosine", grid), state, bdata, bg, grid, d0
+            Field2D.zeros("cosine", grid), state, bdata, background_profile(bg, grid), d0
         )
         for f in (psi, Psi):
             v = f.values()
@@ -298,10 +304,10 @@ class TestSolveLinearProblem:
         for n in (51, 101, 201):
             grid = Grid(L=L, n_x1=n, m=4)
             grids[n] = grid
-            d0 = default_d0(bg, grid)
+            prof = background_profile(bg, grid)
             state = FlowState.zeros(grid)
             psi, Psi, _, _, _ = solve_linear_problem(
-                Field2D.zeros("cosine", grid), state, bdata, bg, grid, d0, **solver_kw
+                Field2D.zeros("cosine", grid), state, bdata, prof, default_d0(prof), **solver_kw
             )
             sols[n] = (psi.modes, Psi.modes)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import m_dot_grad, trace_streamlines
+
 from epnozzle import (
     BoundaryDataSpec,
     DegenerateStateError,
@@ -12,7 +14,6 @@ from epnozzle import (
     stream_function,
     transport_entropy,
 )
-from epnozzle.transport import m_dot_grad, trace_streamlines
 
 GRID = Grid(L=0.5, n_x1=41, m=6)
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
