@@ -57,6 +57,12 @@ STENCIL_REL = 1e-4
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
 
 
+def _gl_panels(a, b):
+    """14-point Gauss-Legendre nodes and weights on the panels ``[a_i, b_i]`` (one row each)."""
+    half = 0.5 * (b - a)[:, None]
+    return 0.5 * (a + b)[:, None] + half * _GL_NODES, half * _GL_WEIGHTS
+
+
 @dataclass(frozen=True)
 class GasParameters:
     """Physical constants of the charged-gas model.
@@ -286,8 +292,7 @@ class _Trajectory:
         self.edges = np.asarray(edges)
         a = self.edges[:-1]
         b = self.edges[1:]
-        sm = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GL_NODES
-        ww = 0.5 * (b - a)[:, None] * _GL_WEIGHTS
+        sm, ww = _gl_panels(a, b)
         uu = u_max - sm ** 2
         g = 2.0 * sm / flux_F(uu, params)
         self.cum_x = np.concatenate([[0.0], np.cumsum((g * ww).sum(axis=1))])
@@ -304,8 +309,7 @@ class _Trajectory:
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(self.edges) - 2)
         a = self.edges[idx]
-        sm = 0.5 * (a + s)[:, None] + 0.5 * (s - a)[:, None] * _GL_NODES
-        ww = 0.5 * (s - a)[:, None] * _GL_WEIGHTS
+        sm, ww = _gl_panels(a, s)
         uu = self.u_max - sm ** 2
         g = self._integrand_x(sm.ravel()).reshape(sm.shape)
         partial = (g * ww).sum(axis=1) if cum is self.cum_x else (g * uu * ww).sum(axis=1)

@@ -18,23 +18,30 @@ since no closed formulas exist for them.  The nozzle length of a window
 follows from the same change of variables,
 ``L = sqrt(h0^3/2) J^((gamma-2)/(gamma+1)) sqrt(lambda)`` with
 ``lambda = (integral of 1/(kappa * kappa_H))^2``, and must agree with the
-arclength between the same speeds measured on the 1D profile.
+arclength between the same speeds measured on the 1D profile.  ``lambda``
+is integrated like the background's arclength, on composite Gauss-Legendre
+panels in ``s = sqrt(kappa_max - kappa)``, split at the ``kappa_H`` switch
+points, to about 1e-11 relative.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .background import QUAD_ABS_TOL, QUAD_REL_TOL, GasParameters, STENCIL_REL
+from .background import QUAD_ABS_TOL, QUAD_REL_TOL, STENCIL_REL, GasParameters, _gl_panels
 from .errors import InputError
 
 # Taylor blending radius around kappa = 1 (same strategy as flux_F).
 KAPPA_SWITCH = 1e-3
+
+# Gauss-Legendre panels per piece of a lambda window.
+_LAMBDA_PANELS = 4
 
 
 def _curly_F_closed(kappa, params: GasParameters):
@@ -83,6 +90,7 @@ def _kappa_H_direct(kappa, params: GasParameters):
     return np.abs(k ** (g - 1) * np.sqrt(Fv) / (k ** (g + 1) - 1.0))
 
 
+@lru_cache(maxsize=64)
 def _sonic_expansion_kappa(params: GasParameters):
     """Divided-difference Taylor data of curly_F and kappa^(gamma+1) at kappa = 1."""
     g = params.gamma
@@ -129,6 +137,7 @@ def kappa_H(kappa, params: GasParameters):
     return out[0] if np.ndim(kappa) == 0 else out
 
 
+@lru_cache(maxsize=64)
 def kappa_max(params: GasParameters) -> float:
     """Upper end of the orbit in ratio units (``u_max / u_s``)."""
     z = params.zeta0
@@ -148,20 +157,35 @@ def _check_window(kappa0: float, kappaL: float, params: GasParameters) -> None:
 
 
 def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
-    """Squared window integral ``(integral dkappa / (kappa * kappa_H))^2``."""
+    """Squared window integral ``(integral dkappa / (kappa * kappa_H))^2``.
+
+    Integrated as ``integral 2 s ds / (kappa kappa_H(kappa))`` in
+    ``s = sqrt(kappa_max - kappa)``, which stays smooth up to ``kappa_max``
+    where ``kappa_H`` vanishes like ``s``, on the background's composite
+    14-point Gauss-Legendre panels: the window is split at 1 and
+    ``1 +- KAPPA_SWITCH``, where ``kappa_H`` changes form, and each piece
+    gets 4 panels, so one vectorized ``kappa_H`` call covers the window.
+    Agrees with a switch-split adaptive quadrature of the same integrand at
+    ``epsrel=1e-13`` to about 1e-11 relative (worst measured 9e-12).
+
+    Raises
+    ------
+    InputError
+        If ``kappaL`` lies beyond ``kappa_max``.
+    """
     if kappaL <= kappa0:
         return 0.0
-    out = quad(
-        lambda k: 1.0 / (k * kappa_H(k, params)),
-        kappa0,
-        kappaL,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL,
-        limit=400,
-        points=[1.0] if kappa0 < 1.0 < kappaL else None,
-        full_output=1,
-    )
-    return out[0] ** 2
+    kmax = kappa_max(params)
+    if kappaL > kmax + 1e-12:
+        raise InputError(f"kappaL = {kappaL} beyond the orbit range")
+    switches = (1.0 - KAPPA_SWITCH, 1.0, 1.0 + KAPPA_SWITCH)
+    k = np.array([kappa0, *(b for b in switches if kappa0 < b < kappaL), kappaL])
+    s = np.sqrt(np.maximum(kmax - k, 0.0))
+    width = np.diff(k) / (s[:-1] + s[1:])  # s_a - s_b, free of cancellation
+    edges = s[:-1, None] - width[:, None] * (np.arange(_LAMBDA_PANELS + 1) / _LAMBDA_PANELS)
+    sm, ww = _gl_panels(edges[:, 1:].ravel(), edges[:, :-1].ravel())
+    km = kmax - sm ** 2
+    return float(np.sum(2.0 * sm / (km * kappa_H(km, params)) * ww)) ** 2
 
 
 def nozzle_length(kappa0: float, kappaL: float, params: GasParameters, J: float | None = None) -> float:

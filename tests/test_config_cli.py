@@ -1,6 +1,7 @@
 """Config round trips, CLI subcommands, artifacts, exit codes, sweeps."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import epnozzle
 from epnozzle import InputError, parse_config, serialize_config
 from epnozzle.cli import main, run, sweep
 from epnozzle.config import load_config, with_overrides
@@ -179,10 +181,14 @@ class TestCliEntry:
     def test_input_error_exit_code_and_json(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(BASE_CONFIG + "\nbogus.key = 1\n")
+        # the child imports the same package as this test, not an installed one
+        src = str(Path(epnozzle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-m", "epnozzle.cli", "solve", "--config", str(bad)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 2
         error = json.loads(proc.stderr.strip().splitlines()[-1])

@@ -202,6 +202,27 @@ class TestAdmissibilityGuard:
             )
 
 
+class TestCertifiedRegime:
+    """A certified small-momentum solve without the override, multi-mode data."""
+
+    @pytest.mark.parametrize("J", [1e-2, 1e-3])
+    def test_certified_solve(self, J):
+        gas = GasParameters(gamma=1.4, zeta0=2.0, J=J, S0=1.0)
+        report = certify_regime(gas)
+        assert report.certified and report.J_regime == "small"
+        bg = solve_background(gas, report.kappa0 * gas.u_s, resolution=801)
+        grid = Grid(L=bg.x1_at_speed(report.kappaL * gas.u_s), n_x1=151, m=6)
+        assert grid.L == pytest.approx(report.L, rel=1e-6)
+        modes = ((1, 1.0), (2, 0.5), (3, 1.0 / 3.0))
+        bdata = BoundaryDataSpec(
+            sigma=0.5 * default_sigma_cap(bg), s_modes=modes, e_modes=modes, w_modes=modes
+        )
+        out = fixed_point_solve(bg, bdata, grid, certificate=report)
+        assert out.converged
+        assert out.classification_mismatches == 0
+        assert 0 < out.sup_gs_minus_ls < 1e-3
+
+
 class TestExtractionHelpers:
     def test_sonic_interface_requires_sign_change(self, bg):
         # purely subsonic window: no sign change -> internal error

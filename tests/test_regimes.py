@@ -1,8 +1,10 @@
 """Scaled-variable regime calculus: closed forms, window lengths, certification."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from epnozzle import (
     GasParameters,
@@ -16,6 +18,7 @@ from epnozzle import (
     solve_background,
 )
 from epnozzle.regimes import (
+    KAPPA_SWITCH,
     _curly_F_closed,
     _kappa_H_direct,
     alpha_sonic_limit,
@@ -33,6 +36,23 @@ def oracle_curly_F(kappa, params):
     g, z = params.gamma, params.zeta0
     val, _ = quad(lambda t: (1 - t / z) * (1 - t ** -(g + 1)), 1.0, kappa, epsabs=1e-14, epsrel=1e-13)
     return val
+
+
+def tight_lambda(kappa0, kappaL, params):
+    """Adaptive-quadrature lambda split at 1 and the kappa_H switch points.
+
+    ``epsrel=1e-13`` sits at the roundoff floor of the integrand, where
+    ``quad`` warns that it cannot certify the request; the result is still
+    accurate to about 1e-12.
+    """
+    pts = [kappa0, *(b for b in (1 - KAPPA_SWITCH, 1.0, 1 + KAPPA_SWITCH) if kappa0 < b < kappaL), kappaL]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total = sum(
+            quad(lambda k: 1.0 / (k * kappa_H(k, params)), a, b, epsabs=0, epsrel=1e-13, limit=400)[0]
+            for a, b in zip(pts[:-1], pts[1:])
+        )
+    return total ** 2
 
 
 class TestKappaH:
@@ -166,9 +186,34 @@ class TestCertify:
 
 class TestLambdaWindow:
     def test_matches_direct_quadrature(self):
-        lam = lambda_window(0.9, 1.1, CANON)
-        val, _ = quad(lambda k: 1.0 / (k * kappa_H(k, CANON)), 0.9, 1.1, points=[1.0], limit=200)
-        assert lam == pytest.approx(val ** 2, rel=1e-10)
+        assert lambda_window(0.9, 1.1, CANON) == pytest.approx(tight_lambda(0.9, 1.1, CANON), rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            CANON,
+            GasParameters(gamma=1.4, zeta0=2.0, J=1e-3, S0=1.0),
+            GasParameters(gamma=2.0, zeta0=1.5, J=1.0, S0=1.0),
+        ],
+        ids=["canon", "gamma1.4", "gamma2"],
+    )
+    def test_accuracy_across_windows(self, params):
+        cfg = RegimeSearchConfig()
+        ladder = []
+        d = cfg.d_start
+        while d >= cfg.d_min:
+            ladder.append((1 - d, 1 + d))
+            d *= cfg.d_shrink
+        kmax = kappa_max(params)
+        windows = ladder + [(0.9, 1.1), (0.1, 1.5), (0.5, 1.5)] + [
+            (0.9, kmax * (1 - 1e-2)), (0.9, kmax * (1 - 1e-6)), (0.9, kmax)
+        ]
+        for k0, kL in windows:
+            assert lambda_window(k0, kL, params) == pytest.approx(tight_lambda(k0, kL, params), rel=1e-10), (k0, kL)
+
+    def test_window_beyond_orbit_rejected(self):
+        with pytest.raises(InputError):
+            lambda_window(0.9, kappa_max(CANON) * (1 + 1e-9), CANON)
 
     def test_search_config_roundtrip(self):
         cfg = RegimeSearchConfig(d_start=0.1, d_min=1e-3)
