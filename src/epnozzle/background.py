@@ -23,6 +23,11 @@ acceleration at ``x1 = l_max`` where ``u1 = u_max``, the upper root of
 ``u1' = F(u1)`` with the flux function of :func:`flux_F`, which stays
 smooth and positive through the sonic speed.
 
+``H`` and ``F`` are scaled views of functions of ``kappa = u / u_s``:
+``H = J u_s curly_F(kappa)`` and ``F = sqrt(2 J / u_s) kappa kappa_H(kappa)``.
+``kappa_H`` crosses the sonic singularity by a Taylor form with exact
+coefficients; it is the one implementation, which ``regimes`` imports.
+
 The profile is constructed by quadrature of ``dx1 = du/F(u)``.  Because
 ``F`` vanishes like ``sqrt(u_max - u)`` at the right endpoint, the
 integration variable is switched to ``s = sqrt(u_max - u)``, which makes
@@ -49,10 +54,9 @@ from .errors import InputError, InternalError
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 
-# Inside |u - u_s| < SWITCH_RADIUS_REL * u_s the flux function switches to
-# its Taylor-regularized form; divided-difference stencils use this spacing.
-SWITCH_RADIUS_REL = 1e-3
-STENCIL_REL = 1e-4
+# Inside |kappa - 1| < KAPPA_SWITCH (kappa = u / u_s) the sonic function
+# switches from its defining ratio to its Taylor form.
+KAPPA_SWITCH = 1e-3
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
 
@@ -122,17 +126,111 @@ class GasParameters:
         return (self.gamma * self.S0) ** (1.0 / (self.gamma + 1))
 
 
+def _curly_F_closed(kappa, params: GasParameters):
+    """Scaled orbit integral ``integral_1^kappa (1 - t/zeta0)(1 - t^-(gamma+1)) dt`` in closed form.
+
+    Each power of ``kappa = 1 + d`` enters through ``expm1(p * log1p(d))``,
+    so the O(d^2) value near ``kappa = 1`` is not the difference of O(1)
+    antiderivative values.
+    """
+    g, z = params.gamma, params.zeta0
+    d = np.asarray(kappa, dtype=float) - 1.0
+    ld = np.log1p(d)
+    return d - d * (2.0 + d) / (2.0 * z) + np.expm1(-g * ld) / g - np.expm1((1.0 - g) * ld) / ((g - 1.0) * z)
+
+
+def _sonic_taylor(params: GasParameters):
+    """Exact Taylor data of ``kappa_H`` at ``kappa = 1``, highest power first (``np.polyval`` order).
+
+    With ``d = kappa - 1`` and ``f(t) = (1 - t/zeta0)(1 - t^-(gamma+1))``
+    (so ``curly_F' = f``, ``f(1) = 0``) returns ``(num, den)`` with
+    ``curly_F / d^2 = sum_{n=1}^{4} f^(n)(1) / (n+1)! d^(n-1)`` and
+    ``(kappa^(gamma+1) - 1) / d = sum_{k=1}^{4} C(gamma+1, k) d^(k-1)``,
+    both truncated after the ``d^3`` term.
+    """
+    g, z = params.gamma, params.zeta0
+    n = np.arange(1.0, 5.0)
+    # 1 - t^-(g+1) has n-th derivative (-1)^(n+1) (g+1)(g+2)...(g+n) at t = 1;
+    # 1 - t/z is linear, so Leibniz keeps two terms of f^(n)
+    b = np.concatenate([[0.0], np.cumprod(g + n) * (-1.0) ** (n - 1)])
+    f_der = (1.0 - 1.0 / z) * b[1:] - n / z * b[:-1]
+    num = f_der / np.cumprod(n + 1)
+    den = np.cumprod((g + 2.0 - n) / n)
+    return num[::-1], den[::-1]
+
+
+def kappa_H_sonic(params: GasParameters) -> float:
+    """Closed form at the sonic ratio: ``sqrt(1 - 1/zeta0) / sqrt(2 (gamma+1))``."""
+    return np.sqrt((1 - 1 / params.zeta0) / (2 * (params.gamma + 1)))
+
+
+def _kappa_H_direct(kappa, params: GasParameters):
+    """Defining ratio ``|kappa^(gamma-1) sqrt(curly_F) / (kappa^(gamma+1) - 1)|``.
+
+    Raises ``InputError`` where ``curly_F < 0`` (beyond ``kappa_max``).
+    """
+    g = params.gamma
+    k = np.asarray(kappa, dtype=float)
+    Fv = _curly_F_closed(k, params)
+    if np.any(Fv < -1e-14 * (1 + params.zeta0)):
+        raise InputError("kappa beyond the orbit range: curly_F < 0")
+    return np.abs(k ** (g - 1) * np.sqrt(np.maximum(Fv, 0.0)) / (k ** (g + 1) - 1.0))
+
+
+def kappa_H(kappa, params: GasParameters):
+    """Scaled acceleration profile ``kappa_H(kappa)``, regular through kappa = 1.
+
+    The defining ratio away from 1; inside ``|kappa - 1| < KAPPA_SWITCH``
+    the removable singularity is crossed with the exact Taylor data of
+    :func:`_sonic_taylor`, which meet the ratio to about 1e-12 relative at
+    the switch.  Strictly positive wherever the scaled orbit integral is
+    nonnegative.  This is the one implementation of the sonic
+    regularization: :func:`flux_F` is its scaled view.
+
+    Raises
+    ------
+    InputError
+        If ``kappa <= 0`` or ``curly_F(kappa) < 0`` (ratio beyond ``kappa_max``).
+    """
+    arr = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if np.any(arr <= 0):
+        raise InputError("kappa must be positive")
+    g = params.gamma
+    near = np.abs(arr - 1.0) < KAPPA_SWITCH
+    out = np.empty_like(arr)
+    out[~near] = _kappa_H_direct(arr[~near], params)
+    num, den = _sonic_taylor(params)
+    d = arr[near] - 1.0
+    out[near] = arr[near] ** (g - 1) * np.sqrt(np.maximum(np.polyval(num, d), 0.0)) / np.polyval(den, d)
+    return out[0] if np.ndim(kappa) == 0 else out
+
+
+@lru_cache(maxsize=64)
+def kappa_max(params: GasParameters) -> float:
+    """Upper end of the orbit in ratio units: the root of ``curly_F`` above ``zeta0``.
+
+    Brackets ``curly_F`` on ``(zeta0, 10 zeta0)``, expanding the upper
+    endpoint geometrically if needed, then bisects (Brent) to 1e-13
+    relative.
+    """
+    z = params.zeta0
+    hi = 10.0 * z
+    for _ in range(60):
+        if _curly_F_closed(hi, params) < 0:
+            break
+        hi *= 2.0
+    else:
+        raise InternalError("no sign change of curly_F found above zeta0")
+    return brentq(lambda k: _curly_F_closed(k, params), z * (1 + 1e-13), hi, xtol=1e-15, rtol=1e-13)
+
+
 def _H_closed(u, params: GasParameters):
-    """Exact antiderivative evaluation of H (vectorized fast path).
+    """Closed-form H, the scaled view ``J u_s curly_F(u / u_s)`` (vectorized fast path).
 
     Identical to :func:`hamiltonian_H` up to quadrature error; used in hot
     loops and pinned to the quadrature path by tests.
     """
-    g, ub, us, J = params.gamma, params.u_bar_inf, params.u_s, params.J
-    u = np.asarray(u, dtype=float)
-    t1 = ub * (u - us) - (u ** 2 - us ** 2) / 2.0
-    t2 = (ub / g) * (us ** (-g) - u ** (-g)) + (u ** (1 - g) - us ** (1 - g)) / (g - 1.0)
-    return (J / ub) * (t1 - us ** (g + 1) * t2)
+    return params.J * params.u_s * _curly_F_closed(np.asarray(u, dtype=float) / params.u_s, params)
 
 
 def hamiltonian_H(u: float, params: GasParameters) -> float:
@@ -172,94 +270,31 @@ def H_second_sonic(params: GasParameters) -> float:
     return (params.gamma + 1) * params.J * (1.0 / params.u_s - 1.0 / params.u_bar_inf)
 
 
-@lru_cache(maxsize=64)
-def _sonic_expansion(params: GasParameters):
-    """Divided-difference Taylor data for the regularized flux at the sonic speed.
-
-    Returns (Hpp, P0, P1, Q0, Q1) for the local forms
-    ``2H = Hpp d^2 + 2 d^3 (P0 + P1 d)`` and
-    ``u^(g+1) - u_s^(g+1) = (g+1) u_s^g d + d^2 (Q0 + Q1 d)``, d = u - u_s.
-    """
-    us, g = params.u_s, params.gamma
-    h = STENCIL_REL * us
-    Hm2, Hm1, Hp1, Hp2 = _H_closed(np.array([us - 2 * h, us - h, us + h, us + 2 * h]), params)
-    Hppp = (Hp2 - 2 * Hp1 + 2 * Hm1 - Hm2) / (2 * h ** 3)
-    Hpppp = (Hp2 - 4 * Hp1 - 4 * Hm1 + Hm2) / h ** 4  # H(u_s) = 0 drops the center term
-    pw = lambda d: (us + d) ** (g + 1) - us ** (g + 1)
-    Qd = lambda d: (pw(d) - (g + 1) * us ** g * d) / d ** 2
-    Q0 = 0.5 * (Qd(h) + Qd(-h))
-    Q1 = (Qd(h) - Qd(-h)) / (2 * h)
-    return H_second_sonic(params), Hppp / 6.0, Hpppp / 24.0, Q0, Q1
-
-
-def _flux_F_direct(u, params: GasParameters):
-    """Flux function away from the sonic speed: ``u^g sqrt(2H) / |u^(g+1) - u_s^(g+1)|``."""
-    g, us = params.gamma, params.u_s
-    u = np.asarray(u, dtype=float)
-    H = np.maximum(_H_closed(u, params), 0.0)
-    return u ** g * np.sqrt(2.0 * H) / np.abs(u ** (g + 1) - us ** (g + 1))
-
-
-def _flux_F_taylor(u, params: GasParameters):
-    """Regularized flux near the sonic speed from the local expansions."""
-    g, us = params.gamma, params.u_s
-    Hpp, P0, P1, Q0, Q1 = _sonic_expansion(params)
-    d = np.asarray(u, dtype=float) - us
-    num = u ** g * np.sqrt(Hpp + 2.0 * d * (P0 + P1 * d))
-    den = (g + 1) * us ** g + d * (Q0 + Q1 * d)
-    return num / den
-
-
 def flux_F(u, params: GasParameters):
     """Acceleration flux ``F(u)`` of the reduced scalar equation ``u1' = F(u1)``.
 
-    Outside ``|u - u_s| >= 1e-3 u_s`` the defining ratio is used; inside,
-    the removable sonic singularity is crossed with the Taylor-regularized
-    form, whose correction coefficients come from divided differences of H
-    at spacing ``1e-4 u_s``.  ``F(u_s)`` equals
+    The scaled view ``sqrt(2 J / u_s) kappa kappa_H(kappa)`` at
+    ``kappa = u / u_s`` of the defining ratio
+    ``u^gamma sqrt(2 H) / |u^(gamma+1) - u_s^(gamma+1)|``; the removable
+    sonic singularity is crossed by :func:`kappa_H`'s exact Taylor form
+    inside ``|u - u_s| < KAPPA_SWITCH u_s``.  ``F(u_s)`` equals
     ``sqrt(J/(gamma+1) (1/u_s - 1/u_bar_inf))`` exactly.
 
-    Accepts scalars or arrays; requires ``0 < u`` and ``H(u) >= 0``.
+    Accepts scalars or arrays; requires ``0 < u <= u_max`` (``InputError``
+    otherwise).
     """
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(arr <= 0):
-        raise InputError("speed must be positive")
-    Hvals = _H_closed(arr, params)
-    near = np.abs(arr - params.u_s) < SWITCH_RADIUS_REL * params.u_s
-    # tolerate roundoff-negative H right at u_max
-    neg_tol = 1e-13 * max(1.0, H_second_sonic(params) * params.u_s ** 2)
-    if np.any(Hvals[~near] < -neg_tol):
-        raise InputError("speed beyond u_max: H(u) < 0")
-    out = np.empty_like(arr)
-    if np.any(~near):
-        out[~near] = _flux_F_direct(arr[~near], params)
-    if np.any(near):
-        out[near] = _flux_F_taylor(arr[near], params)
-    return out[0] if np.isscalar(u) or np.ndim(u) == 0 else out
+    kappa = np.asarray(u, dtype=float) / params.u_s
+    return np.sqrt(2.0 * params.J / params.u_s) * kappa * kappa_H(kappa, params)
 
 
 def flux_F_sonic(params: GasParameters) -> float:
     """Closed form ``F(u_s) = sqrt(J/(gamma+1) (1/u_s - 1/u_bar_inf))``."""
-    return np.sqrt(params.J / (params.gamma + 1) * (1.0 / params.u_s - 1.0 / params.u_bar_inf))
+    return np.sqrt(2.0 * params.J / params.u_s) * kappa_H_sonic(params)
 
 
 def u_max_root(params: GasParameters) -> float:
-    """Terminal speed: the root of H above ``u_bar_inf``.
-
-    Brackets ``H`` on ``(u_bar_inf, 10 u_bar_inf)``, expanding the upper
-    endpoint geometrically if needed, then bisects (Brent) to 1e-12
-    relative.
-    """
-    ub = params.u_bar_inf
-    lo = ub * (1 + 1e-13)
-    hi = 10.0 * ub
-    for _ in range(60):
-        if _H_closed(hi, params) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise InternalError("no sign change of H found above u_bar_inf")
-    return brentq(lambda t: _H_closed(t, params), lo, hi, xtol=1e-15, rtol=1e-12)
+    """Terminal speed: the root of H above ``u_bar_inf``, ``u_s kappa_max``."""
+    return params.u_s * kappa_max(params)
 
 
 class _Trajectory:
@@ -278,10 +313,9 @@ class _Trajectory:
         self.u0 = u0
         self.u_max = u_max
         us = params.u_s
-        rsw = SWITCH_RADIUS_REL * us
         s0 = np.sqrt(u_max - u0)
         breaks = {0.0, s0}
-        for v in (us - rsw, us, us + rsw):
+        for v in ((1 - KAPPA_SWITCH) * us, us, (1 + KAPPA_SWITCH) * us):
             if u0 < v < u_max:
                 breaks.add(np.sqrt(u_max - v))
         breaks = sorted(breaks)

@@ -281,6 +281,19 @@ def reconstruct_primitives(state: FlowState, prof: BackgroundProfile) -> dict:
     }
 
 
+def interior_mask(grid: Grid, margin: float = 0.05) -> np.ndarray:
+    """Stations with ``margin * L <= x1 <= (1 - margin) * L``, chosen by index.
+
+    ``x1_i = i L / (n_x1 - 1)``, so the bounds are compared with ``i``, not
+    with the rounded stations: a station that sits on a bound is kept (ties
+    count as inside) whatever L is.
+    """
+    n = grid.n_x1 - 1
+    lo = np.ceil(margin * n - 1e-9)  # slack for the rounding of margin * n
+    i = np.arange(grid.n_x1)
+    return (i >= lo) & (i <= n - lo)
+
+
 def fixed_point_residuals(
     state: FlowState,
     coeffs: CoefficientSet,
@@ -296,8 +309,7 @@ def fixed_point_residuals(
     like sqrt(eps) but whose pointwise residual in the first cells does
     not converge.  Interior residuals refine at second order.
     """
-    g = state.grid
-    mask = (g.x1 >= margin * g.L) & (g.x1 <= (1.0 - margin) * g.L)
+    mask = interior_mask(state.grid, margin)
     res_psi = (
         coeffs.a11 * state.psi.d11()
         + 2.0 * coeffs.a12 * state.psi.d12()

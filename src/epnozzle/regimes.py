@@ -22,38 +22,25 @@ arclength between the same speeds measured on the 1D profile.  ``lambda``
 is integrated like the background's arclength, on composite Gauss-Legendre
 panels in ``s = sqrt(kappa_max - kappa)``, split at the ``kappa_H`` switch
 points, to about 1e-11 relative.
+
+``kappa_H`` (exact Taylor data at kappa = 1) and ``kappa_max`` are the
+background's own, so the two lengths agree to about 1e-13.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .background import QUAD_ABS_TOL, QUAD_REL_TOL, STENCIL_REL, GasParameters, _gl_panels
+from .background import KAPPA_SWITCH, QUAD_ABS_TOL, QUAD_REL_TOL, GasParameters, _gl_panels, kappa_H, kappa_max
+from .background import _curly_F_closed, _kappa_H_direct, kappa_H_sonic  # noqa: F401  (re-exported)
 from .errors import InputError
-
-# Taylor blending radius around kappa = 1 (same strategy as flux_F).
-KAPPA_SWITCH = 1e-3
 
 # Gauss-Legendre panels per piece of a lambda window.
 _LAMBDA_PANELS = 4
-
-
-def _curly_F_closed(kappa, params: GasParameters):
-    """Exact antiderivative of the scaled field balance integrand."""
-    g, z = params.gamma, params.zeta0
-    k = np.asarray(kappa, dtype=float)
-
-    def anti(t):
-        # integrand (1 - t/z)(1 - t^-(g+1)) = 1 - t/z - t^-(g+1) + t^-g / z
-        return t - t ** 2 / (2 * z) + t ** (-g) / g + t ** (1 - g) / ((1 - g) * z)
-
-    return anti(k) - anti(1.0)
 
 
 def curly_F(kappa: float, params: GasParameters) -> float:
@@ -77,78 +64,6 @@ def curly_F(kappa: float, params: GasParameters) -> float:
     return out[0]
 
 
-def kappa_H_sonic(params: GasParameters) -> float:
-    """Closed form at the sonic ratio: ``sqrt(1 - 1/zeta0) / sqrt(2 (gamma+1))``."""
-    return np.sqrt((1 - 1 / params.zeta0) / (2 * (params.gamma + 1)))
-
-
-def _kappa_H_direct(kappa, params: GasParameters):
-    """Defining ratio ``|kappa^(gamma-1) sqrt(curly_F) / (kappa^(gamma+1) - 1)|``."""
-    g = params.gamma
-    k = np.asarray(kappa, dtype=float)
-    Fv = np.maximum(_curly_F_closed(k, params), 0.0)
-    return np.abs(k ** (g - 1) * np.sqrt(Fv) / (k ** (g + 1) - 1.0))
-
-
-@lru_cache(maxsize=64)
-def _sonic_expansion_kappa(params: GasParameters):
-    """Divided-difference Taylor data of curly_F and kappa^(gamma+1) at kappa = 1."""
-    g = params.gamma
-    h = STENCIL_REL
-    Fpp = (g + 1) * (1 - 1 / params.zeta0)
-    F = lambda d: _curly_F_closed(1.0 + d, params)
-    Fppp = (F(2 * h) - 2 * F(h) + 2 * F(-h) - F(-2 * h)) / (2 * h ** 3)
-    Fpppp = (F(2 * h) - 4 * F(h) - 4 * F(-h) + F(-2 * h)) / h ** 4
-    pw = lambda d: (1.0 + d) ** (g + 1) - 1.0
-    Qd = lambda d: (pw(d) - (g + 1) * d) / d ** 2
-    Q0 = 0.5 * (Qd(h) + Qd(-h))
-    Q1 = (Qd(h) - Qd(-h)) / (2 * h)
-    return Fpp, Fppp / 6.0, Fpppp / 24.0, Q0, Q1
-
-
-def kappa_H(kappa, params: GasParameters):
-    """Scaled acceleration profile ``kappa_H(kappa)``, regular through kappa = 1.
-
-    Uses the defining ratio away from 1 and the Taylor-regularized form
-    inside ``|kappa - 1| < 1e-3``; strictly positive wherever the scaled
-    orbit integral is nonnegative.
-
-    Raises
-    ------
-    InputError
-        If ``curly_F(kappa) < 0`` (ratio beyond ``u_max / u_s``).
-    """
-    arr = np.atleast_1d(np.asarray(kappa, dtype=float))
-    if np.any(arr <= 0):
-        raise InputError("kappa must be positive")
-    Fv = _curly_F_closed(arr, params)
-    near = np.abs(arr - 1.0) < KAPPA_SWITCH
-    if np.any(Fv[~near] < -1e-14 * (1 + params.zeta0)):
-        raise InputError("kappa beyond the orbit range: curly_F < 0")
-    out = np.empty_like(arr)
-    if np.any(~near):
-        out[~near] = _kappa_H_direct(arr[~near], params)
-    if np.any(near):
-        g = params.gamma
-        Fpp, P0, P1, Q0, Q1 = _sonic_expansion_kappa(params)
-        d = arr[near] - 1.0
-        num = arr[near] ** (g - 1) * np.sqrt(np.maximum(0.5 * Fpp + d * (P0 + P1 * d), 0.0))
-        out[near] = num / ((g + 1) + d * (Q0 + Q1 * d))
-    return out[0] if np.ndim(kappa) == 0 else out
-
-
-@lru_cache(maxsize=64)
-def kappa_max(params: GasParameters) -> float:
-    """Upper end of the orbit in ratio units (``u_max / u_s``)."""
-    z = params.zeta0
-    hi = 10.0 * z
-    for _ in range(60):
-        if _curly_F_closed(hi, params) < 0:
-            break
-        hi *= 2.0
-    return brentq(lambda k: _curly_F_closed(k, params), z * (1 + 1e-13), hi, xtol=1e-15, rtol=1e-13)
-
-
 def _check_window(kappa0: float, kappaL: float, params: GasParameters) -> None:
     if not (0 < kappa0 <= 1.0 <= kappaL):
         raise InputError(f"window must straddle 1: got [{kappa0}, {kappaL}]")
@@ -163,8 +78,9 @@ def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     ``s = sqrt(kappa_max - kappa)``, which stays smooth up to ``kappa_max``
     where ``kappa_H`` vanishes like ``s``, on the background's composite
     14-point Gauss-Legendre panels: the window is split at 1 and
-    ``1 +- KAPPA_SWITCH``, where ``kappa_H`` changes form, and each piece
-    gets 4 panels, so one vectorized ``kappa_H`` call covers the window.
+    ``1 +- KAPPA_SWITCH``, where ``kappa_H`` passes from its defining ratio
+    to its exact Taylor form, and each piece gets 4 panels, so one
+    vectorized ``kappa_H`` call covers the window.
     Agrees with a switch-split adaptive quadrature of the same integrand at
     ``epsrel=1e-13`` to about 1e-11 relative (worst measured 9e-12).
 

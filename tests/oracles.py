@@ -26,6 +26,12 @@ def oracle_H(u, params):
     return val
 
 
+def defining_flux_ratio(u, H, params):
+    """Raw defining ratio of the flux, ``u^gamma sqrt(2 H) / |u^(gamma+1) - u_s^(gamma+1)|``, at ``H = H(u)``."""
+    g, us = params.gamma, params.u_s
+    return u ** g * np.sqrt(2.0 * H) / np.abs(u ** (g + 1) - us ** (g + 1))
+
+
 def rk_station_events(params, u0, rtol=1e-12, max_step=np.inf, dstop=1e-7):
     """Adaptive RK on the reduced accelerating IVP u' = F(u).
 

@@ -11,7 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import oracle_H, rk_station_events, solve_dense_first_order, trace_streamlines
+from oracles import (
+    defining_flux_ratio,
+    oracle_H,
+    rk_station_events,
+    solve_dense_first_order,
+    trace_streamlines,
+)
 
 from epnozzle import (
     BoundaryDataSpec,
@@ -31,7 +37,8 @@ from epnozzle import (
     nozzle_length,
     solve_background,
 )
-from epnozzle.background import _H_closed, _flux_F_direct
+from epnozzle.background import _H_closed
+from epnozzle.driver import interior_mask
 from epnozzle.regimes import _kappa_H_direct, kappa_H_sonic
 from epnozzle.transport import lagrangian_map, stream_function
 
@@ -112,10 +119,6 @@ def refine_pair(bg_std, bdata_std):
     return runs
 
 
-def interior_mask(grid, margin=0.05):
-    return (grid.x1 >= margin * grid.L) & (grid.x1 <= (1 - margin) * grid.L)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -153,7 +156,8 @@ def test_criterion_03_removable_singularity():
         Fs = flux_F_sonic(CANON)
         for du in (1e-4, -1e-4):
             assert abs(flux_F(CANON.u_s + du, CANON) - Fs) <= 1e-3
-            assert abs(_flux_F_direct(np.array([CANON.u_s + du]), CANON)[0] - Fs) <= 1e-3
+            u = CANON.u_s + du
+            assert abs(defining_flux_ratio(u, _H_closed(u, CANON), CANON) - Fs) <= 1e-3
 
 
 def test_criterion_04_kappa_calculus(bg_std):

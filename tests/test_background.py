@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from oracles import defining_flux_ratio
+
 from epnozzle import (
     GasParameters,
     InputError,
@@ -11,12 +13,19 @@ from epnozzle import (
     flux_F_sonic,
     frak_h,
     hamiltonian_H,
+    kappa_H,
     solve_background,
     u_max_root,
 )
-from epnozzle.background import _H_closed, _flux_F_direct, H_second_sonic
+from epnozzle.background import KAPPA_SWITCH, _H_closed, _kappa_H_direct, H_second_sonic
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
+GASES = [
+    CANON,
+    GasParameters(gamma=1.4, zeta0=2.0, J=1e-2, S0=1.0),
+    GasParameters(gamma=2.0, zeta0=1.5, J=1.0, S0=1.0),
+]
+GAS_IDS = ["canon", "gamma1.4", "gamma2"]
 
 
 def oracle_H(u, params):
@@ -101,13 +110,33 @@ class TestFluxF:
         for du in (1e-4, -1e-4):
             # public (Taylor) branch and raw defining ratio both stay close
             assert abs(flux_F(CANON.u_s + du, CANON) - Fs) <= 1e-3
-            assert abs(_flux_F_direct(CANON.u_s + du, CANON) - Fs) <= 1e-3
+            u = CANON.u_s + du
+            assert abs(defining_flux_ratio(u, _H_closed(u, CANON), CANON) - Fs) <= 1e-3
 
     def test_branches_agree_at_switch_radius(self):
-        from epnozzle.background import _flux_F_taylor
+        # kappa_H's Taylor branch against its defining ratio just inside the switch
+        for k in (1 + 0.999 * KAPPA_SWITCH, 1 - 0.999 * KAPPA_SWITCH):
+            assert kappa_H(k, CANON) == pytest.approx(_kappa_H_direct(k, CANON), rel=1e-10)
 
-        for u in (CANON.u_s * (1 + 9.99e-4), CANON.u_s * (1 - 9.99e-4)):
-            assert _flux_F_taylor(u, CANON) == pytest.approx(_flux_F_direct(u, CANON), rel=1e-8)
+    @pytest.mark.parametrize("params", GASES, ids=GAS_IDS)
+    def test_continuous_across_switch(self, params):
+        for k in (1 - KAPPA_SWITCH, 1 + KAPPA_SWITCH):
+            pair = k * np.array([1 - 1e-14, 1 + 1e-14])
+            near = np.abs(pair - 1) < KAPPA_SWITCH
+            assert near[0] != near[1]  # one point on each branch
+            kh = kappa_H(pair, params)
+            assert abs(kh[1] - kh[0]) <= 1e-10 * kh[0]
+            F = flux_F(pair * params.u_s, params)
+            assert abs(F[1] - F[0]) <= 1e-10 * F[0]
+
+    @pytest.mark.parametrize("params", GASES, ids=GAS_IDS)
+    def test_matches_quadrature_ratio_away_from_switch(self, params):
+        # flux_F is the scaled view of kappa_H; the u-form ratio of the
+        # quadrature H pins that scaling independently
+        us, umax = params.u_s, u_max_root(params)
+        for u in np.concatenate([np.linspace(0.3, 0.99, 5) * us, np.linspace(1.01 * us, 0.9 * umax, 5)]):
+            ref = defining_flux_ratio(u, hamiltonian_H(u, params), params)
+            assert flux_F(u, params) == pytest.approx(ref, rel=1e-9)
 
     def test_positive_on_orbit_range(self):
         umax = u_max_root(CANON)

@@ -19,6 +19,7 @@ from epnozzle import (
 )
 from epnozzle.driver import (
     default_sigma_cap,
+    interior_mask,
     mach_field,
     reconstruct_primitives,
     sonic_interface,
@@ -221,6 +222,16 @@ class TestCertifiedRegime:
         assert out.converged
         assert out.classification_mismatches == 0
         assert 0 < out.sup_gs_minus_ls < 1e-3
+
+
+class TestInteriorMask:
+    def test_edge_stations_fixed_at_canonical_length(self, bg):
+        # stations 20 and 380 of 401 sit on the bounds 0.05 L and 0.95 L;
+        # they stay in whatever the last bit of L
+        L = bg.x1_at_speed(1.1 * CANON.u_s)
+        for scale in (1.0, 1 - 1e-15, 1 + 1e-15):
+            grid = Grid(L=L * scale, n_x1=401, m=1)
+            assert np.array_equal(np.flatnonzero(interior_mask(grid)), np.arange(20, 381)), scale
 
 
 class TestExtractionHelpers:

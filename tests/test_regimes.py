@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from epnozzle import (
@@ -30,6 +32,11 @@ from epnozzle.regimes import (
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 GAS14 = GasParameters(gamma=1.4, zeta0=2.0, J=1.0, S0=1.0)
+GASES = [
+    CANON,
+    GasParameters(gamma=1.4, zeta0=2.0, J=1e-2, S0=1.0),
+    GasParameters(gamma=2.0, zeta0=1.5, J=1.0, S0=1.0),
+]
 
 
 def oracle_curly_F(kappa, params):
@@ -85,6 +92,18 @@ class TestKappaH:
         with pytest.raises(InputError):
             kappa_H(kappa_max(CANON) * 1.1, CANON)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(gamma=st.floats(1.1, 4.0), zeta0=st.floats(1.1, 5.0))
+    def test_sonic_function_properties(self, gamma, zeta0):
+        params = GasParameters(gamma=gamma, zeta0=zeta0, J=1.0, S0=1.0)
+        for k in (1 - KAPPA_SWITCH, 1 + KAPPA_SWITCH):
+            pair = k * np.array([1 - 1e-14, 1 + 1e-14])
+            kh = kappa_H(pair, params)
+            assert abs(kh[1] - kh[0]) <= 1e-10 * kh[0]
+        ks = np.linspace(0.5, 0.99 * kappa_max(params), 9)
+        quads = np.array([curly_F(k, params) for k in ks])
+        assert np.max(np.abs(_curly_F_closed(ks, params) - quads)) <= 1e-12
+
     def test_kappa_max_matches_u_max(self):
         from epnozzle import u_max_root
 
@@ -100,6 +119,13 @@ class TestNozzleLength:
         L = nozzle_length(0.9, 1.1, CANON)
         arc = bg.x1_at_speed(1.1 * CANON.u_s) - bg.x1_at_speed(0.9 * CANON.u_s)
         assert L == pytest.approx(arc, rel=1e-6)
+
+    @pytest.mark.parametrize("params", GASES, ids=["canon", "gamma1.4", "gamma2"])
+    def test_equals_background_arclength(self, params):
+        bg = solve_background(params, 0.75 * params.u_s, resolution=301)
+        for k0, kL in ((0.98, 1.02), (0.9, 1.1), (0.75, 1.25)):
+            arc = bg.x1_at_speed(kL * params.u_s) - bg.x1_at_speed(k0 * params.u_s)
+            assert abs(nozzle_length(k0, kL, params) - arc) <= 1e-12, (k0, kL)
 
     def test_small_momentum_lengthens_fixed_window(self):
         # for gamma = 1.4 the exponent (gamma-2)/(gamma+1) is negative
