@@ -32,10 +32,16 @@ The profile is constructed by quadrature of ``dx1 = du/F(u)``.  Because
 ``F`` vanishes like ``sqrt(u_max - u)`` at the right endpoint, the
 integration variable is switched to ``s = sqrt(u_max - u)``, which makes
 the integrand smooth on the whole range; composite Gauss-Legendre panels
-then converge to machine precision.  The electric field is recovered from
-the invariant, ``E = sgn(u - u_s) sqrt(2 H(u))``, the potential from the
-Bernoulli head, and the velocity potential by the same quadrature with an
-extra factor ``u``.
+then converge to machine precision.  Near ``u_max`` the integrand is
+formed from ``s`` itself, not from ``u``, with ``curly_F`` written as
+``s^2`` times a short Gauss-Legendre mean of its derivative (see
+:func:`_orbit_s_integrand`), so it stays smooth and finite down to
+``s = 0``.  Sample speeds come from a guarded Newton inversion of the
+arclength map that stops at its noise floor and checks its residual.
+The electric field is recovered from the invariant,
+``E = sgn(u - u_s) sqrt(2 H(u))``, the potential from the Bernoulli head,
+and the velocity potential by the same quadrature with an extra factor
+``u``.
 """
 
 from __future__ import annotations
@@ -58,7 +64,20 @@ QUAD_REL_TOL = 1e-10
 # switches from its defining ratio to its Taylor form.
 KAPPA_SWITCH = 1e-3
 
+# Inside kappa_max - kappa < NEAR_MAX_SWITCH (kappa_max - 1) the orbit
+# s-integrand switches from kappa_H to its cancellation-free form.
+NEAR_MAX_SWITCH = 1e-2
+
+# Newton inversion of the arclength map: step cap (the noise floor is
+# reached in 3 steps, at most 4, on every gas tried) and residual bound
+# relative to max(1, l_max).
+_NEWTON_CAP = 8
+_NEWTON_RESIDUAL_TOL = 1e-12
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
+# 5 nodes integrate curly_F' over [kappa_max - delta, kappa_max] to about
+# 1e-16 relative for delta < NEAR_MAX_SWITCH (kappa_max - 1).
+_Q_NODES, _Q_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 def _gl_panels(a, b):
@@ -210,8 +229,9 @@ def kappa_max(params: GasParameters) -> float:
     """Upper end of the orbit in ratio units: the root of ``curly_F`` above ``zeta0``.
 
     Brackets ``curly_F`` on ``(zeta0, 10 zeta0)``, expanding the upper
-    endpoint geometrically if needed, then bisects (Brent) to 1e-13
-    relative.
+    endpoint geometrically if needed, then bisects (Brent) to 4 ulp
+    relative, so that the closed form vanishes there to its own rounding
+    and meets the near-``kappa_max`` form of :func:`_orbit_s_integrand`.
     """
     z = params.zeta0
     hi = 10.0 * z
@@ -221,7 +241,46 @@ def kappa_max(params: GasParameters) -> float:
         hi *= 2.0
     else:
         raise InternalError("no sign change of curly_F found above zeta0")
-    return brentq(lambda k: _curly_F_closed(k, params), z * (1 + 1e-13), hi, xtol=1e-15, rtol=1e-13)
+    return brentq(
+        lambda k: _curly_F_closed(k, params), z * (1 + 1e-13), hi, xtol=1e-15, rtol=4 * np.finfo(float).eps
+    )
+
+
+def _orbit_s_integrand(s, params: GasParameters):
+    """Orbit integrand ``2 s / (kappa kappa_H(kappa))`` at ``kappa = kappa_max - s^2`` (any shape).
+
+    This is ``dkappa / (kappa kappa_H)`` in the variable
+    ``s = sqrt(kappa_max - kappa)``; it is smooth and positive on
+    ``[0, sqrt(kappa_max)]``.  For ``delta = s^2`` below
+    ``NEAR_MAX_SWITCH (kappa_max - 1)`` it is formed from ``delta``
+    without going through ``kappa``: ``curly_F(kappa_max - delta) =
+    delta Q(delta)`` with ``Q`` the mean of ``-f`` over
+    ``[kappa_max - delta, kappa_max]`` (5-point Gauss-Legendre), ``f`` the
+    derivative of ``curly_F``.  The factor ``s`` then cancels exactly::
+
+        2 s / (kappa kappa_H) = 2 (kappa^(gamma+1) - 1) / (kappa^gamma sqrt(Q)).
+
+    Away from ``kappa_max`` it is ``kappa_H``'s own ratio (sonic Taylor
+    form included).  The two forms meet to about 1e-13 relative at the
+    switch.  The one s-integrand of the background's arclength tables and
+    of ``regimes.lambda_window``.
+    """
+    s = np.asarray(s, dtype=float)
+    g, z = params.gamma, params.zeta0
+    kmax = kappa_max(params)
+    delta = s * s
+    kappa = kmax - delta
+    near = delta < NEAR_MAX_SWITCH * (kmax - 1.0)
+    if not near.any():
+        return 2.0 * s / (kappa * kappa_H(kappa, params))
+    out = np.empty_like(s)
+    far = ~near
+    out[far] = 2.0 * s[far] / (kappa[far] * kappa_H(kappa[far], params))
+    t = kmax - delta[near][:, None] * (0.5 * (1.0 + _Q_NODES))
+    Q = -0.5 * (((1.0 - t / z) * (1.0 - t ** -(g + 1.0))) @ _Q_WEIGHTS)
+    k = kappa[near]
+    out[near] = 2.0 * (k ** (g + 1.0) - 1.0) / (k ** g * np.sqrt(Q))
+    return out
 
 
 def _H_closed(u, params: GasParameters):
@@ -302,10 +361,12 @@ class _Trajectory:
 
     Integrates ``dx1 = du / F(u)`` and ``dphi = u du / F(u)`` in the
     endpoint-desingularizing variable ``s = sqrt(u_max - u)`` over
-    composite Gauss-Legendre panels whose breakpoints include the sonic
-    switch radius.  Supports machine-accurate evaluation of ``x1(u)`` /
+    composite Gauss-Legendre panels whose breakpoints include the switch
+    radii of the integrand (sonic and near-``u_max``).  The s-integrand is
+    :func:`_orbit_s_integrand` scaled to speed units, smooth down to
+    ``s = 0``.  Supports machine-accurate evaluation of ``x1(u)`` /
     ``phi(u)`` at arbitrary speeds (partial final panel) and of the
-    inverse map by a guarded Newton iteration in ``s``.
+    inverse map by a guarded Newton iteration in ``s`` (:meth:`u_of_x1`).
     """
 
     def __init__(self, params: GasParameters, u0: float, u_max: float, n_panels: int = 320):
@@ -314,72 +375,97 @@ class _Trajectory:
         self.u_max = u_max
         us = params.u_s
         s0 = np.sqrt(u_max - u0)
+        # x1 = u_s / sqrt(2 J) times the ratio-unit integral, s_ratio = s / sqrt(u_s)
+        self._scale = us / np.sqrt(2.0 * params.J)
+        self._sqrt_us = np.sqrt(us)
         breaks = {0.0, s0}
         for v in ((1 - KAPPA_SWITCH) * us, us, (1 + KAPPA_SWITCH) * us):
             if u0 < v < u_max:
                 breaks.add(np.sqrt(u_max - v))
+        s_near = np.sqrt(us * NEAR_MAX_SWITCH * (kappa_max(params) - 1.0))
+        if s_near < s0:
+            breaks.add(s_near)
         breaks = sorted(breaks)
         edges = [0.0]
         for a, b in zip(breaks[:-1], breaks[1:]):
             ns = max(6, int(np.ceil((b - a) / s0 * n_panels)))
             edges.extend(np.linspace(a, b, ns + 1)[1:])
         self.edges = np.asarray(edges)
-        a = self.edges[:-1]
-        b = self.edges[1:]
-        sm, ww = _gl_panels(a, b)
-        uu = u_max - sm ** 2
-        g = 2.0 * sm / flux_F(uu, params)
-        self.cum_x = np.concatenate([[0.0], np.cumsum((g * ww).sum(axis=1))])
-        self.cum_phi = np.concatenate([[0.0], np.cumsum((g * uu * ww).sum(axis=1))])
+        sm, ww = _gl_panels(self.edges[:-1], self.edges[1:])
+        g = self._integrand_x(sm) * ww
+        self.cum_x = np.concatenate([[0.0], np.cumsum(g.sum(axis=1))])
+        self.cum_phi = np.concatenate([[0.0], np.cumsum((g * (u_max - sm ** 2)).sum(axis=1))])
         self.s_inlet = s0
-        # endpoint limit of the s-integrand, used to guard s -> 0
-        num = u_max ** (params.gamma + 1) - us ** (params.gamma + 1)
-        Hp = (params.J / (params.u_bar_inf * u_max ** (params.gamma + 1))) * num * (params.u_bar_inf - u_max)
-        self._g_origin = 2.0 * num / (u_max ** params.gamma * np.sqrt(2.0 * abs(Hp)))
-        self.l_max = float(self._eval(self.cum_x, np.array([s0]))[0])
+        self.l_max = float(self.cum_x[-1])
+        self.phi_max = float(self.cum_phi[-1])
 
     def _eval(self, cum, s):
         """Cumulative integral from 0 to each s (exact partial final panel)."""
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(self.edges) - 2)
-        a = self.edges[idx]
-        sm, ww = _gl_panels(a, s)
-        uu = self.u_max - sm ** 2
-        g = self._integrand_x(sm.ravel()).reshape(sm.shape)
-        partial = (g * ww).sum(axis=1) if cum is self.cum_x else (g * uu * ww).sum(axis=1)
-        return cum[idx] + partial
+        sm, ww = _gl_panels(self.edges[idx], s)
+        g = self._integrand_x(sm) * ww
+        if cum is self.cum_phi:
+            g *= self.u_max - sm ** 2
+        return cum[idx] + g.sum(axis=1)
 
     def _integrand_x(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, self._g_origin)
-        big = s > 1e-9 * self.s_inlet
-        if np.any(big):
-            out[big] = 2.0 * s[big] / flux_F(self.u_max - s[big] ** 2, self.params)
-        return out
+        """``dx1/ds = 2 s / F(u_max - s^2)``, smooth down to ``s = 0``."""
+        return self._scale * _orbit_s_integrand(s / self._sqrt_us, self.params)
 
     def x1_of_u(self, u):
         """Arclength from the inlet to speed ``u`` (vectorized)."""
         s = np.sqrt(np.maximum(self.u_max - np.asarray(u, dtype=float), 0.0))
-        return self._eval(self.cum_x, np.full_like(s, self.s_inlet)) - self._eval(self.cum_x, s)
+        return self.l_max - self._eval(self.cum_x, s)
 
     def phi_of_u(self, u):
         """Velocity potential ``phi(x1(u)) = integral of u1 dx1`` (vectorized)."""
         s = np.sqrt(np.maximum(self.u_max - np.asarray(u, dtype=float), 0.0))
-        return self._eval(self.cum_phi, np.full_like(s, self.s_inlet)) - self._eval(self.cum_phi, s)
+        return self.phi_max - self._eval(self.cum_phi, s)
 
     def u_of_x1(self, x1):
-        """Invert the arclength map by Newton iteration in s (vectorized)."""
+        """Invert the arclength map by guarded Newton iteration in s (vectorized).
+
+        Starts from the linear interpolant of the tables and stops on the
+        first step whose largest speed update ``|du|`` is at most
+        ``1e-14 u_max`` or fails to fall tenfold from the step before (the
+        noise floor).  Three steps reach it (at most four on every gas
+        tried; the linear start is off by a few 1e-6 relative).  The final
+        iterate must then meet ``|x1(s) - x1| <= 1e-12 max(1, l_max)``
+        (measured worst 7.6e-16 relative).
+
+        Raises
+        ------
+        InputError
+            If some ``x1`` lies outside ``[0, l_max]``.
+        InternalError
+            If the residual gate fails (naming the station) or the
+            iteration has not stopped within ``_NEWTON_CAP`` steps.
+        """
         x1 = np.asarray(x1, dtype=float)
         if np.any(x1 < -1e-12) or np.any(x1 > self.l_max * (1 + 1e-12)):
             raise InputError("x1 outside [0, l_max]")
-        target = self._eval(self.cum_x, np.array([self.s_inlet]))[0] - np.clip(x1, 0.0, self.l_max)
+        target = self.l_max - np.clip(x1, 0.0, self.l_max)
         s = np.interp(target, self.cum_x, self.edges)
-        for _ in range(60):
+        r = self._eval(self.cum_x, s) - target
+        du_prev = np.inf
+        for _ in range(_NEWTON_CAP):
+            s_new = np.clip(s - r / self._integrand_x(s), 0.0, self.s_inlet)
+            du = np.max(np.abs((s - s_new) * (s + s_new)), initial=0.0)
+            s = s_new
             r = self._eval(self.cum_x, s) - target
-            step = r / self._integrand_x(s)
-            s = np.clip(s - step, 0.0, self.s_inlet)
-            if np.max(np.abs(step)) < 1e-15 * max(1.0, self.s_inlet):
+            if du <= 1e-14 * self.u_max or du > 0.1 * du_prev:
                 break
+            du_prev = du
+        else:
+            raise InternalError(f"arclength inversion did not stop within {_NEWTON_CAP} Newton steps")
+        bound = _NEWTON_RESIDUAL_TOL * max(1.0, self.l_max)
+        bad = np.flatnonzero(~(np.abs(r) <= bound))
+        if bad.size:
+            i = bad[0]
+            raise InternalError(
+                f"arclength inversion residual {r.flat[i]:.3e} at x1 = {x1.flat[i]:.17g} exceeds {bound:.1e}"
+            )
         return self.u_max - s ** 2
 
 

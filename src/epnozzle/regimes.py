@@ -19,12 +19,13 @@ follows from the same change of variables,
 ``L = sqrt(h0^3/2) J^((gamma-2)/(gamma+1)) sqrt(lambda)`` with
 ``lambda = (integral of 1/(kappa * kappa_H))^2``, and must agree with the
 arclength between the same speeds measured on the 1D profile.  ``lambda``
-is integrated like the background's arclength, on composite Gauss-Legendre
-panels in ``s = sqrt(kappa_max - kappa)``, split at the ``kappa_H`` switch
-points, to about 1e-11 relative.
+is integrated like the background's arclength, with the same s-integrand
+on composite Gauss-Legendre panels in ``s = sqrt(kappa_max - kappa)``,
+split at the integrand's switch points, to about 1e-11 relative.
 
-``kappa_H`` (exact Taylor data at kappa = 1) and ``kappa_max`` are the
-background's own, so the two lengths agree to about 1e-13.
+``kappa_H`` (exact Taylor data at kappa = 1), ``kappa_max`` and the
+orbit s-integrand are the background's own, so the two lengths agree to
+about 1e-13.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .background import KAPPA_SWITCH, QUAD_ABS_TOL, QUAD_REL_TOL, GasParameters, _gl_panels, kappa_H, kappa_max
+from .background import KAPPA_SWITCH, QUAD_ABS_TOL, QUAD_REL_TOL, GasParameters, kappa_H, kappa_max
+from .background import NEAR_MAX_SWITCH, _gl_panels, _orbit_s_integrand
 from .background import _curly_F_closed, _kappa_H_direct, kappa_H_sonic  # noqa: F401  (re-exported)
 from .errors import InputError
 
@@ -77,10 +79,12 @@ def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     Integrated as ``integral 2 s ds / (kappa kappa_H(kappa))`` in
     ``s = sqrt(kappa_max - kappa)``, which stays smooth up to ``kappa_max``
     where ``kappa_H`` vanishes like ``s``, on the background's composite
-    14-point Gauss-Legendre panels: the window is split at 1 and
+    14-point Gauss-Legendre panels with the background's s-integrand
+    (``background._orbit_s_integrand``): the window is split at 1 and
     ``1 +- KAPPA_SWITCH``, where ``kappa_H`` passes from its defining ratio
-    to its exact Taylor form, and each piece gets 4 panels, so one
-    vectorized ``kappa_H`` call covers the window.
+    to its exact Taylor form, and at the integrand's near-``kappa_max``
+    switch; each piece gets 4 panels, so one vectorized integrand call
+    covers the window.
     Agrees with a switch-split adaptive quadrature of the same integrand at
     ``epsrel=1e-13`` to about 1e-11 relative (worst measured 9e-12).
 
@@ -94,14 +98,13 @@ def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     kmax = kappa_max(params)
     if kappaL > kmax + 1e-12:
         raise InputError(f"kappaL = {kappaL} beyond the orbit range")
-    switches = (1.0 - KAPPA_SWITCH, 1.0, 1.0 + KAPPA_SWITCH)
+    switches = (1.0 - KAPPA_SWITCH, 1.0, 1.0 + KAPPA_SWITCH, kmax - NEAR_MAX_SWITCH * (kmax - 1.0))
     k = np.array([kappa0, *(b for b in switches if kappa0 < b < kappaL), kappaL])
     s = np.sqrt(np.maximum(kmax - k, 0.0))
     width = np.diff(k) / (s[:-1] + s[1:])  # s_a - s_b, free of cancellation
     edges = s[:-1, None] - width[:, None] * (np.arange(_LAMBDA_PANELS + 1) / _LAMBDA_PANELS)
     sm, ww = _gl_panels(edges[:, 1:].ravel(), edges[:, :-1].ravel())
-    km = kmax - sm ** 2
-    return float(np.sum(2.0 * sm / (km * kappa_H(km, params)) * ww)) ** 2
+    return float(np.sum(_orbit_s_integrand(sm, params) * ww)) ** 2
 
 
 def nozzle_length(kappa0: float, kappaL: float, params: GasParameters, J: float | None = None) -> float:

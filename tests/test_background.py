@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from oracles import defining_flux_ratio
@@ -9,6 +11,7 @@ from oracles import defining_flux_ratio
 from epnozzle import (
     GasParameters,
     InputError,
+    InternalError,
     flux_F,
     flux_F_sonic,
     frak_h,
@@ -17,7 +20,16 @@ from epnozzle import (
     solve_background,
     u_max_root,
 )
-from epnozzle.background import KAPPA_SWITCH, _H_closed, _kappa_H_direct, H_second_sonic
+from epnozzle.background import (
+    KAPPA_SWITCH,
+    NEAR_MAX_SWITCH,
+    H_second_sonic,
+    _H_closed,
+    _kappa_H_direct,
+    _orbit_s_integrand,
+    _Trajectory,
+    kappa_max,
+)
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 GASES = [
@@ -303,6 +315,100 @@ class TestOdeOracles:
         solB = solve_ivp(rhs, [0, 12], [u1b, E1b], method="DOP853", rtol=1e-13, atol=1e-15, events=[evB])
         xB = solB.t_events[0][0]
         assert abs(xB - (bg.x1_at_speed(2.5) - bg.x1_at_speed(u1b))) <= 1e-8
+
+
+class TestOrbitIntegrand:
+    """The s-integrand 2 s / (kappa kappa_H) at kappa = kappa_max - s^2."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(gamma=st.floats(1.1, 4.0), zeta0=st.floats(1.1, 5.0))
+    def test_continuous_at_near_max_switch(self, gamma, zeta0):
+        params = GasParameters(gamma=gamma, zeta0=zeta0, J=1.0, S0=1.0)
+        delta_sw = NEAR_MAX_SWITCH * (kappa_max(params) - 1.0)
+        pair = np.sqrt(delta_sw) * np.array([1 - 1e-14, 1 + 1e-14])
+        assert (pair[0] ** 2 < delta_sw) != (pair[1] ** 2 < delta_sw)  # one point on each form
+        g = _orbit_s_integrand(pair, params)
+        assert abs(g[1] - g[0]) <= 1e-12 * g[0]
+
+    @pytest.mark.parametrize("params", GASES, ids=GAS_IDS)
+    def test_smooth_to_orbit_end(self, params):
+        # limit at s = 0: 2 (kmax^(gamma+1) - 1) / (kmax^gamma sqrt(-curly_F'(kmax)));
+        # the deviation grows like s^2, so it is below 1e-12 for s^2 <= 1e-14 kmax
+        g, z, kmax = params.gamma, params.zeta0, kappa_max(params)
+        f_end = (1 - kmax / z) * (1 - kmax ** -(g + 1))
+        g0 = 2 * (kmax ** (g + 1) - 1) / (kmax ** g * np.sqrt(-f_end))
+        s = np.sqrt(kmax) * np.concatenate([[0.0], np.logspace(-12, -7, 11)])
+        vals = _orbit_s_integrand(s, params)
+        assert np.max(np.abs(vals / g0 - 1)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def bg2000():
+    return solve_background(CANON, 0.9, resolution=2000)
+
+
+def _recording_eval(outputs):
+    real = _Trajectory._eval
+
+    def recording(self, cum, s):
+        out = real(self, cum, s)
+        outputs.append(out)
+        return out
+
+    return recording
+
+
+class TestArclengthInversion:
+    """Guarded Newton inversion of the arclength map (``_Trajectory.u_of_x1``)."""
+
+    def test_finite_and_monotone_at_orbit_end(self, bg2000):
+        bg = bg2000
+        x = bg.l_max - np.array([1e-4, 1e-6, 1e-8, 1e-10, 0.0])
+        data = bg.evaluate(x)
+        for v in data.values():
+            assert np.all(np.isfinite(v))
+        assert np.all(np.diff(data["u1"]) >= 0) and data["u1"][-1] == bg.u_max
+        back = np.array([bg.x1_at_speed(u) for u in data["u1"]])
+        assert np.all(np.isfinite(back)) and np.all(np.diff(back) >= 0) and back[-1] == bg.l_max
+        xs = np.array([bg.x1_at_speed(bg.u_max - du) for du in (1e-8, 1e-10, 1e-12, 0.0)])
+        assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0) and xs[-1] == bg.l_max
+
+    def test_newton_stops_within_five_steps(self, bg2000, monkeypatch):
+        outputs = []
+        monkeypatch.setattr(_Trajectory, "_eval", _recording_eval(outputs))
+        bg2000._traj.u_of_x1(bg2000.x1_nodes)
+        # one table evaluation for the start, one per Newton step
+        assert 1 <= len(outputs) - 1 <= 5
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        gamma=st.floats(1.1, 4.0),
+        zeta0=st.floats(1.1, 5.0),
+        frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_inversion_properties(self, gamma, zeta0, frac):
+        params = GasParameters(gamma=gamma, zeta0=zeta0, J=1.0, S0=1.0)
+        traj = _Trajectory(params, 0.9 * params.u_s, u_max_root(params))
+        x1 = np.sort(frac) * traj.l_max
+        outputs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Trajectory, "_eval", _recording_eval(outputs))
+            u = traj.u_of_x1(x1)
+        assert len(outputs) - 1 <= 5
+        assert np.all(np.isfinite(u))
+        # u = u_max - s^2 is exact up to the rounding of that difference
+        ulp = np.spacing(traj.u_max)
+        assert np.all(np.diff(u) >= -2 * ulp)
+        assert np.all(u >= traj.u0 - 2 * ulp) and np.all(u <= traj.u_max)
+        assert np.max(np.abs(outputs[-1] - (traj.l_max - x1))) <= 1e-12 * max(1.0, traj.l_max)
+
+    def test_corrupted_table_trips_residual_gate(self):
+        traj = solve_background(CANON, 0.9, resolution=11)._traj
+        k, gap = len(traj.edges) // 2, 1e-3
+        x1 = traj.l_max - (traj.cum_x[k] + 0.5 * gap)  # its target falls inside the jump
+        traj.cum_x[k:] += gap
+        with pytest.raises(InternalError, match="residual .* at x1 = "):
+            traj.u_of_x1(np.array([x1]))
 
 
 class TestExports:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import epnozzle
-from epnozzle import InputError, parse_config, serialize_config
-from epnozzle.cli import main, run, sweep
+from epnozzle import InputError, background_profile, parse_config, serialize_config
+from epnozzle.cli import build_problem, main, run, sweep
 from epnozzle.config import load_config, with_overrides
 
 BASE_CONFIG = """
@@ -226,6 +226,19 @@ class TestBoundaryData:
 
         bdata = BoundaryDataSpec(sigma=2.0, s_modes=((1, 1.0),))
         assert bdata.scaled(0.5).sigma == 1.0
+
+
+class TestBuildProblem:
+    def test_length_at_orbit_end(self):
+        cfg = parse_config(BASE_CONFIG)
+        l_max = build_problem(cfg)[1].l_max
+        with pytest.raises(InputError):
+            build_problem(with_overrides(cfg, kappaL=None, L=l_max))
+        _, bg, grid, _ = build_problem(with_overrides(cfg, kappaL=None, L=l_max * (1 - 1e-12)))
+        assert grid.L < bg.l_max and np.all(np.isfinite(grid.x1))
+        prof = background_profile(bg, grid)
+        for name in ("u1", "du1", "E", "rho", "Phi", "phi_pot"):
+            assert np.all(np.isfinite(getattr(prof, name))), name
 
 
 class TestExitCodes:

@@ -79,6 +79,16 @@ class TestPreconditions:
         with pytest.raises(InputError):
             fixed_point_solve(bg, BoundaryDataSpec.zero(), grid, override_certificate=True)
 
+    def test_domain_just_below_l_max_solves(self, bdata):
+        # the last station sits 1e-9 relative before the orbit end, where F -> 0
+        bg = solve_background(CANON, 0.9, resolution=301)
+        grid = Grid(L=bg.l_max * (1 - 1e-9), n_x1=51, m=2)
+        prof = background_profile(bg, grid)
+        for name in ("u1", "du1", "E", "rho", "Phi", "phi_pot", "A22", "a11", "c0", "c1"):
+            assert np.all(np.isfinite(getattr(prof, name))), name
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        assert out.converged
+
 
 class TestZeroPerturbation:
     def test_immediate_convergence(self, zero_run):
