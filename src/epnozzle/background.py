@@ -271,8 +271,6 @@ def _orbit_s_integrand(s, params: GasParameters):
     delta = s * s
     kappa = kmax - delta
     near = delta < NEAR_MAX_SWITCH * (kmax - 1.0)
-    if not near.any():
-        return 2.0 * s / (kappa * kappa_H(kappa, params))
     out = np.empty_like(s)
     far = ~near
     out[far] = 2.0 * s[far] / (kappa[far] * kappa_H(kappa[far], params))
@@ -360,7 +358,8 @@ class _Trajectory:
     """Cumulative quadrature tables along the accelerating critical orbit.
 
     Integrates ``dx1 = du / F(u)`` and ``dphi = u du / F(u)`` in the
-    endpoint-desingularizing variable ``s = sqrt(u_max - u)`` over
+    endpoint-desingularizing variable ``s = sqrt(u_max - u)``, with
+    ``u_max`` = :func:`u_max_root` (the orbit end the integrand assumes), over
     composite Gauss-Legendre panels whose breakpoints include the switch
     radii of the integrand (sonic and near-``u_max``).  The s-integrand is
     :func:`_orbit_s_integrand` scaled to speed units, smooth down to
@@ -369,10 +368,10 @@ class _Trajectory:
     inverse map by a guarded Newton iteration in ``s`` (:meth:`u_of_x1`).
     """
 
-    def __init__(self, params: GasParameters, u0: float, u_max: float, n_panels: int = 320):
+    def __init__(self, params: GasParameters, u0: float, n_panels: int = 320):
         self.params = params
         self.u0 = u0
-        self.u_max = u_max
+        self.u_max = u_max = u_max_root(params)
         us = params.u_s
         s0 = np.sqrt(u_max - u0)
         # x1 = u_s / sqrt(2 J) times the ratio-unit integral, s_ratio = s / sqrt(u_s)
@@ -589,8 +588,8 @@ def solve_background(
             f"E0 = {params.E0} is not on the accelerating critical orbit "
             f"(orbit value for u0 = {u0} is {E0})"
         )
-    u_max = u_max_root(params)
-    traj = _Trajectory(params, u0, u_max)
+    traj = _Trajectory(params, u0)
+    u_max = traj.u_max
     if traj.l_max > l_max_cap:
         raise InputError(f"l_max = {traj.l_max} exceeds cap {l_max_cap}; u0 too small")
     l_s = float(traj.x1_of_u(np.array([us]))[0])

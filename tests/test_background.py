@@ -388,7 +388,7 @@ class TestArclengthInversion:
     )
     def test_inversion_properties(self, gamma, zeta0, frac):
         params = GasParameters(gamma=gamma, zeta0=zeta0, J=1.0, S0=1.0)
-        traj = _Trajectory(params, 0.9 * params.u_s, u_max_root(params))
+        traj = _Trajectory(params, 0.9 * params.u_s)
         x1 = np.sort(frac) * traj.l_max
         outputs = []
         with pytest.MonkeyPatch.context() as mp:
