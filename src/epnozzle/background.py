@@ -399,14 +399,15 @@ class _Trajectory:
         self.phi_max = float(self.cum_phi[-1])
 
     def _eval(self, cum, s):
-        """Cumulative integral from 0 to each s (exact partial final panel)."""
+        """Cumulative integral from 0 to each s, any shape (exact partial final panel)."""
         s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(self.edges) - 2)
-        sm, ww = _gl_panels(self.edges[idx], s)
+        flat = s.ravel()
+        idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self.edges) - 2)
+        sm, ww = _gl_panels(self.edges[idx], flat)
         g = self._integrand_x(sm) * ww
         if cum is self.cum_phi:
             g *= self.u_max - sm ** 2
-        return cum[idx] + g.sum(axis=1)
+        return (cum[idx] + g.sum(axis=1)).reshape(s.shape)
 
     def _integrand_x(self, s):
         """``dx1/ds = 2 s / F(u_max - s^2)``, smooth down to ``s = 0``."""
@@ -514,7 +515,7 @@ class BackgroundSolution:
 
     def x1_at_speed(self, u) -> float:
         """Station where the profile reaches speed ``u`` (arclength from the inlet)."""
-        return float(self._traj.x1_of_u(np.atleast_1d(np.asarray(u, dtype=float)))[0])
+        return float(self._traj.x1_of_u(u))
 
     def summary_dict(self) -> dict:
         return {

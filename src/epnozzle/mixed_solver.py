@@ -37,11 +37,16 @@ continuation relies on; the box scheme stays uniformly bounded down to
 
 The box system is numbered mode-major and solved at each ``eps`` by GMRES
 (Saad & Schultz 1986) on the full operator, preconditioned by an exact
-sparse LU of its mode-diagonal part: K independent box systems, one per
-cosine mode.  Modes couple only through the ``C`` blocks, and there only
-through the O(sigma) wall-direction variation of the coefficients (about
-1e-6 of the diagonal at the sigma cap), so the preconditioned iteration
-closes in a few steps.  Every solve checks its own residual
+LU of its mode-diagonal part: K independent box systems, one per cosine
+mode.  Within a mode the three inlet rows come first and the two exit
+rows last, so each mode block is banded with 6 sub- and 4
+super-diagonals and the mode-diagonal part of all K modes is one band,
+factored by a single LAPACK ``dgbtrf`` per ``eps``.  The operator is
+matrix-free: the band product plus the off-mode ``C`` blocks, applied
+station by station.  Modes couple only through those blocks, and there
+only through the O(sigma) wall-direction variation of the coefficients
+(about 1e-6 of the diagonal at the sigma cap), so the preconditioned
+iteration closes in a few steps.  Every solve checks its own residual
 ``|b - A x| / |b|`` against ``LINEAR_RESIDUAL_MAX`` and raises rather
 than return an unconverged iterate.
 """
@@ -49,11 +54,11 @@ than return an unconverged iterate.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import lapack, solve_banded
 
 from .coefficients import BackgroundProfile, CoefficientSet
 from .errors import InputError, NonConvergenceError
@@ -66,6 +71,10 @@ DEFAULT_EPS_CAP = 20
 LINEAR_RESIDUAL_MAX = 1e-10     # bound on |b - A x| / |b| of every box solve
 GMRES_RESTART = 30
 GMRES_CYCLES = 3
+GMRES_RTOL = 1e-12
+BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
+
+splu = None  # unused: perfbench/spans.py binds its factor span here until ROADMAP item 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +155,64 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet, grid: Grid):
 # Galerkin mode system
 # ---------------------------------------------------------------------------
 
+class BandLU(NamedTuple):
+    """``dgbtrf`` factors of the mode-diagonal band and their row pivots."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dgbtrs(self.lu, BAND_L, BAND_U, b, self.piv)[0]
+
+
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` for a band given by its ``dgbtrf`` rows ``BAND_L:`` (row ``BAND_U - d`` holds diagonal ``d``)."""
+    y = np.zeros_like(x)
+    for row, d in enumerate(range(BAND_U, -BAND_L - 1, -1)):
+        lo, hi = max(0, -d), len(x) - max(0, d)
+        y[lo:hi] += ab[row, lo + d:hi + d] * x[lo + d:hi + d]
+    return y
+
+
+def _gmres(apply, precond, b: np.ndarray):
+    """Restarted GMRES (Saad & Schultz 1986), left-preconditioned, from ``x = 0``.
+
+    A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi
+    steps on ``M^-1 A`` and ends early once its least-squares residual is
+    at most ``GMRES_RTOL |M^-1 b|``; the iteration stops after
+    ``GMRES_CYCLES`` cycles or once ``|b - A x| <= GMRES_RTOL |b|``.
+    Returns ``(x, |b - A x|, iterations)``.
+    """
+    x, r, iterations = np.zeros_like(b), b, 0
+    residual = b_norm = np.linalg.norm(b)
+    for cycle in range(GMRES_CYCLES):
+        if residual <= GMRES_RTOL * b_norm:
+            break
+        z = precond(r)
+        g = np.zeros(GMRES_RESTART + 1)
+        g[0] = np.linalg.norm(z)
+        if cycle == 0:
+            target = GMRES_RTOL * g[0]          # GMRES_RTOL |M^-1 b|
+        V, H = [z / g[0]], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        for j in range(GMRES_RESTART):
+            w = precond(apply(V[j]))
+            w_norm = np.linalg.norm(w)
+            for i, v in enumerate(V):
+                H[i, j] = v @ w
+                w -= H[i, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            iterations += 1
+            y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2])[0]
+            if (np.linalg.norm(H[:j + 2, :j + 1] @ y - g[:j + 2]) <= target
+                    or H[j + 1, j] <= np.finfo(float).eps * w_norm):   # invariant Krylov space
+                break
+            V.append(w / H[j + 1, j])
+        x += y @ np.array(V[:j + 1])
+        r = b - apply(x)
+        residual = np.linalg.norm(r)
+    return x, residual, iterations
+
+
 class ModeSystem:
     """Galerkin truncation of the viscous mixed-type pair.
 
@@ -160,21 +227,18 @@ class ModeSystem:
         self.coeffs = coeffs
         K = grid.n_cos
         eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
-        wB = eta * w2[:, None]
+        wB = (eta * w2[:, None]).T
         # coupling blocks: C[i, k, j] = <coef(x1_i, .) B_j, eta_k>
-        self.C3 = np.einsum("iq,qk,qj->ikj", coeffs.a11, wB, eta)
-        self.C2 = np.einsum("iq,qk,qj->ikj", 2.0 * coeffs.a12, wB, eta_d) + np.einsum(
-            "iq,qk,qj->ikj", coeffs.a, wB, eta
-        )
-        self.C5 = np.einsum("iq,qk,qj->ikj", coeffs.b1, wB, eta)
-        self.C4 = np.einsum("iq,qk,qj->ikj", coeffs.b0, wB, eta)
+        self.C3 = (wB * coeffs.a11[:, None, :]) @ eta
+        self.C2 = (wB * (2.0 * coeffs.a12)[:, None, :]) @ eta_d + (wB * coeffs.a[:, None, :]) @ eta
+        self.C5 = (wB * coeffs.b1[:, None, :]) @ eta
+        self.C4 = (wB * coeffs.b0[:, None, :]) @ eta
         self.lam = grid.cos_freq ** 2          # from d22: -lam_k per mode
         self.c0 = coeffs.c0
         self.c1 = coeffs.c1
         self.F1 = (f1_grid * w2) @ eta
         self.F2 = (f2_grid * w2) @ eta
         self.K = K
-        self._banded_cache = None
 
     # projection selecting the inlet-anchored first-order components
     @property
@@ -187,98 +251,100 @@ class ModeSystem:
 
     # -- production banded assembly (box scheme in the X variables) --------
     def _assemble_banded(self):
-        """Assemble the box system ``(A_base + eps K_visc) X = rhs``, mode-major.
+        """Assemble the box system ``(A_base + eps K_visc) X = rhs`` as bands.
 
-        Unknown ``X_blk`` of mode ``k`` at station ``i`` sits at index
-        ``k 5n + 5i + blk``, so the mode-diagonal part ``D_base`` (the
-        ``k != j`` entries of the ``C`` blocks dropped) is block diagonal
-        with one box system per mode; ``K_visc`` is mode-diagonal already.
-        Returns ``(A_base, K_visc, D_base, rhs)``.
+        Unknown ``X_blk`` of mode ``k`` at station ``i`` is column
+        ``k 5n + 5i + blk``.  Mode ``k``'s 5n rows are its inlet rows
+        ``X1, X2, X5 = 0``, then the box equations of each cell ``i`` at
+        ``3 + 5i + blk`` (one per ``X_blk'``), then its exit rows
+        ``X3, X4 = 0``: every mode block has ``l = 6``, ``u = 4``, so the
+        mode-diagonal part of all K modes is one band of order ``5nK``.
+        Returns that part of ``A_base`` and ``K_visc`` in ``dgbtrf`` layout
+        (``A[r, c]`` at ``ab[l + u + r - c, c]``), the off-mode ``C`` blocks
+        ``(h/2) [C3 | C2 | C5 | C4]`` of the X3 rows, shape ``(n, K, 4K)``,
+        and the right-hand side.
         """
         g = self.grid
-        n, K, h = g.n_x1, self.K, g.h1
+        n, K, half = g.n_x1, self.K, g.h1 / 2.0
         N = 5 * n
-        size = K * N
-        kk = np.arange(K)
+        top = BAND_L + BAND_U                   # ab row of the main diagonal
+        ab_base = np.zeros((top + BAND_L + 1, K, N))
+        ab_visc = np.zeros_like(ab_base)
 
-        def xi(i, blk, k):
-            return k * N + 5 * i + blk
+        def put(ab, p, blk, side, val):
+            # equation X_p' of every cell on X_blk at its left (side 0) or
+            # right (side 1) station; val broadcasts against (K, n - 1)
+            ab[top + 3 + p - 5 * side - blk, :, 5 * side + blk:5 * (n - 1 + side):5] = val
 
-        rows, cols, data = [], [], []
-        vrows, vcols, vdata = [], [], []         # eps-scaled part
-        rhs = np.zeros(size)
-        cells = np.arange(n - 1)
+        def at(values, side):
+            return values[side:n - 1 + side].T  # (K, n - 1) at the cells' ends
 
-        def add(r, c, d):
-            rows.append(np.asarray(r).ravel())
-            cols.append(np.asarray(c).ravel())
-            data.append(np.broadcast_to(d, np.shape(r)).ravel() if np.ndim(d) < np.ndim(r) else np.asarray(d).ravel())
-
-        # row layout: cell i (i = 0..n-2) owns rows xi(i, blk, k); the
-        # boundary rows live in the last station's slots.
-        Ic, Kc = np.meshgrid(cells, kk, indexing="ij")
-        # kinematic relations X1' = X2, X2' = X3, X4' = X5 (trapezoid)
-        for dst, src, blk in ((0, 1, 0), (1, 2, 1), (3, 4, 3)):
-            r = xi(Ic, blk, Kc)
-            add(r, xi(Ic + 1, dst, Kc), 1.0)
-            add(r, xi(Ic, dst, Kc), -1.0)
-            add(r, xi(Ic + 1, src, Kc), -h / 2.0)
-            add(r, xi(Ic, src, Kc), -h / 2.0)
-
-        # dynamic row 1: eps X3' + trap(C3 X3 + C2 X2 + C1 X1 + C5 X5 + C4 X4) = trap F1
-        r1 = xi(Ic, 2, Kc)
-        vrows.extend(r1.ravel()); vcols.extend(xi(Ic + 1, 2, Kc).ravel())
-        vdata.extend(np.full(r1.size, 1.0))
-        vrows.extend(r1.ravel()); vcols.extend(xi(Ic, 2, Kc).ravel())
-        vdata.extend(np.full(r1.size, -1.0))
-        Icj, Kcj, Jcj = np.meshgrid(cells, kk, kk, indexing="ij")
-        rj = xi(Icj, 2, Kcj)
-        for blk, C in ((2, self.C3), (1, self.C2), (4, self.C5), (3, self.C4)):
-            for side in (0, 1):
-                add(rj, xi(Icj + side, blk, Jcj), (h / 2.0) * C[cells + side])
-        for side in (0, 1):
-            add(r1, xi(Ic + side, 0, Kc), (h / 2.0) * np.broadcast_to(-self.lam, Ic.shape))
-        rhs[r1.ravel()] += (h / 2.0) * (self.F1[cells][:, :] + self.F1[cells + 1][:, :]).ravel()
-
-        # dynamic row 2: X5' - trap((lam + c0) X4 + c1 X2) = trap F2
-        r2 = xi(Ic, 4, Kc)
-        add(r2, xi(Ic + 1, 4, Kc), 1.0)
-        add(r2, xi(Ic, 4, Kc), -1.0)
-        for side in (0, 1):
-            coef4 = -(h / 2.0) * (self.lam[None, :] + self.c0[cells + side][:, None])
-            add(r2, xi(Ic + side, 3, Kc), coef4)
-            coef2 = -(h / 2.0) * np.broadcast_to(self.c1[cells + side][:, None], Ic.shape)
-            add(r2, xi(Ic + side, 1, Kc), coef2)
-        rhs[r2.ravel()] += (h / 2.0) * (self.F2[cells][:, :] + self.F2[cells + 1][:, :]).ravel()
-
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            # kinematic relations X1' = X2, X2' = X3, X4' = X5 (trapezoid)
+            for dst, src in ((0, 1), (1, 2), (3, 4)):
+                put(ab_base, dst, dst, side, sign)
+                put(ab_base, dst, src, side, -half)
+            # dynamic row 1: eps X3' + trap(C3 X3 + C2 X2 - lam X1 + C5 X5 + C4 X4) = trap F1
+            put(ab_visc, 2, 2, side, sign)
+            for blk, C in ((2, self.C3), (1, self.C2), (4, self.C5), (3, self.C4)):
+                put(ab_base, 2, blk, side, half * at(np.diagonal(C, axis1=1, axis2=2), side))
+            put(ab_base, 2, 0, side, -half * self.lam[:, None])
+            # dynamic row 2: X5' - trap((lam + c0) X4 + c1 X2) = trap F2
+            put(ab_base, 4, 4, side, sign)
+            put(ab_base, 4, 3, side, -half * (self.lam[:, None] + at(self.c0, side)))
+            put(ab_base, 4, 1, side, -half * at(self.c1, side))
         # projection-split boundary rows: Pi components vanish at the inlet,
         # the complement at the exit
-        last = n - 1
-        for blk, at_inlet in enumerate(self.Pi):
-            add(xi(last, blk, kk), xi(0 if at_inlet else last, blk, kk), 1.0)
+        rows = np.r_[0:3, N - 2:N]
+        cols = np.r_[np.flatnonzero(self.Pi), N - 5 + np.flatnonzero(~self.Pi)]
+        ab_base[top + rows - cols, :, cols] = 1.0
 
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        d = np.concatenate([np.asarray(x, dtype=float) for x in data])
-        A_base = sp.csr_matrix((d, (r, c)), shape=(size, size))
-        diag = r // N == c // N
-        D_base = sp.csc_matrix((d[diag], (r[diag], c[diag])), shape=(size, size))
-        K_visc = sp.csc_matrix(
-            (np.asarray(vdata), (np.asarray(vrows), np.asarray(vcols))), shape=(size, size)
-        )
-        return A_base, K_visc, D_base, rhs
+        rhs = np.zeros((K, N))
+        rhs[:, 5:N - 2:5] = half * (at(self.F1, 0) + at(self.F1, 1))
+        rhs[:, 7:N - 2:5] = half * (at(self.F2, 0) + at(self.F2, 1))
+        off_mode = half * (1.0 - np.eye(K))
+        coupling = np.concatenate([off_mode * C for C in (self.C3, self.C2, self.C5, self.C4)], axis=2)
+        return ab_base.reshape(-1, K * N), ab_visc.reshape(-1, K * N), coupling, rhs.ravel()
 
+    @cached_property
     def banded_parts(self):
-        if self._banded_cache is None:
-            self._banded_cache = self._assemble_banded()
-        return self._banded_cache
+        return self._assemble_banded()
+
+    def operator(self, eps: float):
+        """Matrix-free ``x -> (A_base + eps K_visc) x``: the band product plus
+        the off-mode coupling of the X3 rows, one batched matmul over stations."""
+        ab_base, ab_visc, coupling, _ = self.banded_parts
+        ab = ab_base[BAND_L:] + eps * ab_visc[BAND_L:]
+        K, n = self.K, self.grid.n_x1
+
+        def apply(x):
+            y = _band_matvec(ab, x)
+            X = x.reshape(K, n, 5)[:, :, [2, 1, 4, 3]].transpose(1, 2, 0).reshape(n, 4 * K, 1)
+            z = np.matmul(coupling, X)[:, :, 0]
+            y.reshape(K, 5 * n)[:, 5:5 * n - 2:5] += (z[:-1] + z[1:]).T
+            return y
+
+        return apply
+
+    def factor(self, eps: float) -> BandLU:
+        """Band LU of the mode-diagonal part at ``eps``: one ``dgbtrf`` over all K modes.
+
+        Raises ``NonConvergenceError`` if the band is singular.
+        """
+        ab_base, ab_visc, _, _ = self.banded_parts
+        lu, piv, info = lapack.dgbtrf(ab_base + eps * ab_visc, BAND_L, BAND_U)
+        if info > 0:
+            raise NonConvergenceError(
+                f"singular linear system at eps={eps}, m={self.K - 1}: zero pivot in column {info}"
+            )
+        return BandLU(lu, piv)
 
     def solve_banded(self, eps: float):
-        """Solve the production block-banded box system at viscosity ``eps``.
+        """Solve the production box system at viscosity ``eps``.
 
         Runs GMRES(``GMRES_RESTART``) for at most ``GMRES_CYCLES`` restart
-        cycles on ``A_base + eps K_visc``, preconditioned by the sparse LU
-        of its mode-diagonal part ``D_base + eps K_visc``.
+        cycles on the matrix-free :meth:`operator`, preconditioned by the
+        band LU of its mode-diagonal part (:meth:`factor`).
 
         Returns the mode arrays ``(X1, X4)`` of the potential perturbations.
 
@@ -288,32 +354,14 @@ class ModeSystem:
             If the preconditioner is singular, or if the relative residual
             ``|b - A x| / |b|`` exceeds ``LINEAR_RESIDUAL_MAX``.
         """
-        A_base, K_visc, D_base, rhs = self.banded_parts()
-        try:
-            lu = splu(D_base + eps * K_visc, permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise NonConvergenceError(
-                f"singular linear system at eps={eps}, m={self.K - 1}: {exc}"
-            ) from exc
-
-        def apply(x):
-            return A_base @ x + eps * (K_visc @ x)
-
-        shape = A_base.shape
-        residuals = []                  # one preconditioned residual per iteration
-        sol, _ = gmres(
-            LinearOperator(shape, matvec=apply, dtype=float), rhs,
-            rtol=1e-12, restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
-            M=LinearOperator(shape, matvec=lu.solve, dtype=float),
-            callback=residuals.append, callback_type="pr_norm",
-        )
-        residual = np.linalg.norm(rhs - apply(sol))
+        rhs = self.banded_parts[3]
+        sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, rhs)
         b_norm = np.linalg.norm(rhs)
         if not residual <= LINEAR_RESIDUAL_MAX * b_norm:
             raise NonConvergenceError(
                 f"GMRES missed the residual bound at eps={eps}, m={self.K - 1}: "
                 f"|b - A x|/|b| = {residual / b_norm:.3e} > {LINEAR_RESIDUAL_MAX:.0e} "
-                f"after {len(residuals)} iterations"
+                f"after {iterations} iterations"
             )
         sol = sol.reshape(self.K, self.grid.n_x1, 5)
         return sol[:, :, 0].T, sol[:, :, 3].T

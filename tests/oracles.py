@@ -162,3 +162,36 @@ def trace_streamlines(sf, x2_starts, n_steps: int = 400):
         y = np.clip(y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), -1.0, 1.0)
         out[:, i + 1] = y
     return xs, out
+
+
+def dense_box_system(system, eps: float):
+    """Dense box matrix and right-hand side of a ``ModeSystem`` in its row order.
+
+    Built from the first-order form ``X' = A(x1) X + F`` (``node_block``):
+    each cell row is ``X(i+1) - X(i) - h/2 (A_i X(i) + A_(i+1) X(i+1)) =
+    h/2 (F(i) + F(i+1))``, its dynamic row 1 scaled by ``eps``.  Mode ``k``
+    owns rows ``k 5n ..``: the inlet rows ``X1, X2, X5 = 0``, the cell rows
+    ``3 + 5i + blk``, then the exit rows ``X3, X4 = 0``; unknown ``X_blk``
+    of mode ``k`` at station ``i`` is column ``k 5n + 5i + blk``.
+    """
+    g = system.grid
+    n, K, h = g.n_x1, system.K, g.h1
+    N = 5 * n
+    A = np.zeros((K * N, K * N))
+    rhs = np.zeros(K * N)
+    Fvec = np.zeros((n, 5 * K))
+    Fvec[:, 2 * K:3 * K] = system.F1 / eps
+    Fvec[:, 4 * K:5 * K] = system.F2
+    scale = np.repeat([1.0, 1.0, eps, 1.0, 1.0], K)
+    # station-0 column (and cell-0 row offset) of each (blk, k) slot of node_block
+    slot = np.array([k * N + blk for blk in range(5) for k in range(K)])
+    eye = np.eye(5 * K)
+    for i in range(n - 1):
+        rows = slot + 3 + 5 * i
+        A[np.ix_(rows, slot + 5 * i)] = scale[:, None] * (-eye - h / 2 * node_block(system, i, eps))
+        A[np.ix_(rows, slot + 5 * i + 5)] = scale[:, None] * (eye - h / 2 * node_block(system, i + 1, eps))
+        rhs[rows] = scale * h / 2 * (Fvec[i] + Fvec[i + 1])
+    for k in range(K):
+        for r, c in ((0, 0), (1, 1), (2, 4), (N - 2, N - 3), (N - 1, N - 2)):
+            A[k * N + r, k * N + c] = 1.0
+    return A, rhs

@@ -373,6 +373,14 @@ class TestArclengthInversion:
         xs = np.array([bg.x1_at_speed(bg.u_max - du) for du in (1e-8, 1e-10, 1e-12, 0.0)])
         assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0) and xs[-1] == bg.l_max
 
+    @pytest.mark.parametrize("frac", [0.0, 0.37, 1.0])
+    def test_scalar_station_matches_array_path(self, bg2000, frac):
+        x = frac * bg2000.l_max
+        scalar, array = bg2000.evaluate(x), bg2000.evaluate([x])
+        for key, value in scalar.items():
+            assert np.shape(value) == ()
+            assert value == array[key][0], key
+
     def test_newton_stops_within_five_steps(self, bg2000, monkeypatch):
         outputs = []
         monkeypatch.setattr(_Trajectory, "_eval", _recording_eval(outputs))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import solve_dense_first_order
+from oracles import dense_box_system, solve_dense_first_order
 
 from epnozzle import (
     BoundaryDataSpec,
@@ -24,7 +24,7 @@ from epnozzle import (
     solve_linear_problem,
     vanishing_viscosity,
 )
-from epnozzle.mixed_solver import energy_sign_audit
+from epnozzle.mixed_solver import BAND_L, BAND_U, GMRES_RESTART, _gmres, energy_sign_audit
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 
@@ -220,6 +220,79 @@ class TestEpsSystem:
         bad.a = -coeffs.a  # wrong drift sign
         with pytest.warns(UserWarning):
             assert not energy_sign_audit(bad)
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.5])
+@pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)])
+@pytest.mark.parametrize("eps", ["1e-2", "h1^2"])
+class TestBandSystem:
+    """The matrix-free operator, the band and its LU against a dense assembly."""
+
+    @pytest.fixture
+    def instance(self, bg_narrow, amp, n_x1, m, eps):
+        grid, sysm = _oracle_system(bg_narrow, n_x1, m, amp)
+        eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
+        A, rhs = dense_box_system(sysm, eps)
+        N = 5 * grid.n_x1
+        rows, cols = np.indices(A.shape)
+        D = np.where(rows // N == cols // N, A, 0.0)       # mode-diagonal part
+        return sysm, eps, A, rhs, D
+
+    def test_operator_equals_dense_matrix(self, instance):
+        sysm, eps, A, rhs, _ = instance
+        apply = sysm.operator(eps)
+        columns = np.column_stack([apply(e) for e in np.eye(len(rhs))])
+        assert np.max(np.abs(columns - A)) <= 1e-14 * np.max(np.abs(A))
+        assert np.max(np.abs(sysm.banded_parts[3] - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+    def test_mode_diagonal_part_is_banded(self, instance):
+        *_, D = instance
+        rows, cols = np.nonzero(D)
+        assert np.all(rows - cols <= BAND_L) and np.all(cols - rows <= BAND_U)
+        assert np.max(rows - cols) == BAND_L and np.max(cols - rows) == BAND_U
+
+    def test_factor_solves_mode_diagonal_part(self, instance):
+        sysm, eps, _, rhs, D = instance
+        b = rhs + np.cos(np.arange(len(rhs)))               # excite every row
+        x_ref = np.linalg.solve(D, b)
+        x = sysm.factor(eps).solve(b)
+        assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+
+
+def test_singular_band_raises_naming_eps_and_m(bg_narrow):
+    grid, sysm = _oracle_system(bg_narrow, 17, 2, 0.0)
+    ab_base, ab_visc, _, _ = sysm.banded_parts
+    column = 5 * grid.n_x1 + 7                              # mode 1, station 1, X3
+    ab_base[:, column] = 0.0
+    ab_visc[:, column] = 0.0
+    with pytest.raises(NonConvergenceError, match=r"eps=0\.01, m=2"):
+        sysm.factor(1e-2)
+
+
+class TestGmres:
+    def _system(self):
+        rng = np.random.default_rng(3)
+        A = np.eye(80) + 0.6 * rng.standard_normal((80, 80)) / np.sqrt(80)
+        return A, rng.standard_normal(80)
+
+    def test_restarts_to_the_relative_residual(self):
+        # spectrum in a disk of radius ~0.6 about 1: more than one cycle
+        A, b = self._system()
+        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, b)
+        assert iterations > GMRES_RESTART
+        assert residual == np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-11
+
+    def test_exact_preconditioner_takes_one_step(self):
+        A, b = self._system()
+        A_inv = np.linalg.inv(A)
+        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: A_inv @ v, b)
+        assert iterations == 1 and residual <= 1e-12 * np.linalg.norm(b)
+
+    def test_zero_rhs(self):
+        A, b = self._system()
+        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, np.zeros_like(b))
+        assert not x.any() and residual == 0.0 and iterations == 0
 
 
 class TestVanishingViscosity:
