@@ -36,15 +36,16 @@ continuation relies on; the box scheme stays uniformly bounded down to
 ``eps ~ 0.1 h^2``, so the schedule is floored at ``eps >= h^2``.
 
 The box system is numbered mode-major and solved at each ``eps`` by GMRES
-(Saad & Schultz 1986) on the full operator, preconditioned by an exact
-LU of its mode-diagonal part: K independent box systems, one per cosine
-mode.  Within a mode the three inlet rows come first and the two exit
-rows last, so each mode block is banded with 6 sub- and 4
-super-diagonals and the mode-diagonal part of all K modes is one band,
-factored by a single LAPACK ``dgbtrf`` per ``eps``.  The operator is
-matrix-free: the band product plus the off-mode ``C`` blocks, applied
-station by station.  Modes couple only through those blocks, and there
-only through the O(sigma) wall-direction variation of the coefficients
+(Saad & Schultz 1986) on the full operator, right-preconditioned by an
+exact LU of its mode-diagonal part: K independent box systems, one per
+cosine mode.  Within a mode the three inlet rows come first and the two
+exit rows last, so each mode block is banded with 6 sub- and 4
+super-diagonals and the mode-diagonal part of all K modes is one
+Fortran-order band per ``eps``, factored by a single LAPACK ``dgbtrf``.
+The operator is matrix-free: one BLAS ``dgbmv`` on that same band plus
+the off-mode ``C`` blocks, applied station by station.  Modes couple
+only through those blocks, and there only through the O(sigma)
+wall-direction variation of the coefficients
 (about 1e-6 of the diagonal at the sigma cap), so the preconditioned
 iteration closes in a few steps.  Every solve checks its own residual
 ``|b - A x| / |b|`` against ``LINEAR_RESIDUAL_MAX`` and raises rather
@@ -58,7 +59,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import blas, lapack, solve_banded
 
 from .coefficients import BackgroundProfile, CoefficientSet
 from .errors import InputError, NonConvergenceError
@@ -73,6 +74,7 @@ GMRES_RESTART = 30
 GMRES_CYCLES = 3
 GMRES_RTOL = 1e-12
 BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
+VISC_ROWS = slice(BAND_L + BAND_U - 2, BAND_L + BAND_U + 4, 5)  # band rows 8, 13: eps X3' on X3
 
 splu = None  # unused: perfbench/spans.py binds its factor span here until ROADMAP item 1
 
@@ -165,37 +167,27 @@ class BandLU(NamedTuple):
         return lapack.dgbtrs(self.lu, BAND_L, BAND_U, b, self.piv)[0]
 
 
-def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A x`` for a band given by its ``dgbtrf`` rows ``BAND_L:`` (row ``BAND_U - d`` holds diagonal ``d``)."""
-    y = np.zeros_like(x)
-    for row, d in enumerate(range(BAND_U, -BAND_L - 1, -1)):
-        lo, hi = max(0, -d), len(x) - max(0, d)
-        y[lo:hi] += ab[row, lo + d:hi + d] * x[lo + d:hi + d]
-    return y
-
-
 def _gmres(apply, precond, b: np.ndarray):
-    """Restarted GMRES (Saad & Schultz 1986), left-preconditioned, from ``x = 0``.
+    """Restarted GMRES (Saad & Schultz 1986), right-preconditioned, from ``x = 0``.
 
     A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi
-    steps on ``M^-1 A`` and ends early once its least-squares residual is
-    at most ``GMRES_RTOL |M^-1 b|``; the iteration stops after
-    ``GMRES_CYCLES`` cycles or once ``|b - A x| <= GMRES_RTOL |b|``.
-    Returns ``(x, |b - A x|, iterations)``.
+    steps on ``A M^-1``, each one ``precond`` and one ``apply``, keeps
+    ``Z_j = M^-1 v_j`` for ``x += Z y`` and ends early once its least-squares
+    residual, which is ``|b - A x|``, is at most ``GMRES_RTOL |b|``; the
+    iteration stops after ``GMRES_CYCLES`` cycles or once the recomputed
+    ``|b - A x| <= GMRES_RTOL |b|``.  Returns ``(x, |b - A x|, iterations)``.
     """
     x, r, iterations = np.zeros_like(b), b, 0
     residual = b_norm = np.linalg.norm(b)
-    for cycle in range(GMRES_CYCLES):
+    for _ in range(GMRES_CYCLES):
         if residual <= GMRES_RTOL * b_norm:
             break
-        z = precond(r)
         g = np.zeros(GMRES_RESTART + 1)
-        g[0] = np.linalg.norm(z)
-        if cycle == 0:
-            target = GMRES_RTOL * g[0]          # GMRES_RTOL |M^-1 b|
-        V, H = [z / g[0]], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        g[0] = residual
+        V, Z, H = [r / residual], [], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
         for j in range(GMRES_RESTART):
-            w = precond(apply(V[j]))
+            Z.append(precond(V[j]))
+            w = apply(Z[j])
             w_norm = np.linalg.norm(w)
             for i, v in enumerate(V):
                 H[i, j] = v @ w
@@ -203,11 +195,11 @@ def _gmres(apply, precond, b: np.ndarray):
             H[j + 1, j] = np.linalg.norm(w)
             iterations += 1
             y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2])[0]
-            if (np.linalg.norm(H[:j + 2, :j + 1] @ y - g[:j + 2]) <= target
+            if (np.linalg.norm(H[:j + 2, :j + 1] @ y - g[:j + 2]) <= GMRES_RTOL * b_norm
                     or H[j + 1, j] <= np.finfo(float).eps * w_norm):   # invariant Krylov space
                 break
             V.append(w / H[j + 1, j])
-        x += y @ np.array(V[:j + 1])
+        x += y @ np.array(Z)
         r = b - apply(x)
         residual = np.linalg.norm(r)
     return x, residual, iterations
@@ -239,6 +231,7 @@ class ModeSystem:
         self.F1 = (f1_grid * w2) @ eta
         self.F2 = (f2_grid * w2) @ eta
         self.K = K
+        self._band_eps = self._band = None
 
     # projection selecting the inlet-anchored first-order components
     @property
@@ -259,8 +252,9 @@ class ModeSystem:
         ``3 + 5i + blk`` (one per ``X_blk'``), then its exit rows
         ``X3, X4 = 0``: every mode block has ``l = 6``, ``u = 4``, so the
         mode-diagonal part of all K modes is one band of order ``5nK``.
-        Returns that part of ``A_base`` and ``K_visc`` in ``dgbtrf`` layout
-        (``A[r, c]`` at ``ab[l + u + r - c, c]``), the off-mode ``C`` blocks
+        Returns that part of ``A_base`` in Fortran-order ``dgbtrf`` layout
+        (``A[r, c]`` at ``ab[l + u + r - c, c]``), the only nonzero rows of
+        ``K_visc`` in it (``VISC_ROWS``), the off-mode ``C`` blocks
         ``(h/2) [C3 | C2 | C5 | C4]`` of the X3 rows, shape ``(n, K, 4K)``,
         and the right-hand side.
         """
@@ -268,7 +262,7 @@ class ModeSystem:
         n, K, half = g.n_x1, self.K, g.h1 / 2.0
         N = 5 * n
         top = BAND_L + BAND_U                   # ab row of the main diagonal
-        ab_base = np.zeros((top + BAND_L + 1, K, N))
+        ab_base = np.zeros((K, N, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
         ab_visc = np.zeros_like(ab_base)
 
         def put(ab, p, blk, side, val):
@@ -304,21 +298,33 @@ class ModeSystem:
         rhs[:, 7:N - 2:5] = half * (at(self.F2, 0) + at(self.F2, 1))
         off_mode = half * (1.0 - np.eye(K))
         coupling = np.concatenate([off_mode * C for C in (self.C3, self.C2, self.C5, self.C4)], axis=2)
-        return ab_base.reshape(-1, K * N), ab_visc.reshape(-1, K * N), coupling, rhs.ravel()
+        ab_visc = ab_visc.reshape(-1, K * N)[VISC_ROWS].copy()
+        return ab_base.reshape(-1, K * N), ab_visc, coupling, rhs.ravel()
 
     @cached_property
     def banded_parts(self):
         return self._assemble_banded()
 
+    def band(self, eps: float) -> np.ndarray:
+        """Mode-diagonal band at ``eps``: a Fortran-order copy of ``A_base`` plus
+        ``eps`` on ``VISC_ROWS``, kept for the last ``eps`` so that
+        :meth:`operator` and :meth:`factor` share it."""
+        if self._band_eps != eps:
+            ab_base, ab_visc, _, _ = self.banded_parts
+            self._band = ab_base.copy(order="F")
+            self._band[VISC_ROWS, 2::5] += eps * ab_visc[:, 2::5]   # K_visc acts on X3 only
+            self._band_eps = eps
+        return self._band
+
     def operator(self, eps: float):
-        """Matrix-free ``x -> (A_base + eps K_visc) x``: the band product plus
-        the off-mode coupling of the X3 rows, one batched matmul over stations."""
-        ab_base, ab_visc, coupling, _ = self.banded_parts
-        ab = ab_base[BAND_L:] + eps * ab_visc[BAND_L:]
+        """Matrix-free ``x -> (A_base + eps K_visc) x``: one ``dgbmv`` on :meth:`band`
+        (its ``BAND_L`` fill rows read as zero super-diagonals) plus the off-mode
+        coupling of the X3 rows, one batched matmul over stations."""
+        ab, coupling = self.band(eps), self.banded_parts[2]
         K, n = self.K, self.grid.n_x1
 
         def apply(x):
-            y = _band_matvec(ab, x)
+            y = blas.dgbmv(x.size, x.size, BAND_L, BAND_L + BAND_U, 1.0, ab, x)
             X = x.reshape(K, n, 5)[:, :, [2, 1, 4, 3]].transpose(1, 2, 0).reshape(n, 4 * K, 1)
             z = np.matmul(coupling, X)[:, :, 0]
             y.reshape(K, 5 * n)[:, 5:5 * n - 2:5] += (z[:-1] + z[1:]).T
@@ -327,12 +333,11 @@ class ModeSystem:
         return apply
 
     def factor(self, eps: float) -> BandLU:
-        """Band LU of the mode-diagonal part at ``eps``: one ``dgbtrf`` over all K modes.
+        """Band LU of the mode-diagonal part at ``eps``: one ``dgbtrf`` of :meth:`band`.
 
         Raises ``NonConvergenceError`` if the band is singular.
         """
-        ab_base, ab_visc, _, _ = self.banded_parts
-        lu, piv, info = lapack.dgbtrf(ab_base + eps * ab_visc, BAND_L, BAND_U)
+        lu, piv, info = lapack.dgbtrf(self.band(eps), BAND_L, BAND_U)
         if info > 0:
             raise NonConvergenceError(
                 f"singular linear system at eps={eps}, m={self.K - 1}: zero pivot in column {info}"
@@ -343,8 +348,8 @@ class ModeSystem:
         """Solve the production box system at viscosity ``eps``.
 
         Runs GMRES(``GMRES_RESTART``) for at most ``GMRES_CYCLES`` restart
-        cycles on the matrix-free :meth:`operator`, preconditioned by the
-        band LU of its mode-diagonal part (:meth:`factor`).
+        cycles on the matrix-free :meth:`operator`, right-preconditioned by
+        the LU of its mode-diagonal part (:meth:`factor`) on one :meth:`band`.
 
         Returns the mode arrays ``(X1, X4)`` of the potential perturbations.
 
@@ -443,7 +448,6 @@ def vanishing_viscosity(
     trace = []
     prev = None
     energy0 = None
-    result = None
     eps_floor = grid.h1 ** 2
     for k in range(cap + 1):
         eps = eps0 * 0.5 ** k
@@ -462,12 +466,9 @@ def vanishing_viscosity(
                 f"viscous energy blow-up at eps={eps}: {energy:.3e} vs first {energy0:.3e}"
             )
         if prev is not None:
-            diff = float(
-                np.sqrt((v - prev[0]).h1_norm() ** 2 + (w - prev[1]).h1_norm() ** 2)
-            )
-            sup = float(
-                max(np.max(np.abs((v - prev[0]).values())), np.max(np.abs((w - prev[1]).values())))
-            )
+            dv, dw = v - prev[0], w - prev[1]
+            diff = float(np.sqrt(dv.h1_norm() ** 2 + dw.h1_norm() ** 2))
+            sup = float(max(np.max(np.abs(dv.values())), np.max(np.abs(dw.values()))))
             entry = {"epsilon": eps, "h1_diff": diff, "sup_diff": sup, "k": k}
             trace.append(entry)
             if trace_sink is not None:
@@ -477,12 +478,10 @@ def vanishing_viscosity(
                 raise NonConvergenceError(
                     "eps-continuation trace non-decreasing over 5 consecutive steps"
                 )
-            result = (v, w)
             if diff <= tol_eps:
                 return v, w, trace
         prev = (v, w)
-        result = (v, w)
-    return result[0], result[1], trace
+    return prev[0], prev[1], trace
 
 
 def solve_linear_problem(

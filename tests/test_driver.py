@@ -216,19 +216,45 @@ class TestAdmissibilityGuard:
 class TestCertifiedRegime:
     """A certified small-momentum solve without the override, multi-mode data."""
 
-    @pytest.mark.parametrize("J", [1e-2, 1e-3])
-    def test_certified_solve(self, J):
+    MODES = ((1, 1.0), (2, 0.5), (3, 1.0 / 3.0))
+
+    @staticmethod
+    def _certified(J):
         gas = GasParameters(gamma=1.4, zeta0=2.0, J=J, S0=1.0)
         report = certify_regime(gas)
-        assert report.certified and report.J_regime == "small"
         bg = solve_background(gas, report.kappa0 * gas.u_s, resolution=801)
         grid = Grid(L=bg.x1_at_speed(report.kappaL * gas.u_s), n_x1=151, m=6)
+        return report, bg, grid
+
+    def _bdata(self, sigma):
+        return BoundaryDataSpec(sigma=sigma, s_modes=self.MODES, e_modes=self.MODES, w_modes=self.MODES)
+
+    @pytest.mark.parametrize("J", [1e-2, 1e-3])
+    def test_certified_solve(self, J):
+        report, bg, grid = self._certified(J)
+        assert report.certified and report.J_regime == "small"
         assert grid.L == pytest.approx(report.L, rel=1e-6)
-        modes = ((1, 1.0), (2, 0.5), (3, 1.0 / 3.0))
-        bdata = BoundaryDataSpec(
-            sigma=0.5 * default_sigma_cap(bg), s_modes=modes, e_modes=modes, w_modes=modes
-        )
+        bdata = self._bdata(0.5 * default_sigma_cap(bg))
         out = fixed_point_solve(bg, bdata, grid, certificate=report)
+        assert out.converged
+        assert out.classification_mismatches == 0
+        assert 0 < out.sup_gs_minus_ls < 1e-3
+
+    def test_sigma_exactly_at_cap(self):
+        # the cap is inclusive: the largest admitted amplitude still contracts
+        report, bg, grid = self._certified(1e-2)
+        out = fixed_point_solve(bg, self._bdata(default_sigma_cap(bg)), grid, certificate=report)
+        assert out.converged
+        assert out.classification_mismatches == 0
+        assert 0 < out.sup_gs_minus_ls < 1e-3
+
+
+class TestManyModes:
+    def test_thirty_two_modes_with_two_mode_data(self, bg):
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=101, m=32)
+        modes = ((1, 1.0), (3, 1.0))
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=modes, e_modes=modes, w_modes=modes)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
         assert out.converged
         assert out.classification_mismatches == 0
         assert 0 < out.sup_gs_minus_ls < 1e-3

@@ -258,6 +258,23 @@ class TestBandSystem:
         x = sysm.factor(eps).solve(b)
         assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
 
+    def test_factor_and_operator_share_one_fortran_band(self, instance):
+        sysm, eps, *_ = instance
+        band = sysm.band(eps)
+        assert band.flags.f_contiguous
+        sysm.factor(eps)
+        sysm.operator(eps)
+        assert sysm.band(eps) is band
+
+    def test_factor_undoes_mode_diagonal_part_of_operator(self, instance, amp):
+        # x solves a box system, so it carries a solution's scales across the
+        # X components; at amp = 0 (no off-mode coupling) the round trip is x
+        sysm, eps, A, rhs, D = instance
+        x = np.linalg.solve(A, rhs + np.cos(np.arange(len(rhs))))
+        y = sysm.factor(eps).solve(sysm.operator(eps)(x))
+        expect = x if amp == 0.0 else np.linalg.solve(D, A @ x)
+        assert np.max(np.abs(y - expect)) <= 1e-13 * np.max(np.abs(expect))
+
 
 def test_singular_band_raises_naming_eps_and_m(bg_narrow):
     grid, sysm = _oracle_system(bg_narrow, 17, 2, 0.0)
@@ -288,6 +305,19 @@ class TestGmres:
         A_inv = np.linalg.inv(A)
         x, residual, iterations = _gmres(lambda v: A @ v, lambda v: A_inv @ v, b)
         assert iterations == 1 and residual <= 1e-12 * np.linalg.norm(b)
+
+    def test_inexact_preconditioner_once_per_iteration(self):
+        # Jacobi is inexact here, so several steps are needed; each applies it once
+        A, b = self._system()
+        calls = []
+
+        def jacobi(v):
+            calls.append(v)
+            return v / np.diag(A)
+
+        x, residual, iterations = _gmres(lambda v: A @ v, jacobi, b)
+        assert iterations > 1 and len(calls) == iterations
+        assert residual == np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_zero_rhs(self):
         A, b = self._system()
