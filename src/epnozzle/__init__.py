@@ -35,13 +35,11 @@ from .mixed_solver import (
     ModeSystem,
     lift_boundary_data,
     poisson_solve_phi,
-    solve_eps_system,
     solve_linear_problem,
     vanishing_viscosity,
 )
 from .regimes import (
     RegimeReport,
-    RegimeSearchConfig,
     alpha_profile,
     certify_regime,
     curly_F,

@@ -74,6 +74,14 @@ NEAR_MAX_SWITCH = 1e-2
 _NEWTON_CAP = 8
 _NEWTON_RESIDUAL_TOL = 1e-12
 
+# Gauss-Legendre panels of the trajectory tables over the whole inlet
+# s-range (each piece between breakpoints gets its share, at least 6).
+_TRAJECTORY_PANELS = 320
+
+# Largest accepted channel length l_max: an inlet speed u0 so small that
+# l_max exceeds it is rejected.
+L_MAX_CAP = 1e4
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
 # 5 nodes integrate curly_F' over [kappa_max - delta, kappa_max] to about
 # 1e-16 relative for delta < NEAR_MAX_SWITCH (kappa_max - 1).
@@ -368,7 +376,7 @@ class _Trajectory:
     inverse map by a guarded Newton iteration in ``s`` (:meth:`u_of_x1`).
     """
 
-    def __init__(self, params: GasParameters, u0: float, n_panels: int = 320):
+    def __init__(self, params: GasParameters, u0: float):
         self.params = params
         self.u0 = u0
         self.u_max = u_max = u_max_root(params)
@@ -387,7 +395,7 @@ class _Trajectory:
         breaks = sorted(breaks)
         edges = [0.0]
         for a, b in zip(breaks[:-1], breaks[1:]):
-            ns = max(6, int(np.ceil((b - a) / s0 * n_panels)))
+            ns = max(6, int(np.ceil((b - a) / s0 * _TRAJECTORY_PANELS)))
             edges.extend(np.linspace(a, b, ns + 1)[1:])
         self.edges = np.asarray(edges)
         sm, ww = _gl_panels(self.edges[:-1], self.edges[1:])
@@ -560,7 +568,6 @@ def solve_background(
     params: GasParameters,
     u0: float,
     resolution: int = 2001,
-    l_max_cap: float = 1e4,
 ) -> BackgroundSolution:
     """Construct the accelerating smooth transonic profile from inlet speed ``u0``.
 
@@ -578,7 +585,7 @@ def solve_background(
     ------
     InputError
         For ``u0 > u_s``, non-positive ``u0``, an inconsistent ``E0``, or
-        ``l_max`` beyond ``l_max_cap``.
+        ``l_max`` beyond ``L_MAX_CAP``.
     """
     us = params.u_s
     if not 0 < u0 <= us:
@@ -591,8 +598,8 @@ def solve_background(
         )
     traj = _Trajectory(params, u0)
     u_max = traj.u_max
-    if traj.l_max > l_max_cap:
-        raise InputError(f"l_max = {traj.l_max} exceeds cap {l_max_cap}; u0 too small")
+    if traj.l_max > L_MAX_CAP:
+        raise InputError(f"l_max = {traj.l_max} exceeds cap {L_MAX_CAP}; u0 too small")
     l_s = float(traj.x1_of_u(np.array([us]))[0])
     x1 = np.linspace(0.0, traj.l_max, int(resolution))
     u1 = traj.u_of_x1(x1)

@@ -21,7 +21,7 @@ from .config import RunConfig, load_config, with_overrides
 from .driver import SolveOutcome, fixed_point_solve
 from .errors import InputError, SolverError
 from .fields import Grid, write_grid_csv
-from .regimes import RegimeSearchConfig, certify_regime, write_alpha_csv
+from .regimes import certify_regime, write_alpha_csv
 from . import regimes as regimes_mod
 
 
@@ -232,7 +232,7 @@ def _cmd_background(cfg: RunConfig, out_dir: Path) -> int:
 def _cmd_regimes(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     params = gas_from_config(cfg)
-    report = certify_regime(params, RegimeSearchConfig())
+    report = certify_regime(params)
     report.write_json(out_dir / "regime.json")
     if cfg.emit_fields and report.d > 0:
         kgrid = np.linspace(report.kappa0, report.kappaL, 501)

@@ -37,6 +37,12 @@ from .fields import Field2D, Grid
 # counts as degenerate.
 A22_FLOOR_REL = 1e-6
 
+# Smallness radii tried by ``default_d0``, largest first.
+D0_CANDIDATES = (0.2, 0.1, 0.05, 0.025, 0.0125)
+
+# Wall tolerance of ``verify_structure`` on a12, relative to max(1, |a11|).
+WALL_TOL_SCALE = 1e-9
+
 
 @dataclass
 class FlowState:
@@ -162,21 +168,21 @@ class CoefficientSet:
         return np.sum(np.diff(np.sign(det), axis=0) != 0, axis=0)
 
 
-def default_d0(prof: BackgroundProfile, candidates=(0.2, 0.1, 0.05, 0.025, 0.0125)) -> float:
-    """Largest candidate smallness radius keeping A22 above half its background minimum.
+def default_d0(prof: BackgroundProfile) -> float:
+    """Largest of ``D0_CANDIDATES`` keeping A22 above half its background minimum.
 
     Probes the extreme corner ``z = -d``, ``v1 = u1 + 2d``, ``v2 = 2d`` of
     the admissible box over all stations.
     """
     p = prof.bg.params
     floor = 0.5 * np.min(prof.A22)
-    for d in candidates:
+    for d in D0_CANDIDATES:
         worst = (p.gamma - 1) * (prof.Phi - d - 0.5 * ((prof.u1 + 2 * d) ** 2 + (2 * d) ** 2)) - (
             2 * d
         ) ** 2
         if np.min(worst) >= floor:
             return d
-    return candidates[-1]
+    return D0_CANDIDATES[-1]
 
 
 class VelocityParts(NamedTuple):
@@ -306,7 +312,7 @@ def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) 
     return coeffs
 
 
-def verify_structure(coeffs: CoefficientSet, tol_scale: float = 1e-9) -> None:
+def verify_structure(coeffs: CoefficientSet) -> None:
     """Assert the structural wall conditions of an assembled set.
 
     ``a12`` must vanish at the walls; the wall-normal derivative of
@@ -315,7 +321,7 @@ def verify_structure(coeffs: CoefficientSet, tol_scale: float = 1e-9) -> None:
     """
     g = coeffs.grid
     scale = max(1.0, np.max(np.abs(coeffs.a11)))
-    wall_tol = tol_scale * scale
+    wall_tol = WALL_TOL_SCALE * scale
     a12_wall = max(np.max(np.abs(coeffs.a12[:, 0])), np.max(np.abs(coeffs.a12[:, -1])))
     if a12_wall > wall_tol + 1e-12:
         raise AdmissibilityError(f"a12 does not vanish at the walls (max {a12_wall:.3e})")

@@ -47,6 +47,9 @@ DEFAULT_TOL_OUTER = 1e-9
 DEFAULT_MAX_OUTER = 100
 THETA_FLOOR = 1.0 / 32.0
 
+# Residuals are reported on ``INTERIOR_MARGIN * L <= x1 <= (1 - INTERIOR_MARGIN) * L``.
+INTERIOR_MARGIN = 0.05
+
 
 @dataclass
 class SolveOutcome:
@@ -100,7 +103,9 @@ def fixed_point_solve(
     Raises
     ------
     InputError
-        Missing certificate/cap violations or domain too long (L >= l_max).
+        Missing certificate/cap violations, a damping factor ``theta``
+        outside ``(0, 1]``, invalid continuation inputs (see
+        ``vanishing_viscosity``) or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
         iterate number are named in the message).
@@ -110,6 +115,8 @@ def fixed_point_solve(
     """
     if grid.L >= bg.l_max:
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
+    if not 0 < theta <= 1:
+        raise InputError(f"damping factor theta must lie in (0, 1], got {theta}")
     if not override_certificate:
         if certificate is None or not getattr(certificate, "certified", False):
             raise InputError(
@@ -205,7 +212,9 @@ def sonic_interface(coeffs: CoefficientSet, root_tol: float = 1e-12):
     Asserts exactly one sign change per wall-normal line (elliptic at the
     inlet, hyperbolic at the exit) and refines each root with Brent's
     method (bisection + inverse quadratic interpolation) on a monotone
-    interpolant of the determinant profile.
+    interpolant of the determinant profile.  Brent's ``xtol`` is
+    ``min(root_tol, 1e-10)``, so a ``root_tol`` (config ``tol.root``) above
+    1e-10 has no effect.
     """
     g = coeffs.grid
     det = coeffs.det_principal()
@@ -281,35 +290,30 @@ def reconstruct_primitives(state: FlowState, prof: BackgroundProfile) -> dict:
     }
 
 
-def interior_mask(grid: Grid, margin: float = 0.05) -> np.ndarray:
-    """Stations with ``margin * L <= x1 <= (1 - margin) * L``, chosen by index.
+def interior_mask(grid: Grid) -> np.ndarray:
+    """Stations with ``INTERIOR_MARGIN * L <= x1 <= (1 - INTERIOR_MARGIN) * L``, chosen by index.
 
     ``x1_i = i L / (n_x1 - 1)``, so the bounds are compared with ``i``, not
     with the rounded stations: a station that sits on a bound is kept (ties
     count as inside) whatever L is.
     """
     n = grid.n_x1 - 1
-    lo = np.ceil(margin * n - 1e-9)  # slack for the rounding of margin * n
+    lo = np.ceil(INTERIOR_MARGIN * n - 1e-9)  # slack for the rounding of INTERIOR_MARGIN * n
     i = np.arange(grid.n_x1)
     return (i >= lo) & (i <= n - lo)
 
 
-def fixed_point_residuals(
-    state: FlowState,
-    coeffs: CoefficientSet,
-    prim: dict,
-    margin: float = 0.05,
-) -> dict:
+def fixed_point_residuals(state: FlowState, coeffs: CoefficientSet, prim: dict) -> dict:
     """Sup and L2 residuals of the perturbation system at the fixed point.
 
-    Differential rows are evaluated on the fixed physical interior
-    ``margin * L <= x1 <= (1 - margin) * L``: the viscous construction
-    forces ``d1(psi) = 0`` at the inlet, a condition the limit problem
-    sheds through a sub-grid layer of width ~eps whose H1 content vanishes
-    like sqrt(eps) but whose pointwise residual in the first cells does
-    not converge.  Interior residuals refine at second order.
+    Differential rows are evaluated on the fixed physical interior of
+    :func:`interior_mask`: the viscous construction forces ``d1(psi) = 0``
+    at the inlet, a condition the limit problem sheds through a sub-grid
+    layer of width ~eps whose H1 content vanishes like sqrt(eps) but whose
+    pointwise residual in the first cells does not converge.  Interior
+    residuals refine at second order.
     """
-    mask = interior_mask(state.grid, margin)
+    mask = interior_mask(state.grid)
     res_psi = (
         coeffs.a11 * state.psi.d11()
         + 2.0 * coeffs.a12 * state.psi.d12()

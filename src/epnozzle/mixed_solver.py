@@ -63,7 +63,7 @@ from scipy.linalg import blas, lapack, solve_banded
 
 from .coefficients import BackgroundProfile, CoefficientSet
 from .errors import InputError, NonConvergenceError
-from .fields import Field2D, Grid
+from .fields import Field2D
 
 DEFAULT_EPS0 = 0.1
 DEFAULT_EPS_TOL = 1e-6
@@ -83,7 +83,7 @@ splu = None  # unused: perfbench/spans.py binds its factor span here until ROADM
 # Rotational Poisson problem
 # ---------------------------------------------------------------------------
 
-def poisson_solve_phi(f0: Field2D, grid: Grid) -> Field2D:
+def poisson_solve_phi(f0: Field2D) -> Field2D:
     """Solve ``-laplace(phi) = f0`` with d1(phi)=0 inlet, phi=0 on walls and exit.
 
     Per dirichlet mode ``sin(k pi (x2+1)/2)`` this is the two-point problem
@@ -92,6 +92,7 @@ def poisson_solve_phi(f0: Field2D, grid: Grid) -> Field2D:
     """
     if f0.parity != "dirichlet":
         raise InputError("Poisson forcing must carry dirichlet parity")
+    grid = f0.grid
     n, h = grid.n_x1, grid.h1
     out = np.zeros_like(f0.modes)
     for k in range(grid.n_dir):
@@ -115,7 +116,7 @@ def poisson_solve_phi(f0: Field2D, grid: Grid) -> Field2D:
 # Boundary-data lift
 # ---------------------------------------------------------------------------
 
-def lift_boundary_data(bdata, coeffs: CoefficientSet, grid: Grid):
+def lift_boundary_data(bdata, coeffs: CoefficientSet):
     """Homogenize the inlet data of the mixed-type pair.
 
     With ``lift_psi(x2) = integral_{-1}^{x2} w_en`` and
@@ -137,6 +138,7 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet, grid: Grid):
     defect = bdata.compatibility_defect()
     if defect > 1e-10:
         raise InputError(f"boundary data violate wall compatibility (defect {defect:.3e})")
+    grid = coeffs.grid
     x2, x1, L = grid.x2, grid.x1, grid.L
     Ev = bdata.e_en_minus_e0(x2)
     Evpp = bdata.e_en_d2(x2)
@@ -214,8 +216,8 @@ class ModeSystem:
     banded box system.
     """
 
-    def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray, grid: Grid):
-        self.grid = grid
+    def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray):
+        self.grid = grid = coeffs.grid
         self.coeffs = coeffs
         K = grid.n_cos
         eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
@@ -399,27 +401,10 @@ def energy_sign_audit(coeffs: CoefficientSet) -> bool:
     return ok
 
 
-def solve_eps_system(
-    coeffs: CoefficientSet,
-    f1_grid: np.ndarray,
-    f2_grid: np.ndarray,
-    epsilon: float,
-    grid: Grid,
-):
-    """Single viscous solve at fixed ``eps``; returns the (v, w) field pair."""
-    if not epsilon > 0:
-        raise InputError("epsilon must be positive")
-    system = ModeSystem(coeffs, f1_grid, f2_grid, grid)
-    energy_sign_audit(coeffs)
-    theta, Theta = system.solve_banded(epsilon)
-    return system.to_fields(theta, Theta)
-
-
 def vanishing_viscosity(
     coeffs: CoefficientSet,
     f1_grid: np.ndarray,
     f2_grid: np.ndarray,
-    grid: Grid,
     eps0: float = DEFAULT_EPS0,
     tol_eps: float = DEFAULT_EPS_TOL,
     cap: int = DEFAULT_EPS_CAP,
@@ -439,8 +424,18 @@ def vanishing_viscosity(
     first iterate.
 
     Returns ``(v, w, trace)``.
+
+    Raises
+    ------
+    InputError
+        If ``eps0 <= 0`` or ``cap < 0``, whatever the forcing.
     """
-    system = ModeSystem(coeffs, f1_grid, f2_grid, grid)
+    if not eps0 > 0:
+        raise InputError(f"initial viscosity eps0 must be positive, got {eps0}")
+    if cap < 0:
+        raise InputError(f"viscosity schedule cap must be nonnegative, got {cap}")
+    grid = coeffs.grid
+    system = ModeSystem(coeffs, f1_grid, f2_grid)
     if system.is_forcing_zero():
         v = Field2D.zeros("cosine", grid)
         return v, Field2D.zeros("cosine", grid), []
@@ -508,9 +503,9 @@ def solve_linear_problem(
     state = FlowState(psi=P.psi, phi=P.phi, Psi=P.Psi, T=T_tilde)
     coeffs = assemble_coefficients(state, prof, d0)
     f3_modes = Field2D.from_grid_values("dirichlet", coeffs.f3, grid)
-    phi_new = poisson_solve_phi(f3_modes, grid)
-    f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs, grid)
+    phi_new = poisson_solve_phi(f3_modes)
+    f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
     v, w, trace = vanishing_viscosity(
-        coeffs, f1s, f2s, grid, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
+        coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
     )
     return v + lift_psi, w + lift_Psi, phi_new, coeffs, trace

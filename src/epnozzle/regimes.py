@@ -44,6 +44,15 @@ from .errors import InputError
 # Gauss-Legendre panels per piece of a lambda window.
 _LAMBDA_PANELS = 4
 
+# Shrink-search of ``certify_regime``: the window half-width starts at
+# D_START and is multiplied by D_SHRINK down to D_MIN; each window is
+# scanned at KAPPA_RESOLUTION with ENDPOINT_REFINE extra points per end.
+D_START = 0.25
+D_MIN = 1e-4
+D_SHRINK = 0.5
+KAPPA_RESOLUTION = 1e-3
+ENDPOINT_REFINE = 8
+
 
 def curly_F(kappa: float, params: GasParameters) -> float:
     """Scaled orbit integral ``integral_1^kappa (1 - t/zeta0)(1 - t^-(gamma+1)) dt``.
@@ -107,36 +116,33 @@ def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     return float(np.sum(_orbit_s_integrand(sm, params) * ww)) ** 2
 
 
-def nozzle_length(kappa0: float, kappaL: float, params: GasParameters, J: float | None = None) -> float:
+def nozzle_length(kappa0: float, kappaL: float, params: GasParameters) -> float:
     """Channel length spanned by the speed window ``[kappa0 u_s, kappaL u_s]``.
 
     ``L = sqrt(h0^3 / 2) J^((gamma-2)/(gamma+1)) sqrt(lambda(kappa0, kappaL))``
-    at momentum density ``J`` (default ``params.J``); agrees with the
-    arclength between the same speeds on the 1D profile.
+    at the momentum density ``params.J``; agrees with the arclength between
+    the same speeds on the 1D profile.
     """
     if kappaL < kappa0:
         raise InputError("empty window: kappaL < kappa0")
     if kappaL == kappa0:
         return 0.0
     _check_window(kappa0, kappaL, params)
-    J = params.J if J is None else J
-    h0, g = params.h0, params.gamma
+    J, h0, g = params.J, params.h0, params.gamma
     return np.sqrt(h0 ** 3 / 2.0) * J ** ((g - 2.0) / (g + 1.0)) * np.sqrt(
         lambda_window(kappa0, kappaL, params)
     )
 
 
-def g_star(kappa, params: GasParameters, eta: float, J: float | None = None):
+def g_star(kappa, params: GasParameters, eta: float):
     """Scaled energy weight ``kappa^-eta h0^-eta J^((2-gamma+2 eta)/(gamma+1))``."""
-    J = params.J if J is None else J
-    g, h0 = params.gamma, params.h0
+    J, g, h0 = params.J, params.gamma, params.h0
     return np.asarray(kappa, dtype=float) ** (-eta) * h0 ** (-eta) * J ** ((2 - g + 2 * eta) / (g + 1))
 
 
-def omega1(kappa, params: GasParameters, eta: float, J: float | None = None):
+def omega1(kappa, params: GasParameters, eta: float):
     """Coercive part of the energy coefficient (multiplies the weight)."""
-    J = params.J if J is None else J
-    g, h0 = params.gamma, params.h0
+    J, g, h0 = params.J, params.gamma, params.h0
     k = np.asarray(kappa, dtype=float)
     kh = kappa_H(k, params)
     bracket = (g - 1) * k ** (g + 1) + eta * (k ** (g + 1) - 1.0) + 2.0
@@ -145,10 +151,9 @@ def omega1(kappa, params: GasParameters, eta: float, J: float | None = None):
     ) * J ** ((2 * eta - g) / (g + 1))
 
 
-def omega2(kappa, kappa0: float, kappaL: float, params: GasParameters, eta: float, J: float | None = None):
+def omega2(kappa, kappa0: float, kappaL: float, params: GasParameters, eta: float):
     """Coupling penalty (a square times positive factors, hence >= 0)."""
-    J = params.J if J is None else J
-    g, h0 = params.gamma, params.h0
+    J, g, h0 = params.J, params.gamma, params.h0
     k = np.asarray(kappa, dtype=float)
     lam = lambda_window(kappa0, kappaL, params)
     inner = (
@@ -159,48 +164,27 @@ def omega2(kappa, kappa0: float, kappaL: float, params: GasParameters, eta: floa
     return (1.0 / h0) * k ** (2 * (g - 1)) * lam * J ** (2.0 / (g + 1)) * inner ** 2
 
 
-def alpha_profile(
-    kappa_grid,
-    kappa0: float,
-    kappaL: float,
-    params: GasParameters,
-    eta: float,
-    J: float | None = None,
-):
+def alpha_profile(kappa_grid, kappa0: float, kappaL: float, params: GasParameters, eta: float):
     """Energy coefficient ``alpha = omega1 * G_star - omega2`` on a ratio grid.
 
     Returns ``(values, min_value)``.
     """
     k = np.asarray(kappa_grid, dtype=float)
-    vals = omega1(k, params, eta, J) * g_star(k, params, eta, J) - omega2(
-        k, kappa0, kappaL, params, eta, J
-    )
+    vals = omega1(k, params, eta) * g_star(k, params, eta) - omega2(k, kappa0, kappaL, params, eta)
     return vals, float(np.min(vals))
 
 
-def alpha_sonic_limit(params: GasParameters, eta: float, J: float | None = None) -> float:
+def alpha_sonic_limit(params: GasParameters, eta: float) -> float:
     """Vanishing-window limit of ``alpha`` at kappa = 1.
 
     ``h0^-eta J^((2-gamma+2 eta)/(gamma+1)) (h0^-1.5 sqrt((gamma+1)(1-1/zeta0))/2
     - 2 h0^-(2+eta) J^((2 eta-gamma)/(gamma+1)))``.
     """
-    J = params.J if J is None else J
-    g, h0, z = params.gamma, params.h0, params.zeta0
+    J, g, h0, z = params.J, params.gamma, params.h0, params.zeta0
     return h0 ** (-eta) * J ** ((2 - g + 2 * eta) / (g + 1)) * (
         0.5 * h0 ** -1.5 * np.sqrt((g + 1) * (1 - 1 / z))
         - (2.0 / h0 ** (2 + eta)) * J ** ((2 * eta - g) / (g + 1))
     )
-
-
-@dataclass(frozen=True)
-class RegimeSearchConfig:
-    """Shrink-search settings for the window half-width."""
-
-    d_start: float = 0.25
-    d_min: float = 1e-4
-    d_shrink: float = 0.5
-    kappa_resolution: float = 1e-3
-    endpoint_refine: int = 8
 
 
 @dataclass(frozen=True)
@@ -237,46 +221,42 @@ class RegimeReport:
             fh.write("\n")
 
 
-def _window_grid(kappa0: float, kappaL: float, cfg: RegimeSearchConfig) -> np.ndarray:
-    """Scan grid at the configured resolution plus refined endpoints."""
-    n = max(9, int(np.ceil((kappaL - kappa0) / cfg.kappa_resolution)) + 1)
+def _window_grid(kappa0: float, kappaL: float) -> np.ndarray:
+    """Scan grid at ``KAPPA_RESOLUTION`` plus refined endpoints."""
+    n = max(9, int(np.ceil((kappaL - kappa0) / KAPPA_RESOLUTION)) + 1)
     base = np.linspace(kappa0, kappaL, n)
     step = (kappaL - kappa0) / (n - 1)
-    fine = step / cfg.endpoint_refine
+    fine = step / ENDPOINT_REFINE
     edges = np.concatenate(
-        [kappa0 + fine * np.arange(cfg.endpoint_refine + 1), kappaL - fine * np.arange(cfg.endpoint_refine + 1)]
+        [kappa0 + fine * np.arange(ENDPOINT_REFINE + 1), kappaL - fine * np.arange(ENDPOINT_REFINE + 1)]
     )
     return np.unique(np.concatenate([base, edges]))
 
 
-def certify_regime(
-    params: GasParameters,
-    config: RegimeSearchConfig = RegimeSearchConfig(),
-    J: float | None = None,
-) -> RegimeReport:
-    """Search for a certifiable almost-sonic window at the given momentum density.
+def certify_regime(params: GasParameters) -> RegimeReport:
+    """Search for a certifiable almost-sonic window at the momentum density ``params.J``.
 
     Tries the small-momentum weight exponent ``eta = 3 gamma / 4`` first,
-    shrinking the half-width geometrically from ``d_start`` until the
-    energy coefficient is positive on the whole window (grid scan at the
-    configured resolution plus endpoint refinement); falls back to the
+    shrinking the half-width geometrically from ``D_START`` until the
+    energy coefficient is positive on the whole window (grid scan at
+    ``KAPPA_RESOLUTION`` plus endpoint refinement); falls back to the
     large-momentum exponent ``eta = gamma / 4``.  An uncertified report
     (with the best minimum found) is a valid outcome, not an error.  The
     nozzle length is computed only for the window of the returned report.
+    A certificate at another J takes ``dataclasses.replace(params, J=J)``.
     """
-    J = params.J if J is None else J
     g = params.gamma
     kmax = kappa_max(params)
     best = None
     for eta, regime in ((0.75 * g, "small"), (0.25 * g, "large")):
-        d = config.d_start
-        while d >= config.d_min:
+        d = D_START
+        while d >= D_MIN:
             k0, kL = 1.0 - d, 1.0 + d
             if kL >= kmax:
-                d *= config.d_shrink
+                d *= D_SHRINK
                 continue
-            grid = _window_grid(k0, kL, config)
-            _, amin = alpha_profile(grid, k0, kL, params, eta, J)
+            grid = _window_grid(k0, kL)
+            _, amin = alpha_profile(grid, k0, kL, params, eta)
             report = RegimeReport(
                 eta=eta,
                 J_regime=regime,
@@ -286,15 +266,15 @@ def certify_regime(
                 alpha_min=amin,
                 L=float("nan"),
                 certified=amin > 0,
-                J=J,
+                J=params.J,
             )
             if report.certified:
-                return replace(report, L=nozzle_length(k0, kL, params, J))
+                return replace(report, L=nozzle_length(k0, kL, params))
             if best is None or report.alpha_min > best.alpha_min:
                 best = report
-            d *= config.d_shrink
+            d *= D_SHRINK
     assert best is not None
-    return replace(best, J_regime="uncertified", L=nozzle_length(best.kappa0, best.kappaL, params, J))
+    return replace(best, J_regime="uncertified", L=nozzle_length(best.kappa0, best.kappaL, params))
 
 
 def write_alpha_csv(path, kappa_grid, alpha_values) -> None:

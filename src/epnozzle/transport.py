@@ -27,6 +27,10 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DegenerateStateError, InputError
 from .fields import Field2D, Grid
 
+# Relative overshoot of the inlet flux range that is always clamped, even
+# when the field's own top-wall divergence defect is smaller.
+CLAMP_TOL = 1e-8
+
 
 @dataclass
 class StreamFunction:
@@ -62,7 +66,7 @@ def stream_function(m1: np.ndarray, grid: Grid) -> StreamFunction:
     )
 
 
-def lagrangian_map(sf: StreamFunction, clamp_tol: float = 1e-8) -> np.ndarray:
+def lagrangian_map(sf: StreamFunction) -> np.ndarray:
     """Inlet streamline label of every grid point.
 
     Solves ``theta(0, label) = theta(x1, x2)`` per point on the
@@ -71,7 +75,7 @@ def lagrangian_map(sf: StreamFunction, clamp_tol: float = 1e-8) -> np.ndarray:
     on the forward interpolant finishes it.  Targets may exit the inlet flux
     range by up to the field's own measured top-wall divergence defect
     (that overshoot *is* the defect, by the divergence theorem) plus the
-    ``clamp_tol`` floor; such excursions are clamped with a warning,
+    ``CLAMP_TOL`` floor; such excursions are clamped with a warning,
     anything larger is an error.
     """
     if sf.monotone_margin <= 0 or np.any(np.diff(sf.inlet) <= 0):
@@ -85,7 +89,7 @@ def lagrangian_map(sf: StreamFunction, clamp_tol: float = 1e-8) -> np.ndarray:
     over = np.maximum(target - hi_v, 0.0).max() / scale
     under = np.maximum(lo_v - target, 0.0).max() / scale
     excess = max(over, under)
-    budget = max(clamp_tol, 2.0 * sf.top_defect / scale)
+    budget = max(CLAMP_TOL, 2.0 * sf.top_defect / scale)
     if excess > budget:
         raise InputError(
             f"stream-function target outside the inlet range by {excess:.3e} (relative), "

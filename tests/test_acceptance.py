@@ -7,6 +7,7 @@ criteria through module-scoped fixtures.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,12 +183,12 @@ def test_criterion_04_kappa_calculus(bg_std):
 
 def test_criterion_05_regime_certificate():
     with criterion(5, "certified (J, d) with J <= 1e-2; L grows as J shrinks"):
-        reports = {J: certify_regime(GAS14, J=J) for J in (1.0, 1e-1, 1e-2, 1e-3)}
+        reports = {J: certify_regime(replace(GAS14, J=J)) for J in (1.0, 1e-1, 1e-2, 1e-3)}
         certified = {J: r for J, r in reports.items() if r.certified}
         assert any(J <= 1e-2 and r.d >= 1e-3 for J, r in certified.items())
         J_star, rep = next((J, r) for J, r in certified.items() if J <= 1e-2)
         fine = np.linspace(rep.kappa0, rep.kappaL, 10 * 501)
-        _, amin = alpha_profile(fine, rep.kappa0, rep.kappaL, GAS14, rep.eta, J=J_star)
+        _, amin = alpha_profile(fine, rep.kappa0, rep.kappaL, replace(GAS14, J=J_star), rep.eta)
         assert amin > 0
         certified_Ls = [reports[J].L for J in sorted(certified, reverse=True)]
         assert all(b > a for a, b in zip(certified_Ls, certified_Ls[1:]))
@@ -214,7 +215,7 @@ def test_criterion_07_linear_solver_oracle():
             grid.x1 / L, np.cos(np.pi * grid.x2)
         )
         f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
-        system = ModeSystem(coeffs, f1, f2, grid)
+        system = ModeSystem(coeffs, f1, f2)
         th_b, Th_b = system.solve_banded(1e-2)
         th_d, Th_d = solve_dense_first_order(system, 1e-2)
         assert np.max(np.abs(th_b - th_d)) <= 1e-8
@@ -255,7 +256,7 @@ def test_criterion_08_manufactured_elliptic_convergence(bg_std):
                 b1 * q1 + b0 * q
             )[:, None]
             f2 = (q2 - prof.c0 * q)[:, None] - (prof.c1 * p1)[:, None] * cosx2
-            system = ModeSystem(coeffs, f1, f2, grid)
+            system = ModeSystem(coeffs, f1, f2)
             v, w = system.to_fields(*system.solve_banded(eps))
             v_exact = p[:, None] * cosx2
             w_exact = q[:, None] * np.ones_like(grid.x2)[None, :]

@@ -203,9 +203,10 @@ class TestSolveBackground:
         bg = solve_background(p, 0.9, resolution=301)
         assert bg.E0 == pytest.approx(E0, abs=1e-14)
 
-    def test_length_cap_enforced(self):
-        with pytest.raises(InputError):
-            solve_background(CANON, 0.9, resolution=301, l_max_cap=1.0)
+    def test_length_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr("epnozzle.background.L_MAX_CAP", 1.0)
+        with pytest.raises(InputError, match="exceeds cap 1.0"):
+            solve_background(CANON, 0.9, resolution=301)
 
     def test_hamiltonian_conservation(self):
         bg = solve_background(CANON, 0.9, resolution=2001)

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epnozzle
 from epnozzle import InputError, background_profile, parse_config, serialize_config
 from epnozzle.cli import build_problem, main, run, sweep
-from epnozzle.config import load_config, with_overrides
+from epnozzle.config import RunConfig, load_config, with_overrides
 
 BASE_CONFIG = """
 # standard almost-sonic window, tiny single-mode data
@@ -35,6 +37,30 @@ flags.override_certificate = true
 """
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+MODES = st.lists(st.tuples(st.integers(0, 64), FLOATS), max_size=4).map(tuple)
+# valid RunConfigs: every key drawn, the window placed in one of its three valid ways
+# (u0 or kappa0 with L or kappaL, or d alone)
+CONFIGS = st.tuples(
+    st.fixed_dictionaries({
+        "gamma": FLOATS, "zeta0": FLOATS, "J": FLOATS, "S0": FLOATS, "E0": st.none() | FLOATS,
+        "resolution": st.integers(2, 10 ** 6), "n_x1": st.integers(9, 10 ** 4), "m": st.integers(0, 64),
+        "sigma": FLOATS, "s_modes": MODES, "e_modes": MODES, "w_modes": MODES,
+        "tol_eps": FLOATS, "tol_outer": FLOATS, "tol_root": FLOATS, "theta": FLOATS, "eps0": FLOATS,
+        "eps_cap": st.integers(0, 100), "max_outer": st.integers(1, 1000),
+        "sigma_cap": st.none() | FLOATS,
+        "out_dir": st.text("abcxyz_-./0123456789", min_size=1, max_size=12),
+        "override_certificate": st.booleans(), "emit_fields": st.booleans(), "emit_traces": st.booleans(),
+    }),
+    st.one_of(
+        st.fixed_dictionaries({"d": FLOATS}),
+        st.tuples(st.sampled_from(["u0", "kappa0"]), st.sampled_from(["L", "kappaL"]), FLOATS, FLOATS).map(
+            lambda t: {t[0]: t[2], t[1]: t[3]}
+        ),
+    ),
+).map(lambda parts: RunConfig(**parts[0], **parts[1]))
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -49,6 +75,11 @@ class TestConfig:
         again = parse_config(text)
         assert again == cfg
         assert serialize_config(again) == text
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_round_trip_property(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_json_alternative(self):
         cfg = parse_config(BASE_CONFIG)
@@ -193,6 +224,15 @@ class TestCliEntry:
         assert proc.returncode == 2
         error = json.loads(proc.stderr.strip().splitlines()[-1])
         assert error["error"] == "InputError"
+
+    def test_zero_damping_exit_code_and_json(self, tmp_path, capsys):
+        cfgp = tmp_path / "theta0.cfg"
+        cfgp.write_text(BASE_CONFIG + "\ndamping.theta = 0\n")
+        rc = main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and error["exit_code"] == 2
+        assert "theta" in error["message"]
 
     def test_missing_certificate_exit_code(self, tmp_path):
         text = BASE_CONFIG.replace("flags.override_certificate = true", "")

@@ -90,6 +90,60 @@ class TestPreconditions:
         assert out.converged
 
 
+class TestInvalidSolverInputs:
+    """Damping and continuation inputs a config file can set are checked."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        bg = solve_background(CANON, 0.9, resolution=301)
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=51, m=2)
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=((1, 1.0),), e_modes=((1, 1.0),))
+        return bg, grid, bdata
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"theta": 0.0}, "theta"),
+            ({"theta": 1.5}, "theta"),
+            ({"eps0": -0.1}, "eps0"),
+            ({"eps0": 0.0}, "eps0"),
+            ({"eps_cap": -1}, "cap"),
+        ],
+        ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps_cap_negative"],
+    )
+    def test_rejected_with_input_error(self, small, options, message):
+        bg, grid, bdata = small
+        with pytest.raises(InputError, match=message):
+            fixed_point_solve(bg, bdata, grid, override_certificate=True, **options)
+
+
+class TestOtherGases:
+    """Override path on gases other than the canonical one, multi-mode data."""
+
+    SE_MODES = ((1, 1.0), (2, 0.5), (3, 1.0 / 3.0))
+    W_MODES = ((1, 1.0), (2, 0.5))
+
+    @pytest.mark.parametrize(
+        "gas",
+        [
+            GasParameters(gamma=2.0, zeta0=1.5, J=1.0, S0=1.0),
+            GasParameters(gamma=5.0 / 3.0, zeta0=2.0, J=0.5, S0=1.0),
+        ],
+        ids=["gamma2", "gamma5_3"],
+    )
+    def test_multimode_solve(self, gas):
+        bg = solve_background(gas, 0.9 * gas.u_s, resolution=801)
+        grid = Grid(L=bg.x1_at_speed(1.1 * gas.u_s), n_x1=101, m=6)
+        bdata = BoundaryDataSpec(
+            sigma=0.5 * default_sigma_cap(bg),
+            s_modes=self.SE_MODES, e_modes=self.SE_MODES, w_modes=self.W_MODES,
+        )
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-9)
+        assert out.converged
+        assert out.classification_mismatches == 0
+        assert 0 < out.sup_gs_minus_ls < 1e-3
+
+
 class TestZeroPerturbation:
     def test_immediate_convergence(self, zero_run):
         assert zero_run.converged

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epnozzle import Field2D, Grid, InputError
 
@@ -52,6 +54,19 @@ class TestField2D:
         f = Field2D("dirichlet", modes, GRID)
         back = Field2D.from_grid_values("dirichlet", f.values(), GRID)
         assert np.max(np.abs(back.modes - modes)) < 1e-12
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        parity=st.sampled_from(["cosine", "dirichlet"]),
+        m=st.integers(0, 8),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_projection_recovers_modes(self, parity, m, seed):
+        grid = Grid(L=1.0, n_x1=9, m=m)
+        n_modes = grid.n_cos if parity == "cosine" else grid.n_dir
+        modes = np.random.default_rng(seed).standard_normal((grid.n_x1, n_modes))
+        back = Field2D.from_grid_values(parity, Field2D(parity, modes, grid).values(), grid)
+        assert np.max(np.abs(back.modes - modes)) <= 1e-13 * np.max(np.abs(modes))
 
     def test_cosine_parity_wall_conditions(self):
         rng = np.random.default_rng(9)

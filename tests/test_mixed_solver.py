@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_box_system, solve_dense_first_order
 
@@ -20,13 +22,14 @@ from epnozzle import (
     lift_boundary_data,
     poisson_solve_phi,
     solve_background,
-    solve_eps_system,
     solve_linear_problem,
     vanishing_viscosity,
 )
 from epnozzle.mixed_solver import BAND_L, BAND_U, GMRES_RESTART, _gmres, energy_sign_audit
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
+# boundary-data mode lists: mode numbers 1..8, coefficients in [-1, 1]
+MODE_LISTS = st.lists(st.tuples(st.integers(1, 8), st.floats(-1.0, 1.0)), max_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +65,13 @@ def _oracle_system(bg, n_x1, m, amp):
         grid.x1 / L, np.cos(np.pi * grid.x2)
     )
     f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
-    return grid, ModeSystem(coeffs, f1, f2, grid)
+    return grid, ModeSystem(coeffs, f1, f2)
 
 
 class TestPoisson:
     def test_zero_forcing_gives_zero(self, setup):
         grid, _, _ = setup
-        phi = poisson_solve_phi(Field2D.zeros("dirichlet", grid), grid)
+        phi = poisson_solve_phi(Field2D.zeros("dirichlet", grid))
         assert np.max(np.abs(phi.values())) == 0.0
 
     def test_manufactured_solution_order(self):
@@ -77,7 +80,7 @@ class TestPoisson:
             g = Grid(L=0.5, n_x1=n, m=4)
             phi_star = np.outer(np.cos(np.pi * g.x1 / (2 * g.L)), np.sin(np.pi * (g.x2 + 1) / 2))
             f0 = ((np.pi / (2 * g.L)) ** 2 + (np.pi / 2) ** 2) * phi_star
-            phi = poisson_solve_phi(Field2D.from_grid_values("dirichlet", f0, g), g)
+            phi = poisson_solve_phi(Field2D.from_grid_values("dirichlet", f0, g))
             errs.append(np.max(np.abs(phi.values() - phi_star)))
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.9
@@ -85,14 +88,14 @@ class TestPoisson:
     def test_odd_forcing_gives_odd_solution(self, setup):
         grid, _, _ = setup
         f0 = np.outer(np.exp(-grid.x1), np.sin(np.pi * grid.x2))  # odd about x2 = 0
-        phi = poisson_solve_phi(Field2D.from_grid_values("dirichlet", f0, grid), grid)
+        phi = poisson_solve_phi(Field2D.from_grid_values("dirichlet", f0, grid))
         v = phi.values()
         assert np.max(np.abs(v + v[:, ::-1])) < 1e-11 * max(1.0, np.max(np.abs(v)))
 
     def test_boundary_conditions(self, setup):
         grid, _, _ = setup
         f0 = np.outer(np.ones_like(grid.x1), np.sin(np.pi * (grid.x2 + 1) / 2))
-        phi = poisson_solve_phi(Field2D.from_grid_values("dirichlet", f0, grid), grid)
+        phi = poisson_solve_phi(Field2D.from_grid_values("dirichlet", f0, grid))
         v = phi.values()
         assert np.max(np.abs(v[-1])) < 1e-12                       # exit Dirichlet
         assert np.max(np.abs(v[:, [0, -1]])) < 1e-12               # walls
@@ -102,14 +105,14 @@ class TestPoisson:
     def test_wrong_parity_rejected(self, setup):
         grid, _, _ = setup
         with pytest.raises(InputError):
-            poisson_solve_phi(Field2D.zeros("cosine", grid), grid)
+            poisson_solve_phi(Field2D.zeros("cosine", grid))
 
 
 class TestLift:
     def test_zero_data_zero_lift(self, setup):
         grid, _, coeffs = setup
         bdata = BoundaryDataSpec.zero()
-        f1s, f2s, lp, lP = lift_boundary_data(bdata, coeffs, grid)
+        f1s, f2s, lp, lP = lift_boundary_data(bdata, coeffs)
         assert np.max(np.abs(f1s - coeffs.f1)) == 0.0
         assert np.max(np.abs(f2s - coeffs.f2)) == 0.0
         assert lp.sup_norm() == 0.0 and lP.sup_norm() == 0.0
@@ -118,7 +121,7 @@ class TestLift:
         grid, _, coeffs = setup
         sigma = 1e-3
         bdata = BoundaryDataSpec(sigma=sigma, e_modes=((1, 1.0),))
-        _, _, _, lP = lift_boundary_data(bdata, coeffs, grid)
+        _, _, _, lP = lift_boundary_data(bdata, coeffs)
         d1 = lP.d1()
         expect = sigma * np.cos(np.pi * grid.x2)
         assert np.max(np.abs(d1[0] - expect)) < 1e-10   # inlet d1 trace exact
@@ -128,7 +131,7 @@ class TestLift:
         grid, _, coeffs = setup
         sigma = 1e-3
         bdata = BoundaryDataSpec(sigma=sigma, e_modes=((1, 1.0),))
-        f1s, f2s, _, lP = lift_boundary_data(bdata, coeffs, grid)
+        f1s, f2s, _, lP = lift_boundary_data(bdata, coeffs)
         analytic_l2 = coeffs.f2 - f2s
         grid_l2 = (
             lP.d11() + lP.d22() - coeffs.c0[:, None] * lP.values()
@@ -144,20 +147,35 @@ class TestLift:
 
         bdata = Bad(sigma=1e-3, e_modes=((1, 1.0),))
         with pytest.raises(InputError):
-            lift_boundary_data(bdata, coeffs, grid)
+            lift_boundary_data(bdata, coeffs)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        sigma=st.floats(0.0, 1e-2),
+        s_modes=MODE_LISTS,
+        e_modes=MODE_LISTS,
+        w_modes=MODE_LISTS,
+    )
+    def test_family_members_wall_compatible_and_lifted(self, setup, sigma, s_modes, e_modes, w_modes):
+        _, _, coeffs = setup
+        bdata = BoundaryDataSpec(sigma=sigma, s_modes=s_modes, e_modes=e_modes, w_modes=w_modes)
+        assert bdata.compatibility_defect() <= 1e-10
+        f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
+        assert np.all(np.isfinite(f1s)) and np.all(np.isfinite(f2s))
 
 
 class TestEpsSystem:
     def test_zero_forcing_zero_solution(self, setup):
         grid, _, coeffs = setup
         zero = np.zeros((grid.n_x1, grid.n_x2))
-        v, w = solve_eps_system(coeffs, zero, zero, 1e-2, grid)
+        sysm = ModeSystem(coeffs, zero, zero)
+        v, w = sysm.to_fields(*sysm.solve_banded(1e-2))
         assert v.sup_norm() == 0.0 and w.sup_norm() == 0.0
 
     def test_mode_decoupling_with_profile_coefficients(self, setup):
         grid, _, coeffs = setup
         f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
-        sysm = ModeSystem(coeffs, f1, np.zeros_like(f1), grid)
+        sysm = ModeSystem(coeffs, f1, np.zeros_like(f1))
         th, Th = sysm.solve_banded(1e-2)
         assert np.max(np.abs(th[:, 1:])) < 1e-14 * np.max(np.abs(th[:, 0]))
         assert np.max(np.abs(Th[:, 1:])) < 1e-14 * max(np.max(np.abs(Th[:, 0])), 1e-30)
@@ -165,7 +183,7 @@ class TestEpsSystem:
     def test_projection_is_projection(self, setup):
         grid, _, coeffs = setup
         zero = np.zeros((grid.n_x1, grid.n_x2))
-        sysm = ModeSystem(coeffs, zero, zero, grid)
+        sysm = ModeSystem(coeffs, zero, zero)
         Pi = sysm.Pi.astype(float)
         assert np.all(Pi * Pi == Pi)
         assert list(sysm.Pi) == [True, True, False, False, True]
@@ -192,16 +210,10 @@ class TestEpsSystem:
         with pytest.raises(NonConvergenceError, match=r"m=4: .*iterations"):
             sysm.solve_banded(grid.h1 ** 2)
 
-    def test_nonpositive_epsilon_rejected(self, setup):
-        grid, _, coeffs = setup
-        zero = np.zeros((grid.n_x1, grid.n_x2))
-        with pytest.raises(InputError):
-            solve_eps_system(coeffs, zero, zero, 0.0, grid)
-
     def test_mode0_principal_profile_degenerates_once_at_sonic(self, setup, bg):
         grid, _, coeffs = setup
         zero = np.zeros((grid.n_x1, grid.n_x2))
-        sysm = ModeSystem(coeffs, zero, zero, grid)
+        sysm = ModeSystem(coeffs, zero, zero)
         prof = sysm.C3[:, 0, 0]           # mode-0 principal coefficient
         changes = np.nonzero(np.diff(np.sign(prof)) != 0)[0]
         assert len(changes) == 1
@@ -329,7 +341,7 @@ class TestVanishingViscosity:
     def test_zero_data_short_circuit(self, setup):
         grid, _, coeffs = setup
         zero = np.zeros((grid.n_x1, grid.n_x2))
-        v, w, trace = vanishing_viscosity(coeffs, zero, zero, grid)
+        v, w, trace = vanishing_viscosity(coeffs, zero, zero)
         assert v.sup_norm() == 0.0 and w.sup_norm() == 0.0
         assert trace == []
 
@@ -338,7 +350,7 @@ class TestVanishingViscosity:
         f1 = 1e-4 * np.outer(
             np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
         )
-        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), grid, tol_eps=1e-14, cap=30)
+        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-14, cap=30)
         diffs = [t["h1_diff"] for t in trace]
         assert len(diffs) >= 4
         tail = diffs[-4:]
@@ -350,7 +362,7 @@ class TestVanishingViscosity:
         f1 = 1e-4 * np.outer(
             np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
         )
-        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), grid, tol_eps=1e-6)
+        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-6)
         assert trace[-1]["h1_diff"] <= 1e-6
 
     def test_exit_second_derivative_condition(self, setup):
@@ -360,10 +372,29 @@ class TestVanishingViscosity:
         f1 = 1e-4 * np.outer(
             np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
         )
-        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), grid, tol_eps=1e-6)
+        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-6)
         d11_exit = np.abs(v.d11()[-1])
         scale = np.max(np.abs(v.d11()))
         assert np.max(d11_exit) <= 0.05 * scale + 1e-12
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [({"eps0": -0.1}, "eps0"), ({"eps0": 0.0}, "eps0"), ({"cap": -1}, "cap")],
+        ids=["eps0_negative", "eps0_zero", "cap_negative"],
+    )
+    def test_invalid_schedule_rejected_before_zero_forcing_shortcut(self, setup, options, message):
+        grid, _, coeffs = setup
+        zero = np.zeros((grid.n_x1, grid.n_x2))
+        with pytest.raises(InputError, match=message):
+            vanishing_viscosity(coeffs, zero, zero, **options)
+
+    def test_zero_cap_returns_first_solve(self, setup):
+        grid, _, coeffs = setup
+        f1 = 1e-4 * np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
+        v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), cap=0)
+        sysm = ModeSystem(coeffs, f1, np.zeros_like(f1))
+        v0, _ = sysm.to_fields(*sysm.solve_banded(0.1))
+        assert trace == [] and np.array_equal(v.modes, v0.modes)
 
     def test_divergent_trace_detected(self, setup):
         # starting the schedule far above the resolved range makes the
@@ -373,7 +404,7 @@ class TestVanishingViscosity:
         f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
         with pytest.raises(NonConvergenceError):
             vanishing_viscosity(
-                coeffs, f1, np.zeros_like(f1), grid, eps0=1e10, tol_eps=1e-18, cap=40
+                coeffs, f1, np.zeros_like(f1), eps0=1e10, tol_eps=1e-18, cap=40
             )
 
 

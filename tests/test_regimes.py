@@ -1,6 +1,7 @@
 """Scaled-variable regime calculus: closed forms, window lengths, certification."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy.integrate import IntegrationWarning, quad
 from epnozzle import (
     GasParameters,
     InputError,
-    RegimeSearchConfig,
     alpha_profile,
     certify_regime,
     curly_F,
@@ -20,6 +20,9 @@ from epnozzle import (
     solve_background,
 )
 from epnozzle.regimes import (
+    D_MIN,
+    D_SHRINK,
+    D_START,
     KAPPA_SWITCH,
     _curly_F_closed,
     _kappa_H_direct,
@@ -190,7 +193,7 @@ class TestCertify:
     def test_scan_finds_certified_small_J(self):
         hits = []
         for J in (1.0, 1e-1, 1e-2, 1e-3):
-            rep = certify_regime(GAS14, J=J)
+            rep = certify_regime(replace(GAS14, J=J))
             if rep.certified:
                 hits.append((J, rep.d))
         assert hits, "no certified momentum density found in the scan"
@@ -224,12 +227,11 @@ class TestLambdaWindow:
         ids=["canon", "gamma1.4", "gamma2"],
     )
     def test_accuracy_across_windows(self, params):
-        cfg = RegimeSearchConfig()
         ladder = []
-        d = cfg.d_start
-        while d >= cfg.d_min:
+        d = D_START
+        while d >= D_MIN:
             ladder.append((1 - d, 1 + d))
-            d *= cfg.d_shrink
+            d *= D_SHRINK
         kmax = kappa_max(params)
         windows = ladder + [(0.9, 1.1), (0.1, 1.5), (0.5, 1.5)] + [
             (0.9, kmax * (1 - 1e-2)), (0.9, kmax * (1 - 1e-6)), (0.9, kmax)
@@ -240,7 +242,3 @@ class TestLambdaWindow:
     def test_window_beyond_orbit_rejected(self):
         with pytest.raises(InputError):
             lambda_window(0.9, kappa_max(CANON) * (1 + 1e-9), CANON)
-
-    def test_search_config_roundtrip(self):
-        cfg = RegimeSearchConfig(d_start=0.1, d_min=1e-3)
-        assert cfg.d_start == 0.1 and cfg.d_min == 1e-3
