@@ -4,9 +4,14 @@ Starting from the unperturbed state, each sweep (a) transports the inlet
 entropy along the streamlines of the current momentum field, (b) solves
 the rotational Poisson problem with the new baroclinic source, and (c)
 solves the viscosity-continued mixed-type pair with coefficients frozen
-at the current iterate, optionally damped.  The unperturbed state is an
-exact fixed point, so zero boundary data converge immediately; small data
-contract geometrically.
+at the current iterate, optionally damped.  The first sweep runs the
+whole viscosity schedule from ``eps0``; each later one resumes it 2^4
+above the viscosity at which the previous sweep stopped (one
+``mixed_solver.WarmStart`` carried across the sweeps).  Each box solve
+depends on its viscosity only, so this gives the same iterates with about
+half the box solves.  The unperturbed state is an exact fixed point, so
+zero boundary data converge immediately; small data contract
+geometrically.
 
 After convergence the sonic interface is extracted as the per-line root
 of the principal-part determinant ``a11 - a12^2``, the Mach field is
@@ -40,7 +45,7 @@ from .coefficients import (
 )
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
-from .mixed_solver import solve_linear_problem
+from .mixed_solver import WarmStart, solve_linear_problem
 from .transport import lagrangian_map, stream_function, transport_entropy
 
 DEFAULT_TOL_OUTER = 1e-9
@@ -104,7 +109,8 @@ def fixed_point_solve(
     ------
     InputError
         Missing certificate/cap violations, a damping factor ``theta``
-        outside ``(0, 1]``, invalid continuation inputs (see
+        outside ``(0, 1]``, ``max_outer < 1``, a negative or NaN
+        ``tol_outer``, invalid continuation inputs (see
         ``vanishing_viscosity``) or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
@@ -117,6 +123,10 @@ def fixed_point_solve(
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
     if not 0 < theta <= 1:
         raise InputError(f"damping factor theta must lie in (0, 1], got {theta}")
+    if max_outer < 1:
+        raise InputError(f"outer iteration budget max_outer must be at least 1, got {max_outer}")
+    if not tol_outer >= 0:
+        raise InputError(f"outer tolerance tol_outer must be nonnegative, got {tol_outer}")
     if not override_certificate:
         if certificate is None or not getattr(certificate, "certified", False):
             raise InputError(
@@ -137,6 +147,7 @@ def fixed_point_solve(
     converged = False
     iterations = 0
     growth_streak = 0
+    warm = WarmStart()
 
     for it in range(1, max_outer + 1):
         iterations = it
@@ -154,7 +165,7 @@ def fixed_point_solve(
 
         psi_new, Psi_new, phi_new, _, _ = solve_linear_problem(
             T_new, state, bdata, prof, d0,
-            eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink,
+            eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink, warm=warm,
         )
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
         new_state = state.blend(update, theta_cur)

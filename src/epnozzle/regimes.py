@@ -31,7 +31,7 @@ about 1e-13.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -174,19 +174,6 @@ def alpha_profile(kappa_grid, kappa0: float, kappaL: float, params: GasParameter
     return vals, float(np.min(vals))
 
 
-def alpha_sonic_limit(params: GasParameters, eta: float) -> float:
-    """Vanishing-window limit of ``alpha`` at kappa = 1.
-
-    ``h0^-eta J^((2-gamma+2 eta)/(gamma+1)) (h0^-1.5 sqrt((gamma+1)(1-1/zeta0))/2
-    - 2 h0^-(2+eta) J^((2 eta-gamma)/(gamma+1)))``.
-    """
-    J, g, h0, z = params.J, params.gamma, params.h0, params.zeta0
-    return h0 ** (-eta) * J ** ((2 - g + 2 * eta) / (g + 1)) * (
-        0.5 * h0 ** -1.5 * np.sqrt((g + 1) * (1 - 1 / z))
-        - (2.0 / h0 ** (2 + eta)) * J ** ((2 * eta - g) / (g + 1))
-    )
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Outcome of a per-J admissibility certificate."""
@@ -199,7 +186,7 @@ class RegimeReport:
     alpha_min: float
     L: float
     certified: bool
-    J: float = field(default=float("nan"))
+    J: float
 
     def to_dict(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite.
 
-Quadrature and RK routes for the background, the dense integral-equation
+Quadrature and RK routes for the background, the closed-form sonic limit
+of the regime function ``alpha``, the dense integral-equation
 solve of the Galerkin mode system, the RK4 streamline tracer and the
 advective residual of transported fields.
 """
@@ -30,6 +31,19 @@ def defining_flux_ratio(u, H, params):
     """Raw defining ratio of the flux, ``u^gamma sqrt(2 H) / |u^(gamma+1) - u_s^(gamma+1)|``, at ``H = H(u)``."""
     g, us = params.gamma, params.u_s
     return u ** g * np.sqrt(2.0 * H) / np.abs(u ** (g + 1) - us ** (g + 1))
+
+
+def alpha_sonic_limit(params, eta: float) -> float:
+    """Vanishing-window limit of ``regimes.alpha_profile`` at kappa = 1.
+
+    ``h0^-eta J^((2-gamma+2 eta)/(gamma+1)) (h0^-1.5 sqrt((gamma+1)(1-1/zeta0))/2
+    - 2 h0^-(2+eta) J^((2 eta-gamma)/(gamma+1)))``.
+    """
+    J, g, h0, z = params.J, params.gamma, params.h0, params.zeta0
+    return h0 ** (-eta) * J ** ((2 - g + 2 * eta) / (g + 1)) * (
+        0.5 * h0 ** -1.5 * np.sqrt((g + 1) * (1 - 1 / z))
+        - (2.0 / h0 ** (2 + eta)) * J ** ((2 * eta - g) / (g + 1))
+    )
 
 
 def rk_station_events(params, u0, rtol=1e-12, max_step=np.inf, dstop=1e-7):

@@ -40,6 +40,7 @@ from epnozzle import (
 )
 from epnozzle.background import _H_closed
 from epnozzle.driver import interior_mask
+from epnozzle.mixed_solver import WARM_START_OCTAVES
 from epnozzle.regimes import _kappa_H_direct, kappa_H_sonic
 from epnozzle.transport import lagrangian_map, stream_function
 
@@ -91,10 +92,26 @@ def zero_run(bg_std, grid_std):
 
 
 @pytest.fixture(scope="module")
-def std_run(bg_std, grid_std, bdata_std):
+def std_counted(bg_std, grid_std, bdata_std):
+    """The standard run and the viscosity of each of its box solves, in order."""
     # tol_eps pinned low so compared runs share the viscosity depth
     bg, _ = bg_std
-    return fixed_point_solve(bg, bdata_std, grid_std, override_certificate=True, tol_eps=1e-9)
+    calls = []
+    solve = ModeSystem.solve_banded
+
+    def counted(self, eps):
+        calls.append(eps)
+        return solve(self, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ModeSystem, "solve_banded", counted)
+        out = fixed_point_solve(bg, bdata_std, grid_std, override_certificate=True, tol_eps=1e-9)
+    return out, calls
+
+
+@pytest.fixture(scope="module")
+def std_run(std_counted):
+    return std_counted[0]
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +294,22 @@ def test_criterion_09_eps_continuation(std_run):
             assert diffs[-1] <= 1e-6
             tail = diffs[-4:]
             assert all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
+
+
+def test_eps_continuation_warm_starts(std_counted):
+    # iterates 2-4 resume their schedule 2^4 above the previous stop eps
+    # (absolute trace index k), so the run makes 31 box solves, not 64
+    out, calls = std_counted
+    first_k, last_k = {}, {}
+    for entry in out.eps_trace:
+        first_k.setdefault(entry["iterations"], entry["k"])
+        last_k[entry["iterations"]] = entry["k"]
+    assert out.iterations == 4 and first_k[1] == 1
+    for it in (2, 3, 4):
+        assert first_k[it] - 1 == last_k[it - 1] - WARM_START_OCTAVES > 0
+    starts = [eps for i, eps in enumerate(calls) if i == 0 or eps > calls[i - 1]]
+    assert starts == [0.1] + [0.1 * 0.5 ** (first_k[it] - 1) for it in (2, 3, 4)]
+    assert len(calls) == 31 and len(out.eps_trace) == 27
 
 
 def test_criterion_10_linear_response(std_run, half_run):

@@ -289,6 +289,24 @@ class TestExitCodes:
         rc = main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("solver.max_outer = 0", "max_outer"),
+            ("tol.outer = -1", "tol_outer"),
+            ("tol.outer = nan", "tol_outer"),
+        ],
+        ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan"],
+    )
+    def test_outer_input_exit_code(self, tmp_path, capsys, line, message):
+        # rejected before any sweep runs, not reported as non-convergence
+        cfgp = tmp_path / "outer.cfg"
+        cfgp.write_text(BASE_CONFIG.replace("tol.outer = 1e-09", "") + line + "\n")
+        rc = main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and message in error["message"]
+
 
 class TestSweep:
     def test_empty_values_empty_table(self, cfg_file, tmp_path):

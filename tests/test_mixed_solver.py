@@ -25,7 +25,15 @@ from epnozzle import (
     solve_linear_problem,
     vanishing_viscosity,
 )
-from epnozzle.mixed_solver import BAND_L, BAND_U, GMRES_RESTART, _gmres, energy_sign_audit
+from epnozzle.mixed_solver import (
+    BAND_L,
+    BAND_U,
+    GMRES_RESTART,
+    WARM_START_OCTAVES,
+    WarmStart,
+    _gmres,
+    energy_sign_audit,
+)
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 # boundary-data mode lists: mode numbers 1..8, coefficients in [-1, 1]
@@ -50,6 +58,27 @@ def setup(bg):
     d0 = default_d0(prof)
     coeffs = assemble_coefficients(FlowState.zeros(grid), prof, d0)
     return grid, d0, coeffs
+
+
+def _bump(grid, amp=1e-4):
+    """Gaussian bump forcing of the psi equation centred in the domain."""
+    return amp * np.outer(
+        np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
+    )
+
+
+@pytest.fixture
+def box_solves(monkeypatch):
+    """The viscosities of every box solve made during the test, in order."""
+    calls = []
+    solve = ModeSystem.solve_banded
+
+    def counted(self, eps):
+        calls.append(eps)
+        return solve(self, eps)
+
+    monkeypatch.setattr(ModeSystem, "solve_banded", counted)
+    return calls
 
 
 def _oracle_system(bg, n_x1, m, amp):
@@ -347,9 +376,7 @@ class TestVanishingViscosity:
 
     def test_trace_eventually_decreasing_with_bump(self, setup):
         grid, _, coeffs = setup
-        f1 = 1e-4 * np.outer(
-            np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
-        )
+        f1 = _bump(grid)
         v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-14, cap=30)
         diffs = [t["h1_diff"] for t in trace]
         assert len(diffs) >= 4
@@ -359,9 +386,7 @@ class TestVanishingViscosity:
 
     def test_returned_solution_at_tolerance(self, setup):
         grid, _, coeffs = setup
-        f1 = 1e-4 * np.outer(
-            np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
-        )
+        f1 = _bump(grid)
         v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-6)
         assert trace[-1]["h1_diff"] <= 1e-6
 
@@ -369,9 +394,7 @@ class TestVanishingViscosity:
         # the imposed d11 v = 0 exit row holds for the returned field up to
         # the consistency error of the one-sided evaluation stencil
         grid, _, coeffs = setup
-        f1 = 1e-4 * np.outer(
-            np.exp(-(((grid.x1 - grid.L / 2) / (grid.L / 6)) ** 2)), np.ones(grid.n_x2)
-        )
+        f1 = _bump(grid)
         v, w, trace = vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-6)
         d11_exit = np.abs(v.d11()[-1])
         scale = np.max(np.abs(v.d11()))
@@ -398,14 +421,111 @@ class TestVanishingViscosity:
 
     def test_divergent_trace_detected(self, setup):
         # starting the schedule far above the resolved range makes the
-        # consecutive differences grow for many steps (solution ~ 1/eps),
-        # which must trip either the trace detector or the energy guard
+        # consecutive differences grow for many steps (solution ~ 1/eps);
+        # the energy grows only 2x per step, so the trace guard fires first
         grid, d0, coeffs = setup
         f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match="non-decreasing over 5"):
             vanishing_viscosity(
                 coeffs, f1, np.zeros_like(f1), eps0=1e10, tol_eps=1e-18, cap=40
             )
+
+    def test_energy_blowup_detected(self, setup, monkeypatch):
+        # one solve 1e4 times too large trips the energy guard, not the trace one
+        grid, _, coeffs = setup
+        f1 = _bump(grid)
+        solve = ModeSystem.solve_banded
+
+        def spoiled(self, eps):
+            theta, Theta = solve(self, eps)
+            return (1e4 * theta, Theta) if eps == 0.1 * 0.5 ** 3 else (theta, Theta)
+
+        monkeypatch.setattr(ModeSystem, "solve_banded", spoiled)
+        with pytest.raises(NonConvergenceError, match="energy blow-up at eps=0.0125"):
+            vanishing_viscosity(coeffs, f1, np.zeros_like(f1), tol_eps=1e-9)
+
+
+class TestWarmStart:
+    """A continuation resumed ``WARM_START_OCTAVES`` halvings above the last stop."""
+
+    def test_warm_start_bit_identical(self, setup, box_solves):
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        carrier = WarmStart()
+        v0, w0, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        k_stop = trace0[-1]["k"]
+        assert trace0[0]["k"] == 1 and k_stop > WARM_START_OCTAVES
+        assert carrier.k == k_stop - WARM_START_OCTAVES and carrier.energy_ref > 0
+        full_solves = len(box_solves)
+        assert full_solves == k_stop + 1
+        energy_ref = carrier.energy_ref
+
+        v, w, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        assert np.array_equal(v.modes, v0.modes) and np.array_equal(w.modes, w0.modes)
+        assert trace == trace0[-WARM_START_OCTAVES:]
+        assert box_solves[full_solves:] == [
+            0.1 * 0.5 ** k for k in range(k_stop - WARM_START_OCTAVES, k_stop + 1)
+        ]
+        # the carrier is unchanged: same stop, and the reference stays the eps0 energy
+        assert carrier == WarmStart(k_stop - WARM_START_OCTAVES, energy_ref)
+
+    def test_schedule_goes_on_past_the_old_stop(self, setup):
+        # a start carried from a looser stop continues to the new stop,
+        # with the same floor and cap rules as the full schedule
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        carrier = WarmStart()
+        _, _, loose = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-6, warm=carrier)
+        k_start = carrier.k
+        assert k_start == loose[-1]["k"] - WARM_START_OCTAVES > 0
+        v0, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9)
+        v, _, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        assert trace == [t for t in trace0 if t["k"] > k_start]
+        assert trace[-1]["k"] > loose[-1]["k"]
+        assert np.array_equal(v.modes, v0.modes)
+
+    def test_energy_guard_keeps_eps0_reference(self, setup):
+        # the warm start's own first energy would pass; the carried one does not
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        with pytest.raises(NonConvergenceError, match="energy blow-up at eps=0.0125"):
+            vanishing_viscosity(coeffs, f1, f2, warm=WarmStart(3, 1e-12))
+
+    def test_rising_warm_trace_redone_from_eps0(self, setup, box_solves):
+        # from eps0 = 0.2 the differences rise from k = 2 to k = 3, so a start
+        # at k = 1 is abandoned and the full schedule decides (and succeeds)
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        full = WarmStart()
+        v0, w0, trace0 = vanishing_viscosity(coeffs, f1, f2, eps0=0.2, tol_eps=1e-9, warm=full)
+        assert trace0[2]["h1_diff"] >= trace0[1]["h1_diff"]
+        n_full = len(box_solves)
+        seen = []
+        carrier = WarmStart(1, full.energy_ref)
+        v, w, trace = vanishing_viscosity(
+            coeffs, f1, f2, eps0=0.2, tol_eps=1e-9, trace_sink=seen.append, warm=carrier
+        )
+        assert np.array_equal(v.modes, v0.modes) and np.array_equal(w.modes, w0.modes)
+        assert trace == trace0 and carrier == full
+        # the sink saw the abandoned entries (k = 2, 3) before the full schedule's
+        assert seen == trace0[1:3] + trace0
+        assert len(box_solves) == 2 * n_full + 3
+
+    def test_rising_warm_trace_redo_can_fail(self, setup, box_solves):
+        # far above the resolved range the full schedule's trace guard fires
+        grid, _, coeffs = setup
+        f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
+        f2 = np.zeros_like(f1)
+        first = WarmStart()
+        vanishing_viscosity(coeffs, f1, f2, eps0=1e10, cap=0, warm=first)
+        seen = []
+        with pytest.raises(NonConvergenceError, match="non-decreasing over 5"):
+            vanishing_viscosity(
+                coeffs, f1, f2, eps0=1e10, tol_eps=1e-18, cap=40, trace_sink=seen.append,
+                warm=WarmStart(5, first.energy_ref),
+            )
+        assert [t["k"] for t in seen] == [6, 7, 1, 2, 3, 4, 5, 6]
+        assert box_solves[1:] == [1e10 * 0.5 ** k for k in (5, 6, 7, 0, 1, 2, 3, 4, 5, 6)]
 
 
 class TestSolveLinearProblem:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from oracles import alpha_sonic_limit
+
 from epnozzle import (
     GasParameters,
     InputError,
@@ -26,7 +28,6 @@ from epnozzle.regimes import (
     KAPPA_SWITCH,
     _curly_F_closed,
     _kappa_H_direct,
-    alpha_sonic_limit,
     kappa_H_sonic,
     kappa_max,
     lambda_window,
