@@ -55,6 +55,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InputError, InternalError
+from .fields import write_csv_table
 
 # Adaptive quadrature tolerances used throughout (Gauss-Kronrod style).
 QUAD_ABS_TOL = 1e-12
@@ -537,11 +538,8 @@ class BackgroundSolution:
 
     def write_csv(self, path) -> None:
         """Profile CSV with header ``x1,u1,E,rho,Phi,phi_pot``."""
-        cols = [self.x1_nodes, self.u1, self.E, self.rho, self.Phi, self.phi_pot]
-        with open(path, "w") as fh:
-            fh.write("x1,u1,E,rho,Phi,phi_pot\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv_table(path, "x1,u1,E,rho,Phi,phi_pot",
+                        (self.x1_nodes, self.u1, self.E, self.rho, self.Phi, self.phi_pot))
 
     def write_summary(self, path) -> None:
         with open(path, "w") as fh:

@@ -20,7 +20,7 @@ from .boundary import BoundaryDataSpec
 from .config import RunConfig, load_config, with_overrides
 from .driver import SolveOutcome, fixed_point_solve
 from .errors import InputError, SolverError
-from .fields import Grid, write_grid_csv
+from .fields import Grid, write_csv_table, write_grid_csv
 from .regimes import certify_regime, write_alpha_csv
 from . import regimes as regimes_mod
 
@@ -114,10 +114,8 @@ def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:
             ("M", outcome.mach),
         ):
             write_grid_csv(fdir / f"{name}.csv", values, grid)
-    with open(out_dir / "sonic_interface.csv", "w") as fh2:
-        fh2.write("x2,g_s\n")
-        for x2, gsv in zip(outcome.sonic_x2, outcome.sonic_interface):
-            fh2.write(f"{x2:.17g},{gsv:.17g}\n")
+    write_csv_table(out_dir / "sonic_interface.csv", "x2,g_s",
+                    (outcome.sonic_x2, outcome.sonic_interface))
     summary = {
         "parameters": {
             "gamma": params.gamma,
@@ -161,6 +159,8 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
     """
     if axis not in ("J", "sigma", "d"):
         raise InputError(f"unknown sweep axis {axis!r}")
+    if len(set(values)) != len(values):
+        raise InputError(f"repeated sweep values {list(values)}: rows would share an output directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     base_params = gas_from_config(cfg)
@@ -269,7 +269,10 @@ def main(argv=None) -> int:
         if args.command == "solve":
             run(cfg, out_dir)
             return 0
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise InputError(f"bad --values {args.values!r}: {exc}") from None
         sweep(cfg, args.axis, values, out_dir)
         return 0
     except SolverError as exc:

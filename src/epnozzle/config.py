@@ -9,6 +9,7 @@ an identity on the typed configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import InputError
@@ -86,6 +87,8 @@ class RunConfig:
                 raise InputError("provide exactly one of background.u0 and window.kappa0")
             if len(exit_) != 1:
                 raise InputError("provide exactly one of domain.L and window.kappaL")
+        if not math.isfinite(self.sigma):
+            raise InputError(f"boundary.sigma must be finite, got {self.sigma}")
         return self
 
 

@@ -108,9 +108,9 @@ def fixed_point_solve(
     Raises
     ------
     InputError
-        Missing certificate/cap violations, a damping factor ``theta``
-        outside ``(0, 1]``, ``max_outer < 1``, a negative or NaN
-        ``tol_outer``, invalid continuation inputs (see
+        Missing certificate/cap violations (a NaN sigma violates the cap),
+        a damping factor ``theta`` outside ``(0, 1]``, ``max_outer < 1``, a
+        negative or NaN ``tol_outer``, invalid continuation inputs (see
         ``vanishing_viscosity``) or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
@@ -134,7 +134,7 @@ def fixed_point_solve(
                 "override_certificate=True to proceed anyway"
             )
     cap = default_sigma_cap(bg) if sigma_cap is None else sigma_cap
-    if abs(bdata.sigma) > cap:
+    if not abs(bdata.sigma) <= cap:
         raise InputError(f"boundary amplitude sigma={bdata.sigma} exceeds cap {cap}")
     prof = background_profile(bg, grid)
     if d0 is None:
@@ -226,28 +226,33 @@ def sonic_interface(coeffs: CoefficientSet, root_tol: float = 1e-12):
     interpolant of the determinant profile.  Brent's ``xtol`` is
     ``min(root_tol, 1e-10)``, so a ``root_tol`` (config ``tol.root``) above
     1e-10 has no effect.
+
+    All lines share one column-wise PCHIP over the stations around their
+    crossing cells.  PCHIP is local (a cell's cubic reads one node before
+    it to two after it), so on the cells a root search reaches each line
+    gets bit for bit the cubic of its own full-length interpolant.
     """
     g = coeffs.grid
     det = coeffs.det_principal()
-    gs = np.empty(g.n_x2)
+    signs = np.sign(det)
+    changes = np.count_nonzero(np.diff(signs, axis=0), axis=0)
+    crossings = (signs[:-1] > 0) & (signs[1:] < 0)
     for j in range(g.n_x2):
-        col = det[:, j]
-        if not (col[0] > 0 > col[-1]):
+        if not (det[0, j] > 0 > det[-1, j]):
             raise InternalError(
                 f"type indicator lacks the elliptic->hyperbolic pattern on line x2={g.x2[j]:.4f}"
             )
-        signs = np.sign(col)
-        changes = np.nonzero(np.diff(signs) != 0)[0]
-        crossings = np.nonzero((signs[:-1] > 0) & (signs[1:] < 0))[0]
-        if len(changes) != 1 or len(crossings) != 1:
+        if changes[j] != 1 or np.count_nonzero(crossings[:, j]) != 1:
             raise InternalError(
-                f"type indicator changes sign {len(changes)} times on line x2={g.x2[j]:.4f}; "
-                f"profile head {col[:5]}"
+                f"type indicator changes sign {changes[j]} times on line x2={g.x2[j]:.4f}; "
+                f"profile head {det[:5, j]}"
             )
-        i = crossings[0]
-        prof = PchipInterpolator(g.x1, col)
-        gs[j] = brentq(prof, g.x1[i], g.x1[i + 1], xtol=min(root_tol, 1e-10), rtol=8.9e-16)
-    return g.x2.copy(), gs
+    cells = np.argmax(crossings, axis=0)
+    rows = slice(max(cells.min() - 2, 0), cells.max() + 4)
+    prof = PchipInterpolator(g.x1[rows], det[rows], axis=0)
+    gs = [brentq(lambda x: prof(x)[j], g.x1[i], g.x1[i + 1], xtol=min(root_tol, 1e-10), rtol=8.9e-16)
+          for j, i in enumerate(cells)]
+    return g.x2.copy(), np.array(gs)
 
 
 def mach_field(prim: dict, coeffs: CoefficientSet, gs: np.ndarray):

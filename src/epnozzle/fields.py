@@ -26,29 +26,27 @@ import scipy.sparse as sp
 from .errors import InputError
 
 
+def _difference_matrix(n: int, end, offsets, weights, odd: bool) -> sp.csr_matrix:
+    """CSR matrix: the centred ``weights`` at ``offsets`` on rows 1..n-2, the
+    one-sided ``end`` weights on row 0 and their mirror image (negated if
+    ``odd``) on row n-1."""
+    k, q = len(end), len(offsets)
+    data = np.concatenate([end, np.tile(weights, n - 2), -end[::-1] if odd else end[::-1]])
+    centred = (np.arange(1, n - 1)[:, None] + offsets).ravel()
+    indices = np.concatenate([np.arange(k), centred, np.arange(n - k, n)])
+    indptr = np.concatenate([[0], k + q * np.arange(n - 1), [2 * k + q * (n - 2)]])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def d1_matrix(n: int, h: float) -> sp.csr_matrix:
     """Second-order first-derivative matrix (central, one-sided at the ends)."""
-    D = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1], D[i, i + 1] = -0.5 / h, 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D.tocsr()
+    return _difference_matrix(n, np.array([-1.5, 2.0, -0.5]) / h, (-1, 1), np.array([-0.5, 0.5]) / h, odd=True)
 
 
 def d2_matrix(n: int, h: float) -> sp.csr_matrix:
     """Second-order second-derivative matrix (compact central, one-sided ends)."""
-    D = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1], D[i, i], D[i, i + 1] = 1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2
-    D[0, 0], D[0, 1], D[0, 2], D[0, 3] = 2 / h ** 2, -5 / h ** 2, 4 / h ** 2, -1 / h ** 2
-    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3], D[n - 1, n - 4] = (
-        2 / h ** 2,
-        -5 / h ** 2,
-        4 / h ** 2,
-        -1 / h ** 2,
-    )
-    return D.tocsr()
+    end, centred = np.array([2.0, -5.0, 4.0, -1.0]) / h ** 2, np.array([1.0, -2.0, 1.0]) / h ** 2
+    return _difference_matrix(n, end, (-1, 0, 1), centred, odd=False)
 
 
 class Grid:
@@ -236,9 +234,16 @@ def grid_d2_parity_split(values: np.ndarray, grid: Grid) -> np.ndarray:
     return d_even + d_odd
 
 
+def write_csv_table(path, header: str, columns) -> None:
+    """CSV of the float columns (1-D or 2-D arrays, stacked side by side)
+    under ``header``, each value as ``%.17g``, formatted and written at once."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
+
+
 def write_grid_csv(path, field_values: np.ndarray, grid: Grid) -> None:
     """Matrix CSV: one row per station, header carries the x2 nodes."""
-    with open(path, "w") as fh:
-        fh.write("x1," + ",".join(f"x2={v:.17g}" for v in grid.x2) + "\n")
-        for x, row in zip(grid.x1, field_values):
-            fh.write(f"{x:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    header = "x1," + ",".join(["x2=%.17g" % v for v in grid.x2.tolist()])
+    write_csv_table(path, header, (grid.x1, field_values))

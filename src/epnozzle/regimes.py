@@ -40,6 +40,7 @@ from .background import KAPPA_SWITCH, QUAD_ABS_TOL, QUAD_REL_TOL, GasParameters,
 from .background import NEAR_MAX_SWITCH, _gl_panels, _orbit_s_integrand
 from .background import _curly_F_closed, _kappa_H_direct, kappa_H_sonic  # noqa: F401  (re-exported)
 from .errors import InputError
+from .fields import write_csv_table
 
 # Gauss-Legendre panels per piece of a lambda window.
 _LAMBDA_PANELS = 4
@@ -266,7 +267,4 @@ def certify_regime(params: GasParameters) -> RegimeReport:
 
 def write_alpha_csv(path, kappa_grid, alpha_values) -> None:
     """Optional alpha-profile CSV (columns kappa, alpha)."""
-    with open(path, "w") as fh:
-        fh.write("kappa,alpha\n")
-        for k, a in zip(kappa_grid, alpha_values):
-            fh.write(f"{k:.17g},{a:.17g}\n")
+    write_csv_table(path, "kappa,alpha", (kappa_grid, alpha_values))

@@ -2,13 +2,16 @@
 
 Quadrature and RK routes for the background, the closed-form sonic limit
 of the regime function ``alpha``, the dense integral-equation
-solve of the Galerkin mode system, the RK4 streamline tracer and the
-advective residual of transported fields.
+solve of the Galerkin mode system, the RK4 streamline tracer, the
+advective residual of transported fields, the per-row difference-matrix
+construction, the per-line sonic root and the per-value CSV writer.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import PchipInterpolator, RectBivariateSpline
+from scipy.optimize import brentq
 
 from epnozzle import flux_F, u_max_root
 
@@ -209,3 +212,40 @@ def dense_box_system(system, eps: float):
         for r, c in ((0, 0), (1, 1), (2, 4), (N - 2, N - 3), (N - 1, N - 2)):
             A[k * N + r, k * N + c] = 1.0
     return A, rhs
+
+
+def lil_d1_matrix(n: int, h: float) -> sp.csr_matrix:
+    """First-derivative matrix filled row by row in LIL form, then converted."""
+    D = sp.lil_matrix((n, n))
+    for i in range(1, n - 1):
+        D[i, i - 1], D[i, i + 1] = -0.5 / h, 0.5 / h
+    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3] = 1.5 / h, -2.0 / h, 0.5 / h
+    return D.tocsr()
+
+
+def lil_d2_matrix(n: int, h: float) -> sp.csr_matrix:
+    """Second-derivative matrix filled row by row in LIL form, then converted."""
+    D = sp.lil_matrix((n, n))
+    for i in range(1, n - 1):
+        D[i, i - 1], D[i, i], D[i, i + 1] = 1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2
+    D[0, 0], D[0, 1], D[0, 2], D[0, 3] = 2 / h ** 2, -5 / h ** 2, 4 / h ** 2, -1 / h ** 2
+    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3], D[n - 1, n - 4] = (
+        2 / h ** 2, -5 / h ** 2, 4 / h ** 2, -1 / h ** 2,
+    )
+    return D.tocsr()
+
+
+def per_value_csv(header: str, rows) -> str:
+    """CSV text with every value formatted on its own as ``f"{v:.17g}"``."""
+    return header + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+def per_line_sonic_roots(x1, det, xtol: float) -> np.ndarray:
+    """Root of each column of ``det`` by Brent's method on its own PCHIP
+    interpolant, bracketed by the column's single ``+ -> -`` sign change."""
+    roots = []
+    for col in det.T:
+        i = np.nonzero((col[:-1] > 0) & (col[1:] < 0))[0][0]
+        roots.append(brentq(PchipInterpolator(x1, col), x1[i], x1[i + 1], xtol=xtol, rtol=8.9e-16))
+    return np.array(roots)

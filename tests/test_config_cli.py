@@ -118,6 +118,13 @@ class TestConfig:
         with pytest.raises(InputError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InputError, match="boundary.sigma"):
+            parse_config(BASE_CONFIG.replace("boundary.sigma = 5e-05", f"boundary.sigma = {sigma}"))
+        with pytest.raises(InputError, match="boundary.sigma"):
+            with_overrides(parse_config(BASE_CONFIG), sigma=float(sigma))
+
     def test_missing_gas_key_rejected(self):
         text = "\n".join(
             line for line in BASE_CONFIG.splitlines() if not line.startswith("gas.gamma")
@@ -307,6 +314,13 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and message in error["message"]
 
+    def test_non_finite_scale_sigma_exit_code(self, cfg_file, tmp_path, capsys):
+        rc = main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--scale-sigma", "nan"])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and "boundary.sigma" in error["message"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweep:
     def test_empty_values_empty_table(self, cfg_file, tmp_path):
@@ -342,3 +356,24 @@ class TestSweep:
         assert not rows[0]["certified"]          # J = 1 not certified
         certified = [r for r in rows if r["certified"]]
         assert any(r["value"] <= 1e-2 for r in certified)
+
+    @pytest.mark.parametrize("values, message", [("1e-3,abc", "--values"), ("2e-3,2e-3", "repeated")],
+                             ids=["not_a_number", "repeated"])
+    def test_bad_values_exit_code(self, cfg_file, tmp_path, capsys, values, message):
+        out = tmp_path / "bad"
+        rc = main(["sweep", "--config", str(cfg_file), "--axis", "J", "--values", values, "--out", str(out)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and message in error["message"]
+        assert not out.exists()
+
+    def test_repeated_values_rejected_before_any_row(self, tmp_path):
+        # 2e-3 and 0.002 are one float, so both rows would write row_J_0.002
+        with pytest.raises(InputError, match="repeated"):
+            sweep(parse_config(BASE_CONFIG), "J", [2e-3, 1e-3, 0.002], tmp_path / "dup")
+        assert not (tmp_path / "dup").exists()
+
+    def test_non_finite_sigma_row_recorded(self, tmp_path):
+        rows = sweep(parse_config(BASE_CONFIG), "sigma", [float("nan")], tmp_path / "nan_row")
+        assert rows[0]["error"].startswith("InputError") and "boundary.sigma" in rows[0]["error"]
+        assert not rows[0]["converged"]

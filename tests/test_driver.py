@@ -1,7 +1,10 @@
 """Outer fixed point, interface extraction, Mach classification, primitives."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from oracles import per_line_sonic_roots
 
 from epnozzle import (
     AdmissibilityError,
@@ -10,6 +13,7 @@ from epnozzle import (
     GasParameters,
     Grid,
     InputError,
+    InternalError,
     assemble_coefficients,
     background_profile,
     certify_regime,
@@ -68,10 +72,12 @@ class TestPreconditions:
         out = fixed_point_solve(bg, BoundaryDataSpec.zero(), grid, certificate=Cert())
         assert out.converged
 
-    def test_sigma_cap(self, bg, grid):
+    # a NaN amplitude fails every comparison, so the cap test must be written to catch it
+    @pytest.mark.parametrize("factor", [2.0, np.nan, np.inf, -np.inf], ids=["twice_cap", "nan", "inf", "-inf"])
+    def test_sigma_cap(self, bg, grid, factor):
         cap = default_sigma_cap(bg)
-        bdata = BoundaryDataSpec(sigma=2 * cap, s_modes=((1, 1.0),))
-        with pytest.raises(InputError):
+        bdata = BoundaryDataSpec(sigma=factor * cap, s_modes=((1, 1.0),))
+        with pytest.raises(InputError, match="sigma"):
             fixed_point_solve(bg, bdata, grid, override_certificate=True)
 
     def test_domain_longer_than_l_max_rejected(self, bg):
@@ -216,6 +222,33 @@ class TestPerturbedRun:
         for j in (0, grid.n_x2 // 2, grid.n_x2 - 1):
             prof = PchipInterpolator(grid.x1, det[:, j])
             assert abs(prof(std_run.sonic_interface[j])) <= 1e-9
+        # every line's root is bit for bit that of its own per-line interpolant
+        oracle = per_line_sonic_roots(grid.x1, det, xtol=1e-12)
+        assert np.array_equal(std_run.sonic_interface, oracle)
+
+    @pytest.mark.parametrize("first_cell", [0, -4], ids=["inlet_cells", "exit_cells"])
+    def test_interface_roots_in_end_cells(self, grid, first_cell):
+        # crossings in the first or the last three cells put the shared
+        # interpolant's station window against one end of the domain
+        x = grid.x1
+        first_cell %= grid.n_x1
+        roots = np.linspace(x[first_cell] + 0.3 * grid.h1, x[first_cell + 2] + 0.7 * grid.h1, grid.n_x2)
+        det = (roots - x[:, None]) * (1.0 + x[:, None] ** 2 + roots)
+        coeffs = SimpleNamespace(grid=grid, det_principal=lambda: det)
+        _, gs = sonic_interface(coeffs)
+        assert np.array_equal(gs, per_line_sonic_roots(x, det, xtol=1e-12))
+        assert np.max(np.abs(gs - roots)) <= grid.h1 ** 2
+
+    @pytest.mark.parametrize("line, message", [
+        (lambda x: 1.0 + x, "lacks the elliptic->hyperbolic pattern"),
+        (lambda x: np.cos(5 * np.pi * x / x[-1]) + 0.01, "changes sign 5 times"),
+    ], ids=["no_crossing", "five_crossings"])
+    def test_interface_rejects_bad_type_pattern(self, grid, line, message):
+        # every other line crosses once, inside the middle cell
+        det = np.outer(0.502 - grid.x1 / grid.L, np.ones(grid.n_x2))
+        det[:, 3] = line(grid.x1)
+        with pytest.raises(InternalError, match=f"{message} on line x2={grid.x2[3]:.4f}"):
+            sonic_interface(SimpleNamespace(grid=grid, det_principal=lambda: det))
 
     def test_mach_classification_consistency(self, std_run):
         assert std_run.classification_mismatches == 0

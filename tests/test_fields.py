@@ -1,11 +1,17 @@
-"""Spectral representation: round trips, quadrature exactness, differentiation."""
+"""Spectral representation: round trips, quadrature exactness, differentiation, CSV tables."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import lil_d1_matrix, lil_d2_matrix, per_value_csv
 
-from epnozzle import Field2D, Grid, InputError
+from epnozzle import Field2D, GasParameters, Grid, InputError, solve_background
+from epnozzle.fields import d1_matrix, d2_matrix, write_csv_table, write_grid_csv
+from epnozzle.regimes import write_alpha_csv
 
 GRID = Grid(L=0.6, n_x1=41, m=8)
 
@@ -134,3 +140,62 @@ class TestParitySplitDerivative:
         )
         got = grid_d2_parity_split(vals, GRID)
         assert np.max(np.abs(got - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("n, h", [(9, 0.1), (10, 3.0), (151, 1.3 / 150), (401, 0.7 / 400)])
+def test_difference_matrices_match_row_by_row_construction(n, h):
+    for new, old in ((d1_matrix(n, h), lil_d1_matrix(n, h)), (d2_matrix(n, h), lil_d2_matrix(n, h))):
+        assert new.format == "csr" and new.shape == old.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(new, part), getattr(old, part)), part
+
+
+class TestCsvNumberContract:
+    """Every table writer emits the bytes of per-value ``f"{v:.17g}"`` formatting."""
+
+    # signed zeros, both sides of the ``g`` exponent switches, the smallest
+    # subnormal, non-finite values and ordinary values needing 17 digits
+    SPECIAL = np.array([0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17, 5e-324, np.nan, np.inf, -np.inf,
+                        1.0 / 3.0, -2.5e-300, 123456789.12345678, 0.1 + 0.2])
+
+    def columns(self, k):
+        return [np.roll(self.SPECIAL, i) for i in range(k)]
+
+    def test_oracle_formats_numpy_scalars_like_floats(self):
+        rows = list(zip(*self.columns(3)))
+        assert isinstance(rows[0][0], np.float64)
+        as_floats = [[float(v) for v in row] for row in rows]
+        assert per_value_csv("a,b,c", rows) == per_value_csv("a,b,c", as_floats)
+
+    def test_table_writer(self, tmp_path):
+        cols = self.columns(2)
+        path = tmp_path / "t.csv"
+        write_csv_table(path, "x2,g_s", cols)
+        assert path.read_text() == per_value_csv("x2,g_s", zip(*cols))
+        # lists of numpy scalars are accepted as columns too
+        write_csv_table(path, "x2,g_s", [list(c) for c in cols])
+        assert path.read_text() == per_value_csv("x2,g_s", zip(*cols))
+
+    def test_grid_writer(self, tmp_path):
+        grid = SimpleNamespace(x1=self.SPECIAL[::-1].copy(), x2=self.SPECIAL)
+        values = np.stack(self.columns(len(self.SPECIAL)), axis=1)
+        path = tmp_path / "f.csv"
+        write_grid_csv(path, values, grid)
+        header = "x1," + ",".join(f"x2={v:.17g}" for v in grid.x2)
+        assert path.read_text() == per_value_csv(header, ((x, *row) for x, row in zip(grid.x1, values)))
+
+    def test_background_writer(self, tmp_path):
+        bg = solve_background(GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0), 0.9, resolution=101)
+        names = ("x1_nodes", "u1", "E", "rho", "Phi", "phi_pot")
+        special = dataclasses.replace(bg, **dict(zip(names, self.columns(6))))
+        path = tmp_path / "background.csv"
+        for solution in (bg, special):
+            solution.write_csv(path)
+            cols = [getattr(solution, name) for name in names]
+            assert path.read_text() == per_value_csv("x1,u1,E,rho,Phi,phi_pot", zip(*cols))
+
+    def test_alpha_writer(self, tmp_path):
+        kappa, alpha = self.columns(2)
+        path = tmp_path / "alpha.csv"
+        write_alpha_csv(path, kappa, alpha)
+        assert path.read_text() == per_value_csv("kappa,alpha", zip(kappa, alpha))
