@@ -47,19 +47,15 @@ and the velocity potential by the same quadrature with an extra factor
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import InputError, InternalError
 from .fields import write_csv_table
-
-# Adaptive quadrature tolerances used throughout (Gauss-Kronrod style).
-QUAD_ABS_TOL = 1e-12
-QUAD_REL_TOL = 1e-10
+from .numerics import brentq
 
 # Inside |kappa - 1| < KAPPA_SWITCH (kappa = u / u_s) the sonic function
 # switches from its defining ratio to its Taylor form.
@@ -132,6 +128,10 @@ class GasParameters:
             raise InputError(f"S0 must be positive, got {self.S0}")
         if self.E0 is not None and not self.E0 < 0:
             raise InputError(f"E0 must be negative, got {self.E0}")
+        for name in ("gamma", "zeta0", "J", "S0", "E0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
 
     @property
     def u_s(self) -> float:
@@ -291,21 +291,19 @@ def _orbit_s_integrand(s, params: GasParameters):
 
 
 def _H_closed(u, params: GasParameters):
-    """Closed-form H, the scaled view ``J u_s curly_F(u / u_s)`` (vectorized fast path).
-
-    Identical to :func:`hamiltonian_H` up to quadrature error; used in hot
-    loops and pinned to the quadrature path by tests.
-    """
+    """Closed-form H, the scaled view ``J u_s curly_F(u / u_s)`` (vectorized)."""
     return params.J * params.u_s * _curly_F_closed(np.asarray(u, dtype=float) / params.u_s, params)
 
 
 def hamiltonian_H(u: float, params: GasParameters) -> float:
     """Energy-like function H(u) driving the phase-plane invariant.
 
-    ``H(u)`` integrates ``J/(u_bar_inf t^(gamma+1)) * (t^(gamma+1) -
-    u_s^(gamma+1)) * (u_bar_inf - t)`` from the sonic speed to ``u`` by
-    adaptive quadrature.  ``H`` has a double root at ``u_s``, is positive
-    between 0 and ``u_max`` and negative beyond.
+    ``H(u)`` is the integral of ``J/(u_bar_inf t^(gamma+1)) * (t^(gamma+1) -
+    u_s^(gamma+1)) * (u_bar_inf - t)`` from the sonic speed to ``u``, in
+    closed form (``J u_s curly_F(u / u_s)``); adaptive quadrature of the
+    integral (``tests/oracles.py``) agrees to about 1e-13 relative.  ``H``
+    has a double root at ``u_s``, is positive between 0 and ``u_max`` and
+    negative beyond.
 
     Raises
     ------
@@ -314,16 +312,7 @@ def hamiltonian_H(u: float, params: GasParameters) -> float:
     """
     if not u > 0:
         raise InputError(f"speed must be positive, got {u}")
-    g, ub, us, J = params.gamma, params.u_bar_inf, params.u_s, params.J
-
-    def integrand(t):
-        return (J / (ub * t ** (g + 1))) * (t ** (g + 1) - us ** (g + 1)) * (ub - t)
-
-    out = quad(integrand, us, u, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400, full_output=1)
-    val, abserr = out[0], out[1]
-    if abserr > 1e-8 * max(1.0, abs(val)):
-        raise InternalError(f"H quadrature failed to converge at u={u} (err {abserr:.2e})")
-    return val
+    return float(_H_closed(u, params))
 
 
 def frak_h(u: float, E: float, params: GasParameters) -> float:

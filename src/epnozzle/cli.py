@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -273,6 +274,8 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
             raise InputError(f"bad --values {args.values!r}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"bad --values {args.values!r}: every value must be finite")
         sweep(cfg, args.axis, values, out_dir)
         return 0
     except SolverError as exc:

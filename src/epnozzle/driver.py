@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .background import BackgroundSolution
 from .boundary import BoundaryDataSpec
@@ -46,6 +44,7 @@ from .coefficients import (
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
 from .mixed_solver import WarmStart, solve_linear_problem
+from .numerics import Pchip, brentq
 from .transport import lagrangian_map, stream_function, transport_entropy
 
 DEFAULT_TOL_OUTER = 1e-9
@@ -230,7 +229,10 @@ def sonic_interface(coeffs: CoefficientSet, root_tol: float = 1e-12):
     All lines share one column-wise PCHIP over the stations around their
     crossing cells.  PCHIP is local (a cell's cubic reads one node before
     it to two after it), so on the cells a root search reaches each line
-    gets bit for bit the cubic of its own full-length interpolant.
+    gets bit for bit the cubic of its own full-length interpolant.  Brent
+    evaluates each line's cubic in Python floats (``Pchip.column``), with
+    the cells and operation order of the vectorized evaluation, so it sees
+    the same values.
     """
     g = coeffs.grid
     det = coeffs.det_principal()
@@ -249,8 +251,8 @@ def sonic_interface(coeffs: CoefficientSet, root_tol: float = 1e-12):
             )
     cells = np.argmax(crossings, axis=0)
     rows = slice(max(cells.min() - 2, 0), cells.max() + 4)
-    prof = PchipInterpolator(g.x1[rows], det[rows], axis=0)
-    gs = [brentq(lambda x: prof(x)[j], g.x1[i], g.x1[i + 1], xtol=min(root_tol, 1e-10), rtol=8.9e-16)
+    prof = Pchip(g.x1[rows], det[rows])
+    gs = [brentq(prof.column(j), g.x1[i], g.x1[i + 1], xtol=min(root_tol, 1e-10), rtol=8.9e-16)
           for j, i in enumerate(cells)]
     return g.x2.copy(), np.array(gs)
 
@@ -323,11 +325,13 @@ def fixed_point_residuals(state: FlowState, coeffs: CoefficientSet, prim: dict) 
     """Sup and L2 residuals of the perturbation system at the fixed point.
 
     Differential rows are evaluated on the fixed physical interior of
-    :func:`interior_mask`: the viscous construction forces ``d1(psi) = 0``
-    at the inlet, a condition the limit problem sheds through a sub-grid
-    layer of width ~eps whose H1 content vanishes like sqrt(eps) but whose
-    pointwise residual in the first cells does not converge.  Interior
-    residuals refine at second order.
+    :func:`interior_mask` (0.05 L to 0.95 L).  The sup of the psi residual
+    there does not refine: on the canonical setup it is 4.4e-4, 4.6e-4 and
+    4.7e-4 at n_x1 = 101, 201 and 401.  Its cause is an odd-even sawtooth
+    that the box scheme leaves in ``v''`` at the floor eps = h^2, excited
+    by the inlet condition the viscous construction imposes; it spans a
+    fixed fraction of L, not a sub-grid layer.  The residual refines only
+    beyond about 0.5 L (ROADMAP open item 3).
     """
     mask = interior_mask(state.grid)
     res_psi = (

@@ -21,11 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateStateError, InputError
 from .fields import Field2D, Grid
+from .numerics import Pchip, cumulative_simpson
 
 # Relative overshoot of the inlet flux range that is always clamped, even
 # when the field's own top-wall divergence defect is smaller.
@@ -54,7 +53,7 @@ def stream_function(m1: np.ndarray, grid: Grid) -> StreamFunction:
     """
     if np.min(m1) <= 0:
         raise DegenerateStateError("axial momentum flux m.e1 lost positivity")
-    theta = cumulative_simpson(m1, x=grid.x2, axis=1, initial=0.0)
+    theta = cumulative_simpson(m1, grid.x2)
     top = theta[:, -1]
     return StreamFunction(
         theta=theta,
@@ -81,8 +80,7 @@ def lagrangian_map(sf: StreamFunction) -> np.ndarray:
     if sf.monotone_margin <= 0 or np.any(np.diff(sf.inlet) <= 0):
         raise DegenerateStateError("stream function is not strictly monotone across the channel")
     grid = sf.grid
-    inlet = PchipInterpolator(grid.x2, sf.inlet)
-    inlet_d = inlet.derivative()
+    inlet = Pchip(grid.x2, sf.inlet)
     target = sf.theta
     lo_v, hi_v = sf.inlet[0], sf.inlet[-1]
     scale = max(hi_v - lo_v, 1e-300)
@@ -102,10 +100,10 @@ def lagrangian_map(sf: StreamFunction) -> np.ndarray:
         )
     tgt = np.clip(target, lo_v, hi_v)
 
-    lab = PchipInterpolator(sf.inlet, grid.x2)(tgt)
+    lab = Pchip(sf.inlet, grid.x2)(tgt)
     for _ in range(4):
-        f = inlet(lab) - tgt
-        d = inlet_d(lab)
+        value, d = inlet.value_and_slope(lab)
+        f = value - tgt
         step = np.where(d > 0, f / np.where(d > 0, d, 1.0), 0.0)
         lab = np.clip(lab - step, grid.x2[0], grid.x2[-1])
     resid = np.max(np.abs(inlet(lab) - tgt)) / scale

@@ -314,6 +314,16 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and message in error["message"]
 
+    @pytest.mark.parametrize("key", ["gas.gamma", "gas.zeta0", "gas.J", "gas.S0"])
+    def test_infinite_gas_parameter_exit_code(self, tmp_path, capsys, key):
+        lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        cfgp = tmp_path / "inf.cfg"
+        cfgp.write_text("\n".join(lines) + f"\n{key} = inf\n")
+        rc = main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and f"{key[4:]} must be finite" in error["message"]
+
     def test_non_finite_scale_sigma_exit_code(self, cfg_file, tmp_path, capsys):
         rc = main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--scale-sigma", "nan"])
         assert rc == 2
@@ -357,8 +367,9 @@ class TestSweep:
         certified = [r for r in rows if r["certified"]]
         assert any(r["value"] <= 1e-2 for r in certified)
 
-    @pytest.mark.parametrize("values, message", [("1e-3,abc", "--values"), ("2e-3,2e-3", "repeated")],
-                             ids=["not_a_number", "repeated"])
+    @pytest.mark.parametrize("values, message",
+                             [("1e-3,abc", "--values"), ("2e-3,2e-3", "repeated"), ("1e-3,inf", "finite")],
+                             ids=["not_a_number", "repeated", "infinite"])
     def test_bad_values_exit_code(self, cfg_file, tmp_path, capsys, values, message):
         out = tmp_path / "bad"
         rc = main(["sweep", "--config", str(cfg_file), "--axis", "J", "--values", values, "--out", str(out)])
@@ -372,6 +383,10 @@ class TestSweep:
         with pytest.raises(InputError, match="repeated"):
             sweep(parse_config(BASE_CONFIG), "J", [2e-3, 1e-3, 0.002], tmp_path / "dup")
         assert not (tmp_path / "dup").exists()
+
+    def test_infinite_J_row_recorded(self, tmp_path):
+        rows = sweep(parse_config(BASE_CONFIG), "J", [float("inf")], tmp_path / "inf_row")
+        assert rows[0]["error"] == "InputError: J must be finite, got inf"
 
     def test_non_finite_sigma_row_recorded(self, tmp_path):
         rows = sweep(parse_config(BASE_CONFIG), "sigma", [float("nan")], tmp_path / "nan_row")

@@ -44,8 +44,12 @@ GASES = [
 
 
 def oracle_curly_F(kappa, params):
+    # at epsrel=1e-13 quad may warn that it cannot certify the request on
+    # some gases; the result still meets the tests' 1e-12 bound
     g, z = params.gamma, params.zeta0
-    val, _ = quad(lambda t: (1 - t / z) * (1 - t ** -(g + 1)), 1.0, kappa, epsabs=1e-14, epsrel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(lambda t: (1 - t / z) * (1 - t ** -(g + 1)), 1.0, kappa, epsabs=1e-14, epsrel=1e-13)
     return val
 
 
@@ -84,9 +88,10 @@ class TestKappaH:
 
     def test_closed_form_matches_quadrature(self):
         ks = np.linspace(0.5, 2.2, 17)
-        closed = _curly_F_closed(ks, CANON)
-        quads = np.array([curly_F(k, CANON) for k in ks])
+        closed = np.array([curly_F(k, CANON) for k in ks])
+        quads = np.array([oracle_curly_F(k, CANON) for k in ks])
         assert np.max(np.abs(closed - quads)) < 1e-12
+        assert np.array_equal(closed, _curly_F_closed(ks, CANON))
 
     def test_positive_wherever_defined(self):
         ks = np.linspace(0.2, kappa_max(CANON) * 0.999999, 300)
@@ -105,8 +110,8 @@ class TestKappaH:
             kh = kappa_H(pair, params)
             assert abs(kh[1] - kh[0]) <= 1e-10 * kh[0]
         ks = np.linspace(0.5, 0.99 * kappa_max(params), 9)
-        quads = np.array([curly_F(k, params) for k in ks])
-        assert np.max(np.abs(_curly_F_closed(ks, params) - quads)) <= 1e-12
+        quads = np.array([oracle_curly_F(k, params) for k in ks])
+        assert np.max(np.abs(np.array([curly_F(k, params) for k in ks]) - quads)) <= 1e-12
 
     def test_kappa_max_matches_u_max(self):
         from epnozzle import u_max_root
