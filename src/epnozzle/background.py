@@ -79,6 +79,8 @@ _TRAJECTORY_PANELS = 320
 # l_max exceeds it is rejected.
 L_MAX_CAP = 1e4
 
+DEFAULT_RESOLUTION = 2001       # nodes of the uniform sample grid on [0, l_max]
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
 # 5 nodes integrate curly_F' over [kappa_max - delta, kappa_max] to about
 # 1e-16 relative for delta < NEAR_MAX_SWITCH (kappa_max - 1).
@@ -554,7 +556,7 @@ def _Phi_bernoulli(u, params: GasParameters):
 def solve_background(
     params: GasParameters,
     u0: float,
-    resolution: int = 2001,
+    resolution: int = DEFAULT_RESOLUTION,
 ) -> BackgroundSolution:
     """Construct the accelerating smooth transonic profile from inlet speed ``u0``.
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .background import BackgroundSolution
 from .errors import AdmissibilityError, DegenerateStateError
-from .fields import Field2D, Grid
+from .fields import Field2D, Grid, grid_d2_parity_split
 
 # Fraction of the background minimum that A22 may lose before the state
 # counts as degenerate.
@@ -162,11 +162,6 @@ class CoefficientSet:
         """Type indicator ``det = a11 - a12^2`` (elliptic > 0 > hyperbolic)."""
         return self.a11 - self.a12 ** 2
 
-    def sign_change_counts(self) -> np.ndarray:
-        """Number of sign changes of the type indicator along each x2 line."""
-        det = self.det_principal()
-        return np.sum(np.diff(np.sign(det), axis=0) != 0, axis=0)
-
 
 def default_d0(prof: BackgroundProfile) -> float:
     """Largest of ``D0_CANDIDATES`` keeping A22 above half its background minimum.
@@ -189,7 +184,9 @@ class VelocityParts(NamedTuple):
     """Collocation values of the split velocity ``v = grad(phibar + psi) + curl(phi)``."""
 
     p1: np.ndarray      # d1 psi
+    p2: np.ndarray      # d2 psi
     q1: np.ndarray      # d2 phi (x1 component of curl phi)
+    q2: np.ndarray      # d1 phi (minus the x2 component of curl phi)
     v1: np.ndarray
     v2: np.ndarray
     Psi: np.ndarray
@@ -198,26 +195,28 @@ class VelocityParts(NamedTuple):
 
 def velocity_parts(state: FlowState, prof: BackgroundProfile) -> VelocityParts:
     """Synthesize the split velocity of an iterate and the Bernoulli head."""
-    p1, q1 = state.psi.d1(), state.phi.d2()
+    p1, p2 = state.psi.d1(), state.psi.d2()
+    q1, q2 = state.phi.d2(), state.phi.d1()
     v1 = prof.u1[:, None] + p1 + q1
-    v2 = state.psi.d2() - state.phi.d1()
+    v2 = p2 - q2
     Psi = state.Psi.values()
     head = prof.Phi[:, None] + Psi - 0.5 * (v1 ** 2 + v2 ** 2)
-    return VelocityParts(p1, q1, v1, v2, Psi, head)
+    return VelocityParts(p1, p2, q1, q2, v1, v2, Psi, head)
 
 
 def check_smallness(state: FlowState, prof: BackgroundProfile, d0: float) -> dict:
     """Admissibility margins (positive = satisfied, 0 = boundary case).
 
     Returns ``{"perturbation": d0 - max(|Psi|, |Dpsi|, |Dphi|),
-    "entropy": S0/2 - max|T|, "forward_flow": min v.e1 - u0/2}``.
+    "entropy": S0/2 - max|T|, "forward_flow": min v.e1 - u0/2}``, with the
+    sup norms taken on the collocation grid from one :func:`velocity_parts`.
     """
-    v1 = velocity_parts(state, prof).v1
-    pert = max(state.Psi.sup_norm(), state.psi.grad_sup_norm(), state.phi.grad_sup_norm())
+    vp = velocity_parts(state, prof)
+    pert = max(np.max(np.abs(vp.Psi)), np.max(np.hypot(vp.p1, vp.p2)), np.max(np.hypot(vp.q2, vp.q1)))
     return {
-        "perturbation": d0 - pert,
+        "perturbation": d0 - float(pert),
         "entropy": prof.bg.params.S0 / 2.0 - state.T.sup_norm(),
-        "forward_flow": float(np.min(v1)) - prof.bg.u0 / 2.0,
+        "forward_flow": float(np.min(vp.v1)) - prof.bg.u0 / 2.0,
     }
 
 
@@ -253,7 +252,7 @@ def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) 
     p = prof.bg.params
     require_admissible(state, prof, d0)
 
-    p1, q1, v1, v2, Psi, head = velocity_parts(state, prof)
+    p1, _, q1, _, v1, v2, Psi, head = velocity_parts(state, prof)
     T = state.T.values()
     A11 = (p.gamma - 1) * head - v1 ** 2
     A12 = -v1 * v2
@@ -336,7 +335,7 @@ def verify_structure(coeffs: CoefficientSet) -> None:
             raise AdmissibilityError(f"wall-normal derivative of {name} nonzero at walls ({worst:.3e})")
 
 
-def momentum_field(state: FlowState, prof: BackgroundProfile, d0: float, check: bool = True):
+def momentum_field(state: FlowState, prof: BackgroundProfile):
     """Pseudo momentum density ``m = (Phibar + Psi - |v|^2/2)^(1/(gamma-1)) v``.
 
     Returns ``(m1, m2, div_residual)`` on the collocation grid.  The
@@ -344,16 +343,13 @@ def momentum_field(state: FlowState, prof: BackgroundProfile, d0: float, check: 
     parity-split spectral derivative in x2.  Note the normalization: at
     the background state ``m = (gamma S0/(gamma-1))^(1/(gamma-1)) J e1``
     (constant), a fixed multiple of the true momentum ``rho u``; the
-    multiple cancels in the streamline construction.
+    multiple cancels in the streamline construction.  Admissibility is not
+    checked here: the fixed-point driver checks every iterate it accepts.
     """
-    from .fields import grid_d2_parity_split
-
-    if check:
-        require_admissible(state, prof, d0)
-    _, _, v1, v2, _, head = velocity_parts(state, prof)
-    if np.any(head <= 0):
+    vp = velocity_parts(state, prof)
+    if np.any(vp.head <= 0):
         raise DegenerateStateError("momentum density base lost positivity")
-    dens = head ** (1.0 / (prof.bg.params.gamma - 1))
-    m1, m2 = dens * v1, dens * v2
+    dens = vp.head ** (1.0 / (prof.bg.params.gamma - 1))
+    m1, m2 = dens * vp.v1, dens * vp.v2
     div = prof.grid.D1 @ m1 + grid_d2_parity_split(m2, prof.grid)
     return m1, m2, div

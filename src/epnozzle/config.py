@@ -12,7 +12,10 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
+from .background import DEFAULT_RESOLUTION
+from .driver import DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER
 from .errors import InputError
+from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL
 
 
 def _parse_modes(text: str):
@@ -49,7 +52,7 @@ class RunConfig:
     S0: float = None
     E0: float | None = None
     u0: float | None = None
-    resolution: int = 2001
+    resolution: int = DEFAULT_RESOLUTION
     kappa0: float | None = None
     kappaL: float | None = None
     d: float | None = None
@@ -60,13 +63,13 @@ class RunConfig:
     s_modes: tuple = ()
     e_modes: tuple = ()
     w_modes: tuple = ()
-    tol_eps: float = 1e-6
-    tol_outer: float = 1e-9
-    tol_root: float = 1e-12
-    theta: float = 1.0
-    eps0: float = 0.1
-    eps_cap: int = 20
-    max_outer: int = 100
+    tol_eps: float = DEFAULT_EPS_TOL
+    tol_outer: float = DEFAULT_TOL_OUTER
+    tol_root: float = DEFAULT_ROOT_TOL
+    theta: float = DEFAULT_THETA
+    eps0: float = DEFAULT_EPS0
+    eps_cap: int = DEFAULT_EPS_CAP
+    max_outer: int = DEFAULT_MAX_OUTER
     sigma_cap: float | None = None
     out_dir: str = "out"
     override_certificate: bool = False

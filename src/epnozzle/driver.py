@@ -22,7 +22,7 @@ of the original balance laws are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,12 +43,14 @@ from .coefficients import (
 )
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
-from .mixed_solver import WarmStart, solve_linear_problem
+from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL, WarmStart, solve_linear_problem
 from .numerics import Pchip, brentq
 from .transport import lagrangian_map, stream_function, transport_entropy
 
 DEFAULT_TOL_OUTER = 1e-9
 DEFAULT_MAX_OUTER = 100
+DEFAULT_THETA = 1.0
+DEFAULT_ROOT_TOL = 1e-12
 THETA_FLOOR = 1.0 / 32.0
 
 # Residuals are reported on ``INTERIOR_MARGIN * L <= x1 <= (1 - INTERIOR_MARGIN) * L``.
@@ -86,30 +88,31 @@ def fixed_point_solve(
     bg: BackgroundSolution,
     bdata: BoundaryDataSpec,
     grid: Grid,
-    d0: float | None = None,
     tol_outer: float = DEFAULT_TOL_OUTER,
     max_outer: int = DEFAULT_MAX_OUTER,
-    theta: float = 1.0,
-    eps0: float = 0.1,
-    tol_eps: float = 1e-6,
-    eps_cap: int = 20,
+    theta: float = DEFAULT_THETA,
+    eps0: float = DEFAULT_EPS0,
+    tol_eps: float = DEFAULT_EPS_TOL,
+    eps_cap: int = DEFAULT_EPS_CAP,
     certificate=None,
     override_certificate: bool = False,
     sigma_cap: float | None = None,
-    root_tol: float = 1e-12,
+    root_tol: float = DEFAULT_ROOT_TOL,
     trace_sink=None,
 ) -> SolveOutcome:
     """Run the damped Picard iteration to a fixed point and extract results.
 
     Requires either a certified regime report or ``override_certificate``;
-    the boundary amplitude must stay below the configured cap.
+    the boundary amplitude must stay below the configured cap.  The
+    smallness radius ``d0`` is ``default_d0`` of the background profile.
 
     Raises
     ------
     InputError
         Missing certificate/cap violations (a NaN sigma violates the cap),
         a damping factor ``theta`` outside ``(0, 1]``, ``max_outer < 1``, a
-        negative or NaN ``tol_outer``, invalid continuation inputs (see
+        negative or NaN ``tol_outer``, a ``root_tol`` that is not positive
+        (0, negative or NaN), invalid continuation inputs (see
         ``vanishing_viscosity``) or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
@@ -126,6 +129,8 @@ def fixed_point_solve(
         raise InputError(f"outer iteration budget max_outer must be at least 1, got {max_outer}")
     if not tol_outer >= 0:
         raise InputError(f"outer tolerance tol_outer must be nonnegative, got {tol_outer}")
+    if not root_tol > 0:
+        raise InputError(f"root tolerance root_tol must be positive, got {root_tol}")
     if not override_certificate:
         if certificate is None or not getattr(certificate, "certified", False):
             raise InputError(
@@ -136,8 +141,7 @@ def fixed_point_solve(
     if not abs(bdata.sigma) <= cap:
         raise InputError(f"boundary amplitude sigma={bdata.sigma} exceeds cap {cap}")
     prof = background_profile(bg, grid)
-    if d0 is None:
-        d0 = default_d0(prof)
+    d0 = default_d0(prof)
 
     state = FlowState.zeros(grid)
     increments: list = []
@@ -150,7 +154,7 @@ def fixed_point_solve(
 
     for it in range(1, max_outer + 1):
         iterations = it
-        m1, _, _ = momentum_field(state, prof, d0, check=False)
+        m1, _, _ = momentum_field(state, prof)
         sf = stream_function(m1, grid)
         label = lagrangian_map(sf)
         T_new = transport_entropy(bdata.s_en_minus_s0, label, grid)
@@ -162,9 +166,9 @@ def fixed_point_solve(
             if trace_sink is not None:
                 trace_sink(entry)
 
-        psi_new, Psi_new, phi_new, _, _ = solve_linear_problem(
-            T_new, state, bdata, prof, d0,
-            eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink, warm=warm,
+        coeffs = assemble_coefficients(replace(state, T=T_new), prof, d0)
+        psi_new, Psi_new, phi_new = solve_linear_problem(
+            coeffs, bdata, eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink, warm=warm,
         )
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
         new_state = state.blend(update, theta_cur)
@@ -216,7 +220,7 @@ def fixed_point_solve(
     )
 
 
-def sonic_interface(coeffs: CoefficientSet, root_tol: float = 1e-12):
+def sonic_interface(coeffs: CoefficientSet, root_tol: float = DEFAULT_ROOT_TOL):
     """Per-line root of the principal determinant ``a11 - a12^2``.
 
     Asserts exactly one sign change per wall-normal line (elliptic at the
@@ -283,7 +287,8 @@ def reconstruct_primitives(state: FlowState, prof: BackgroundProfile) -> dict:
     """Primitive fields and residuals of the original balance laws."""
     p = prof.bg.params
     g = prof.grid
-    _, _, u1, u2, Psi, _ = velocity_parts(state, prof)
+    vp = velocity_parts(state, prof)
+    u1, u2, Psi = vp.v1, vp.v2, vp.Psi
     T = state.T.values()
     S = p.S0 + T
     Phi = prof.Phi[:, None] + Psi

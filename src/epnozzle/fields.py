@@ -99,7 +99,6 @@ class Grid:
         self.dir_basis = np.sin(np.outer(self.x2 + 1.0, self.dir_freq))      # (n_x2, K)
         self.dir_basis_d = self.dir_freq * np.cos(np.outer(self.x2 + 1.0, self.dir_freq))
         self.dir_basis_dd = -self.dir_freq ** 2 * self.dir_basis
-        self.dir_norm = np.ones(self.n_dir)
 
         self.D1 = d1_matrix(self.n_x1, self.h1)
         self.D2 = d2_matrix(self.n_x1, self.h1)
@@ -110,7 +109,8 @@ class Grid:
         return (values * self.w2) @ self.cos_basis / self.cos_norm
 
     def project_dirichlet(self, values: np.ndarray) -> np.ndarray:
-        return (values * self.w2) @ self.dir_basis / self.dir_norm
+        """Column-wise projection onto the dirichlet modes (each of unit norm)."""
+        return (values * self.w2) @ self.dir_basis
 
     def integrate(self, values: np.ndarray) -> float:
         """Tensor trapezoid integral of a grid field over the rectangle."""

@@ -1,11 +1,11 @@
 """Linearized solve: rotational Poisson problem and the degenerate mixed-type system.
 
-One linearized step of the coupled iteration solves, with coefficients
-frozen at an iterate,
+One linearized step of the coupled iteration solves, for a
+``CoefficientSet`` frozen at an iterate (assembled by the caller),
 
 * ``-laplace(phi) = f3`` for the rotational potential (Neumann inlet,
   zero walls and exit), reduced to mode-diagonal two-point problems in the
-  dirichlet family, and
+  dirichlet family and solved together by one tridiagonal LAPACK call, and
 * the weakly coupled pair ``L1(v, w) = f1*``, ``L2(v, w) = f2*`` for the
   homogenized potential perturbations, where ``L1`` changes type from
   elliptic to hyperbolic across the sonic interface.
@@ -63,9 +63,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_banded
+from scipy.linalg import blas, lapack
 
-from .coefficients import BackgroundProfile, CoefficientSet
+from .coefficients import CoefficientSet
 from .errors import InputError, NonConvergenceError
 from .fields import Field2D
 
@@ -92,29 +92,26 @@ def poisson_solve_phi(f0: Field2D) -> Field2D:
     """Solve ``-laplace(phi) = f0`` with d1(phi)=0 inlet, phi=0 on walls and exit.
 
     Per dirichlet mode ``sin(k pi (x2+1)/2)`` this is the two-point problem
-    ``-phi_k'' + mu_k phi_k = f_k`` with ``mu_k = (k pi / 2)^2``, solved by
-    a second-order tridiagonal scheme (mirror ghost node at the inlet).
+    ``-phi_k'' + mu_k phi_k = f_k`` with ``mu_k = (k pi / 2)^2``, discretized
+    by a second-order tridiagonal scheme (mirror ghost node at the inlet).
+    One ``dgtsv`` solves all modes stacked mode-major with zero couplings,
+    which eliminates each block exactly as its own solve would.
     """
     if f0.parity != "dirichlet":
         raise InputError("Poisson forcing must carry dirichlet parity")
     grid = f0.grid
-    n, h = grid.n_x1, grid.h1
-    out = np.zeros_like(f0.modes)
-    for k in range(grid.n_dir):
-        mu = grid.dir_freq[k] ** 2
-        ab = np.zeros((3, n))
-        rhs = f0.modes[:, k].copy()
-        ab[1, :] = 2.0 / h ** 2 + mu
-        ab[0, 1:] = -1.0 / h ** 2
-        ab[2, :-1] = -1.0 / h ** 2
-        # inlet mirror ghost: phi(-h) = phi(h)
-        ab[0, 1] = -2.0 / h ** 2
-        # exit Dirichlet row
-        ab[1, n - 1] = 1.0
-        ab[2, n - 2] = 0.0
-        rhs[n - 1] = 0.0
-        out[:, k] = solve_banded((1, 1), ab, rhs)
-    return Field2D("dirichlet", out, grid)
+    n, K, h2 = grid.n_x1, grid.n_dir, grid.h1 ** 2
+    diag = np.tile(2.0 / h2 + grid.dir_freq[:, None] ** 2, n)
+    diag[:, -1] = 1.0                   # exit Dirichlet row
+    upper = np.full((K, n), -1.0 / h2)
+    upper[:, 0] = -2.0 / h2             # inlet mirror ghost: phi(-h) = phi(h)
+    upper[:, -1] = 0.0                  # no coupling to the next mode
+    lower = np.full((K, n), -1.0 / h2)
+    lower[:, -2:] = 0.0                 # exit row, then no coupling to the next mode
+    rhs = f0.modes.T.copy()
+    rhs[:, -1] = 0.0
+    phi = lapack.dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], rhs.ravel())[3]
+    return Field2D("dirichlet", phi.reshape(K, n).T, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,6 @@ class ModeSystem:
 
     def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray):
         self.grid = grid = coeffs.grid
-        self.coeffs = coeffs
         K = grid.n_cos
         eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
         wB = (eta * w2[:, None]).T
@@ -539,11 +535,8 @@ def _continue(system: ModeSystem, eps0, tol_eps, cap, trace_sink, k_first, energ
 
 
 def solve_linear_problem(
-    T_tilde: Field2D,
-    P,
+    coeffs: CoefficientSet,
     bdata,
-    prof: BackgroundProfile,
-    d0: float,
     eps0: float = DEFAULT_EPS0,
     tol_eps: float = DEFAULT_EPS_TOL,
     eps_cap: int = DEFAULT_EPS_CAP,
@@ -551,25 +544,18 @@ def solve_linear_problem(
     *,
     warm: WarmStart | None = None,
 ):
-    """One full linearized sweep at the iterate ``(T_tilde, P)``.
+    """One full linearized sweep for the coefficients ``coeffs`` frozen at an iterate.
 
-    Assembles the coefficient set at ``P`` (with entropy ``T_tilde``)
-    about the background profile ``prof``, solves the rotational Poisson
-    problem for the new ``phi``, lifts the boundary data, continues the
-    viscous mixed-type solves to the limit (from the start that ``warm``
-    carries, see :func:`vanishing_viscosity`) and restores the lifts.
-    Returns ``(psi, Psi, phi, coeffs, trace)``.
+    Solves the rotational Poisson problem for the new ``phi``, lifts the
+    boundary data, continues the viscous mixed-type solves to the limit
+    (from the start that ``warm`` carries, see :func:`vanishing_viscosity`,
+    whose ``trace_sink`` receives the eps-trace) and restores the lifts.
+    Returns ``(psi, Psi, phi)``.
     """
-    from .coefficients import FlowState, assemble_coefficients
-
-    grid = prof.grid
-    state = FlowState(psi=P.psi, phi=P.phi, Psi=P.Psi, T=T_tilde)
-    coeffs = assemble_coefficients(state, prof, d0)
-    f3_modes = Field2D.from_grid_values("dirichlet", coeffs.f3, grid)
-    phi_new = poisson_solve_phi(f3_modes)
+    phi_new = poisson_solve_phi(Field2D.from_grid_values("dirichlet", coeffs.f3, coeffs.grid))
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
-    v, w, trace = vanishing_viscosity(
+    v, w, _ = vanishing_viscosity(
         coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
         warm=warm,
     )
-    return v + lift_psi, w + lift_Psi, phi_new, coeffs, trace
+    return v + lift_psi, w + lift_Psi, phi_new

@@ -36,8 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .background import KAPPA_SWITCH, GasParameters, kappa_H, kappa_max
-from .background import NEAR_MAX_SWITCH, _gl_panels, _orbit_s_integrand
-from .background import _curly_F_closed, _kappa_H_direct, kappa_H_sonic  # noqa: F401  (re-exported)
+from .background import NEAR_MAX_SWITCH, _curly_F_closed, _gl_panels, _orbit_s_integrand
 from .errors import InputError
 from .fields import write_csv_table
 

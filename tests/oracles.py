@@ -2,15 +2,17 @@
 
 Quadrature and RK routes for the background, the closed-form sonic limit
 of the regime function ``alpha``, the dense integral-equation
-solve of the Galerkin mode system, the RK4 streamline tracer, the
-advective residual of transported fields, the per-row difference-matrix
-construction, the per-line sonic root and the per-value CSV writer.
+solve of the Galerkin mode system, the per-mode banded Poisson solve,
+the RK4 streamline tracer, the advective residual of transported fields,
+the per-row difference-matrix construction, the per-line sonic root and
+the per-value CSV writer.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator, RectBivariateSpline
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from epnozzle import flux_F, u_max_root
@@ -138,6 +140,29 @@ def solve_dense_first_order(system, eps: float):
             rhs[i * B:(i + 1) * B] += wcol * Fvec[j]
     sol = np.linalg.solve(A, rhs).reshape(n, 5, K)
     return sol[:, 0, :], sol[:, 3, :]
+
+
+def per_mode_poisson(f0) -> np.ndarray:
+    """Dirichlet modes of ``-laplace(phi) = f0``, one ``solve_banded`` per mode.
+
+    The tridiagonal scheme of ``mixed_solver.poisson_solve_phi``: central
+    differences, a mirror ghost node at the inlet and a Dirichlet exit row.
+    """
+    grid = f0.grid
+    n, h = grid.n_x1, grid.h1
+    out = np.zeros_like(f0.modes)
+    for k in range(grid.n_dir):
+        ab = np.zeros((3, n))
+        rhs = f0.modes[:, k].copy()
+        ab[1, :] = 2.0 / h ** 2 + grid.dir_freq[k] ** 2
+        ab[0, 1:] = -1.0 / h ** 2
+        ab[2, :-1] = -1.0 / h ** 2
+        ab[0, 1] = -2.0 / h ** 2
+        ab[1, n - 1] = 1.0
+        ab[2, n - 2] = 0.0
+        rhs[n - 1] = 0.0
+        out[:, k] = solve_banded((1, 1), ab, rhs)
+    return out
 
 
 def m_dot_grad(field, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

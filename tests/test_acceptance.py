@@ -38,10 +38,9 @@ from epnozzle import (
     nozzle_length,
     solve_background,
 )
-from epnozzle.background import _H_closed
+from epnozzle.background import _H_closed, _kappa_H_direct, kappa_H_sonic
 from epnozzle.driver import interior_mask
 from epnozzle.mixed_solver import WARM_START_OCTAVES
-from epnozzle.regimes import _kappa_H_direct, kappa_H_sonic
 from epnozzle.transport import lagrangian_map, stream_function
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
@@ -337,7 +336,7 @@ def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std):
         from epnozzle.coefficients import momentum_field
         from epnozzle.transport import stream_function
 
-        m1, _, _ = momentum_field(std_run.state, std_run.coeffs.profile, std_run.d0, check=False)
+        m1, _, _ = momentum_field(std_run.state, std_run.coeffs.profile)
         sf = stream_function(m1, grid_std)
         starts = np.linspace(-0.9, 0.9, 7)
         n_steps = 4 * (grid_std.n_x1 - 1)
@@ -374,7 +373,7 @@ def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std):
         sups = []
         for out in refine_pair + [std_run]:
             g = out.state.grid
-            m1o, m2o, _ = momentum_field(out.state, out.coeffs.profile, out.d0, check=False)
+            m1o, m2o, _ = momentum_field(out.state, out.coeffs.profile)
             res = m1o * out.state.T.d1() + m2o * out.state.T.d2()
             sups.append(np.max(np.abs(res[interior_mask(g)])))
         assert all(s <= 1e-6 * SIGMA for s in sups)
@@ -396,14 +395,14 @@ def test_criterion_13_conservation_residuals(std_run, refine_pair, grid_std):
         for out in refine_pair:
             g = out.state.grid
             mask = halo_free(g)
-            _, _, div = momentum_field(out.state, out.coeffs.profile, out.d0, check=False)
+            _, _, div = momentum_field(out.state, out.coeffs.profile)
             vals["div_m"].append(np.sqrt(np.mean(div[mask] ** 2)))
             vals["poisson"].append(np.sqrt(np.mean(out.primitives["residual_poisson"][mask] ** 2)))
         for name, (coarse, fine) in vals.items():
             order = np.log2(coarse / fine)
             assert order >= 1.8, f"{name} residual order {order:.2f}"
         mask = interior_mask(grid_std)
-        _, _, div = momentum_field(std_run.state, std_run.coeffs.profile, std_run.d0, check=False)
+        _, _, div = momentum_field(std_run.state, std_run.coeffs.profile)
         assert np.sqrt(np.mean(div[mask] ** 2)) <= 1e-3 * SIGMA
         assert np.sqrt(np.mean(std_run.primitives["residual_poisson"][mask] ** 2)) <= 1e-2 * SIGMA
 

@@ -302,8 +302,12 @@ class TestExitCodes:
             ("solver.max_outer = 0", "max_outer"),
             ("tol.outer = -1", "tol_outer"),
             ("tol.outer = nan", "tol_outer"),
+            ("tol.root = 0", "root_tol"),
+            ("tol.root = -1e-12", "root_tol"),
+            ("tol.root = nan", "root_tol"),
         ],
-        ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan"],
+        ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan",
+             "tol_root_zero", "tol_root_negative", "tol_root_nan"],
     )
     def test_outer_input_exit_code(self, tmp_path, capsys, line, message):
         # rejected before any sweep runs, not reported as non-convergence
@@ -313,6 +317,7 @@ class TestExitCodes:
         assert rc == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and message in error["message"]
+        assert not (tmp_path / "o" / "fields").exists()
 
     @pytest.mark.parametrize("key", ["gas.gamma", "gas.zeta0", "gas.J", "gas.S0"])
     def test_infinite_gas_parameter_exit_code(self, tmp_path, capsys, key):

@@ -292,12 +292,10 @@ class TestLinearResponse:
 
 class TestAdmissibilityGuard:
     def test_named_bound_and_iterate_in_error(self, bg, grid):
-        # force an inadmissible first update by shrinking d0 below the data scale
-        bdata = BoundaryDataSpec(sigma=1e-4, w_modes=((1, 1.0),))
-        with pytest.raises(AdmissibilityError, match="iterate 1"):
-            fixed_point_solve(
-                bg, bdata, grid, override_certificate=True, d0=1e-7, sigma_cap=1.0
-            )
+        # inlet data far above the smallness radius make the first update inadmissible
+        bdata = BoundaryDataSpec(sigma=0.1, w_modes=((1, 1.0),))
+        with pytest.raises(AdmissibilityError, match="perturbation.* at outer iterate 1$"):
+            fixed_point_solve(bg, bdata, grid, override_certificate=True, sigma_cap=1.0)
 
 
 class TestCertifiedRegime:

@@ -21,14 +21,12 @@ from epnozzle import (
     nozzle_length,
     solve_background,
 )
+from epnozzle.background import _curly_F_closed, _kappa_H_direct, kappa_H_sonic
 from epnozzle.regimes import (
     D_MIN,
     D_SHRINK,
     D_START,
     KAPPA_SWITCH,
-    _curly_F_closed,
-    _kappa_H_direct,
-    kappa_H_sonic,
     kappa_max,
     lambda_window,
     omega2,
