@@ -211,17 +211,25 @@ def check_smallness(state: FlowState, prof: BackgroundProfile, d0: float) -> dic
     "entropy": S0/2 - max|T|, "forward_flow": min v.e1 - u0/2}``, with the
     sup norms taken on the collocation grid from one :func:`velocity_parts`.
     """
-    vp = velocity_parts(state, prof)
+    return _margins(velocity_parts(state, prof), state.T, prof, d0)
+
+
+def _margins(vp: VelocityParts, T: Field2D, prof: BackgroundProfile, d0: float) -> dict:
+    """The margins of :func:`check_smallness` from an iterate's velocity parts."""
     pert = max(np.max(np.abs(vp.Psi)), np.max(np.hypot(vp.p1, vp.p2)), np.max(np.hypot(vp.q2, vp.q1)))
     return {
         "perturbation": d0 - float(pert),
-        "entropy": prof.bg.params.S0 / 2.0 - state.T.sup_norm(),
+        "entropy": prof.bg.params.S0 / 2.0 - T.sup_norm(),
         "forward_flow": float(np.min(vp.v1)) - prof.bg.u0 / 2.0,
     }
 
 
 def require_admissible(state: FlowState, prof: BackgroundProfile, d0: float, context: str = "") -> dict:
-    margins = check_smallness(state, prof, d0)
+    return _require(check_smallness(state, prof, d0), context)
+
+
+def _require(margins: dict, context: str = "") -> dict:
+    """Return the margins, or raise ``AdmissibilityError`` naming the negative ones."""
     bad = [k for k, v in margins.items() if v < 0]
     if bad:
         raise AdmissibilityError(
@@ -250,9 +258,10 @@ def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) 
         If ``A22`` drops below its positivity floor.
     """
     p = prof.bg.params
-    require_admissible(state, prof, d0)
+    vp = velocity_parts(state, prof)
+    _require(_margins(vp, state.T, prof, d0))
 
-    p1, _, q1, _, v1, v2, Psi, head = velocity_parts(state, prof)
+    p1, _, q1, _, v1, v2, Psi, head = vp
     T = state.T.values()
     A11 = (p.gamma - 1) * head - v1 ** 2
     A12 = -v1 * v2

@@ -1,15 +1,18 @@
 """Run configuration: flat dotted-key text files, JSON accepted as an alternative.
 
 A config is a mapping from dotted section keys to scalars; the text form
-is one ``key = value`` pair per line with ``#`` comments, the JSON form a
-flat object with the same keys.  Parsing, serializing, and re-parsing is
-an identity on the typed configuration.
+is one ``key = value`` pair per line with ``#`` comments (whole lines, or
+after whitespace at the end of a line), the JSON form a flat object with
+the same keys.  A value that does not convert is an ``InputError`` naming
+its key.  Parsing, serializing, and re-parsing is an identity on the
+typed configuration.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields, replace
 
 from .background import DEFAULT_RESOLUTION
@@ -137,12 +140,15 @@ def config_from_mapping(raw: dict) -> RunConfig:
         if key not in _KEYMAP:
             raise InputError(f"unknown config key {key!r}")
         attr, conv = _KEYMAP[key]
-        if conv is _parse_modes and not isinstance(value, str):
-            kw[attr] = tuple((int(n), float(c)) for n, c in value)
-        elif conv is _parse_bool and isinstance(value, bool):
-            kw[attr] = value
-        else:
-            kw[attr] = conv(value)
+        try:
+            if conv is _parse_modes and not isinstance(value, str):
+                kw[attr] = tuple((int(n), float(c)) for n, c in value)
+            elif conv is _parse_bool and isinstance(value, bool):
+                kw[attr] = value
+            else:
+                kw[attr] = conv(value)
+        except (TypeError, ValueError, InputError) as exc:
+            raise InputError(f"config key {key}: cannot read {value!r} ({exc})") from None
     return RunConfig(**kw).validate()
 
 
@@ -150,13 +156,16 @@ def parse_config(text: str) -> RunConfig:
     """Parse the flat key-value form or, if the text is a JSON object, that."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise InputError("JSON config must be an object of dotted keys")
         return config_from_mapping({k: v for k, v in raw.items()})
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
+        line = re.split(r"\s#", line, maxsplit=1)[0].strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

@@ -7,11 +7,13 @@ solves the viscosity-continued mixed-type pair with coefficients frozen
 at the current iterate, optionally damped.  The first sweep runs the
 whole viscosity schedule from ``eps0``; each later one resumes it 2^4
 above the viscosity at which the previous sweep stopped (one
-``mixed_solver.WarmStart`` carried across the sweeps).  Each box solve
-depends on its viscosity only, so this gives the same iterates with about
-half the box solves.  The unperturbed state is an exact fixed point, so
-zero boundary data converge immediately; small data contract
-geometrically.
+``mixed_solver.WarmStart`` carried across the sweeps), and each of its
+box solves starts GMRES from the previous sweep's solution at the same
+viscosity.  Every box solve still stops at ``GMRES_RTOL`` and must meet
+``LINEAR_RESIDUAL_MAX``, so this gives the same iterates to the solve
+tolerance with about half the box solves and fewer GMRES steps.  The
+unperturbed state is an exact fixed point, so zero boundary data
+converge immediately; small data contract geometrically.
 
 After convergence the sonic interface is extracted as the per-line root
 of the principal-part determinant ``a11 - a12^2``, the Mach field is

@@ -44,21 +44,23 @@ exact LU of its mode-diagonal part: K independent box systems, one per
 cosine mode.  Within a mode the three inlet rows come first and the two
 exit rows last, so each mode block is banded with 6 sub- and 4
 super-diagonals and the mode-diagonal part of all K modes is one
-Fortran-order band per ``eps``, factored by a single LAPACK ``dgbtrf``.
-The operator is matrix-free: one BLAS ``dgbmv`` on that same band plus
-the off-mode ``C`` blocks, applied station by station.  Modes couple
-only through those blocks, and there only through the O(sigma)
-wall-direction variation of the coefficients
+Fortran-order band, copied once per ``eps`` and factored in place by a
+single LAPACK ``dgbtrf``.  The operator is matrix-free: one BLAS
+``dgbmv`` on the ``eps``-free band, the viscous X3 differences and the
+off-mode ``C`` blocks.  Modes couple only through those blocks, and there
+only through the O(sigma) wall-direction variation of the coefficients
 (about 1e-6 of the diagonal at the sigma cap), so the preconditioned
-iteration closes in a few steps.  Every solve checks its own residual
-``|b - A x| / |b|`` against ``LINEAR_RESIDUAL_MAX`` and raises rather
-than return an unconverged iterate.
+iteration closes in a few steps, whose Arnoldi products need the ``C``
+blocks only.  A solve at a viscosity that the previous outer iterate
+also solved starts from that solution.  Whatever its start, every solve
+stops at ``|b - A x| <= GMRES_RTOL |b|`` and raises rather than return
+an iterate whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -79,7 +81,6 @@ GMRES_RESTART = 30
 GMRES_CYCLES = 3
 GMRES_RTOL = 1e-12
 BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
-VISC_ROWS = slice(BAND_L + BAND_U - 2, BAND_L + BAND_U + 4, 5)  # band rows 8, 13: eps X3' on X3
 
 splu = None  # unused: perfbench/spans.py binds its factor span here until ROADMAP item 1
 
@@ -150,11 +151,9 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet):
     lift_Psi_vals = ramp * Ev
     l1 = wd[None, :] + coeffs.b1 * Ev[None, :] + coeffs.b0 * lift_Psi_vals
     l2 = ramp * Evpp[None, :] - coeffs.c0[:, None] * lift_Psi_vals
-    f1_star = coeffs.f1 - l1
-    f2_star = coeffs.f2 - l2
     lift_psi = Field2D.from_grid_values("cosine", np.array(lift_psi_vals), grid)
     lift_Psi = Field2D.from_grid_values("cosine", lift_Psi_vals, grid)
-    return f1_star, f2_star, lift_psi, lift_Psi
+    return coeffs.f1 - l1, coeffs.f2 - l2, lift_psi, lift_Psi
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +170,23 @@ class BandLU(NamedTuple):
         return lapack.dgbtrs(self.lu, BAND_L, BAND_U, b, self.piv)[0]
 
 
-def _gmres(apply, precond, b: np.ndarray):
-    """Restarted GMRES (Saad & Schultz 1986), right-preconditioned, from ``x = 0``.
+def _gmres(apply, precond, b: np.ndarray, x0: np.ndarray | None = None, coupling=None):
+    """Restarted GMRES (Saad & Schultz 1986), right-preconditioned, from ``x0``
+    if ``|b - A x0| < |b|``, else from ``x = 0``.
 
     A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi
-    steps on ``A M^-1``, each one ``precond`` and one ``apply``, keeps
+    steps on ``A M^-1``, each one ``precond`` and one product, keeps
     ``Z_j = M^-1 v_j`` for ``x += Z y`` and ends early once its least-squares
     residual, which is ``|b - A x|``, is at most ``GMRES_RTOL |b|``; the
     iteration stops after ``GMRES_CYCLES`` cycles or once the recomputed
-    ``|b - A x| <= GMRES_RTOL |b|``.  Returns ``(x, |b - A x|, iterations)``.
+    ``|b - A x| <= GMRES_RTOL |b|``.  The product is ``apply``, or, given
+    ``coupling = A - M`` for an exact ``M^-1 = precond``, ``v + coupling(M^-1 v)``.
+    Returns ``(x, |b - A x|, iterations)``.
     """
     x, r, iterations = np.zeros_like(b), b, 0
     residual = b_norm = np.linalg.norm(b)
+    if x0 is not None and np.linalg.norm(r0 := b - apply(x0)) < b_norm:
+        x, r, residual = x0, r0, np.linalg.norm(r0)
     for _ in range(GMRES_CYCLES):
         if residual <= GMRES_RTOL * b_norm:
             break
@@ -191,7 +195,7 @@ def _gmres(apply, precond, b: np.ndarray):
         V, Z, H = [r / residual], [], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
         for j in range(GMRES_RESTART):
             Z.append(precond(V[j]))
-            w = apply(Z[j])
+            w = apply(Z[j]) if coupling is None else V[j] + coupling(Z[j])
             w_norm = np.linalg.norm(w)
             for i, v in enumerate(V):
                 H[i, j] = v @ w
@@ -203,7 +207,7 @@ def _gmres(apply, precond, b: np.ndarray):
                     or H[j + 1, j] <= np.finfo(float).eps * w_norm):   # invariant Krylov space
                 break
             V.append(w / H[j + 1, j])
-        x += y @ np.array(Z)
+        x = x + y @ np.array(Z)
         r = b - apply(x)
         residual = np.linalg.norm(r)
     return x, residual, iterations
@@ -214,36 +218,31 @@ class ModeSystem:
 
     Carries the per-station coupling blocks (acting on the first-order
     block vector ``X = (X1..X5) = (v, v', v'', w, w')`` of mode
-    coefficients), the projected forcings, and the assembler of the
-    banded box system.
+    coefficients), the projected forcings, the assembler of the banded box
+    system and ``solutions``, the GMRES start of a solve at each ``eps``.
     """
 
     def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray):
         self.grid = grid = coeffs.grid
         K = grid.n_cos
         eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
-        wB = (eta * w2[:, None]).T
-        # coupling blocks: C[i, k, j] = <coef(x1_i, .) B_j, eta_k>
-        self.C3 = (wB * coeffs.a11[:, None, :]) @ eta
-        self.C2 = (wB * (2.0 * coeffs.a12)[:, None, :]) @ eta_d + (wB * coeffs.a[:, None, :]) @ eta
-        self.C5 = (wB * coeffs.b1[:, None, :]) @ eta
-        self.C4 = (wB * coeffs.b0[:, None, :]) @ eta
+        # coupling blocks C[i, k, j] = <coef(x1_i, .) B_j, eta_k>, one GEMM per
+        # coefficient against the weighted basis-pair products w2 eta_k B_j
+        pair = (w2[:, None, None] * eta[:, :, None] * eta[:, None, :]).reshape(-1, K * K)
+        pair_d = (w2[:, None, None] * eta[:, :, None] * eta_d[:, None, :]).reshape(-1, K * K)
+        self.C3, self.C5, self.C4 = (
+            (c @ pair).reshape(-1, K, K) for c in (coeffs.a11, coeffs.b1, coeffs.b0))
+        self.C2 = ((2.0 * coeffs.a12) @ pair_d + coeffs.a @ pair).reshape(-1, K, K)
         self.lam = grid.cos_freq ** 2          # from d22: -lam_k per mode
-        self.c0 = coeffs.c0
-        self.c1 = coeffs.c1
-        self.F1 = (f1_grid * w2) @ eta
-        self.F2 = (f2_grid * w2) @ eta
+        self.c0, self.c1 = coeffs.c0, coeffs.c1
+        self.F1, self.F2 = (f1_grid * w2) @ eta, (f2_grid * w2) @ eta
         self.K = K
-        self._band_eps = self._band = None
+        self.solutions = {}
 
-    # projection selecting the inlet-anchored first-order components
     @property
     def Pi(self) -> np.ndarray:
         """Boolean mask over (X1..X5): inlet-anchored components (X1, X2, X5)."""
         return np.array([True, True, False, False, True])
-
-    def is_forcing_zero(self) -> bool:
-        return not (np.any(self.F1) or np.any(self.F2))
 
     # -- production banded assembly (box scheme in the X variables) --------
     def _assemble_banded(self):
@@ -256,8 +255,7 @@ class ModeSystem:
         ``X3, X4 = 0``: every mode block has ``l = 6``, ``u = 4``, so the
         mode-diagonal part of all K modes is one band of order ``5nK``.
         Returns that part of ``A_base`` in Fortran-order ``dgbtrf`` layout
-        (``A[r, c]`` at ``ab[l + u + r - c, c]``), the only nonzero rows of
-        ``K_visc`` in it (``VISC_ROWS``), the off-mode ``C`` blocks
+        (``A[r, c]`` at ``ab[l + u + r - c, c]``), the off-mode ``C`` blocks
         ``(h/2) [C3 | C2 | C5 | C4]`` of the X3 rows, shape ``(n, K, 4K)``,
         and the right-hand side.
         """
@@ -265,10 +263,9 @@ class ModeSystem:
         n, K, half = g.n_x1, self.K, g.h1 / 2.0
         N = 5 * n
         top = BAND_L + BAND_U                   # ab row of the main diagonal
-        ab_base = np.zeros((K, N, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
-        ab_visc = np.zeros_like(ab_base)
+        ab = np.zeros((K, N, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
 
-        def put(ab, p, blk, side, val):
+        def put(p, blk, side, val):
             # equation X_p' of every cell on X_blk at its left (side 0) or
             # right (side 1) station; val broadcasts against (K, n - 1)
             ab[top + 3 + p - 5 * side - blk, :, 5 * side + blk:5 * (n - 1 + side):5] = val
@@ -279,68 +276,70 @@ class ModeSystem:
         for side, sign in ((0, -1.0), (1, 1.0)):
             # kinematic relations X1' = X2, X2' = X3, X4' = X5 (trapezoid)
             for dst, src in ((0, 1), (1, 2), (3, 4)):
-                put(ab_base, dst, dst, side, sign)
-                put(ab_base, dst, src, side, -half)
+                put(dst, dst, side, sign)
+                put(dst, src, side, -half)
             # dynamic row 1: eps X3' + trap(C3 X3 + C2 X2 - lam X1 + C5 X5 + C4 X4) = trap F1
-            put(ab_visc, 2, 2, side, sign)
             for blk, C in ((2, self.C3), (1, self.C2), (4, self.C5), (3, self.C4)):
-                put(ab_base, 2, blk, side, half * at(np.diagonal(C, axis1=1, axis2=2), side))
-            put(ab_base, 2, 0, side, -half * self.lam[:, None])
+                put(2, blk, side, half * at(np.diagonal(C, axis1=1, axis2=2), side))
+            put(2, 0, side, -half * self.lam[:, None])
             # dynamic row 2: X5' - trap((lam + c0) X4 + c1 X2) = trap F2
-            put(ab_base, 4, 4, side, sign)
-            put(ab_base, 4, 3, side, -half * (self.lam[:, None] + at(self.c0, side)))
-            put(ab_base, 4, 1, side, -half * at(self.c1, side))
+            put(4, 4, side, sign)
+            put(4, 3, side, -half * (self.lam[:, None] + at(self.c0, side)))
+            put(4, 1, side, -half * at(self.c1, side))
         # projection-split boundary rows: Pi components vanish at the inlet,
         # the complement at the exit
         rows = np.r_[0:3, N - 2:N]
         cols = np.r_[np.flatnonzero(self.Pi), N - 5 + np.flatnonzero(~self.Pi)]
-        ab_base[top + rows - cols, :, cols] = 1.0
+        ab[top + rows - cols, :, cols] = 1.0
 
         rhs = np.zeros((K, N))
         rhs[:, 5:N - 2:5] = half * (at(self.F1, 0) + at(self.F1, 1))
         rhs[:, 7:N - 2:5] = half * (at(self.F2, 0) + at(self.F2, 1))
         off_mode = half * (1.0 - np.eye(K))
         coupling = np.concatenate([off_mode * C for C in (self.C3, self.C2, self.C5, self.C4)], axis=2)
-        ab_visc = ab_visc.reshape(-1, K * N)[VISC_ROWS].copy()
-        return ab_base.reshape(-1, K * N), ab_visc, coupling, rhs.ravel()
+        return ab.reshape(-1, K * N), coupling, rhs.ravel()
 
     @cached_property
     def banded_parts(self):
         return self._assemble_banded()
 
-    def band(self, eps: float) -> np.ndarray:
-        """Mode-diagonal band at ``eps``: a Fortran-order copy of ``A_base`` plus
-        ``eps`` on ``VISC_ROWS``, kept for the last ``eps`` so that
-        :meth:`operator` and :meth:`factor` share it."""
-        if self._band_eps != eps:
-            ab_base, ab_visc, _, _ = self.banded_parts
-            self._band = ab_base.copy(order="F")
-            self._band[VISC_ROWS, 2::5] += eps * ab_visc[:, 2::5]   # K_visc acts on X3 only
-            self._band_eps = eps
-        return self._band
+    def _off_mode(self, x: np.ndarray) -> np.ndarray:
+        """Off-mode part of ``A x`` on the X3' rows, ``(K, n - 1)``: one batched matmul."""
+        X = x.reshape(self.K, -1, 5)[:, :, [2, 1, 4, 3]].transpose(1, 2, 0).reshape(-1, 4 * self.K, 1)
+        z = np.matmul(self.banded_parts[1], X)[:, :, 0]
+        return (z[:-1] + z[1:]).T
+
+    def coupling(self, x: np.ndarray) -> np.ndarray:
+        """Off-mode part ``C x`` of the box operator (zero off the X3' rows)."""
+        y = np.zeros_like(x)
+        y.reshape(self.K, -1)[:, 5:-2:5] = self._off_mode(x)
+        return y
 
     def operator(self, eps: float):
-        """Matrix-free ``x -> (A_base + eps K_visc) x``: one ``dgbmv`` on :meth:`band`
-        (its ``BAND_L`` fill rows read as zero super-diagonals) plus the off-mode
-        coupling of the X3 rows, one batched matmul over stations."""
-        ab, coupling = self.band(eps), self.banded_parts[2]
-        K, n = self.K, self.grid.n_x1
+        """Matrix-free ``x -> (A_base + eps K_visc) x``: one ``dgbmv`` on ``A_base``
+        (its ``BAND_L`` fill rows read as zero super-diagonals), then ``eps``
+        times the X3 differences and the off-mode coupling on the X3' rows."""
+        ab = self.banded_parts[0]
 
         def apply(x):
             y = blas.dgbmv(x.size, x.size, BAND_L, BAND_L + BAND_U, 1.0, ab, x)
-            X = x.reshape(K, n, 5)[:, :, [2, 1, 4, 3]].transpose(1, 2, 0).reshape(n, 4 * K, 1)
-            z = np.matmul(coupling, X)[:, :, 0]
-            y.reshape(K, 5 * n)[:, 5:5 * n - 2:5] += (z[:-1] + z[1:]).T
+            x3 = x.reshape(self.K, -1, 5)[:, :, 2]
+            y.reshape(self.K, -1)[:, 5:-2:5] += eps * (x3[:, 1:] - x3[:, :-1]) + self._off_mode(x)
             return y
 
         return apply
 
     def factor(self, eps: float) -> BandLU:
-        """Band LU of the mode-diagonal part at ``eps``: one ``dgbtrf`` of :meth:`band`.
+        """Band LU of the mode-diagonal part at ``eps``: one Fortran copy of ``A_base``
+        plus ``eps`` times the X3 differences of the X3' rows, factored in place by ``dgbtrf``.
 
         Raises ``NonConvergenceError`` if the band is singular.
         """
-        lu, piv, info = lapack.dgbtrf(self.band(eps), BAND_L, BAND_U)
+        ab = self.banded_parts[0].copy(order="F")
+        x3 = ab.reshape(ab.shape[0], self.K, -1, 5)[:, :, :, 2]   # (ab row, mode, station) on X3
+        x3[BAND_L + BAND_U + 3, :, :-1] -= eps   # X3' row of cell i on X3(i) ...
+        x3[BAND_L + BAND_U - 2, :, 1:] += eps    # ... and on X3(i + 1)
+        lu, piv, info = lapack.dgbtrf(ab, BAND_L, BAND_U, overwrite_ab=1)
         if info > 0:
             raise NonConvergenceError(
                 f"singular linear system at eps={eps}, m={self.K - 1}: zero pivot in column {info}"
@@ -352,7 +351,8 @@ class ModeSystem:
 
         Runs GMRES(``GMRES_RESTART``) for at most ``GMRES_CYCLES`` restart
         cycles on the matrix-free :meth:`operator`, right-preconditioned by
-        the LU of its mode-diagonal part (:meth:`factor`) on one :meth:`band`.
+        the LU of its mode-diagonal part (:meth:`factor`), from
+        ``solutions[eps]`` if that is closer than zero; the solution replaces it.
 
         Returns the mode arrays ``(X1, X4)`` of the potential perturbations.
 
@@ -362,8 +362,9 @@ class ModeSystem:
             If the preconditioner is singular, or if the relative residual
             ``|b - A x| / |b|`` exceeds ``LINEAR_RESIDUAL_MAX``.
         """
-        rhs = self.banded_parts[3]
-        sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, rhs)
+        rhs = self.banded_parts[2]
+        sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, rhs,
+                                           self.solutions.get(eps), self.coupling)
         b_norm = np.linalg.norm(rhs)
         if not residual <= LINEAR_RESIDUAL_MAX * b_norm:
             raise NonConvergenceError(
@@ -371,15 +372,14 @@ class ModeSystem:
                 f"|b - A x|/|b| = {residual / b_norm:.3e} > {LINEAR_RESIDUAL_MAX:.0e} "
                 f"after {iterations} iterations"
             )
+        self.solutions[eps] = sol
         sol = sol.reshape(self.K, self.grid.n_x1, 5)
         return sol[:, :, 0].T, sol[:, :, 3].T
 
     def to_fields(self, theta: np.ndarray, Theta: np.ndarray):
         """Convert orthonormal-basis Galerkin coefficients to cosine fields."""
         scale = 1.0 / np.sqrt(self.grid.cos_norm)
-        v = Field2D("cosine", theta * scale, self.grid)
-        w = Field2D("cosine", Theta * scale, self.grid)
-        return v, w
+        return Field2D("cosine", theta * scale, self.grid), Field2D("cosine", Theta * scale, self.grid)
 
 
 def energy_sign_audit(coeffs: CoefficientSet) -> bool:
@@ -391,12 +391,8 @@ def energy_sign_audit(coeffs: CoefficientSet) -> bool:
     """
     g = coeffs.grid
     abar = (coeffs.a @ g.w2) / 2.0
-    a11bar = (coeffs.a11 @ g.w2) / 2.0
-    da11 = g.D1 @ a11bar
-    ok = True
-    for mm in (0, 1):
-        if np.min(-2.0 * abar - (2 * mm - 1) * da11) <= 0:
-            ok = False
+    da11 = g.D1 @ ((coeffs.a11 @ g.w2) / 2.0)
+    ok = all(np.min(-2.0 * abar - (2 * mm - 1) * da11) > 0 for mm in (0, 1))
     if not ok:
         warnings.warn("energy-sign audit failed: -2a - (2m-1) d1(a11) not positive", stacklevel=2)
     return ok
@@ -408,12 +404,15 @@ class WarmStart:
 
     ``k`` is the absolute schedule index of its first solve (viscosity
     ``eps0 2^-k``) and ``energy_ref`` the viscous energy of an ``eps0``
-    solve, the reference of the blow-up guard.  A fresh carrier means the
+    solve, the reference of the blow-up guard.  ``solutions`` holds the box
+    solutions from ``eps0 2^-k`` down to the last stop, the GMRES starts of
+    the next continuation; equality ignores it.  A fresh carrier means the
     full schedule; :func:`vanishing_viscosity` advances it.
     """
 
     k: int = 0
     energy_ref: float | None = None
+    solutions: dict = field(default_factory=dict, compare=False)
 
 
 def vanishing_viscosity(
@@ -442,11 +441,13 @@ def vanishing_viscosity(
 
     With a ``warm`` carrier (one per outer fixed point) the schedule starts
     at ``warm.k`` instead of 0: ``WARM_START_OCTAVES`` halvings above the
-    previous continuation's last viscosity.  Every box solve starts from
-    zero and depends on its ``eps`` only, so whenever the full schedule
-    would stop after ``warm.k`` the result is bit-identical to it; a
-    schedule that has not met the stop test by the old stop goes on under
-    the same floor and cap.  The energy guard keeps the ``eps0`` energy
+    previous continuation's last viscosity.  A box solve at a viscosity
+    that continuation also solved starts GMRES from its solution
+    (``warm.solutions``) and stops on the same residual bounds as from
+    zero, so whenever the full schedule would stop after ``warm.k`` the
+    result agrees with it to the solve tolerance; a schedule that has not
+    met the stop test by the old stop goes on under the same floor and
+    cap.  The energy guard keeps the ``eps0`` energy
     carried in ``warm.energy_ref``, and a warm trace that is not strictly
     decreasing (too short for the five-step rule) is abandoned for a full
     schedule from ``eps0``, whose guards decide.  On the canonical solve
@@ -469,9 +470,10 @@ def vanishing_viscosity(
         raise InputError(f"viscosity schedule cap must be nonnegative, got {cap}")
     grid = coeffs.grid
     system = ModeSystem(coeffs, f1_grid, f2_grid)
-    if system.is_forcing_zero():
-        v = Field2D.zeros("cosine", grid)
-        return v, Field2D.zeros("cosine", grid), []
+    if warm is not None:
+        system.solutions = warm.solutions
+    if not (np.any(system.F1) or np.any(system.F2)):
+        return Field2D.zeros("cosine", grid), Field2D.zeros("cosine", grid), []
     energy_sign_audit(coeffs)
     out = None
     if warm is not None and warm.k > 0 and warm.energy_ref is not None:
@@ -481,6 +483,7 @@ def vanishing_viscosity(
     v, w, trace, k_last, energy_ref = out
     if warm is not None:
         warm.k, warm.energy_ref = max(k_last - WARM_START_OCTAVES, 0), energy_ref
+        warm.solutions = {eps: x for eps, x in system.solutions.items() if eps >= eps0 * 0.5 ** k_last}
     return v, w, trace
 
 
@@ -502,11 +505,10 @@ def _continue(system: ModeSystem, eps0, tol_eps, cap, trace_sink, k_first, energ
         if k > k_first and eps < eps_floor:
             break
         theta, Theta = system.solve_banded(eps)
+        system.solutions.pop(eps * 2.0 ** (WARM_START_OCTAVES + 1), None)  # no later start revisits it
         v, w = system.to_fields(theta, Theta)
         d11 = v.d11()
-        energy = (
-            np.sqrt(eps) * np.sqrt(grid.integrate(d11 ** 2)) + v.h1_norm() + w.h1_norm()
-        )
+        energy = np.sqrt(eps) * np.sqrt(grid.integrate(d11 ** 2)) + v.h1_norm() + w.h1_norm()
         if energy_ref is None:
             energy_ref = max(energy, 1e-300)
         if energy > 1e3 * energy_ref:
@@ -554,8 +556,6 @@ def solve_linear_problem(
     """
     phi_new = poisson_solve_phi(Field2D.from_grid_values("dirichlet", coeffs.f3, coeffs.grid))
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
-    v, w, _ = vanishing_viscosity(
-        coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
-        warm=warm,
-    )
+    v, w, _ = vanishing_viscosity(coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap,
+                                  trace_sink=trace_sink, warm=warm)
     return v + lift_psi, w + lift_Psi, phi_new

@@ -3,7 +3,8 @@
 Quadrature and RK routes for the background, the closed-form sonic limit
 of the regime function ``alpha``, the dense integral-equation
 solve of the Galerkin mode system, the per-mode banded Poisson solve,
-the RK4 streamline tracer, the advective residual of transported fields,
+the batched coupling blocks of the Galerkin mode system, the RK4
+streamline tracer, the advective residual of transported fields,
 the per-row difference-matrix construction, the per-line sonic root and
 the per-value CSV writer.
 """
@@ -97,6 +98,22 @@ def node_block(system, i: int, eps: float) -> np.ndarray:
     A[4 * K:5 * K, 1 * K:2 * K] = np.diag(np.full(K, system.c1[i]))
     A[4 * K:5 * K, 3 * K:4 * K] = np.diag(system.lam + system.c0[i])
     return A
+
+
+def batched_coupling_blocks(coeffs):
+    """Coupling blocks ``C[i, k, j] = <coef(x1_i, .) B_j, eta_k>`` of a ``ModeSystem``.
+
+    The batched-matmul route over ``(n, K, n_x2)`` weighted-basis
+    temporaries, one per coefficient.  Returns ``(C3, C2, C5, C4)``.
+    """
+    grid = coeffs.grid
+    eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
+    wB = (eta * w2[:, None]).T
+    C3 = (wB * coeffs.a11[:, None, :]) @ eta
+    C2 = (wB * (2.0 * coeffs.a12)[:, None, :]) @ eta_d + (wB * coeffs.a[:, None, :]) @ eta
+    C5 = (wB * coeffs.b1[:, None, :]) @ eta
+    C4 = (wB * coeffs.b0[:, None, :]) @ eta
+    return C3, C2, C5, C4
 
 
 def solve_dense_first_order(system, eps: float):

@@ -156,6 +156,26 @@ class TestSmallness:
         with pytest.raises(AdmissibilityError, match="entropy"):
             assemble_coefficients(state, prof, d0)
 
+    def test_assembly_synthesizes_velocity_once(self, prof, grid, d0, monkeypatch):
+        # the admissibility check reads the parts the coefficients are built from
+        import epnozzle.coefficients as coefficients
+
+        calls = []
+        synthesize = coefficients.velocity_parts
+
+        def counted(state, prof):
+            calls.append(state)
+            return synthesize(state, prof)
+
+        monkeypatch.setattr(coefficients, "velocity_parts", counted)
+        assemble_coefficients(small_state(grid), prof, d0)
+        assert len(calls) == 1
+        state = FlowState.zeros(grid)
+        state.Psi.modes[:, 0] = 2 * d0
+        with pytest.raises(AdmissibilityError, match=r"\['perturbation'\] \(margins"):
+            assemble_coefficients(state, prof, d0)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("dominant", ["psi", "phi", "Psi"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 0.2))

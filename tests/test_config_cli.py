@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import epnozzle
 from epnozzle import InputError, background_profile, parse_config, serialize_config
 from epnozzle.cli import build_problem, main, run, sweep
-from epnozzle.config import RunConfig, load_config, with_overrides
+from epnozzle.config import RunConfig, config_from_mapping, load_config, with_overrides
 
 BASE_CONFIG = """
 # standard almost-sonic window, tiny single-mode data
@@ -104,6 +104,37 @@ class TestConfig:
             }
         )
         assert parse_config(as_json) == cfg
+
+    def test_readme_ini_block_parses(self):
+        # README's example carries trailing comments after its values
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert " # " in block
+        cfg = parse_config(block)
+        assert (cfg.u0, cfg.kappaL, cfg.n_x1, cfg.m, cfg.sigma) == (0.9, 1.1, 401, 16, 1e-4)
+        assert cfg.s_modes == cfg.e_modes == cfg.w_modes == ((1, 1.0),)
+        assert (cfg.tol_root, cfg.out_dir, cfg.override_certificate) == (1e-12, "out", True)
+
+    def test_comment_needs_leading_whitespace(self):
+        cfg = parse_config(BASE_CONFIG + "output.dir = run#1\t# the run's folder\n")
+        assert cfg.out_dir == "run#1"
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("grid.n_x1 = many", "grid.n_x1"), ("gas.J = 1.0#x", "gas.J"),
+         ("boundary.s_modes = 1-1.0", "boundary.s_modes"), ("boundary.w_modes = 1:a", "boundary.w_modes"),
+         ("flags.emit_fields = maybe", "flags.emit_fields")],
+        ids=["non_numeric", "comment_without_space", "mode_without_colon", "mode_coefficient", "boolean"],
+    )
+    def test_unreadable_value_names_key(self, line, key):
+        with pytest.raises(InputError, match=f"config key {key}: cannot read '{line.split(' = ')[1]}'"):
+            parse_config(BASE_CONFIG + line + "\n")
+
+    @pytest.mark.parametrize("value", [None, "x", [[1]], [[1, "a"]], 3], ids=str)
+    def test_unreadable_json_modes_rejected(self, value):
+        with pytest.raises(InputError, match="config key boundary.e_modes"):
+            config_from_mapping({"gas.gamma": 3.0, "gas.zeta0": 2.0, "gas.J": 1.0, "gas.S0": 0.3,
+                                 "background.u0": 0.9, "domain.L": 0.1, "boundary.e_modes": value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError):
@@ -318,6 +349,23 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and message in error["message"]
         assert not (tmp_path / "o" / "fields").exists()
+
+    @pytest.mark.parametrize("command", ["background", "solve"])
+    def test_non_numeric_value_exit_code(self, tmp_path, capsys, command):
+        cfgp = tmp_path / "many.cfg"
+        cfgp.write_text(BASE_CONFIG.replace("grid.n_x1 = 101", "grid.n_x1 = many"))
+        rc = main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and "grid.n_x1: cannot read 'many'" in error["message"]
+
+    def test_malformed_json_exit_code(self, tmp_path, capsys):
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text('{"gas.gamma": 3.0,')
+        rc = main(["background", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and "not valid JSON" in error["message"]
 
     @pytest.mark.parametrize("key", ["gas.gamma", "gas.zeta0", "gas.J", "gas.S0"])
     def test_infinite_gas_parameter_exit_code(self, tmp_path, capsys, key):

@@ -28,6 +28,7 @@ from epnozzle.driver import (
     reconstruct_primitives,
     sonic_interface,
 )
+from epnozzle.mixed_solver import LINEAR_RESIDUAL_MAX
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 
@@ -197,6 +198,42 @@ class TestBackgroundProfileOnce:
         out = fixed_point_solve(bg, BoundaryDataSpec.zero(), grid, override_certificate=True)
         assert out.converged
         assert len(calls) == 1
+
+
+class TestBoxSolveStarts:
+    def test_later_iterates_start_closer(self, bg, grid, bdata, monkeypatch):
+        # the first iterate linearizes at the unperturbed state, whose modes do
+        # not couple (one GMRES step per solve); from the second on, a solve at
+        # a viscosity the previous iterate also solved starts from its solution
+        import epnozzle.mixed_solver as mixed_solver
+
+        solves, gmres_runs = [], []
+        solve_banded, gmres = mixed_solver.ModeSystem.solve_banded, mixed_solver._gmres
+
+        def solve(system, eps):
+            solves.append((system, eps))
+            return solve_banded(system, eps)
+
+        def run(apply, precond, b, *args):
+            out = gmres(apply, precond, b, *args)
+            gmres_runs.append((bool(args) and args[0] is not None, out[2], out[1] / np.linalg.norm(b)))
+            return out
+
+        monkeypatch.setattr(mixed_solver.ModeSystem, "solve_banded", solve)
+        monkeypatch.setattr(mixed_solver, "_gmres", run)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-9)
+        assert out.converged and out.iterations >= 4 and len(solves) == len(gmres_runs)
+        systems = list(dict.fromkeys(system for system, _ in solves))
+        steps = [{} for _ in systems]
+        for (system, eps), (warm, n, rel) in zip(solves, gmres_runs):
+            it = systems.index(system)
+            assert rel <= LINEAR_RESIDUAL_MAX
+            assert warm == (it > 0)
+            steps[it][eps] = n
+        assert set(steps[0].values()) == {1}
+        for later in steps[2:]:
+            assert later.keys() <= steps[1].keys()
+            assert all(n < steps[1][eps] for eps, n in later.items())
 
 
 class TestPerturbedRun:

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_box_system, per_mode_poisson, solve_dense_first_order
+from oracles import (
+    batched_coupling_blocks,
+    dense_box_system,
+    per_mode_poisson,
+    solve_dense_first_order,
+)
 
+import epnozzle.mixed_solver as mixed_solver
 from epnozzle import (
     BoundaryDataSpec,
     Field2D,
@@ -29,6 +35,7 @@ from epnozzle.mixed_solver import (
     BAND_L,
     BAND_U,
     GMRES_RESTART,
+    GMRES_RTOL,
     WARM_START_OCTAVES,
     WarmStart,
     _gmres,
@@ -251,6 +258,23 @@ class TestEpsSystem:
         with pytest.raises(NonConvergenceError, match=r"m=4: .*iterations"):
             sysm.solve_banded(grid.h1 ** 2)
 
+    @pytest.mark.parametrize("n_x1, m", [(61, 4), (101, 16)])
+    def test_coupling_blocks_match_batched_oracle(self, bg, n_x1, m):
+        # a perturbed iterate, so a12 and the wall-direction variation are nonzero
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=n_x1, m=m)
+        prof = background_profile(bg, grid)
+        state = FlowState.zeros(grid)
+        x1 = grid.x1 / grid.L
+        state.psi.modes[:, 1] = 1e-3 * x1 ** 2 * (1 - x1)
+        state.phi.modes[:, 2] = 1e-3 * np.sin(np.pi * x1)
+        state.Psi.modes[:, 1] = 1e-3 * (1 - x1) ** 2
+        coeffs = assemble_coefficients(state, prof, default_d0(prof))
+        assert np.max(np.abs(coeffs.a12)) > 1e-6
+        sysm = ModeSystem(coeffs, coeffs.f1, coeffs.f2)
+        for C, ref in zip((sysm.C3, sysm.C2, sysm.C5, sysm.C4), batched_coupling_blocks(coeffs)):
+            assert C.shape == ref.shape == (n_x1, m + 1, m + 1)
+            assert np.max(np.abs(C - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_mode0_principal_profile_degenerates_once_at_sonic(self, setup, bg):
         grid, _, coeffs = setup
         zero = np.zeros((grid.n_x1, grid.n_x2))
@@ -296,7 +320,7 @@ class TestBandSystem:
         apply = sysm.operator(eps)
         columns = np.column_stack([apply(e) for e in np.eye(len(rhs))])
         assert np.max(np.abs(columns - A)) <= 1e-14 * np.max(np.abs(A))
-        assert np.max(np.abs(sysm.banded_parts[3] - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+        assert np.max(np.abs(sysm.banded_parts[2] - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
     def test_mode_diagonal_part_is_banded(self, instance):
         *_, D = instance
@@ -311,13 +335,36 @@ class TestBandSystem:
         x = sysm.factor(eps).solve(b)
         assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
 
-    def test_factor_and_operator_share_one_fortran_band(self, instance):
+    def test_factor_in_place_leaves_base_untouched(self, instance, monkeypatch):
+        # one Fortran copy per eps goes to dgbtrf, which factors it in place;
+        # the operator's eps-free band stays as assembled and needs no copy
         sysm, eps, *_ = instance
-        band = sysm.band(eps)
-        assert band.flags.f_contiguous
-        sysm.factor(eps)
-        sysm.operator(eps)
-        assert sysm.band(eps) is band
+        ab_base = sysm.banded_parts[0]
+        before = ab_base.copy()
+        inputs = []
+        dgbtrf = mixed_solver.lapack.dgbtrf
+
+        def spy(ab, *args, **kwargs):
+            inputs.append(ab)
+            return dgbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(mixed_solver.lapack, "dgbtrf", spy)
+        lu = sysm.factor(eps)
+        (ab,) = inputs
+        assert ab.flags.f_contiguous and ab_base.flags.f_contiguous
+        assert np.shares_memory(lu.lu, ab) and not np.shares_memory(ab, ab_base)
+        assert np.array_equal(ab_base, before)
+        sysm.operator(eps)(np.ones(ab_base.shape[1]))
+        assert np.array_equal(ab_base, before)
+
+    def test_arnoldi_product_from_coupling_only(self, instance):
+        # A M^-1 v = v + C M^-1 v for the exact mode-diagonal LU M
+        sysm, eps, A, rhs, D = instance
+        v = rhs + np.cos(np.arange(len(rhs)))
+        z = sysm.factor(eps).solve(v)
+        Az = sysm.operator(eps)(z)
+        assert np.max(np.abs(sysm.coupling(z) - (A - D) @ z)) <= 1e-14 * np.max(np.abs(Az))
+        assert np.max(np.abs(v + sysm.coupling(z) - Az)) <= 1e-13 * np.max(np.abs(Az))
 
     def test_factor_undoes_mode_diagonal_part_of_operator(self, instance, amp):
         # x solves a box system, so it carries a solution's scales across the
@@ -331,10 +378,9 @@ class TestBandSystem:
 
 def test_singular_band_raises_naming_eps_and_m(bg_narrow):
     grid, sysm = _oracle_system(bg_narrow, 17, 2, 0.0)
-    ab_base, ab_visc, _, _ = sysm.banded_parts
-    column = 5 * grid.n_x1 + 7                              # mode 1, station 1, X3
+    ab_base = sysm.banded_parts[0]
+    column = 5 * grid.n_x1 + 6                              # mode 1, station 1, X2
     ab_base[:, column] = 0.0
-    ab_visc[:, column] = 0.0
     with pytest.raises(NonConvergenceError, match=r"eps=0\.01, m=2"):
         sysm.factor(1e-2)
 
@@ -376,6 +422,52 @@ class TestGmres:
         A, b = self._system()
         x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, np.zeros_like(b))
         assert not x.any() and residual == 0.0 and iterations == 0
+
+    def test_start_meeting_the_bound_returned_unchanged(self):
+        A, b = self._system()
+        x0 = np.linalg.solve(A, b)
+        assert np.linalg.norm(b - A @ x0) <= GMRES_RTOL * np.linalg.norm(b)
+        calls = []
+        x, residual, iterations = _gmres(lambda v: A @ v, calls.append, b, x0.copy())
+        assert iterations == 0 and not calls
+        assert np.array_equal(x, x0) and residual == np.linalg.norm(b - A @ x0)
+
+    @pytest.mark.parametrize("start", ["zero", "reversed"])
+    def test_start_no_closer_than_zero_is_dropped(self, start):
+        # |b - A x0| >= |b| (equal for x0 = 0, twice for x0 = -x): the
+        # iteration is the one from zero, bit for bit
+        A, b = self._system()
+        x0 = np.zeros_like(b) if start == "zero" else -np.linalg.solve(A, b)
+        jacobi = lambda v: v / np.diag(A)                   # noqa: E731
+        cold = _gmres(lambda v: A @ v, jacobi, b)
+        warm = _gmres(lambda v: A @ v, jacobi, b, x0)
+        assert np.array_equal(warm[0], cold[0]) and warm[1:] == cold[1:]
+
+    def test_previous_solution_of_perturbed_system_saves_steps(self):
+        A, b = self._system()
+        jacobi = lambda v: v / np.diag(A)                   # noqa: E731
+        x_prev = _gmres(lambda v: A @ v, jacobi, b)[0]
+        A2 = A + 1e-6 * np.random.default_rng(4).standard_normal(A.shape)
+        cold = _gmres(lambda v: A2 @ v, jacobi, b)
+        warm = _gmres(lambda v: A2 @ v, jacobi, b, x_prev)
+        assert warm[2] < cold[2]
+        for x, residual, _ in (cold, warm):
+            assert residual == np.linalg.norm(b - A2 @ x) <= GMRES_RTOL * np.linalg.norm(b)
+
+    def test_coupling_products_skip_the_operator(self):
+        # M = the diagonal, inverted exactly: Arnoldi runs on v + C M^-1 v and
+        # the full operator only closes each cycle
+        A, b = self._system()
+        C = A - np.diag(np.diag(A))
+        applied = []
+
+        def apply(v):
+            applied.append(v)
+            return A @ v
+
+        x, residual, iterations = _gmres(apply, lambda v: v / np.diag(A), b, coupling=lambda z: C @ z)
+        assert iterations > 1 and len(applied) == -(-iterations // GMRES_RESTART)
+        assert residual == np.linalg.norm(b - A @ x) <= GMRES_RTOL * np.linalg.norm(b)
 
 
 class TestVanishingViscosity:
@@ -480,6 +572,46 @@ class TestWarmStart:
         ]
         # the carrier is unchanged: same stop, and the reference stays the eps0 energy
         assert carrier == WarmStart(k_stop - WARM_START_OCTAVES, energy_ref)
+
+    def test_revisited_solutions_kept_and_reused(self, setup, monkeypatch):
+        # the carrier keeps the solutions from its start down to the stop; the
+        # same system re-solved from them needs no GMRES step
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        steps = []
+        gmres = mixed_solver._gmres
+
+        def counted(*args):
+            out = gmres(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(mixed_solver, "_gmres", counted)
+        carrier = WarmStart()
+        _, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        k_stop = trace0[-1]["k"]
+        revisited = [0.1 * 0.5 ** k for k in range(k_stop - WARM_START_OCTAVES, k_stop + 1)]
+        assert sorted(carrier.solutions, reverse=True) == revisited
+        kept = dict(carrier.solutions)
+        n_cold = len(steps)
+        assert min(steps) >= 1
+        vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        assert steps[n_cold:] == [0] * len(revisited)
+        assert all(carrier.solutions[eps] is x for eps, x in kept.items())
+
+    def test_shallower_stop_drops_deeper_solutions(self, setup):
+        # a looser tolerance stops the warm schedule on its first difference;
+        # solutions below the new stop are no start of the next continuation
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        carrier = WarmStart()
+        _, _, deep = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        k_deep = deep[-1]["k"]
+        _, _, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=1.0, warm=carrier)
+        assert [t["k"] for t in trace] == [k_deep - WARM_START_OCTAVES + 1]
+        assert carrier.k == k_deep - 2 * WARM_START_OCTAVES + 1
+        assert sorted(carrier.solutions) == [0.1 * 0.5 ** (k_deep - WARM_START_OCTAVES + 1),
+                                             0.1 * 0.5 ** (k_deep - WARM_START_OCTAVES)]
 
     def test_schedule_goes_on_past_the_old_stop(self, setup):
         # a start carried from a looser stop continues to the new stop,
