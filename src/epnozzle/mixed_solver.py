@@ -151,9 +151,11 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet):
     lift_Psi_vals = ramp * Ev
     l1 = wd[None, :] + coeffs.b1 * Ev[None, :] + coeffs.b0 * lift_Psi_vals
     l2 = ramp * Evpp[None, :] - coeffs.c0[:, None] * lift_Psi_vals
+    f1_star = coeffs.f1 - l1
+    f2_star = coeffs.f2 - l2
     lift_psi = Field2D.from_grid_values("cosine", np.array(lift_psi_vals), grid)
     lift_Psi = Field2D.from_grid_values("cosine", lift_Psi_vals, grid)
-    return coeffs.f1 - l1, coeffs.f2 - l2, lift_psi, lift_Psi
+    return f1_star, f2_star, lift_psi, lift_Psi
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +172,19 @@ class BandLU(NamedTuple):
         return lapack.dgbtrs(self.lu, BAND_L, BAND_U, b, self.piv)[0]
 
 
-def _gmres(apply, precond, b: np.ndarray, x0: np.ndarray | None = None, coupling=None):
+def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None):
     """Restarted GMRES (Saad & Schultz 1986), right-preconditioned, from ``x0``
     if ``|b - A x0| < |b|``, else from ``x = 0``.
 
-    A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi
-    steps on ``A M^-1``, each one ``precond`` and one product, keeps
-    ``Z_j = M^-1 v_j`` for ``x += Z y`` and ends early once its least-squares
-    residual, which is ``|b - A x|``, is at most ``GMRES_RTOL |b|``; the
-    iteration stops after ``GMRES_CYCLES`` cycles or once the recomputed
-    ``|b - A x| <= GMRES_RTOL |b|``.  The product is ``apply``, or, given
-    ``coupling = A - M`` for an exact ``M^-1 = precond``, ``v + coupling(M^-1 v)``.
+    ``precond`` applies ``M^-1`` for an ``M`` inverted exactly and
+    ``coupling`` applies ``C = A - M``, so that ``A M^-1 v = v + C M^-1 v``;
+    ``apply`` (the full ``A``) is used only for the start check and the
+    residual that closes each cycle.  A cycle runs at most ``GMRES_RESTART``
+    modified Gram-Schmidt Arnoldi steps on ``A M^-1``, each one ``precond``
+    and one ``coupling``, keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` and ends
+    early once its least-squares residual, which is ``|b - A x|``, is at
+    most ``GMRES_RTOL |b|``; the iteration stops after ``GMRES_CYCLES``
+    cycles or once the recomputed ``|b - A x| <= GMRES_RTOL |b|``.
     Returns ``(x, |b - A x|, iterations)``.
     """
     x, r, iterations = np.zeros_like(b), b, 0
@@ -195,7 +199,7 @@ def _gmres(apply, precond, b: np.ndarray, x0: np.ndarray | None = None, coupling
         V, Z, H = [r / residual], [], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
         for j in range(GMRES_RESTART):
             Z.append(precond(V[j]))
-            w = apply(Z[j]) if coupling is None else V[j] + coupling(Z[j])
+            w = V[j] + coupling(Z[j])
             w_norm = np.linalg.norm(w)
             for i, v in enumerate(V):
                 H[i, j] = v @ w
@@ -234,15 +238,21 @@ class ModeSystem:
             (c @ pair).reshape(-1, K, K) for c in (coeffs.a11, coeffs.b1, coeffs.b0))
         self.C2 = ((2.0 * coeffs.a12) @ pair_d + coeffs.a @ pair).reshape(-1, K, K)
         self.lam = grid.cos_freq ** 2          # from d22: -lam_k per mode
-        self.c0, self.c1 = coeffs.c0, coeffs.c1
-        self.F1, self.F2 = (f1_grid * w2) @ eta, (f2_grid * w2) @ eta
+        self.c0 = coeffs.c0
+        self.c1 = coeffs.c1
+        self.F1 = (f1_grid * w2) @ eta
+        self.F2 = (f2_grid * w2) @ eta
         self.K = K
         self.solutions = {}
 
+    # projection selecting the inlet-anchored first-order components
     @property
     def Pi(self) -> np.ndarray:
         """Boolean mask over (X1..X5): inlet-anchored components (X1, X2, X5)."""
         return np.array([True, True, False, False, True])
+
+    def is_forcing_zero(self) -> bool:
+        return not (np.any(self.F1) or np.any(self.F2))
 
     # -- production banded assembly (box scheme in the X variables) --------
     def _assemble_banded(self):
@@ -363,8 +373,8 @@ class ModeSystem:
             ``|b - A x| / |b|`` exceeds ``LINEAR_RESIDUAL_MAX``.
         """
         rhs = self.banded_parts[2]
-        sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, rhs,
-                                           self.solutions.get(eps), self.coupling)
+        sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, self.coupling,
+                                           rhs, self.solutions.get(eps))
         b_norm = np.linalg.norm(rhs)
         if not residual <= LINEAR_RESIDUAL_MAX * b_norm:
             raise NonConvergenceError(
@@ -379,7 +389,9 @@ class ModeSystem:
     def to_fields(self, theta: np.ndarray, Theta: np.ndarray):
         """Convert orthonormal-basis Galerkin coefficients to cosine fields."""
         scale = 1.0 / np.sqrt(self.grid.cos_norm)
-        return Field2D("cosine", theta * scale, self.grid), Field2D("cosine", Theta * scale, self.grid)
+        v = Field2D("cosine", theta * scale, self.grid)
+        w = Field2D("cosine", Theta * scale, self.grid)
+        return v, w
 
 
 def energy_sign_audit(coeffs: CoefficientSet) -> bool:
@@ -391,8 +403,12 @@ def energy_sign_audit(coeffs: CoefficientSet) -> bool:
     """
     g = coeffs.grid
     abar = (coeffs.a @ g.w2) / 2.0
-    da11 = g.D1 @ ((coeffs.a11 @ g.w2) / 2.0)
-    ok = all(np.min(-2.0 * abar - (2 * mm - 1) * da11) > 0 for mm in (0, 1))
+    a11bar = (coeffs.a11 @ g.w2) / 2.0
+    da11 = g.D1 @ a11bar
+    ok = True
+    for mm in (0, 1):
+        if np.min(-2.0 * abar - (2 * mm - 1) * da11) <= 0:
+            ok = False
     if not ok:
         warnings.warn("energy-sign audit failed: -2a - (2m-1) d1(a11) not positive", stacklevel=2)
     return ok
@@ -472,8 +488,9 @@ def vanishing_viscosity(
     system = ModeSystem(coeffs, f1_grid, f2_grid)
     if warm is not None:
         system.solutions = warm.solutions
-    if not (np.any(system.F1) or np.any(system.F2)):
-        return Field2D.zeros("cosine", grid), Field2D.zeros("cosine", grid), []
+    if system.is_forcing_zero():
+        v = Field2D.zeros("cosine", grid)
+        return v, Field2D.zeros("cosine", grid), []
     energy_sign_audit(coeffs)
     out = None
     if warm is not None and warm.k > 0 and warm.energy_ref is not None:
@@ -508,7 +525,9 @@ def _continue(system: ModeSystem, eps0, tol_eps, cap, trace_sink, k_first, energ
         system.solutions.pop(eps * 2.0 ** (WARM_START_OCTAVES + 1), None)  # no later start revisits it
         v, w = system.to_fields(theta, Theta)
         d11 = v.d11()
-        energy = np.sqrt(eps) * np.sqrt(grid.integrate(d11 ** 2)) + v.h1_norm() + w.h1_norm()
+        energy = (
+            np.sqrt(eps) * np.sqrt(grid.integrate(d11 ** 2)) + v.h1_norm() + w.h1_norm()
+        )
         if energy_ref is None:
             energy_ref = max(energy, 1e-300)
         if energy > 1e3 * energy_ref:
@@ -556,6 +575,8 @@ def solve_linear_problem(
     """
     phi_new = poisson_solve_phi(Field2D.from_grid_values("dirichlet", coeffs.f3, coeffs.grid))
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
-    v, w, _ = vanishing_viscosity(coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap,
-                                  trace_sink=trace_sink, warm=warm)
+    v, w, _ = vanishing_viscosity(
+        coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
+        warm=warm,
+    )
     return v + lift_psi, w + lift_Psi, phi_new

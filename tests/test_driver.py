@@ -214,8 +214,8 @@ class TestBoxSolveStarts:
             solves.append((system, eps))
             return solve_banded(system, eps)
 
-        def run(apply, precond, b, *args):
-            out = gmres(apply, precond, b, *args)
+        def run(apply, precond, coupling, b, *args):
+            out = gmres(apply, precond, coupling, b, *args)
             gmres_runs.append((bool(args) and args[0] is not None, out[2], out[1] / np.linalg.norm(b)))
             return out
 

@@ -386,15 +386,24 @@ def test_singular_band_raises_naming_eps_and_m(bg_narrow):
 
 
 class TestGmres:
+    # every run passes the coupling C = A - M of its preconditioner M (A - I
+    # for none, A - diag(A) for Jacobi, 0 for the exact inverse), so the
+    # Arnoldi product v + C M^-1 v is A M^-1 v
     def _system(self):
         rng = np.random.default_rng(3)
         A = np.eye(80) + 0.6 * rng.standard_normal((80, 80)) / np.sqrt(80)
         return A, rng.standard_normal(80)
 
+    @staticmethod
+    def _jacobi(A):
+        C = A - np.diag(np.diag(A))
+        return (lambda v: v / np.diag(A)), (lambda z: C @ z)   # noqa: E731
+
     def test_restarts_to_the_relative_residual(self):
         # spectrum in a disk of radius ~0.6 about 1: more than one cycle
         A, b = self._system()
-        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, b)
+        C = A - np.eye(len(b))
+        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, lambda z: C @ z, b)
         assert iterations > GMRES_RESTART
         assert residual == np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
         assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-11
@@ -402,25 +411,27 @@ class TestGmres:
     def test_exact_preconditioner_takes_one_step(self):
         A, b = self._system()
         A_inv = np.linalg.inv(A)
-        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: A_inv @ v, b)
+        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: A_inv @ v, np.zeros_like, b)
         assert iterations == 1 and residual <= 1e-12 * np.linalg.norm(b)
 
     def test_inexact_preconditioner_once_per_iteration(self):
         # Jacobi is inexact here, so several steps are needed; each applies it once
         A, b = self._system()
         calls = []
+        diag, coupling = self._jacobi(A)
 
         def jacobi(v):
             calls.append(v)
-            return v / np.diag(A)
+            return diag(v)
 
-        x, residual, iterations = _gmres(lambda v: A @ v, jacobi, b)
+        x, residual, iterations = _gmres(lambda v: A @ v, jacobi, coupling, b)
         assert iterations > 1 and len(calls) == iterations
         assert residual == np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_zero_rhs(self):
         A, b = self._system()
-        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, np.zeros_like(b))
+        C = A - np.eye(len(b))
+        x, residual, iterations = _gmres(lambda v: A @ v, lambda v: v, lambda z: C @ z, np.zeros_like(b))
         assert not x.any() and residual == 0.0 and iterations == 0
 
     def test_start_meeting_the_bound_returned_unchanged(self):
@@ -428,7 +439,7 @@ class TestGmres:
         x0 = np.linalg.solve(A, b)
         assert np.linalg.norm(b - A @ x0) <= GMRES_RTOL * np.linalg.norm(b)
         calls = []
-        x, residual, iterations = _gmres(lambda v: A @ v, calls.append, b, x0.copy())
+        x, residual, iterations = _gmres(lambda v: A @ v, calls.append, calls.append, b, x0.copy())
         assert iterations == 0 and not calls
         assert np.array_equal(x, x0) and residual == np.linalg.norm(b - A @ x0)
 
@@ -438,18 +449,19 @@ class TestGmres:
         # iteration is the one from zero, bit for bit
         A, b = self._system()
         x0 = np.zeros_like(b) if start == "zero" else -np.linalg.solve(A, b)
-        jacobi = lambda v: v / np.diag(A)                   # noqa: E731
-        cold = _gmres(lambda v: A @ v, jacobi, b)
-        warm = _gmres(lambda v: A @ v, jacobi, b, x0)
+        jacobi, coupling = self._jacobi(A)
+        cold = _gmres(lambda v: A @ v, jacobi, coupling, b)
+        warm = _gmres(lambda v: A @ v, jacobi, coupling, b, x0)
         assert np.array_equal(warm[0], cold[0]) and warm[1:] == cold[1:]
 
     def test_previous_solution_of_perturbed_system_saves_steps(self):
         A, b = self._system()
-        jacobi = lambda v: v / np.diag(A)                   # noqa: E731
-        x_prev = _gmres(lambda v: A @ v, jacobi, b)[0]
+        jacobi, coupling = self._jacobi(A)
+        x_prev = _gmres(lambda v: A @ v, jacobi, coupling, b)[0]
         A2 = A + 1e-6 * np.random.default_rng(4).standard_normal(A.shape)
-        cold = _gmres(lambda v: A2 @ v, jacobi, b)
-        warm = _gmres(lambda v: A2 @ v, jacobi, b, x_prev)
+        jacobi2, coupling2 = self._jacobi(A2)
+        cold = _gmres(lambda v: A2 @ v, jacobi2, coupling2, b)
+        warm = _gmres(lambda v: A2 @ v, jacobi2, coupling2, b, x_prev)
         assert warm[2] < cold[2]
         for x, residual, _ in (cold, warm):
             assert residual == np.linalg.norm(b - A2 @ x) <= GMRES_RTOL * np.linalg.norm(b)
@@ -458,14 +470,14 @@ class TestGmres:
         # M = the diagonal, inverted exactly: Arnoldi runs on v + C M^-1 v and
         # the full operator only closes each cycle
         A, b = self._system()
-        C = A - np.diag(np.diag(A))
+        jacobi, coupling = self._jacobi(A)
         applied = []
 
         def apply(v):
             applied.append(v)
             return A @ v
 
-        x, residual, iterations = _gmres(apply, lambda v: v / np.diag(A), b, coupling=lambda z: C @ z)
+        x, residual, iterations = _gmres(apply, jacobi, coupling, b)
         assert iterations > 1 and len(applied) == -(-iterations // GMRES_RESTART)
         assert residual == np.linalg.norm(b - A @ x) <= GMRES_RTOL * np.linalg.norm(b)
 
