@@ -17,6 +17,7 @@ from .coefficients import (
     assemble_coefficients,
     background_profile,
     check_smallness,
+    collocate,
     default_d0,
     momentum_field,
 )

@@ -114,11 +114,3 @@ class BoundaryDataSpec:
                     val = {0: np.sin(w * x2), 2: -(w ** 2) * np.sin(w * x2), 4: w ** 4 * np.sin(w * x2)}[order]
                     worst = max(worst, abs(self.sigma * c * val))
         return worst
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "s_modes": list(self.s_modes),
-            "e_modes": list(self.e_modes),
-            "w_modes": list(self.w_modes),
-        }

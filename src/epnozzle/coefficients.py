@@ -17,9 +17,11 @@ grid:
 
 All products are formed pointwise on the oversampled collocation grid and
 projected back where a modal representation is needed, so mode coupling
-is dealiased exactly.  Assembly validates the admissibility region
-(smallness bounds and the positivity floor of ``A22``) and the structural
-wall conditions before returning.
+is dealiased exactly.  The split velocity of an iterate is synthesized
+once, by :func:`collocate`; assembly, the momentum field and the smallness
+checks read that ``Collocated`` view.  Assembly validates the
+admissibility region (smallness bounds and the positivity floor of
+``A22``) and the structural wall conditions before returning.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class BackgroundProfile:
     """Background quantities sampled on the station grid (vectors over x1).
 
     Built once per solve by ``background_profile``: the fixed-point map
-    linearizes about this one background, so every per-iterate helper takes
+    linearizes about this one background, so every per-iterate view carries
     the profile (which also carries the background and the grid).
     """
 
@@ -154,7 +156,6 @@ class CoefficientSet:
     f2: np.ndarray
     f3: np.ndarray
     A22: np.ndarray
-    d0: float
     grid: Grid
     profile: BackgroundProfile
 
@@ -180,9 +181,17 @@ def default_d0(prof: BackgroundProfile) -> float:
     return D0_CANDIDATES[-1]
 
 
-class VelocityParts(NamedTuple):
-    """Collocation values of the split velocity ``v = grad(phibar + psi) + curl(phi)``."""
+class Collocated(NamedTuple):
+    """An iterate with its split velocity ``v = grad(phibar + psi) + curl(phi)`` on the grid.
 
+    Built once per iterate by :func:`collocate`; every per-iterate helper
+    reads it instead of synthesizing the velocity again.  T does not enter
+    the velocity, so ``view._replace(state=replace(view.state, T=T_new))``
+    is the view of the state with a new entropy perturbation.
+    """
+
+    state: FlowState
+    prof: BackgroundProfile
     p1: np.ndarray      # d1 psi
     p2: np.ndarray      # d2 psi
     q1: np.ndarray      # d2 phi (x1 component of curl phi)
@@ -193,7 +202,7 @@ class VelocityParts(NamedTuple):
     head: np.ndarray    # Phibar + Psi - |v|^2/2
 
 
-def velocity_parts(state: FlowState, prof: BackgroundProfile) -> VelocityParts:
+def collocate(state: FlowState, prof: BackgroundProfile) -> Collocated:
     """Synthesize the split velocity of an iterate and the Bernoulli head."""
     p1, p2 = state.psi.d1(), state.psi.d2()
     q1, q2 = state.phi.d2(), state.phi.d1()
@@ -201,35 +210,28 @@ def velocity_parts(state: FlowState, prof: BackgroundProfile) -> VelocityParts:
     v2 = p2 - q2
     Psi = state.Psi.values()
     head = prof.Phi[:, None] + Psi - 0.5 * (v1 ** 2 + v2 ** 2)
-    return VelocityParts(p1, p2, q1, q2, v1, v2, Psi, head)
+    return Collocated(state, prof, p1, p2, q1, q2, v1, v2, Psi, head)
 
 
-def check_smallness(state: FlowState, prof: BackgroundProfile, d0: float) -> dict:
+def check_smallness(view: Collocated, d0: float) -> dict:
     """Admissibility margins (positive = satisfied, 0 = boundary case).
 
     Returns ``{"perturbation": d0 - max(|Psi|, |Dpsi|, |Dphi|),
     "entropy": S0/2 - max|T|, "forward_flow": min v.e1 - u0/2}``, with the
-    sup norms taken on the collocation grid from one :func:`velocity_parts`.
+    sup norms taken on the collocation grid.
     """
-    return _margins(velocity_parts(state, prof), state.T, prof, d0)
-
-
-def _margins(vp: VelocityParts, T: Field2D, prof: BackgroundProfile, d0: float) -> dict:
-    """The margins of :func:`check_smallness` from an iterate's velocity parts."""
-    pert = max(np.max(np.abs(vp.Psi)), np.max(np.hypot(vp.p1, vp.p2)), np.max(np.hypot(vp.q2, vp.q1)))
+    pert = max(np.max(np.abs(view.Psi)), np.max(np.hypot(view.p1, view.p2)),
+               np.max(np.hypot(view.q2, view.q1)))
     return {
         "perturbation": d0 - float(pert),
-        "entropy": prof.bg.params.S0 / 2.0 - T.sup_norm(),
-        "forward_flow": float(np.min(vp.v1)) - prof.bg.u0 / 2.0,
+        "entropy": view.prof.bg.params.S0 / 2.0 - view.state.T.sup_norm(),
+        "forward_flow": float(np.min(view.v1)) - view.prof.bg.u0 / 2.0,
     }
 
 
-def require_admissible(state: FlowState, prof: BackgroundProfile, d0: float, context: str = "") -> dict:
-    return _require(check_smallness(state, prof, d0), context)
-
-
-def _require(margins: dict, context: str = "") -> dict:
+def require_admissible(view: Collocated, d0: float, context: str = "") -> dict:
     """Return the margins, or raise ``AdmissibilityError`` naming the negative ones."""
+    margins = check_smallness(view, d0)
     bad = [k for k, v in margins.items() if v < 0]
     if bad:
         raise AdmissibilityError(
@@ -247,8 +249,8 @@ def varrho(T, Psi_plus_Phibar, v_sq, params) -> np.ndarray:
     return base ** (1.0 / (params.gamma - 1))
 
 
-def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) -> CoefficientSet:
-    """Evaluate all coefficient and forcing fields at the given iterate.
+def assemble_coefficients(view: Collocated, d0: float) -> CoefficientSet:
+    """Evaluate all coefficient and forcing fields at the iterate ``view.state``.
 
     Raises
     ------
@@ -257,11 +259,9 @@ def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) 
     DegenerateStateError
         If ``A22`` drops below its positivity floor.
     """
+    require_admissible(view, d0)
+    state, prof, p1, _, q1, _, v1, v2, Psi, head = view
     p = prof.bg.params
-    vp = velocity_parts(state, prof)
-    _require(_margins(vp, state.T, prof, d0))
-
-    p1, _, q1, _, v1, v2, Psi, head = vp
     T = state.T.values()
     A11 = (p.gamma - 1) * head - v1 ** 2
     A12 = -v1 * v2
@@ -312,7 +312,6 @@ def assemble_coefficients(state: FlowState, prof: BackgroundProfile, d0: float) 
         f2=f2,
         f3=f3,
         A22=A22,
-        d0=d0,
         grid=prof.grid,
         profile=prof,
     )
@@ -344,7 +343,7 @@ def verify_structure(coeffs: CoefficientSet) -> None:
             raise AdmissibilityError(f"wall-normal derivative of {name} nonzero at walls ({worst:.3e})")
 
 
-def momentum_field(state: FlowState, prof: BackgroundProfile):
+def momentum_field(view: Collocated):
     """Pseudo momentum density ``m = (Phibar + Psi - |v|^2/2)^(1/(gamma-1)) v``.
 
     Returns ``(m1, m2, div_residual)`` on the collocation grid.  The
@@ -355,10 +354,10 @@ def momentum_field(state: FlowState, prof: BackgroundProfile):
     multiple cancels in the streamline construction.  Admissibility is not
     checked here: the fixed-point driver checks every iterate it accepts.
     """
-    vp = velocity_parts(state, prof)
-    if np.any(vp.head <= 0):
+    if np.any(view.head <= 0):
         raise DegenerateStateError("momentum density base lost positivity")
-    dens = vp.head ** (1.0 / (prof.bg.params.gamma - 1))
-    m1, m2 = dens * vp.v1, dens * vp.v2
-    div = prof.grid.D1 @ m1 + grid_d2_parity_split(m2, prof.grid)
+    grid = view.prof.grid
+    dens = view.head ** (1.0 / (view.prof.bg.params.gamma - 1))
+    m1, m2 = dens * view.v1, dens * view.v2
+    div = grid.D1 @ m1 + grid_d2_parity_split(m2, grid)
     return m1, m2, div

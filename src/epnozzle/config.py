@@ -21,6 +21,13 @@ from .errors import InputError
 from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL
 
 
+def _parse_int(value) -> int:
+    """An integer from an int, an integral float or a decimal string; never from a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _parse_modes(text: str):
     text = text.strip()
     if not text:
@@ -105,13 +112,13 @@ _KEYMAP = {
     "gas.S0": ("S0", float),
     "gas.E0": ("E0", float),
     "background.u0": ("u0", float),
-    "background.resolution": ("resolution", int),
+    "background.resolution": ("resolution", _parse_int),
     "window.kappa0": ("kappa0", float),
     "window.kappaL": ("kappaL", float),
     "window.d": ("d", float),
     "domain.L": ("L", float),
-    "grid.n_x1": ("n_x1", int),
-    "grid.m": ("m", int),
+    "grid.n_x1": ("n_x1", _parse_int),
+    "grid.m": ("m", _parse_int),
     "boundary.sigma": ("sigma", float),
     "boundary.s_modes": ("s_modes", _parse_modes),
     "boundary.e_modes": ("e_modes", _parse_modes),
@@ -121,8 +128,8 @@ _KEYMAP = {
     "tol.root": ("tol_root", float),
     "damping.theta": ("theta", float),
     "solver.eps0": ("eps0", float),
-    "solver.eps_cap": ("eps_cap", int),
-    "solver.max_outer": ("max_outer", int),
+    "solver.eps_cap": ("eps_cap", _parse_int),
+    "solver.max_outer": ("max_outer", _parse_int),
     "solver.sigma_cap": ("sigma_cap", float),
     "output.dir": ("out_dir", str),
     "flags.override_certificate": ("override_certificate", _parse_bool),
@@ -142,7 +149,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
         attr, conv = _KEYMAP[key]
         try:
             if conv is _parse_modes and not isinstance(value, str):
-                kw[attr] = tuple((int(n), float(c)) for n, c in value)
+                kw[attr] = tuple((_parse_int(n), float(c)) for n, c in value)
             elif conv is _parse_bool and isinstance(value, bool):
                 kw[attr] = value
             else:

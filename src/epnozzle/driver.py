@@ -31,17 +31,17 @@ import numpy as np
 from .background import BackgroundSolution
 from .boundary import BoundaryDataSpec
 from .coefficients import (
-    BackgroundProfile,
     CoefficientSet,
+    Collocated,
     FlowState,
     assemble_coefficients,
     background_profile,
     check_smallness,
+    collocate,
     default_d0,
     momentum_field,
     require_admissible,
     varrho,
-    velocity_parts,
 )
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
@@ -145,7 +145,7 @@ def fixed_point_solve(
     prof = background_profile(bg, grid)
     d0 = default_d0(prof)
 
-    state = FlowState.zeros(grid)
+    view = collocate(FlowState.zeros(grid), prof)
     increments: list = []
     eps_trace: list = []
     theta_cur = float(theta)
@@ -156,7 +156,8 @@ def fixed_point_solve(
 
     for it in range(1, max_outer + 1):
         iterations = it
-        m1, _, _ = momentum_field(state, prof)
+        state = view.state
+        m1, _, _ = momentum_field(view)
         sf = stream_function(m1, grid)
         label = lagrangian_map(sf)
         T_new = transport_entropy(bdata.s_en_minus_s0, label, grid)
@@ -168,16 +169,17 @@ def fixed_point_solve(
             if trace_sink is not None:
                 trace_sink(entry)
 
-        coeffs = assemble_coefficients(replace(state, T=T_new), prof, d0)
+        # T does not enter the velocity: the iterate's view serves the new T
+        coeffs = assemble_coefficients(view._replace(state=replace(state, T=T_new)), d0)
+        del view  # the box solves' peak memory need not hold it
         psi_new, Psi_new, phi_new = solve_linear_problem(
             coeffs, bdata, eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink, warm=warm,
         )
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
-        new_state = state.blend(update, theta_cur)
-        require_admissible(new_state, prof, d0, context=f"at outer iterate {it}")
-        incr = new_state.h1_distance(state)
+        view = collocate(state.blend(update, theta_cur), prof)
+        require_admissible(view, d0, context=f"at outer iterate {it}")
+        incr = view.state.h1_distance(state)
         increments.append(incr)
-        state = new_state
         if incr <= tol_outer:
             converged = True
             break
@@ -195,15 +197,15 @@ def fixed_point_solve(
     if not converged:
         raise NonConvergenceError(f"no outer convergence within {max_outer} iterations")
 
-    coeffs = assemble_coefficients(state, prof, d0)
+    coeffs = assemble_coefficients(view, d0)
     x2s, gs = sonic_interface(coeffs, root_tol=root_tol)
     sup_dev = float(np.max(np.abs(gs - bg.l_s)))
-    prim = reconstruct_primitives(state, prof)
+    prim = reconstruct_primitives(view)
     mach, mismatches = mach_field(prim, coeffs, gs)
-    residuals = fixed_point_residuals(state, coeffs, prim)
-    margins = check_smallness(state, prof, d0)
+    residuals = fixed_point_residuals(view, coeffs, prim)
+    margins = check_smallness(view, d0)
     return SolveOutcome(
-        state=state,
+        state=view.state,
         background=bg,
         coeffs=coeffs,
         sonic_x2=x2s,
@@ -285,12 +287,12 @@ def mach_field(prim: dict, coeffs: CoefficientSet, gs: np.ndarray):
     return M, mismatches
 
 
-def reconstruct_primitives(state: FlowState, prof: BackgroundProfile) -> dict:
+def reconstruct_primitives(view: Collocated) -> dict:
     """Primitive fields and residuals of the original balance laws."""
+    state, prof = view.state, view.prof
     p = prof.bg.params
     g = prof.grid
-    vp = velocity_parts(state, prof)
-    u1, u2, Psi = vp.v1, vp.v2, vp.Psi
+    u1, u2, Psi = view.v1, view.v2, view.Psi
     T = state.T.values()
     S = p.S0 + T
     Phi = prof.Phi[:, None] + Psi
@@ -328,7 +330,7 @@ def interior_mask(grid: Grid) -> np.ndarray:
     return (i >= lo) & (i <= n - lo)
 
 
-def fixed_point_residuals(state: FlowState, coeffs: CoefficientSet, prim: dict) -> dict:
+def fixed_point_residuals(view: Collocated, coeffs: CoefficientSet, prim: dict) -> dict:
     """Sup and L2 residuals of the perturbation system at the fixed point.
 
     Differential rows are evaluated on the fixed physical interior of
@@ -340,20 +342,21 @@ def fixed_point_residuals(state: FlowState, coeffs: CoefficientSet, prim: dict) 
     fixed fraction of L, not a sub-grid layer.  The residual refines only
     beyond about 0.5 L (ROADMAP open item 3).
     """
+    state = view.state
     mask = interior_mask(state.grid)
     res_psi = (
         coeffs.a11 * state.psi.d11()
         + 2.0 * coeffs.a12 * state.psi.d12()
         + state.psi.d22()
-        + coeffs.a * state.psi.d1()
+        + coeffs.a * view.p1
         + coeffs.b1 * state.Psi.d1()
-        + coeffs.b0 * state.Psi.values()
+        + coeffs.b0 * view.Psi
         - coeffs.f1
     )[mask]
     res_Psi = (
         state.Psi.d11() + state.Psi.d22()
-        - coeffs.c0[:, None] * state.Psi.values()
-        - coeffs.c1[:, None] * state.psi.d1()
+        - coeffs.c0[:, None] * view.Psi
+        - coeffs.c1[:, None] * view.p1
         - coeffs.f2
     )[mask]
     res_phi = (-(state.phi.d11() + state.phi.d22()) - coeffs.f3)[mask]

@@ -179,9 +179,6 @@ class Field2D:
         return (self.grid.D1 @ self.modes) @ self.grid.basis(self.parity, 1).T
 
     # -- algebra ---------------------------------------------------------
-    def copy(self) -> "Field2D":
-        return Field2D(self.parity, self.modes.copy(), self.grid)
-
     def __add__(self, other: "Field2D") -> "Field2D":
         return Field2D(self.parity, self.modes + other.modes, self.grid)
 

@@ -399,16 +399,14 @@ def energy_sign_audit(coeffs: CoefficientSet) -> bool:
 
     The wall-averaged profiles must satisfy ``-2 a - (2m - 1) d1 a11 > 0``
     at every station for m = 0, 1 whenever L < l_max; warns (does not
-    fail) when a perturbed coefficient set violates it.
+    fail) when a perturbed coefficient set violates it.  A NaN in either
+    profile fails the audit.
     """
     g = coeffs.grid
     abar = (coeffs.a @ g.w2) / 2.0
     a11bar = (coeffs.a11 @ g.w2) / 2.0
     da11 = g.D1 @ a11bar
-    ok = True
-    for mm in (0, 1):
-        if np.min(-2.0 * abar - (2 * mm - 1) * da11) <= 0:
-            ok = False
+    ok = all(np.min(-2.0 * abar - (2 * mm - 1) * da11) > 0 for mm in (0, 1))
     if not ok:
         warnings.warn("energy-sign audit failed: -2a - (2m-1) d1(a11) not positive", stacklevel=2)
     return ok

@@ -37,7 +37,6 @@ class StreamFunction:
 
     theta: np.ndarray          # (n_x1, n_x2)
     inlet: np.ndarray          # theta(0, .)
-    m1: np.ndarray             # axial flux (= wall-normal theta derivative)
     grid: Grid
     top_defect: float          # max_x1 |theta(x1, 1) - theta(0, 1)|
     monotone_margin: float     # min over the grid of m1
@@ -58,7 +57,6 @@ def stream_function(m1: np.ndarray, grid: Grid) -> StreamFunction:
     return StreamFunction(
         theta=theta,
         inlet=theta[0],
-        m1=m1,
         grid=grid,
         top_defect=float(np.max(np.abs(top - top[0]))),
         monotone_margin=float(np.min(m1)),

@@ -31,6 +31,7 @@ from epnozzle import (
     assemble_coefficients,
     background_profile,
     certify_regime,
+    collocate,
     default_d0,
     fixed_point_solve,
     flux_F,
@@ -226,7 +227,7 @@ def test_criterion_07_linear_solver_oracle():
         L = bg.x1_at_speed(1.05 * CANON.u_s)
         grid = Grid(L=L, n_x1=17, m=2)
         prof = background_profile(bg, grid)
-        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
+        coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
         f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
             grid.x1 / L, np.cos(np.pi * grid.x2)
         )
@@ -247,7 +248,7 @@ def test_criterion_08_manufactured_elliptic_convergence(bg_std):
         for n in (101, 201):
             grid = Grid(L=L, n_x1=n, m=4)
             prof = background_profile(bg, grid)
-            coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
+            coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
             x, s = grid.x1, grid.x1 / L
             # v* = p(x) cos(pi x2), w* = q(x): all five boundary rows satisfied
             gfun = np.sin(1.5 * np.pi * s)
@@ -336,7 +337,7 @@ def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std):
         from epnozzle.coefficients import momentum_field
         from epnozzle.transport import stream_function
 
-        m1, _, _ = momentum_field(std_run.state, std_run.coeffs.profile)
+        m1, _, _ = momentum_field(collocate(std_run.state, std_run.coeffs.profile))
         sf = stream_function(m1, grid_std)
         starts = np.linspace(-0.9, 0.9, 7)
         n_steps = 4 * (grid_std.n_x1 - 1)
@@ -373,7 +374,7 @@ def test_criterion_12_transport(std_run, refine_pair, bdata_std, grid_std):
         sups = []
         for out in refine_pair + [std_run]:
             g = out.state.grid
-            m1o, m2o, _ = momentum_field(out.state, out.coeffs.profile)
+            m1o, m2o, _ = momentum_field(collocate(out.state, out.coeffs.profile))
             res = m1o * out.state.T.d1() + m2o * out.state.T.d2()
             sups.append(np.max(np.abs(res[interior_mask(g)])))
         assert all(s <= 1e-6 * SIGMA for s in sups)
@@ -395,14 +396,14 @@ def test_criterion_13_conservation_residuals(std_run, refine_pair, grid_std):
         for out in refine_pair:
             g = out.state.grid
             mask = halo_free(g)
-            _, _, div = momentum_field(out.state, out.coeffs.profile)
+            _, _, div = momentum_field(collocate(out.state, out.coeffs.profile))
             vals["div_m"].append(np.sqrt(np.mean(div[mask] ** 2)))
             vals["poisson"].append(np.sqrt(np.mean(out.primitives["residual_poisson"][mask] ** 2)))
         for name, (coarse, fine) in vals.items():
             order = np.log2(coarse / fine)
             assert order >= 1.8, f"{name} residual order {order:.2f}"
         mask = interior_mask(grid_std)
-        _, _, div = momentum_field(std_run.state, std_run.coeffs.profile)
+        _, _, div = momentum_field(collocate(std_run.state, std_run.coeffs.profile))
         assert np.sqrt(np.mean(div[mask] ** 2)) <= 1e-3 * SIGMA
         assert np.sqrt(np.mean(std_run.primitives["residual_poisson"][mask] ** 2)) <= 1e-2 * SIGMA
 

@@ -136,6 +136,25 @@ class TestConfig:
             config_from_mapping({"gas.gamma": 3.0, "gas.zeta0": 2.0, "gas.J": 1.0, "gas.S0": 0.3,
                                  "background.u0": 0.9, "domain.L": 0.1, "boundary.e_modes": value})
 
+    MINIMAL = {"gas.gamma": 3.0, "gas.zeta0": 2.0, "gas.J": 1.0, "gas.S0": 0.3,
+               "background.u0": 0.9, "domain.L": 0.1}
+
+    @pytest.mark.parametrize("value", [101, "101", 101.0], ids=repr)
+    def test_integer_key_reads_integral_values(self, value):
+        cfg = config_from_mapping({**self.MINIMAL, "grid.n_x1": value})
+        assert cfg.n_x1 == 101 and type(cfg.n_x1) is int
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid.n_x1", 101.7), ("grid.n_x1", True), ("solver.eps_cap", True), ("grid.m", False),
+         ("solver.max_outer", float("inf")), ("background.resolution", float("nan")),
+         ("boundary.s_modes", [[1.5, 1.0]]), ("boundary.s_modes", [[True, 1.0]])],
+        ids=repr,
+    )
+    def test_integer_key_rejects_bool_and_fraction(self, key, value):
+        with pytest.raises(InputError, match=f"config key {key}: cannot read"):
+            config_from_mapping({**self.MINIMAL, key: value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError):
             parse_config(BASE_CONFIG + "\nnozzle.shape = bell\n")
@@ -358,6 +377,15 @@ class TestExitCodes:
         assert rc == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and "grid.n_x1: cannot read 'many'" in error["message"]
+
+    def test_fractional_integer_key_exit_code(self, tmp_path, capsys):
+        cfgp = tmp_path / "fraction.json"
+        cfgp.write_text(json.dumps({"gas.gamma": 3.0, "gas.zeta0": 2.0, "gas.J": 1.0, "gas.S0": 0.3,
+                                    "background.u0": 0.9, "domain.L": 0.1, "grid.n_x1": 101.7}))
+        rc = main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and "grid.n_x1: cannot read 101.7" in error["message"]
 
     def test_malformed_json_exit_code(self, tmp_path, capsys):
         cfgp = tmp_path / "bad.json"

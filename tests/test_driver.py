@@ -17,6 +17,7 @@ from epnozzle import (
     assemble_coefficients,
     background_profile,
     certify_regime,
+    collocate,
     default_d0,
     fixed_point_solve,
     solve_background,
@@ -198,6 +199,29 @@ class TestBackgroundProfileOnce:
         out = fixed_point_solve(bg, BoundaryDataSpec.zero(), grid, override_certificate=True)
         assert out.converged
         assert len(calls) == 1
+
+    def test_velocity_collocated_once_per_iterate(self, bg, grid, bdata, monkeypatch):
+        # one view for the zero state and one per blended iterate; the
+        # per-iterate helpers read the views and never synthesize their own
+        import epnozzle.coefficients
+        import epnozzle.driver
+
+        views = []
+        original = epnozzle.coefficients.collocate
+
+        def counting(state, prof):
+            views.append(original(state, prof))
+            return views[-1]
+
+        def forbidden(state, prof):
+            raise AssertionError("a per-iterate helper synthesized the velocity")
+
+        monkeypatch.setattr(epnozzle.driver, "collocate", counting)
+        monkeypatch.setattr(epnozzle.coefficients, "collocate", forbidden)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        assert out.converged and out.iterations >= 2
+        assert len(views) == out.iterations + 1
+        assert out.state is views[-1].state
 
 
 class TestBoxSolveStarts:
@@ -399,7 +423,7 @@ class TestExtractionHelpers:
 
         grid = Grid(L=0.5 * bg.l_s, n_x1=51, m=2)
         prof = background_profile(bg, grid)
-        coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
+        coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
         with pytest.raises(InternalError):
             sonic_interface(coeffs)
 

@@ -1,5 +1,7 @@
 """Mixed-type solver: Poisson problem, lifts, viscous continuation, oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from epnozzle import (
     NonConvergenceError,
     assemble_coefficients,
     background_profile,
+    collocate,
     default_d0,
     lift_boundary_data,
     poisson_solve_phi,
@@ -63,7 +66,7 @@ def setup(bg):
     grid = Grid(L=L, n_x1=101, m=4)
     prof = background_profile(bg, grid)
     d0 = default_d0(prof)
-    coeffs = assemble_coefficients(FlowState.zeros(grid), prof, d0)
+    coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), d0)
     return grid, d0, coeffs
 
 
@@ -94,7 +97,7 @@ def _oracle_system(bg, n_x1, m, amp):
     L = bg.x1_at_speed(1.05 * CANON.u_s)
     grid = Grid(L=L, n_x1=n_x1, m=m)
     prof = background_profile(bg, grid)
-    coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
+    coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
     mod = 1.0 + amp * np.cos(np.pi * grid.x2)
     coeffs.a11, coeffs.a, coeffs.b0 = coeffs.a11 * mod, coeffs.a * mod, coeffs.b0 * mod
     f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
@@ -268,7 +271,7 @@ class TestEpsSystem:
         state.psi.modes[:, 1] = 1e-3 * x1 ** 2 * (1 - x1)
         state.phi.modes[:, 2] = 1e-3 * np.sin(np.pi * x1)
         state.Psi.modes[:, 1] = 1e-3 * (1 - x1) ** 2
-        coeffs = assemble_coefficients(state, prof, default_d0(prof))
+        coeffs = assemble_coefficients(collocate(state, prof), default_d0(prof))
         assert np.max(np.abs(coeffs.a12)) > 1e-6
         sysm = ModeSystem(coeffs, coeffs.f1, coeffs.f2)
         for C, ref in zip((sysm.C3, sysm.C2, sysm.C5, sysm.C4), batched_coupling_blocks(coeffs)):
@@ -297,6 +300,16 @@ class TestEpsSystem:
         bad.a = -coeffs.a  # wrong drift sign
         with pytest.warns(UserWarning):
             assert not energy_sign_audit(bad)
+
+    @pytest.mark.parametrize("name", ["a", "a11"])
+    def test_energy_sign_audit_fails_on_nan(self, name):
+        # NaN <= 0 is False: a NaN profile must still fail the audit, not pass it
+        grid = Grid(L=1.0, n_x1=21, m=1)
+        shape = (grid.n_x1, grid.n_x2)
+        coeffs = SimpleNamespace(grid=grid, a=np.full(shape, -1.0), a11=np.zeros(shape))
+        getattr(coeffs, name)[10, 1] = np.nan
+        with pytest.warns(UserWarning, match="energy-sign audit failed"):
+            assert not energy_sign_audit(coeffs)
 
 
 @pytest.mark.parametrize("amp", [0.0, 0.5])
@@ -708,7 +721,7 @@ class TestSolveLinearProblem:
             grid = Grid(L=L, n_x1=n, m=4)
             grids[n] = grid
             prof = background_profile(bg, grid)
-            coeffs = assemble_coefficients(FlowState.zeros(grid), prof, default_d0(prof))
+            coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
             psi, Psi, _ = solve_linear_problem(coeffs, bdata, **solver_kw)
             sols[n] = (psi.modes, Psi.modes)
 
