@@ -111,7 +111,6 @@ class BackgroundProfile:
     E: np.ndarray
     rho: np.ndarray
     Phi: np.ndarray
-    phi_pot: np.ndarray
     A22: np.ndarray        # (gamma-1)(Phibar - u1^2/2) = gamma S0 rhobar^(gamma-1)
     a11: np.ndarray        # 1 - (u1/u_s)^(gamma+1)
     c0: np.ndarray
@@ -133,7 +132,6 @@ def background_profile(bg: BackgroundSolution, grid: Grid) -> BackgroundProfile:
         E=data["E"],
         rho=data["rho"],
         Phi=data["Phi"],
-        phi_pot=data["phi_pot"],
         A22=A22,
         a11=1.0 - (u1 / p.u_s) ** (p.gamma + 1),
         c0=c0,

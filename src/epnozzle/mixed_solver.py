@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +80,7 @@ GMRES_RESTART = 30
 GMRES_CYCLES = 3
 GMRES_RTOL = 1e-12
 BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
+PI = np.array([True, True, False, False, True])  # projection Pi: inlet-anchored (X1, X2, X5)
 
 splu = None  # unused: perfbench/spans.py binds its factor span here until ROADMAP item 1
 
@@ -218,46 +218,36 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
 
 
 class ModeSystem:
-    """Galerkin truncation of the viscous mixed-type pair.
+    """Galerkin truncation of the viscous mixed-type pair as a box system.
 
-    Carries the per-station coupling blocks (acting on the first-order
-    block vector ``X = (X1..X5) = (v, v', v'', w, w')`` of mode
-    coefficients), the projected forcings, the assembler of the banded box
-    system and ``solutions``, the GMRES start of a solve at each ``eps``.
+    Holds only what a box solve reads: the grid, the mode count ``K``, the
+    ``eps``-free band ``band``, the off-mode coupling ``C_off`` of the X3
+    rows, the right-hand side ``rhs`` and ``forced``, whether the projected
+    forcing is nonzero.  The blocks and forcings it is built from are not kept.
     """
 
     def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray):
         self.grid = grid = coeffs.grid
-        K = grid.n_cos
+        self.K = K = grid.n_cos
         eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
         # coupling blocks C[i, k, j] = <coef(x1_i, .) B_j, eta_k>, one GEMM per
         # coefficient against the weighted basis-pair products w2 eta_k B_j
         pair = (w2[:, None, None] * eta[:, :, None] * eta[:, None, :]).reshape(-1, K * K)
         pair_d = (w2[:, None, None] * eta[:, :, None] * eta_d[:, None, :]).reshape(-1, K * K)
-        self.C3, self.C5, self.C4 = (
-            (c @ pair).reshape(-1, K, K) for c in (coeffs.a11, coeffs.b1, coeffs.b0))
-        self.C2 = ((2.0 * coeffs.a12) @ pair_d + coeffs.a @ pair).reshape(-1, K, K)
-        self.lam = grid.cos_freq ** 2          # from d22: -lam_k per mode
-        self.c0 = coeffs.c0
-        self.c1 = coeffs.c1
-        self.F1 = (f1_grid * w2) @ eta
-        self.F2 = (f2_grid * w2) @ eta
-        self.K = K
-        self.solutions = {}
-
-    # projection selecting the inlet-anchored first-order components
-    @property
-    def Pi(self) -> np.ndarray:
-        """Boolean mask over (X1..X5): inlet-anchored components (X1, X2, X5)."""
-        return np.array([True, True, False, False, True])
-
-    def is_forcing_zero(self) -> bool:
-        return not (np.any(self.F1) or np.any(self.F2))
+        C3, C5, C4 = ((c @ pair).reshape(-1, K, K) for c in (coeffs.a11, coeffs.b1, coeffs.b0))
+        C2 = ((2.0 * coeffs.a12) @ pair_d + coeffs.a @ pair).reshape(-1, K, K)
+        F1, F2 = (f1_grid * w2) @ eta, (f2_grid * w2) @ eta
+        self.forced = bool(np.any(F1) or np.any(F2))
+        self.band, self.C_off, self.rhs = self._assemble_banded(
+            (C3, C2, C5, C4), coeffs.c0, coeffs.c1, F1, F2)
 
     # -- production banded assembly (box scheme in the X variables) --------
-    def _assemble_banded(self):
+    def _assemble_banded(self, blocks, c0, c1, F1, F2):
         """Assemble the box system ``(A_base + eps K_visc) X = rhs`` as bands.
 
+        ``blocks`` are the coupling blocks ``(C3, C2, C5, C4)``, each
+        ``(n, K, K)``, ``c0``, ``c1`` the profiles of the second equation
+        and ``F1``, ``F2`` the modal forcings, ``(n, K)``.
         Unknown ``X_blk`` of mode ``k`` at station ``i`` is column
         ``k 5n + 5i + blk``.  Mode ``k``'s 5n rows are its inlet rows
         ``X1, X2, X5 = 0``, then the box equations of each cell ``i`` at
@@ -271,6 +261,7 @@ class ModeSystem:
         """
         g = self.grid
         n, K, half = g.n_x1, self.K, g.h1 / 2.0
+        lam = g.cos_freq ** 2                   # from d22: -lam_k per mode
         N = 5 * n
         top = BAND_L + BAND_U                   # ab row of the main diagonal
         ab = np.zeros((K, N, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
@@ -289,34 +280,30 @@ class ModeSystem:
                 put(dst, dst, side, sign)
                 put(dst, src, side, -half)
             # dynamic row 1: eps X3' + trap(C3 X3 + C2 X2 - lam X1 + C5 X5 + C4 X4) = trap F1
-            for blk, C in ((2, self.C3), (1, self.C2), (4, self.C5), (3, self.C4)):
+            for blk, C in zip((2, 1, 4, 3), blocks):
                 put(2, blk, side, half * at(np.diagonal(C, axis1=1, axis2=2), side))
-            put(2, 0, side, -half * self.lam[:, None])
+            put(2, 0, side, -half * lam[:, None])
             # dynamic row 2: X5' - trap((lam + c0) X4 + c1 X2) = trap F2
             put(4, 4, side, sign)
-            put(4, 3, side, -half * (self.lam[:, None] + at(self.c0, side)))
-            put(4, 1, side, -half * at(self.c1, side))
+            put(4, 3, side, -half * (lam[:, None] + at(c0, side)))
+            put(4, 1, side, -half * at(c1, side))
         # projection-split boundary rows: Pi components vanish at the inlet,
         # the complement at the exit
         rows = np.r_[0:3, N - 2:N]
-        cols = np.r_[np.flatnonzero(self.Pi), N - 5 + np.flatnonzero(~self.Pi)]
+        cols = np.r_[np.flatnonzero(PI), N - 5 + np.flatnonzero(~PI)]
         ab[top + rows - cols, :, cols] = 1.0
 
         rhs = np.zeros((K, N))
-        rhs[:, 5:N - 2:5] = half * (at(self.F1, 0) + at(self.F1, 1))
-        rhs[:, 7:N - 2:5] = half * (at(self.F2, 0) + at(self.F2, 1))
+        rhs[:, 5:N - 2:5] = half * (at(F1, 0) + at(F1, 1))
+        rhs[:, 7:N - 2:5] = half * (at(F2, 0) + at(F2, 1))
         off_mode = half * (1.0 - np.eye(K))
-        coupling = np.concatenate([off_mode * C for C in (self.C3, self.C2, self.C5, self.C4)], axis=2)
+        coupling = np.concatenate([off_mode * C for C in blocks], axis=2)
         return ab.reshape(-1, K * N), coupling, rhs.ravel()
-
-    @cached_property
-    def banded_parts(self):
-        return self._assemble_banded()
 
     def _off_mode(self, x: np.ndarray) -> np.ndarray:
         """Off-mode part of ``A x`` on the X3' rows, ``(K, n - 1)``: one batched matmul."""
         X = x.reshape(self.K, -1, 5)[:, :, [2, 1, 4, 3]].transpose(1, 2, 0).reshape(-1, 4 * self.K, 1)
-        z = np.matmul(self.banded_parts[1], X)[:, :, 0]
+        z = np.matmul(self.C_off, X)[:, :, 0]
         return (z[:-1] + z[1:]).T
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
@@ -329,10 +316,8 @@ class ModeSystem:
         """Matrix-free ``x -> (A_base + eps K_visc) x``: one ``dgbmv`` on ``A_base``
         (its ``BAND_L`` fill rows read as zero super-diagonals), then ``eps``
         times the X3 differences and the off-mode coupling on the X3' rows."""
-        ab = self.banded_parts[0]
-
         def apply(x):
-            y = blas.dgbmv(x.size, x.size, BAND_L, BAND_L + BAND_U, 1.0, ab, x)
+            y = blas.dgbmv(x.size, x.size, BAND_L, BAND_L + BAND_U, 1.0, self.band, x)
             x3 = x.reshape(self.K, -1, 5)[:, :, 2]
             y.reshape(self.K, -1)[:, 5:-2:5] += eps * (x3[:, 1:] - x3[:, :-1]) + self._off_mode(x)
             return y
@@ -345,7 +330,7 @@ class ModeSystem:
 
         Raises ``NonConvergenceError`` if the band is singular.
         """
-        ab = self.banded_parts[0].copy(order="F")
+        ab = self.band.copy(order="F")
         x3 = ab.reshape(ab.shape[0], self.K, -1, 5)[:, :, :, 2]   # (ab row, mode, station) on X3
         x3[BAND_L + BAND_U + 3, :, :-1] -= eps   # X3' row of cell i on X3(i) ...
         x3[BAND_L + BAND_U - 2, :, 1:] += eps    # ... and on X3(i + 1)
@@ -356,13 +341,13 @@ class ModeSystem:
             )
         return BandLU(lu, piv)
 
-    def solve_banded(self, eps: float):
+    def solve_banded(self, eps: float, starts: dict | None = None):
         """Solve the production box system at viscosity ``eps``.
 
         Runs GMRES(``GMRES_RESTART``) for at most ``GMRES_CYCLES`` restart
         cycles on the matrix-free :meth:`operator`, right-preconditioned by
         the LU of its mode-diagonal part (:meth:`factor`), from
-        ``solutions[eps]`` if that is closer than zero; the solution replaces it.
+        ``starts[eps]`` if that is closer than zero; the solution replaces it.
 
         Returns the mode arrays ``(X1, X4)`` of the potential perturbations.
 
@@ -372,17 +357,18 @@ class ModeSystem:
             If the preconditioner is singular, or if the relative residual
             ``|b - A x| / |b|`` exceeds ``LINEAR_RESIDUAL_MAX``.
         """
-        rhs = self.banded_parts[2]
+        x0 = None if starts is None else starts.get(eps)
         sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, self.coupling,
-                                           rhs, self.solutions.get(eps))
-        b_norm = np.linalg.norm(rhs)
+                                           self.rhs, x0)
+        b_norm = np.linalg.norm(self.rhs)
         if not residual <= LINEAR_RESIDUAL_MAX * b_norm:
             raise NonConvergenceError(
                 f"GMRES missed the residual bound at eps={eps}, m={self.K - 1}: "
                 f"|b - A x|/|b| = {residual / b_norm:.3e} > {LINEAR_RESIDUAL_MAX:.0e} "
                 f"after {iterations} iterations"
             )
-        self.solutions[eps] = sol
+        if starts is not None:
+            starts[eps] = sol
         sol = sol.reshape(self.K, self.grid.n_x1, 5)
         return sol[:, :, 0].T, sol[:, :, 3].T
 
@@ -421,7 +407,8 @@ class WarmStart:
     solve, the reference of the blow-up guard.  ``solutions`` holds the box
     solutions from ``eps0 2^-k`` down to the last stop, the GMRES starts of
     the next continuation; equality ignores it.  A fresh carrier means the
-    full schedule; :func:`vanishing_viscosity` advances it.
+    full schedule; :func:`vanishing_viscosity` reads it and advances it on
+    return (the box system keeps no start).
     """
 
     k: int = 0
@@ -476,37 +463,40 @@ def vanishing_viscosity(
     Raises
     ------
     InputError
-        If ``eps0 <= 0`` or ``cap < 0``, whatever the forcing.
+        If ``eps0`` is not finite and positive, ``tol_eps`` is negative or
+        NaN, or ``cap < 0``, whatever the forcing.
     """
-    if not eps0 > 0:
-        raise InputError(f"initial viscosity eps0 must be positive, got {eps0}")
+    if not 0 < eps0 < np.inf:
+        raise InputError(f"initial viscosity eps0 must be finite and positive, got {eps0}")
+    if not tol_eps >= 0:
+        raise InputError(f"continuation tolerance tol_eps must be nonnegative, got {tol_eps}")
     if cap < 0:
         raise InputError(f"viscosity schedule cap must be nonnegative, got {cap}")
     grid = coeffs.grid
     system = ModeSystem(coeffs, f1_grid, f2_grid)
-    if warm is not None:
-        system.solutions = warm.solutions
-    if system.is_forcing_zero():
-        v = Field2D.zeros("cosine", grid)
-        return v, Field2D.zeros("cosine", grid), []
+    if not system.forced:
+        return Field2D.zeros("cosine", grid), Field2D.zeros("cosine", grid), []
     energy_sign_audit(coeffs)
+    starts = {} if warm is None else dict(warm.solutions)
     out = None
     if warm is not None and warm.k > 0 and warm.energy_ref is not None:
-        out = _continue(system, eps0, tol_eps, cap, trace_sink, min(warm.k, cap), warm.energy_ref)
+        out = _continue(system, starts, eps0, tol_eps, cap, trace_sink, min(warm.k, cap), warm.energy_ref)
     if out is None:
-        out = _continue(system, eps0, tol_eps, cap, trace_sink, 0, None)
+        out = _continue(system, starts, eps0, tol_eps, cap, trace_sink, 0, None)
     v, w, trace, k_last, energy_ref = out
     if warm is not None:
         warm.k, warm.energy_ref = max(k_last - WARM_START_OCTAVES, 0), energy_ref
-        warm.solutions = {eps: x for eps, x in system.solutions.items() if eps >= eps0 * 0.5 ** k_last}
+        warm.solutions = {eps: x for eps, x in starts.items() if eps >= eps0 * 0.5 ** k_last}
     return v, w, trace
 
 
-def _continue(system: ModeSystem, eps0, tol_eps, cap, trace_sink, k_first, energy_ref):
+def _continue(system: ModeSystem, starts, eps0, tol_eps, cap, trace_sink, k_first, energy_ref):
     """Run the schedule of :func:`vanishing_viscosity` from the absolute index ``k_first``.
 
-    ``energy_ref`` is the blow-up guard's reference; ``None`` takes the
-    energy of the first solve, which must then be the ``eps0`` one.
+    ``starts`` maps a viscosity to the GMRES start of its box solve; each
+    solve stores its solution there and drops the one no later start
+    revisits.  ``energy_ref`` is the blow-up guard's reference; ``None``
+    takes the energy of the first solve, which must then be the ``eps0`` one.
     Returns ``(v, w, trace, k_last, energy_ref)``, or ``None`` as soon as
     a warm start (``k_first > 0``) adds a difference no smaller than the
     one before it.
@@ -519,8 +509,8 @@ def _continue(system: ModeSystem, eps0, tol_eps, cap, trace_sink, k_first, energ
         eps = eps0 * 0.5 ** k
         if k > k_first and eps < eps_floor:
             break
-        theta, Theta = system.solve_banded(eps)
-        system.solutions.pop(eps * 2.0 ** (WARM_START_OCTAVES + 1), None)  # no later start revisits it
+        theta, Theta = system.solve_banded(eps, starts)
+        starts.pop(eps * 2.0 ** (WARM_START_OCTAVES + 1), None)  # no later start revisits it
         v, w = system.to_fields(theta, Theta)
         d11 = v.d11()
         energy = (

@@ -1,13 +1,16 @@
 """Shared independent oracles for the test suite.
 
 Quadrature and RK routes for the background, the closed-form sonic limit
-of the regime function ``alpha``, the dense integral-equation
-solve of the Galerkin mode system, the per-mode banded Poisson solve,
-the batched coupling blocks of the Galerkin mode system, the RK4
-streamline tracer, the advective residual of transported fields,
-the per-row difference-matrix construction, the per-line sonic root and
-the per-value CSV writer.
+of the regime function ``alpha``, the Galerkin data of the mode system
+(batched coupling blocks and an own forcing projection, built from the
+coefficients and never read from a ``ModeSystem``), the dense
+integral-equation solve and dense box assembly on that data, the
+per-mode banded Poisson solve, the RK4 streamline tracer, the advective
+residual of transported fields, the per-row difference-matrix
+construction, the per-line sonic root and the per-value CSV writer.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,8 +85,27 @@ def rk_station_events(params, u0, rtol=1e-12, max_step=np.inf, dstop=1e-7):
     return sol.t_events[0][0], sol.t_events[1][0] + tail
 
 
+# projection Pi of the first-order variables: (X1, X2, X5) anchored at the inlet
+INLET_ANCHORED = np.array([True, True, False, False, True])
+
+
+def galerkin_data(coeffs, f1, f2) -> SimpleNamespace:
+    """Galerkin data of the viscous pair for ``coeffs`` and the grid forcings ``f1``, ``f2``.
+
+    The coupling blocks of ``batched_coupling_blocks``, the wall
+    eigenvalues ``lam_k = (k pi)^2``, the profiles ``c0``, ``c1`` and the
+    forcings projected onto ``eta_k`` by one ``einsum`` each.
+    """
+    grid = coeffs.grid
+    C3, C2, C5, C4 = batched_coupling_blocks(coeffs)
+    F1, F2 = (np.einsum("ij,j,jk->ik", f, grid.w2, grid.eta_basis) for f in (f1, f2))
+    return SimpleNamespace(grid=grid, K=grid.n_cos, C3=C3, C2=C2, C5=C5, C4=C4,
+                           lam=(np.pi * np.arange(grid.n_cos)) ** 2, c0=coeffs.c0, c1=coeffs.c1,
+                           F1=F1, F2=F2)
+
+
 def node_block(system, i: int, eps: float) -> np.ndarray:
-    """First-order block A(x1_i) of a ``ModeSystem``, acting on (X1..X5) mode stacks."""
+    """First-order block A(x1_i) of ``galerkin_data``, acting on (X1..X5) mode stacks."""
     K = system.K
     A = np.zeros((5 * K, 5 * K))
     I = np.eye(K)
@@ -101,7 +123,7 @@ def node_block(system, i: int, eps: float) -> np.ndarray:
 
 
 def batched_coupling_blocks(coeffs):
-    """Coupling blocks ``C[i, k, j] = <coef(x1_i, .) B_j, eta_k>`` of a ``ModeSystem``.
+    """Coupling blocks ``C[i, k, j] = <coef(x1_i, .) B_j, eta_k>`` of the Galerkin mode system.
 
     The batched-matmul route over ``(n, K, n_x2)`` weighted-basis
     temporaries, one per coefficient.  Returns ``(C3, C2, C5, C4)``.
@@ -116,14 +138,16 @@ def batched_coupling_blocks(coeffs):
     return C3, C2, C5, C4
 
 
-def solve_dense_first_order(system, eps: float):
+def solve_dense_first_order(coeffs, f1, f2, eps: float):
     """Dense collocation of the projected cumulative integral equation.
 
-    Solves ``X = Pi I_0[A X + F] + (Id - Pi) I_L[A X + F]`` for a
-    ``ModeSystem`` with trapezoid cumulatives ``I_0`` / ``I_L``;
-    row-equivalent to the banded box system, so the two solutions agree to
-    solver roundoff.  Intended for small instances (dense memory).
+    Solves ``X = Pi I_0[A X + F] + (Id - Pi) I_L[A X + F]`` for the
+    ``galerkin_data`` of ``(coeffs, f1, f2)`` with trapezoid cumulatives
+    ``I_0`` / ``I_L``; row-equivalent to the banded box system, so the two
+    solutions agree to solver roundoff.  Intended for small instances
+    (dense memory).  Returns the mode arrays ``(X1, X4)``.
     """
+    system = galerkin_data(coeffs, f1, f2)
     g = system.grid
     n, K, h = g.n_x1, system.K, g.h1
     B = 5 * K
@@ -143,7 +167,7 @@ def solve_dense_first_order(system, eps: float):
         WL[i, i:] = -h
         WL[i, i] = WL[i, n - 1] = -h / 2.0
 
-    pi_mask = np.repeat(system.Pi, K)
+    pi_mask = np.repeat(INLET_ANCHORED, K)
     A = np.eye(size)
     rhs = np.zeros(size)
     for i in range(n):
@@ -223,8 +247,8 @@ def trace_streamlines(sf, x2_starts, n_steps: int = 400):
     return xs, out
 
 
-def dense_box_system(system, eps: float):
-    """Dense box matrix and right-hand side of a ``ModeSystem`` in its row order.
+def dense_box_system(coeffs, f1, f2, eps: float):
+    """Dense box matrix and right-hand side of ``mixed_solver.ModeSystem`` in its row order.
 
     Built from the first-order form ``X' = A(x1) X + F`` (``node_block``):
     each cell row is ``X(i+1) - X(i) - h/2 (A_i X(i) + A_(i+1) X(i+1)) =
@@ -233,6 +257,7 @@ def dense_box_system(system, eps: float):
     ``3 + 5i + blk``, then the exit rows ``X3, X4 = 0``; unknown ``X_blk``
     of mode ``k`` at station ``i`` is column ``k 5n + 5i + blk``.
     """
+    system = galerkin_data(coeffs, f1, f2)
     g = system.grid
     n, K, h = g.n_x1, system.K, g.h1
     N = 5 * n

@@ -99,9 +99,9 @@ def std_counted(bg_std, grid_std, bdata_std):
     calls = []
     solve = ModeSystem.solve_banded
 
-    def counted(self, eps):
+    def counted(self, eps, *args):
         calls.append(eps)
-        return solve(self, eps)
+        return solve(self, eps, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ModeSystem, "solve_banded", counted)
@@ -234,7 +234,7 @@ def test_criterion_07_linear_solver_oracle():
         f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
         system = ModeSystem(coeffs, f1, f2)
         th_b, Th_b = system.solve_banded(1e-2)
-        th_d, Th_d = solve_dense_first_order(system, 1e-2)
+        th_d, Th_d = solve_dense_first_order(coeffs, f1, f2, 1e-2)
         assert np.max(np.abs(th_b - th_d)) <= 1e-8
         assert np.max(np.abs(Th_b - Th_d)) <= 1e-8
 

@@ -40,6 +40,11 @@ def test_tracer_binds_and_traces_a_small_solve():
     assert tracer.calls["coefficients.background_profile"] == 1
     assert tracer.calls["coefficients.momentum_field"] == out.iterations
     assert tracer.calls["mixed_solver.continuation"] == out.iterations
+    # one box system per outer iterate, assembled by its constructor through
+    # the ``_assemble_banded`` binding, then solved along the schedule
+    assert tracer.calls["mixed_solver.mode_system_init"] == out.iterations
+    assert tracer.calls["mixed_solver.assemble_banded"] == out.iterations
+    assert tracer.calls["mixed_solver.solve_banded"] > 0
     # the continuation post-hook ran on every call (it reads ``tol_eps``)
     assert tracer.counters["continuations"] == out.iterations
     assert epnozzle.driver.fixed_point_solve is fixed_point_solve

@@ -334,8 +334,9 @@ class TestBuildProblem:
         _, bg, grid, _ = build_problem(with_overrides(cfg, kappaL=None, L=l_max * (1 - 1e-12)))
         assert grid.L < bg.l_max and np.all(np.isfinite(grid.x1))
         prof = background_profile(bg, grid)
-        for name in ("u1", "du1", "E", "rho", "Phi", "phi_pot"):
+        for name in ("u1", "du1", "E", "rho", "Phi"):
             assert np.all(np.isfinite(getattr(prof, name))), name
+        assert np.all(np.isfinite(bg.evaluate(grid.x1)["phi_pot"]))
 
 
 class TestExitCodes:
@@ -355,12 +356,15 @@ class TestExitCodes:
             ("tol.root = 0", "root_tol"),
             ("tol.root = -1e-12", "root_tol"),
             ("tol.root = nan", "root_tol"),
+            ("solver.eps0 = inf", "eps0"),
+            ("tol.eps = nan", "tol_eps"),
         ],
         ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan",
-             "tol_root_zero", "tol_root_negative", "tol_root_nan"],
+             "tol_root_zero", "tol_root_negative", "tol_root_nan", "eps0_inf", "tol_eps_nan"],
     )
     def test_outer_input_exit_code(self, tmp_path, capsys, line, message):
-        # rejected before any sweep runs, not reported as non-convergence
+        # rejected as bad input before any field is written, not reported as
+        # non-convergence or as an unhandled numerical error
         cfgp = tmp_path / "outer.cfg"
         cfgp.write_text(BASE_CONFIG.replace("tol.outer = 1e-09", "") + line + "\n")
         rc = main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])

@@ -92,9 +92,11 @@ class TestPreconditions:
         bg = solve_background(CANON, 0.9, resolution=301)
         grid = Grid(L=bg.l_max * (1 - 1e-9), n_x1=51, m=2)
         prof = background_profile(bg, grid)
-        for name in ("u1", "du1", "E", "rho", "Phi", "phi_pot", "A22", "a11", "c0", "c1"):
+        for name in ("u1", "du1", "E", "rho", "Phi", "A22", "a11", "c0", "c1"):
             assert np.all(np.isfinite(getattr(prof, name))), name
-        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        # the audit's drift condition fails at the orbit end (documented, not fatal)
+        with pytest.warns(UserWarning, match="energy-sign audit failed"):
+            out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
         assert out.converged
 
 
@@ -115,9 +117,13 @@ class TestInvalidSolverInputs:
             ({"theta": 1.5}, "theta"),
             ({"eps0": -0.1}, "eps0"),
             ({"eps0": 0.0}, "eps0"),
+            ({"eps0": np.inf}, "eps0"),
+            ({"tol_eps": -1.0}, "tol_eps"),
+            ({"tol_eps": np.nan}, "tol_eps"),
             ({"eps_cap": -1}, "cap"),
         ],
-        ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps_cap_negative"],
+        ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative",
+             "tol_eps_nan", "eps_cap_negative"],
     )
     def test_rejected_with_input_error(self, small, options, message):
         bg, grid, bdata = small
@@ -234,9 +240,9 @@ class TestBoxSolveStarts:
         solves, gmres_runs = [], []
         solve_banded, gmres = mixed_solver.ModeSystem.solve_banded, mixed_solver._gmres
 
-        def solve(system, eps):
+        def solve(system, eps, *args):
             solves.append((system, eps))
-            return solve_banded(system, eps)
+            return solve_banded(system, eps, *args)
 
         def run(apply, precond, coupling, b, *args):
             out = gmres(apply, precond, coupling, b, *args)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    INLET_ANCHORED,
     batched_coupling_blocks,
     dense_box_system,
     per_mode_poisson,
@@ -83,9 +84,9 @@ def box_solves(monkeypatch):
     calls = []
     solve = ModeSystem.solve_banded
 
-    def counted(self, eps):
+    def counted(self, eps, *args):
         calls.append(eps)
-        return solve(self, eps)
+        return solve(self, eps, *args)
 
     monkeypatch.setattr(ModeSystem, "solve_banded", counted)
     return calls
@@ -93,7 +94,10 @@ def box_solves(monkeypatch):
 
 def _oracle_system(bg, n_x1, m, amp):
     """Small mode system on the window 0.95..1.05 with ``a11``, ``a`` and ``b0``
-    scaled by ``1 + amp cos(pi x2)``, which couples the cosine modes."""
+    scaled by ``1 + amp cos(pi x2)``, which couples the cosine modes.
+
+    Returns the grid, the ``ModeSystem`` and its inputs ``(coeffs, f1, f2)``,
+    from which the oracles build their own reference."""
     L = bg.x1_at_speed(1.05 * CANON.u_s)
     grid = Grid(L=L, n_x1=n_x1, m=m)
     prof = background_profile(bg, grid)
@@ -104,7 +108,7 @@ def _oracle_system(bg, n_x1, m, amp):
         grid.x1 / L, np.cos(np.pi * grid.x2)
     )
     f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
-    return grid, ModeSystem(coeffs, f1, f2)
+    return grid, ModeSystem(coeffs, f1, f2), (coeffs, f1, f2)
 
 
 class TestPoisson:
@@ -231,13 +235,11 @@ class TestEpsSystem:
         assert np.max(np.abs(th[:, 1:])) < 1e-14 * np.max(np.abs(th[:, 0]))
         assert np.max(np.abs(Th[:, 1:])) < 1e-14 * max(np.max(np.abs(Th[:, 0])), 1e-30)
 
-    def test_projection_is_projection(self, setup):
-        grid, _, coeffs = setup
-        zero = np.zeros((grid.n_x1, grid.n_x2))
-        sysm = ModeSystem(coeffs, zero, zero)
-        Pi = sysm.Pi.astype(float)
+    def test_projection_is_projection(self):
+        Pi = mixed_solver.PI.astype(float)
         assert np.all(Pi * Pi == Pi)
-        assert list(sysm.Pi) == [True, True, False, False, True]
+        assert list(mixed_solver.PI) == [True, True, False, False, True]
+        assert np.array_equal(mixed_solver.PI, INLET_ANCHORED)
 
     @pytest.mark.parametrize("amp", [0.0, 1e-2, 0.5])
     @pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)])
@@ -246,10 +248,10 @@ class TestEpsSystem:
         # window 0.95..1.05; amp = 0 keeps the background coefficients, which
         # are exactly mode-diagonal (the preconditioner is then exact), while
         # amp > 0 couples the modes so GMRES has to close the gap
-        grid, sysm = _oracle_system(bg_narrow, n_x1, m, amp)
+        grid, sysm, data = _oracle_system(bg_narrow, n_x1, m, amp)
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
         th_b, Th_b = sysm.solve_banded(eps)
-        th_d, Th_d = solve_dense_first_order(sysm, eps)
+        th_d, Th_d = solve_dense_first_order(*data, eps)
         assert np.max(np.abs(th_b - th_d)) <= 1e-12
         assert np.max(np.abs(Th_b - Th_d)) <= 1e-12
 
@@ -257,7 +259,7 @@ class TestEpsSystem:
         # an O(1) wall-direction modulation couples the modes as strongly as
         # the diagonal, so the mode-diagonal preconditioner is poor and GMRES
         # stalls: the solve must raise instead of returning the iterate
-        grid, sysm = _oracle_system(bg_narrow, 33, 4, 1.0)
+        grid, sysm, _ = _oracle_system(bg_narrow, 33, 4, 1.0)
         with pytest.raises(NonConvergenceError, match=r"m=4: .*iterations"):
             sysm.solve_banded(grid.h1 ** 2)
 
@@ -274,15 +276,27 @@ class TestEpsSystem:
         coeffs = assemble_coefficients(collocate(state, prof), default_d0(prof))
         assert np.max(np.abs(coeffs.a12)) > 1e-6
         sysm = ModeSystem(coeffs, coeffs.f1, coeffs.f2)
-        for C, ref in zip((sysm.C3, sysm.C2, sysm.C5, sysm.C4), batched_coupling_blocks(coeffs)):
-            assert C.shape == ref.shape == (n_x1, m + 1, m + 1)
-            assert np.max(np.abs(C - ref)) <= 1e-15 * np.max(np.abs(ref))
+        blocks = batched_coupling_blocks(coeffs)
+        K, N, half = m + 1, 5 * n_x1, grid.h1 / 2.0
+        assert all(ref.shape == (n_x1, K, K) for ref in blocks)
+        assert sysm.C_off.shape == (n_x1, K, 4 * K)
+        # the X3' row of cell i carries (h/2) diag C(x1_i) on its left station's
+        # X_blk and (h/2) diag C(x1_(i+1)) on its right one (band row l + u + r - c);
+        # the off-mode coupling is (h/2) C without its diagonal, blocks side by side
+        ab = sysm.band.reshape(-1, K, N)
+        for j, (blk, ref) in enumerate(zip((2, 1, 4, 3), blocks)):
+            tol = 1e-15 * half * np.max(np.abs(ref))
+            diag = half * np.diagonal(ref, axis1=1, axis2=2).T          # (K, n)
+            left = ab[BAND_L + BAND_U + 5 - blk, :, blk:5 * (n_x1 - 1):5]
+            right = ab[BAND_L + BAND_U - blk, :, 5 + blk::5]
+            off = half * (1.0 - np.eye(K)) * ref
+            for got, want in ((left, diag[:, :-1]), (right, diag[:, 1:]),
+                              (sysm.C_off[:, :, j * K:(j + 1) * K], off)):
+                assert np.max(np.abs(got - want)) <= tol
 
     def test_mode0_principal_profile_degenerates_once_at_sonic(self, setup, bg):
         grid, _, coeffs = setup
-        zero = np.zeros((grid.n_x1, grid.n_x2))
-        sysm = ModeSystem(coeffs, zero, zero)
-        prof = sysm.C3[:, 0, 0]           # mode-0 principal coefficient
+        prof = batched_coupling_blocks(coeffs)[0][:, 0, 0]   # mode-0 principal coefficient
         changes = np.nonzero(np.diff(np.sign(prof)) != 0)[0]
         assert len(changes) == 1
         assert abs(grid.x1[changes[0]] - bg.l_s) <= 2 * grid.h1
@@ -320,9 +334,9 @@ class TestBandSystem:
 
     @pytest.fixture
     def instance(self, bg_narrow, amp, n_x1, m, eps):
-        grid, sysm = _oracle_system(bg_narrow, n_x1, m, amp)
+        grid, sysm, data = _oracle_system(bg_narrow, n_x1, m, amp)
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
-        A, rhs = dense_box_system(sysm, eps)
+        A, rhs = dense_box_system(*data, eps)
         N = 5 * grid.n_x1
         rows, cols = np.indices(A.shape)
         D = np.where(rows // N == cols // N, A, 0.0)       # mode-diagonal part
@@ -333,7 +347,7 @@ class TestBandSystem:
         apply = sysm.operator(eps)
         columns = np.column_stack([apply(e) for e in np.eye(len(rhs))])
         assert np.max(np.abs(columns - A)) <= 1e-14 * np.max(np.abs(A))
-        assert np.max(np.abs(sysm.banded_parts[2] - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+        assert np.max(np.abs(sysm.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
     def test_mode_diagonal_part_is_banded(self, instance):
         *_, D = instance
@@ -352,7 +366,7 @@ class TestBandSystem:
         # one Fortran copy per eps goes to dgbtrf, which factors it in place;
         # the operator's eps-free band stays as assembled and needs no copy
         sysm, eps, *_ = instance
-        ab_base = sysm.banded_parts[0]
+        ab_base = sysm.band
         before = ab_base.copy()
         inputs = []
         dgbtrf = mixed_solver.lapack.dgbtrf
@@ -390,8 +404,8 @@ class TestBandSystem:
 
 
 def test_singular_band_raises_naming_eps_and_m(bg_narrow):
-    grid, sysm = _oracle_system(bg_narrow, 17, 2, 0.0)
-    ab_base = sysm.banded_parts[0]
+    grid, sysm, _ = _oracle_system(bg_narrow, 17, 2, 0.0)
+    ab_base = sysm.band
     column = 5 * grid.n_x1 + 6                              # mode 1, station 1, X2
     ab_base[:, column] = 0.0
     with pytest.raises(NonConvergenceError, match=r"eps=0\.01, m=2"):
@@ -531,8 +545,9 @@ class TestVanishingViscosity:
 
     @pytest.mark.parametrize(
         "options, message",
-        [({"eps0": -0.1}, "eps0"), ({"eps0": 0.0}, "eps0"), ({"cap": -1}, "cap")],
-        ids=["eps0_negative", "eps0_zero", "cap_negative"],
+        [({"eps0": -0.1}, "eps0"), ({"eps0": 0.0}, "eps0"), ({"eps0": np.inf}, "eps0"),
+         ({"tol_eps": -1.0}, "tol_eps"), ({"tol_eps": np.nan}, "tol_eps"), ({"cap": -1}, "cap")],
+        ids=["eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative", "tol_eps_nan", "cap_negative"],
     )
     def test_invalid_schedule_rejected_before_zero_forcing_shortcut(self, setup, options, message):
         grid, _, coeffs = setup
@@ -565,8 +580,8 @@ class TestVanishingViscosity:
         f1 = _bump(grid)
         solve = ModeSystem.solve_banded
 
-        def spoiled(self, eps):
-            theta, Theta = solve(self, eps)
+        def spoiled(self, eps, *args):
+            theta, Theta = solve(self, eps, *args)
             return (1e4 * theta, Theta) if eps == 0.1 * 0.5 ** 3 else (theta, Theta)
 
         monkeypatch.setattr(ModeSystem, "solve_banded", spoiled)
