@@ -568,14 +568,16 @@ def solve_background(
         from the orbit relation ``E0 = -sqrt(2 H(u0))``; a user-supplied
         ``params.E0`` inconsistent beyond 1e-8 is rejected.
     resolution : int
-        Node count of the uniform sample grid on ``[0, l_max]``.
+        Node count of the uniform sample grid on ``[0, l_max]``; at least 2.
 
     Raises
     ------
     InputError
-        For ``u0 > u_s``, non-positive ``u0``, an inconsistent ``E0``, or
-        ``l_max`` beyond ``L_MAX_CAP``.
+        For ``u0 > u_s``, non-positive ``u0``, ``resolution < 2``, an
+        inconsistent ``E0``, or ``l_max`` beyond ``L_MAX_CAP``.
     """
+    if not resolution >= 2:
+        raise InputError(f"background resolution must be at least 2, got {resolution}")
     us = params.u_s
     if not 0 < u0 <= us:
         raise InputError(f"inlet speed u0 must lie in (0, u_s], got {u0} (u_s = {us})")

@@ -9,19 +9,29 @@ sine series::
 
 Every member satisfies the wall compatibility conditions identically
 (odd derivatives of the cosines and even derivatives of orders 0, 2, 4 of
-the sines vanish at x2 = +-1); ``compatibility_defect`` evaluates them
-anyway so arbitrary coefficient choices stay checked.
+the sines vanish at x2 = +-1), so only the mode lists are checked, once,
+at construction: integral mode numbers (no bools), n >= 0 in the cosine
+families and n >= 1 in the sine family, and finite coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import InputError
 
-def _as_mode_tuple(modes) -> tuple:
-    return tuple((int(n), float(c)) for n, c in modes)
+
+def _checked_modes(family: str, modes, lowest: int) -> tuple:
+    """``(n, c)`` pairs with integral ``n >= lowest`` (no bools) and finite ``c``."""
+    out = []
+    for n, c in modes:
+        if isinstance(n, bool) or not (float(n).is_integer() and n >= lowest and math.isfinite(c)):
+            raise InputError(f"{family}: mode ({n!r}, {c!r}) needs an integer n >= {lowest}, finite c")
+        out.append((int(n), float(c)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -34,9 +44,9 @@ class BoundaryDataSpec:
     w_modes: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "s_modes", _as_mode_tuple(self.s_modes))
-        object.__setattr__(self, "e_modes", _as_mode_tuple(self.e_modes))
-        object.__setattr__(self, "w_modes", _as_mode_tuple(self.w_modes))
+        object.__setattr__(self, "s_modes", _checked_modes("s_modes", self.s_modes, 0))
+        object.__setattr__(self, "e_modes", _checked_modes("e_modes", self.e_modes, 0))
+        object.__setattr__(self, "w_modes", _checked_modes("w_modes", self.w_modes, 1))
 
     @classmethod
     def zero(cls) -> "BoundaryDataSpec":
@@ -46,71 +56,30 @@ class BoundaryDataSpec:
         return replace(self, sigma=self.sigma * factor)
 
     # -- inlet profiles ----------------------------------------------------
-    def s_en_minus_s0(self, x2):
+    def _series(self, modes, x2, term):
+        """``sum_n term(sigma c_n, n, n pi x2)`` over one family's modes."""
         x2 = np.asarray(x2, dtype=float)
         out = np.zeros_like(x2)
-        for n, a in self.s_modes:
-            out += self.sigma * a * np.cos(n * np.pi * x2)
+        for n, c in modes:
+            out += term(self.sigma * c, n, n * np.pi * x2)
         return out
 
+    def s_en_minus_s0(self, x2):
+        return self._series(self.s_modes, x2, lambda sc, n, nx: sc * np.cos(nx))
+
     def e_en_minus_e0(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros_like(x2)
-        for n, b in self.e_modes:
-            out += self.sigma * b * np.cos(n * np.pi * x2)
-        return out
+        return self._series(self.e_modes, x2, lambda sc, n, nx: sc * np.cos(nx))
 
     def e_en_d2(self, x2):
         """Second derivative of ``E_en - E0``."""
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros_like(x2)
-        for n, b in self.e_modes:
-            out += -self.sigma * b * (n * np.pi) ** 2 * np.cos(n * np.pi * x2)
-        return out
+        return self._series(self.e_modes, x2, lambda sc, n, nx: -sc * (n * np.pi) ** 2 * np.cos(nx))
 
     def w_en(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros_like(x2)
-        for n, c in self.w_modes:
-            out += self.sigma * c * np.sin(n * np.pi * x2)
-        return out
+        return self._series(self.w_modes, x2, lambda sc, n, nx: sc * np.sin(nx))
 
     def w_en_d1(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros_like(x2)
-        for n, c in self.w_modes:
-            out += self.sigma * c * n * np.pi * np.cos(n * np.pi * x2)
-        return out
+        return self._series(self.w_modes, x2, lambda sc, n, nx: sc * n * np.pi * np.cos(nx))
 
     def psi_inlet(self, x2):
         """Inlet potential trace ``integral_{-1}^{x2} w_en``."""
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros_like(x2)
-        for n, c in self.w_modes:
-            out += self.sigma * c * ((-1.0) ** n - np.cos(n * np.pi * x2)) / (n * np.pi)
-        return out
-
-    # -- compatibility -------------------------------------------------------
-    def compatibility_defect(self) -> float:
-        """Worst wall value of the compatibility derivatives (exactly 0 here)."""
-
-        def cos_deriv(modes, order, x2):
-            # d/dx cos(wx) = -w sin(wx); d3/dx3 cos(wx) = +w^3 sin(wx)
-            tot = 0.0
-            for n, c in modes:
-                w = n * np.pi
-                val = -w * np.sin(w * x2) if order == 1 else w ** 3 * np.sin(w * x2)
-                tot += self.sigma * c * val
-            return tot
-
-        worst = 0.0
-        for x2 in (-1.0, 1.0):
-            for order in (1, 3):
-                worst = max(worst, abs(cos_deriv(self.s_modes, order, x2)))
-                worst = max(worst, abs(cos_deriv(self.e_modes, order, x2)))
-            for n, c in self.w_modes:
-                w = n * np.pi
-                for order in (0, 2, 4):
-                    val = {0: np.sin(w * x2), 2: -(w ** 2) * np.sin(w * x2), 4: w ** 4 * np.sin(w * x2)}[order]
-                    worst = max(worst, abs(self.sigma * c * val))
-        return worst
+        return self._series(self.w_modes, x2, lambda sc, n, nx: sc * ((-1.0) ** n - np.cos(nx)) / (n * np.pi))

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .background import GasParameters, solve_background
-from .boundary import BoundaryDataSpec
 from .config import RunConfig, load_config, with_overrides
 from .driver import SolveOutcome, fixed_point_solve
 from .errors import InputError, SolverError
@@ -28,12 +27,6 @@ from . import regimes as regimes_mod
 
 def gas_from_config(cfg: RunConfig) -> GasParameters:
     return GasParameters(gamma=cfg.gamma, zeta0=cfg.zeta0, J=cfg.J, S0=cfg.S0, E0=cfg.E0)
-
-
-def boundary_from_config(cfg: RunConfig) -> BoundaryDataSpec:
-    return BoundaryDataSpec(
-        sigma=cfg.sigma, s_modes=cfg.s_modes, e_modes=cfg.e_modes, w_modes=cfg.w_modes
-    )
 
 
 def resolve_window(cfg: RunConfig, params: GasParameters):
@@ -56,7 +49,7 @@ def build_problem(cfg: RunConfig):
     if not L < bg.l_max:
         raise InputError(f"requested length L={L} does not satisfy L < l_max={bg.l_max}")
     grid = Grid(L, cfg.n_x1, cfg.m)
-    return params, bg, grid, boundary_from_config(cfg)
+    return params, bg, grid, cfg.boundary_data()
 
 
 def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:

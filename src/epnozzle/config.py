@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from .background import DEFAULT_RESOLUTION
+from .boundary import BoundaryDataSpec
 from .driver import DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER
 from .errors import InputError
 from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL
@@ -102,7 +103,12 @@ class RunConfig:
                 raise InputError("provide exactly one of domain.L and window.kappaL")
         if not math.isfinite(self.sigma):
             raise InputError(f"boundary.sigma must be finite, got {self.sigma}")
+        self.boundary_data()            # raises on a bad mode list
         return self
+
+    def boundary_data(self) -> BoundaryDataSpec:
+        """The inlet data this config describes; ``InputError`` on a bad mode list."""
+        return BoundaryDataSpec(sigma=self.sigma, s_modes=self.s_modes, e_modes=self.e_modes, w_modes=self.w_modes)
 
 
 _KEYMAP = {

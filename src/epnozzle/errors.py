@@ -12,7 +12,7 @@ class SolverError(Exception):
 
 
 class InputError(SolverError):
-    """Invalid parameters, configuration, or incompatible boundary data."""
+    """Invalid parameters, configuration, or boundary-data mode lists."""
 
     exit_code = 2
 

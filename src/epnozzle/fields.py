@@ -55,7 +55,7 @@ class Grid:
     Parameters
     ----------
     L : float
-        Channel length.
+        Channel length, finite and positive.
     n_x1 : int
         Station count (uniform grid on [0, L]).
     m : int
@@ -65,7 +65,7 @@ class Grid:
     """
 
     def __init__(self, L: float, n_x1: int, m: int):
-        if L <= 0 or n_x1 < 9 or m < 0:
+        if not 0 < L < np.inf or n_x1 < 9 or m < 0:
             raise InputError(f"bad grid parameters L={L}, n_x1={n_x1}, m={m}")
         self.L = float(L)
         self.n_x1 = int(n_x1)

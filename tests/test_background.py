@@ -182,6 +182,16 @@ class TestSolveBackground:
         assert bg.l_s == pytest.approx(0.0, abs=1e-12)
         assert bg.u1[0] == pytest.approx(CANON.u_s)
 
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_below_two_rejected(self, resolution):
+        # one node would hold u_max at x1 = 0; none would index an empty grid
+        with pytest.raises(InputError, match="resolution must be at least 2"):
+            solve_background(CANON, 0.9, resolution=resolution)
+
+    def test_two_nodes_span_the_orbit(self):
+        bg = solve_background(CANON, 0.9, resolution=2)
+        assert (bg.x1_nodes[0], bg.u1[0], bg.u1[-1]) == (0.0, 0.9, bg.u_max)
+
     def test_supersonic_inlet_rejected(self):
         with pytest.raises(InputError):
             solve_background(CANON, 1.1)

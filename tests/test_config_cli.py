@@ -39,13 +39,14 @@ flags.override_certificate = true
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 MODES = st.lists(st.tuples(st.integers(0, 64), FLOATS), max_size=4).map(tuple)
+SINE_MODES = st.lists(st.tuples(st.integers(1, 64), FLOATS), max_size=4).map(tuple)
 # valid RunConfigs: every key drawn, the window placed in one of its three valid ways
 # (u0 or kappa0 with L or kappaL, or d alone)
 CONFIGS = st.tuples(
     st.fixed_dictionaries({
         "gamma": FLOATS, "zeta0": FLOATS, "J": FLOATS, "S0": FLOATS, "E0": st.none() | FLOATS,
         "resolution": st.integers(2, 10 ** 6), "n_x1": st.integers(9, 10 ** 4), "m": st.integers(0, 64),
-        "sigma": FLOATS, "s_modes": MODES, "e_modes": MODES, "w_modes": MODES,
+        "sigma": FLOATS, "s_modes": MODES, "e_modes": MODES, "w_modes": SINE_MODES,
         "tol_eps": FLOATS, "tol_outer": FLOATS, "tol_root": FLOATS, "theta": FLOATS, "eps0": FLOATS,
         "eps_cap": st.integers(0, 100), "max_outer": st.integers(1, 1000),
         "sigma_cap": st.none() | FLOATS,
@@ -306,7 +307,30 @@ class TestBoundaryData:
         bdata = BoundaryDataSpec(
             sigma=0.3, s_modes=((1, 1.0), (3, 0.25)), e_modes=((2, 1.0),), w_modes=((1, 1.0), (2, 0.5))
         )
-        assert bdata.compatibility_defect() <= 1e-12
+        walls = np.array([-1.0, 1.0])
+        assert np.max(np.abs(bdata.w_en(walls))) <= 1e-15
+        assert np.max(np.abs(bdata.psi_inlet(walls))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "family, modes",
+        [("w_modes", ((1.7, 1.0),)), ("w_modes", ((0, 1.0),)), ("s_modes", ((1, float("nan")),)),
+         ("e_modes", ((1, float("inf")),)), ("e_modes", ((-1, 1.0),)), ("s_modes", ((True, 1.0),)),
+         ("w_modes", ((float("nan"), 1.0),))],
+        ids=["fractional", "sine_mode_zero", "nan_coefficient", "inf_coefficient", "negative",
+             "bool", "nan_mode"],
+    )
+    def test_bad_mode_rejected_at_construction(self, family, modes):
+        from epnozzle import BoundaryDataSpec
+
+        with pytest.raises(InputError, match=rf"{family}: mode \({modes[0][0]!r}, "):
+            BoundaryDataSpec(sigma=1e-4, **{family: modes})
+
+    def test_integral_modes_normalized(self):
+        from epnozzle import BoundaryDataSpec
+
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=((0, 1),), e_modes=((np.int64(2), 0.5),), w_modes=[(3.0, 1)])
+        assert bdata.s_modes == ((0, 1.0),) and bdata.e_modes == ((2, 0.5),) and bdata.w_modes == ((3, 1.0),)
+        assert all(type(n) is int and type(c) is float for n, c in bdata.s_modes + bdata.e_modes + bdata.w_modes)
 
     def test_inlet_potential_anchored_at_lower_wall(self):
         from epnozzle import BoundaryDataSpec
@@ -358,9 +382,13 @@ class TestExitCodes:
             ("tol.root = nan", "root_tol"),
             ("solver.eps0 = inf", "eps0"),
             ("tol.eps = nan", "tol_eps"),
+            ("boundary.s_modes = 1:nan", "s_modes: mode (1, nan)"),
+            ("boundary.w_modes = 0:1.0", "w_modes: mode (0, 1.0)"),
+            ("boundary.e_modes = 1:inf", "e_modes: mode (1, inf)"),
         ],
         ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan",
-             "tol_root_zero", "tol_root_negative", "tol_root_nan", "eps0_inf", "tol_eps_nan"],
+             "tol_root_zero", "tol_root_negative", "tol_root_nan", "eps0_inf", "tol_eps_nan",
+             "s_mode_nan_coefficient", "w_mode_zero", "e_mode_inf_coefficient"],
     )
     def test_outer_input_exit_code(self, tmp_path, capsys, line, message):
         # rejected as bad input before any field is written, not reported as
@@ -408,6 +436,27 @@ class TestExitCodes:
         assert rc == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and f"{key[4:]} must be finite" in error["message"]
+
+    def test_high_sine_mode_solves(self, tmp_path):
+        # wall compatible by construction, though a numeric check of its wall
+        # derivatives would see roundoff of size (60 pi)^5 ulp
+        text = BASE_CONFIG.replace("grid.n_x1 = 101", "grid.n_x1 = 51").replace("grid.m = 4", "grid.m = 64")
+        text = text.replace("boundary.sigma = 5e-05", "boundary.sigma = 1e-05")
+        text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("boundary.") or "sigma" in ln)
+        cfgp = tmp_path / "w60.cfg"
+        cfgp.write_text(text + "\nboundary.w_modes = 60:1.0\n")
+        assert main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["converged"] is True
+
+    @pytest.mark.parametrize("resolution", ["1", "0", "-3"])
+    def test_background_resolution_exit_code(self, tmp_path, capsys, resolution):
+        cfgp = tmp_path / "res.cfg"
+        cfgp.write_text(BASE_CONFIG.replace("background.resolution = 301", f"background.resolution = {resolution}"))
+        rc = main(["background", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and "resolution" in error["message"]
+        assert not (tmp_path / "o" / "background.csv").exists()
 
     def test_non_finite_scale_sigma_exit_code(self, cfg_file, tmp_path, capsys):
         rc = main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--scale-sigma", "nan"])
@@ -468,6 +517,16 @@ class TestSweep:
         with pytest.raises(InputError, match="repeated"):
             sweep(parse_config(BASE_CONFIG), "J", [2e-3, 1e-3, 0.002], tmp_path / "dup")
         assert not (tmp_path / "dup").exists()
+
+    def test_bad_mode_list_exit_code_before_any_row(self, tmp_path, capsys):
+        cfgp = tmp_path / "modes.cfg"
+        cfgp.write_text(BASE_CONFIG.replace("boundary.w_modes = 1:1.0", "boundary.w_modes = 0:1.0"))
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(cfgp), "--axis", "J", "--values", "1.0,0.5", "--out", str(out)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and "w_modes" in error["message"]
+        assert not out.exists()
 
     def test_infinite_J_row_recorded(self, tmp_path):
         rows = sweep(parse_config(BASE_CONFIG), "J", [float("inf")], tmp_path / "inf_row")

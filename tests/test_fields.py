@@ -41,9 +41,10 @@ class TestGrid:
         ) @ wg
         assert (f @ GRID.w2) == pytest.approx(ref, abs=1e-13)
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(InputError):
-            Grid(L=-1.0, n_x1=41, m=4)
+    @pytest.mark.parametrize("L", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_grid_rejected(self, L):
+        with pytest.raises(InputError, match="bad grid parameters"):
+            Grid(L=L, n_x1=21, m=2)
 
 
 class TestField2D:
