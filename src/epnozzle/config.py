@@ -103,6 +103,13 @@ class RunConfig:
                 raise InputError("provide exactly one of domain.L and window.kappaL")
         if not math.isfinite(self.sigma):
             raise InputError(f"boundary.sigma must be finite, got {self.sigma}")
+        # the size rules of Grid and solve_background, checked before any row runs
+        if self.n_x1 < 9:
+            raise InputError(f"grid.n_x1 must be at least 9, got {self.n_x1}")
+        if self.m < 0:
+            raise InputError(f"grid.m must be nonnegative, got {self.m}")
+        if self.resolution < 2:
+            raise InputError(f"background.resolution must be at least 2, got {self.resolution}")
         self.boundary_data()            # raises on a bad mode list
         return self
 

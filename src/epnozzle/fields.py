@@ -14,7 +14,8 @@ On that grid the trapezoid rule integrates every product of basis
 functions that occurs here exactly (discrete cosine/sine aliasing
 identities), so projections of dealiased nonlinear products are exact up
 to roundoff provided ``n_x2 - 1 >= 4 (m + 1)`` panels, which the default
-grid guarantees.  Flow-direction derivatives use second-order central
+grid guarantees; for the same reason the quadrature of a field's H1 norm
+is a sum over its modes (``Field2D.h1_norm``).  Flow-direction derivatives use second-order central
 differences with one-sided closures at the ends.
 """
 
@@ -112,10 +113,6 @@ class Grid:
         """Column-wise projection onto the dirichlet modes (each of unit norm)."""
         return (values * self.w2) @ self.dir_basis
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Tensor trapezoid integral of a grid field over the rectangle."""
-        return float(self.w1 @ values @ self.w2)
-
     def basis(self, parity: str, derivative: int = 0) -> np.ndarray:
         tab = {
             ("cosine", 0): self.cos_basis,
@@ -191,11 +188,31 @@ class Field2D:
     __rmul__ = __mul__
 
     # -- norms -----------------------------------------------------------
-    def h1_norm(self) -> float:
-        """Discrete H1 norm: trapezoid quadrature of |u|^2 + |Du|^2."""
+    def _mode_weights(self):
+        """Wall-direction frequency and squared norm of each basis function."""
         g = self.grid
-        v, v1, v2 = self.values(), self.d1(), self.d2()
-        return float(np.sqrt(g.integrate(v ** 2) + g.integrate(v1 ** 2) + g.integrate(v2 ** 2)))
+        if self.parity == "cosine":
+            return g.cos_freq, g.cos_norm
+        return g.dir_freq, np.ones(g.n_dir)
+
+    def h1_norm(self) -> float:
+        """Discrete H1 norm: trapezoid quadrature of |u|^2 + |Du|^2, summed over the modes.
+
+        The basis functions and their x2-derivatives are orthogonal with
+        squared norms ``norm`` and ``freq^2 norm``, and the trapezoid rule on
+        ``n_x2 = 4(m+1)+1`` nodes integrates each of their pairwise products
+        exactly (module notes), so the tensor quadrature of the synthesized
+        values is ``w1 @ sum_k norm_k ((1 + freq_k^2) c_k^2 + (D1 c_k)^2)`` to
+        roundoff; no grid values are formed.
+        """
+        freq, norm = self._mode_weights()
+        c = self.modes
+        return float(np.sqrt(self.grid.w1 @ (((1.0 + freq ** 2) * c ** 2 + (self.grid.D1 @ c) ** 2) @ norm)))
+
+    def d11_norm(self) -> float:
+        """Discrete L2 norm of ``d11 u``, by the mode sum of :meth:`h1_norm`."""
+        _, norm = self._mode_weights()
+        return float(np.sqrt(self.grid.w1 @ ((self.grid.D2 @ self.modes) ** 2 @ norm)))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values())))

@@ -325,7 +325,7 @@ class TestOdeOracles:
 class TestOrbitIntegrand:
     """The s-integrand 2 s / (kappa kappa_H) at kappa = kappa_max - s^2."""
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(gamma=st.floats(1.1, 4.0), zeta0=st.floats(1.1, 5.0))
     def test_continuous_at_near_max_switch(self, gamma, zeta0):
         params = GasParameters(gamma=gamma, zeta0=zeta0, J=1.0, S0=1.0)
@@ -393,7 +393,7 @@ class TestArclengthInversion:
         # one table evaluation for the start, one per Newton step
         assert 1 <= len(outputs) - 1 <= 5
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(
         gamma=st.floats(1.1, 4.0),
         zeta0=st.floats(1.1, 5.0),

@@ -184,7 +184,7 @@ class TestSmallness:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("dominant", ["psi", "phi", "Psi"])
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 0.2))
     def test_margins_match_field_norms_bit_for_bit(self, prof, bg, grid, d0, dominant, seed, amp):
         # the margins read one view; the field norms synthesize their own

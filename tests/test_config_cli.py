@@ -77,7 +77,7 @@ class TestConfig:
         assert again == cfg
         assert serialize_config(again) == text
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     @given(cfg=CONFIGS)
     def test_round_trip_property(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg
@@ -526,6 +526,19 @@ class TestSweep:
         assert rc == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and "w_modes" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("grid.n_x1", "5"), ("grid.m", "-1"), ("background.resolution", "1")])
+    def test_bad_size_exit_code_before_any_row(self, tmp_path, capsys, key, value):
+        # the rows would each fail on their own grid or background and the sweep exit 0
+        lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        cfgp = tmp_path / "size.cfg"
+        cfgp.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(cfgp), "--axis", "J", "--values", "0.001,0.002", "--out", str(out)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InputError" and error["message"].startswith(key)
         assert not out.exists()
 
     def test_infinite_J_row_recorded(self, tmp_path):

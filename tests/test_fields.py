@@ -62,7 +62,7 @@ class TestField2D:
         back = Field2D.from_grid_values("dirichlet", f.values(), GRID)
         assert np.max(np.abs(back.modes - modes)) < 1e-12
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(
         parity=st.sampled_from(["cosine", "dirichlet"]),
         m=st.integers(0, 8),
@@ -124,6 +124,26 @@ class TestField2D:
         modes[:, 0] = 2.0
         f = Field2D("cosine", modes, GRID)
         assert f.h1_norm() == pytest.approx(2.0 * np.sqrt(2.0 * GRID.L), rel=1e-12)
+
+    @settings(max_examples=60)
+    @given(
+        parity=st.sampled_from(["cosine", "dirichlet"]),
+        n_x1=st.integers(9, 120),
+        m=st.integers(0, 12),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_mode_sum_norms_equal_grid_quadrature(self, parity, n_x1, m, seed):
+        # the trapezoid rule on n_x2 = 4(m+1)+1 nodes integrates every basis
+        # product exactly, so summing over modes is the grid quadrature
+        grid = Grid(L=0.7, n_x1=n_x1, m=m)
+        n_modes = grid.n_cos if parity == "cosine" else grid.n_dir
+        f = Field2D(parity, np.random.default_rng(seed).standard_normal((n_x1, n_modes)), grid)
+
+        def quadrature(*values):
+            return np.sqrt(sum(grid.w1 @ v ** 2 @ grid.w2 for v in values))
+
+        assert f.h1_norm() == pytest.approx(quadrature(f.values(), f.d1(), f.d2()), rel=1e-13, abs=0.0)
+        assert f.d11_norm() == pytest.approx(quadrature(f.d11()), rel=1e-13, abs=0.0)
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(InputError):

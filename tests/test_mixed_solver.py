@@ -1,5 +1,6 @@
 """Mixed-type solver: Poisson problem, lifts, viscous continuation, oracles."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,15 +30,21 @@ from epnozzle import (
     background_profile,
     collocate,
     default_d0,
+    fixed_point_solve,
+    lagrangian_map,
     lift_boundary_data,
+    momentum_field,
     poisson_solve_phi,
     solve_background,
     solve_linear_problem,
+    stream_function,
+    transport_entropy,
     vanishing_viscosity,
 )
 from epnozzle.mixed_solver import (
     BAND_L,
     BAND_U,
+    FORCED_MODE_ROUNDOFF,
     GMRES_RESTART,
     GMRES_RTOL,
     WARM_START_OCTAVES,
@@ -92,12 +99,14 @@ def box_solves(monkeypatch):
     return calls
 
 
-def _oracle_system(bg, n_x1, m, amp):
+def _oracle_system(bg, n_x1, m, amp, every_mode=False):
     """Small mode system on the window 0.95..1.05 with ``a11``, ``a`` and ``b0``
     scaled by ``1 + amp cos(pi x2)``, which couples the cosine modes.
 
-    Returns the grid, the ``ModeSystem`` and its inputs ``(coeffs, f1, f2)``,
-    from which the oracles build their own reference."""
+    The forcing drives modes 0 and 1, or every mode with ``every_mode``, so
+    that a wall-uniform set (``amp = 0``) carries all of them too.  Returns
+    the grid, the ``ModeSystem`` and its inputs ``(coeffs, f1, f2)``, from
+    which the oracles build their own reference."""
     L = bg.x1_at_speed(1.05 * CANON.u_s)
     grid = Grid(L=L, n_x1=n_x1, m=m)
     prof = background_profile(bg, grid)
@@ -108,6 +117,8 @@ def _oracle_system(bg, n_x1, m, amp):
         grid.x1 / L, np.cos(np.pi * grid.x2)
     )
     f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
+    if every_mode:
+        f2 = f2 + 0.2 * np.outer(grid.x1 / L, grid.cos_basis.sum(axis=1))
     return grid, ModeSystem(coeffs, f1, f2), (coeffs, f1, f2)
 
 
@@ -150,7 +161,7 @@ class TestPoisson:
         with pytest.raises(InputError):
             poisson_solve_phi(Field2D.zeros("cosine", grid))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         n_x1=st.integers(9, 160), m=st.integers(0, 9), L=st.floats(0.05, 5.0),
         seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-12, 1e-4, 1.0, 1e6]),
@@ -202,7 +213,7 @@ class TestLift:
         assert np.all(np.isfinite(f1s)) and np.all(np.isfinite(f2s))
         assert np.all(np.isfinite(lift_psi.modes))
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(
         sigma=st.floats(0.0, 1e-2),
         s_modes=MODE_LISTS,
@@ -323,6 +334,125 @@ class TestEpsSystem:
             assert not energy_sign_audit(coeffs)
 
 
+def _first_iterate_forcing(bg, grid, bdata):
+    """The coefficient set and lifted forcings of the first outer iterate of
+    ``fixed_point_solve``: the background state with the inlet entropy transported."""
+    prof = background_profile(bg, grid)
+    view = collocate(FlowState.zeros(grid), prof)
+    label = lagrangian_map(stream_function(momentum_field(view)[0], grid))
+    T = transport_entropy(bdata.s_en_minus_s0, label, grid)
+    coeffs = assemble_coefficients(view._replace(state=replace(view.state, T=T)), default_d0(prof))
+    f1, f2, _, _ = lift_boundary_data(bdata, coeffs)
+    return coeffs, f1, f2
+
+
+class TestForcedModes:
+    """A wall-uniform set carries only its forced modes and builds no coupling."""
+
+    @settings(max_examples=30)
+    @given(
+        shape=st.sampled_from([(17, 2), (33, 4)]),
+        eps=st.sampled_from(["1e-2", "h1^2"]),
+        slopes=st.lists(st.floats(-0.3, 0.3), min_size=5, max_size=5),
+        amplitudes=st.lists(st.sampled_from([0.0, 0.0, 1.0, -0.4, 1e-3]), min_size=10, max_size=10),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_reduced_solve_matches_dense_box_system(self, bg_narrow, shape, eps, slopes, amplitudes, seed):
+        # random x1 profiles of the background coefficients, constant in x2,
+        # and random data in a random subset of the modes
+        n_x1, m = shape
+        grid, _, (coeffs, _, _) = _oracle_system(bg_narrow, n_x1, m, 0.0)
+        eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
+        x1 = grid.x1 / grid.L
+        for name, slope in zip(("a11", "a", "b1", "b0"), slopes):
+            setattr(coeffs, name, getattr(coeffs, name) * (1.0 + slope * x1)[:, None])
+        coeffs.a12 = np.broadcast_to((slopes[4] * x1 ** 2)[:, None], coeffs.a11.shape)
+        rng = np.random.default_rng(seed)
+        K = m + 1
+        c1, c2 = np.array(amplitudes[:K]), np.array(amplitudes[5:5 + K])
+        profiles = np.polynomial.polynomial.polyval(x1, rng.standard_normal((3, K)))   # (K, n)
+        f1 = (c1[:, None] * profiles).T @ grid.cos_basis.T
+        f2 = (c2[:, None] * profiles[::-1]).T @ grid.cos_basis.T
+        sysm = ModeSystem(coeffs, f1, f2)
+        assert sysm.C_off is None
+        assert list(sysm.modes) == list(np.flatnonzero((c1 != 0) | (c2 != 0)))
+
+        A, rhs = dense_box_system(coeffs, f1, f2, eps)
+        ref = np.linalg.solve(A, rhs).reshape(K, n_x1, 5)
+        th, Th = sysm.solve_banded(eps)
+        assert np.max(np.abs(th - ref[:, :, 0].T)) <= 1e-12
+        assert np.max(np.abs(Th - ref[:, :, 3].T)) <= 1e-12
+        dropped = np.setdiff1d(np.arange(K), sysm.modes)
+        assert not th[:, dropped].any() and not Th[:, dropped].any()
+        assert np.max(np.abs(ref[dropped][:, :, [0, 3]]), initial=0.0) <= 1e-12
+
+    def test_canonical_first_iterate_carries_modes_0_to_4(self, bg):
+        # single-mode data forces modes 0..4 through the transported entropy;
+        # modes 5..16 carry projection roundoff (220-340 ulps of the magnitude
+        # sum, 2e-13 relative), mode 4 1610 ulps: FORCED_MODE_ROUNDOFF = 1024
+        # keeps a factor 3 above the roundoff and 1.5 below mode 4
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=401, m=16)
+        one = ((1, 1.0),)
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=one, e_modes=one, w_modes=one)
+        coeffs, f1, f2 = _first_iterate_forcing(bg, grid, bdata)
+        sysm = ModeSystem(coeffs, f1, f2)
+        assert list(sysm.modes) == [0, 1, 2, 3, 4] and sysm.C_off is None
+        w2, eta = grid.w2, grid.eta_basis
+        forcing = np.max(np.abs((f1 * w2) @ eta) + np.abs((f2 * w2) @ eta), axis=0)
+        ulps = forcing / (np.finfo(float).eps * np.max(((np.abs(f1) + np.abs(f2)) * w2) @ np.abs(eta), axis=0))
+        assert np.max(ulps[5:]) <= FORCED_MODE_ROUNDOFF / 3 and ulps[4] >= 1.5 * FORCED_MODE_ROUNDOFF
+
+    def test_first_iterate_solves_take_one_step_without_coupling(self, bg, monkeypatch):
+        # the later iterates couple the modes, so they need the coupling products
+        systems, steps, products = [], [], []
+        init, gmres, coupling = ModeSystem.__init__, mixed_solver._gmres, ModeSystem.coupling
+
+        def counted_init(self, *args):
+            init(self, *args)
+            systems.append(self)
+
+        def counted_gmres(*args):
+            out = gmres(*args)
+            steps.append((len(systems), out[2]))
+            return out
+
+        def counted_coupling(self, x):
+            products.append(len(systems))
+            return coupling(self, x)
+
+        monkeypatch.setattr(ModeSystem, "__init__", counted_init)
+        monkeypatch.setattr(mixed_solver, "_gmres", counted_gmres)
+        monkeypatch.setattr(ModeSystem, "coupling", counted_coupling)
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=51, m=4)
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=((1, 1.0),), e_modes=((1, 1.0),))
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        assert out.converged and len(systems) == out.iterations > 1
+        first = [n for system, n in steps if system == 1]
+        assert len(first) > 1 and first == [1] * len(first)
+        assert 1 not in products and len(products) > 0
+
+    def test_residual_gate_counts_the_dropped_modes(self, setup):
+        # the modes a wall-uniform set drops keep their right-hand side in |b - A x|
+        grid, _, coeffs = setup
+        f1 = _bump(grid)
+        sysm = ModeSystem(coeffs, f1, np.zeros_like(f1))
+        assert list(sysm.modes) == [0]
+        sysm.solve_banded(1e-2)
+        sysm.rhs_dropped = 1e-9 * np.linalg.norm(sysm.rhs)
+        with pytest.raises(NonConvergenceError, match="GMRES missed the residual bound"):
+            sysm.solve_banded(1e-2)
+
+    def test_unforced_set_assembles_nothing(self, setup, monkeypatch):
+        grid, _, coeffs = setup
+        monkeypatch.setattr(ModeSystem, "_assemble_banded", None)
+        odd = np.outer(np.ones(grid.n_x1), np.sin(np.pi * grid.x2))   # no cosine content
+        for f1 in (np.zeros((grid.n_x1, grid.n_x2)), odd):
+            sysm = ModeSystem(coeffs, f1, np.zeros_like(f1))
+            assert not sysm.forced and sysm.K == 0
+            th, Th = sysm.solve_banded(1e-2)
+            assert th.shape == (grid.n_x1, grid.n_cos) and not th.any() and not Th.any()
+
+
 @pytest.mark.parametrize("amp", [0.0, 0.5])
 @pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)])
 @pytest.mark.parametrize("eps", ["1e-2", "h1^2"])
@@ -331,7 +461,9 @@ class TestBandSystem:
 
     @pytest.fixture
     def instance(self, bg_narrow, amp, n_x1, m, eps):
-        grid, sysm, data = _oracle_system(bg_narrow, n_x1, m, amp)
+        # forced in every mode, so the wall-uniform set (amp = 0) carries the full band
+        grid, sysm, data = _oracle_system(bg_narrow, n_x1, m, amp, every_mode=True)
+        assert sysm.K == m + 1
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
         A, rhs = dense_box_system(*data, eps)
         N = 5 * grid.n_x1
@@ -634,7 +766,10 @@ class TestWarmStart:
         assert min(steps) >= 1
         vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
         assert steps[n_cold:] == [0] * len(revisited)
-        assert all(carrier.solutions[eps] is x for eps, x in kept.items())
+        # the set carries only its forced mode; its starts span every mode and
+        # come back as they went in
+        assert all(x.size == grid.n_cos * 5 * grid.n_x1 for x in kept.values())
+        assert all(np.array_equal(carrier.solutions[eps], x) for eps, x in kept.items())
 
     def test_shallower_stop_drops_deeper_solutions(self, setup):
         # a looser tolerance stops the warm schedule on its first difference;

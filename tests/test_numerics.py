@@ -43,13 +43,13 @@ def assert_same_brent(f, a, b):
 
 
 class TestBrent:
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(a=st.tuples(COEF, COEF, COEF, COEF), lo=COEF, width=st.floats(1e-6, 20.0))
     def test_random_cubics(self, a, lo, width):
         # includes brackets without a sign change (the ValueError path)
         assert_same_brent(lambda x: ((a[3] * x + a[2]) * x + a[1]) * x + a[0], lo, lo + width)
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(lo=COEF, width=st.floats(1e-6, 20.0), at=st.floats(0.0, 1.0), s=COEF, c=st.floats(0.0, 5.0),
            scale=SCALES)
     def test_cubics_with_a_bracketed_root(self, lo, width, at, s, c, scale):
@@ -102,7 +102,7 @@ def probe_points(x):
 
 
 class TestPchip:
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.integers(0, 3).flatmap(pchip_data))
     def test_value_and_slope_match_scipy(self, data):
         x, y = data
@@ -117,7 +117,7 @@ class TestPchip:
         q2 = q[: 2 * (len(q) // 2)].reshape(2, -1)
         assert np.array_equal(ours(q2), ref(q2))
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.integers(1, 3).flatmap(pchip_data))
     def test_column_matches_scipy(self, data):
         x, y = data
@@ -134,7 +134,7 @@ class TestPchip:
 
 
 class TestCumulativeSimpson:
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     @given(n=st.sampled_from([3, 4, 33]), rows=st.integers(0, 3), data=st.data())
     def test_matches_scipy_on_uneven_grids(self, n, rows, data):
         gaps = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))

@@ -99,7 +99,7 @@ class TestKappaH:
         with pytest.raises(InputError):
             kappa_H(kappa_max(CANON) * 1.1, CANON)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(gamma=st.floats(1.1, 4.0), zeta0=st.floats(1.1, 5.0))
     def test_sonic_function_properties(self, gamma, zeta0):
         params = GasParameters(gamma=gamma, zeta0=zeta0, J=1.0, S0=1.0)
