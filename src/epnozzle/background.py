@@ -493,6 +493,11 @@ class BackgroundSolution:
     hamiltonian_defect: float
     _traj: _Trajectory
 
+    def __repr__(self) -> str:
+        # the sampled arrays are left out: at resolution 601 they print as ~55 kB
+        return (f"BackgroundSolution({self.params!r}, u0={self.u0!r}, l_max={self.l_max!r}, "
+                f"samples={self.x1_nodes.size})")
+
     @property
     def u_s(self) -> float:
         return self.params.u_s

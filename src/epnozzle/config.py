@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields, replace
 
 from .background import DEFAULT_RESOLUTION
 from .boundary import BoundaryDataSpec
-from .driver import DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER
+from .driver import DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER, check_outer_options
 from .errors import InputError
-from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL
+from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL, check_schedule
 
 
 def _parse_int(value) -> int:
@@ -111,6 +111,9 @@ class RunConfig:
         if self.resolution < 2:
             raise InputError(f"background.resolution must be at least 2, got {self.resolution}")
         self.boundary_data()            # raises on a bad mode list
+        # the solver's own option rules, so that a sweep rejects them before any row
+        check_outer_options(self.theta, self.max_outer, self.tol_outer, self.tol_root)
+        check_schedule(self.eps0, self.tol_eps, self.eps_cap)
         return self
 
     def boundary_data(self) -> BoundaryDataSpec:

@@ -5,15 +5,13 @@ entropy along the streamlines of the current momentum field, (b) solves
 the rotational Poisson problem with the new baroclinic source, and (c)
 solves the viscosity-continued mixed-type pair with coefficients frozen
 at the current iterate, optionally damped.  The first sweep runs the
-whole viscosity schedule from ``eps0``; each later one resumes it 2^4
-above the viscosity at which the previous sweep stopped (one
-``mixed_solver.WarmStart`` carried across the sweeps), and each of its
-box solves starts GMRES from the previous sweep's solution at the same
-viscosity.  Every box solve still stops at ``GMRES_RTOL`` and must meet
-``LINEAR_RESIDUAL_MAX``, so this gives the same iterates to the solve
-tolerance with about half the box solves and fewer GMRES steps.  The
-unperturbed state is an exact fixed point, so zero boundary data
-converge immediately; small data contract geometrically.
+whole viscosity schedule from ``eps0``; each later one resumes it a few
+halvings above the previous sweep's stop, each box solve starting from
+that sweep's solution at the same viscosity (one
+``mixed_solver.WarmStart`` carried across the sweeps; see
+``vanishing_viscosity``).  The unperturbed state is an exact fixed
+point, so zero boundary data converge immediately; small data contract
+geometrically.
 
 After convergence the sonic interface is extracted as the per-line root
 of the principal-part determinant ``a11 - a12^2``, the Mach field is
@@ -86,6 +84,18 @@ def default_sigma_cap(bg: BackgroundSolution) -> float:
     return 1e-3 * min(bg.params.S0, abs(bg.E0) if bg.E0 != 0 else bg.u0, bg.u0)
 
 
+def check_outer_options(theta: float, max_outer: int, tol_outer: float, root_tol: float) -> None:
+    """``InputError`` unless ``0 < theta <= 1``, ``max_outer >= 1``, ``tol_outer >= 0``, ``root_tol > 0``."""
+    if not 0 < theta <= 1:
+        raise InputError(f"damping factor theta must lie in (0, 1], got {theta}")
+    if max_outer < 1:
+        raise InputError(f"outer iteration budget max_outer must be at least 1, got {max_outer}")
+    if not tol_outer >= 0:
+        raise InputError(f"outer tolerance tol_outer must be nonnegative, got {tol_outer}")
+    if not root_tol > 0:
+        raise InputError(f"root tolerance root_tol must be positive, got {root_tol}")
+
+
 def fixed_point_solve(
     bg: BackgroundSolution,
     bdata: BoundaryDataSpec,
@@ -112,10 +122,8 @@ def fixed_point_solve(
     ------
     InputError
         Missing certificate/cap violations (a NaN sigma violates the cap),
-        a damping factor ``theta`` outside ``(0, 1]``, ``max_outer < 1``, a
-        negative or NaN ``tol_outer``, a ``root_tol`` that is not positive
-        (0, negative or NaN), invalid continuation inputs (see
-        ``vanishing_viscosity``) or domain too long (L >= l_max).
+        options that :func:`check_outer_options` or ``check_schedule`` of
+        ``vanishing_viscosity`` rejects, or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
         iterate number are named in the message).
@@ -125,14 +133,7 @@ def fixed_point_solve(
     """
     if grid.L >= bg.l_max:
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
-    if not 0 < theta <= 1:
-        raise InputError(f"damping factor theta must lie in (0, 1], got {theta}")
-    if max_outer < 1:
-        raise InputError(f"outer iteration budget max_outer must be at least 1, got {max_outer}")
-    if not tol_outer >= 0:
-        raise InputError(f"outer tolerance tol_outer must be nonnegative, got {tol_outer}")
-    if not root_tol > 0:
-        raise InputError(f"root tolerance root_tol must be positive, got {root_tol}")
+    check_outer_options(theta, max_outer, tol_outer, root_tol)
     if not override_certificate:
         if certificate is None or not getattr(certificate, "certified", False):
             raise InputError(

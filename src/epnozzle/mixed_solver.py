@@ -57,10 +57,10 @@ preconditioned iteration closes in 3 to 5 steps, whose Arnoldi products
 need the ``C`` blocks only.  On a wall-uniform coefficient set (the
 first outer iterate) the modes decouple exactly: the system carries only
 its forced modes, builds no ``C`` and GMRES closes after one step.  A
-solve at a viscosity that the previous outer iterate also solved starts
-from that solution.  Whatever its start, every solve
-stops at ``|b - A x| <= GMRES_RTOL |b|`` and raises rather than return
-an iterate whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
+solve starts from the previous outer iterate's solution at its viscosity,
+if there is one; whatever its start, every solve stops at
+``|b - A x| <= GMRES_RTOL |b|`` and raises rather than return an iterate
+whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .fields import Field2D
 DEFAULT_EPS0 = 0.1
 DEFAULT_EPS_TOL = 1e-6
 DEFAULT_EPS_CAP = 20
-WARM_START_OCTAVES = 4          # later outer iterates start their schedule 2**4 above the last stop
+WARM_START_OCTAVES = 2          # later outer iterates start their schedule 2**2 above the last stop
 
 LINEAR_RESIDUAL_MAX = 1e-10     # bound on |b - A x| / |b| of every box solve
 FORCED_MODE_ROUNDOFF = 1024     # projection roundoff, in ulps of its magnitude sum (ModeSystem)
@@ -477,6 +477,16 @@ class WarmStart:
     solutions: dict = field(default_factory=dict, compare=False)
 
 
+def check_schedule(eps0: float, tol_eps: float, cap: int) -> None:
+    """``InputError`` unless ``eps0`` is finite and positive and ``tol_eps`` and ``cap`` are nonnegative."""
+    if not 0 < eps0 < np.inf:
+        raise InputError(f"initial viscosity eps0 must be finite and positive, got {eps0}")
+    if not tol_eps >= 0:
+        raise InputError(f"continuation tolerance tol_eps must be nonnegative, got {tol_eps}")
+    if cap < 0:
+        raise InputError(f"viscosity schedule cap must be nonnegative, got {cap}")
+
+
 def vanishing_viscosity(
     coeffs: CoefficientSet,
     f1_grid: np.ndarray,
@@ -503,36 +513,32 @@ def vanishing_viscosity(
 
     With a ``warm`` carrier (one per outer fixed point) the schedule starts
     at ``warm.k`` instead of 0: ``WARM_START_OCTAVES`` halvings above the
-    previous continuation's last viscosity.  A box solve at a viscosity
-    that continuation also solved starts GMRES from its solution
-    (``warm.solutions``) and stops on the same residual bounds as from
-    zero, so whenever the full schedule would stop after ``warm.k`` the
-    result agrees with it to the solve tolerance; a schedule that has not
-    met the stop test by the old stop goes on under the same floor and
-    cap.  The energy guard keeps the ``eps0`` energy
-    carried in ``warm.energy_ref``, and a warm trace that is not strictly
-    decreasing (too short for the five-step rule) is abandoned for a full
-    schedule from ``eps0``, whose guards decide.  On the canonical solve
-    this halves the box solves (64 to 31 over four outer iterates) and the
-    trace entries (60 to 27).  ``trace_sink`` receives every entry, those
-    of an abandoned warm start included; the returned trace is that of the
-    schedule that produced ``(v, w)``.  On return ``warm`` holds the start
-    of the next continuation.
+    previous continuation's last viscosity, the fewest that give the two
+    differences the decrease check below reads.  A box solve at a viscosity
+    that continuation also solved starts GMRES from its solution there
+    (``warm.solutions``), never from another viscosity's, and stops on the
+    same residual bounds as from zero.  So the result agrees with the full
+    schedule's to the solve tolerance if that would stop after ``warm.k``,
+    and is more resolved (it stops at a smaller viscosity) if it would stop
+    earlier; a schedule that has not met the stop test by the old stop goes
+    on under the same floor and cap.  The energy guard keeps the ``eps0``
+    energy carried in ``warm.energy_ref``, and a warm trace that is not
+    strictly decreasing (too short for the five-step rule) is abandoned for
+    a full schedule from ``eps0``, whose guards decide.  On the canonical
+    solve this cuts the box solves from 64 to 25 over four outer iterates,
+    and the trace entries from 60 to 21.  ``trace_sink`` receives every
+    entry, those of an abandoned warm start included; the returned trace is
+    that of the schedule that produced ``(v, w)``.  On return ``warm`` holds
+    the start of the next continuation.
 
     Returns ``(v, w, trace)``.
 
     Raises
     ------
     InputError
-        If ``eps0`` is not finite and positive, ``tol_eps`` is negative or
-        NaN, or ``cap < 0``, whatever the forcing.
+        On a schedule :func:`check_schedule` rejects, whatever the forcing.
     """
-    if not 0 < eps0 < np.inf:
-        raise InputError(f"initial viscosity eps0 must be finite and positive, got {eps0}")
-    if not tol_eps >= 0:
-        raise InputError(f"continuation tolerance tol_eps must be nonnegative, got {tol_eps}")
-    if cap < 0:
-        raise InputError(f"viscosity schedule cap must be nonnegative, got {cap}")
+    check_schedule(eps0, tol_eps, cap)
     grid = coeffs.grid
     system = ModeSystem(coeffs, f1_grid, f2_grid)
     if not system.forced:

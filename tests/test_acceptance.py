@@ -297,8 +297,8 @@ def test_criterion_09_eps_continuation(std_run):
 
 
 def test_eps_continuation_warm_starts(std_counted):
-    # iterates 2-4 resume their schedule 2^4 above the previous stop eps
-    # (absolute trace index k), so the run makes 31 box solves, not 64
+    # iterates 2-4 resume their schedule 2^2 above the previous stop eps
+    # (absolute trace index k), so the run makes 25 box solves, not 64
     out, calls = std_counted
     first_k, last_k = {}, {}
     for entry in out.eps_trace:
@@ -309,7 +309,7 @@ def test_eps_continuation_warm_starts(std_counted):
         assert first_k[it] - 1 == last_k[it - 1] - WARM_START_OCTAVES > 0
     starts = [eps for i, eps in enumerate(calls) if i == 0 or eps > calls[i - 1]]
     assert starts == [0.1] + [0.1 * 0.5 ** (first_k[it] - 1) for it in (2, 3, 4)]
-    assert len(calls) == 31 and len(out.eps_trace) == 27
+    assert len(calls) == 25 and len(out.eps_trace) == 21
 
 
 def test_criterion_10_linear_response(std_run, half_run):

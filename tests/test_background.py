@@ -192,6 +192,13 @@ class TestSolveBackground:
         bg = solve_background(CANON, 0.9, resolution=2)
         assert (bg.x1_nodes[0], bg.u1[0], bg.u1[-1]) == (0.0, 0.9, bg.u_max)
 
+    def test_repr_is_compact(self):
+        # a Hypothesis test taking the profile as a fixture reports its repr
+        bg = solve_background(CANON, 0.95, resolution=601)
+        text = repr(bg)
+        assert len(text) < 300
+        assert all(part in text for part in (repr(CANON), "u0=0.95", f"l_max={bg.l_max!r}", "samples=601"))
+
     def test_supersonic_inlet_rejected(self):
         with pytest.raises(InputError):
             solve_background(CANON, 1.1)

@@ -40,14 +40,17 @@ flags.override_certificate = true
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 MODES = st.lists(st.tuples(st.integers(0, 64), FLOATS), max_size=4).map(tuple)
 SINE_MODES = st.lists(st.tuples(st.integers(1, 64), FLOATS), max_size=4).map(tuple)
-# valid RunConfigs: every key drawn, the window placed in one of its three valid ways
-# (u0 or kappa0 with L or kappaL, or d alone)
+# valid RunConfigs: every key drawn, the solver options within the solver's rules and the
+# window placed in one of its three valid ways (u0 or kappa0 with L or kappaL, or d alone)
 CONFIGS = st.tuples(
     st.fixed_dictionaries({
         "gamma": FLOATS, "zeta0": FLOATS, "J": FLOATS, "S0": FLOATS, "E0": st.none() | FLOATS,
         "resolution": st.integers(2, 10 ** 6), "n_x1": st.integers(9, 10 ** 4), "m": st.integers(0, 64),
         "sigma": FLOATS, "s_modes": MODES, "e_modes": MODES, "w_modes": SINE_MODES,
-        "tol_eps": FLOATS, "tol_outer": FLOATS, "tol_root": FLOATS, "theta": FLOATS, "eps0": FLOATS,
+        "tol_eps": st.floats(0, allow_infinity=False), "tol_outer": st.floats(0, allow_infinity=False),
+        "tol_root": st.floats(0, allow_infinity=False, exclude_min=True),
+        "theta": st.floats(0, 1, exclude_min=True),
+        "eps0": st.floats(0, allow_infinity=False, exclude_min=True),
         "eps_cap": st.integers(0, 100), "max_outer": st.integers(1, 1000),
         "sigma_cap": st.none() | FLOATS,
         "out_dir": st.text("abcxyz_-./0123456789", min_size=1, max_size=12),
@@ -528,18 +531,34 @@ class TestSweep:
         assert error["error"] == "InputError" and "w_modes" in error["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("grid.n_x1", "5"), ("grid.m", "-1"), ("background.resolution", "1")])
-    def test_bad_size_exit_code_before_any_row(self, tmp_path, capsys, key, value):
-        # the rows would each fail on their own grid or background and the sweep exit 0
+    @staticmethod
+    def _sweep_input_error(tmp_path, capsys, key, value) -> str:
+        """The InputError message of a two-row J sweep of BASE_CONFIG with ``key = value``;
+        the sweep must exit 2 before any row writes its output."""
         lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
-        cfgp = tmp_path / "size.cfg"
+        cfgp = tmp_path / "bad.cfg"
         cfgp.write_text("\n".join(lines) + f"\n{key} = {value}\n")
         out = tmp_path / "sw"
         rc = main(["sweep", "--config", str(cfgp), "--axis", "J", "--values", "0.001,0.002", "--out", str(out)])
-        assert rc == 2
+        assert rc == 2 and not out.exists()
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["error"] == "InputError" and error["message"].startswith(key)
-        assert not out.exists()
+        assert error["error"] == "InputError"
+        return error["message"]
+
+    @pytest.mark.parametrize("key, value", [("grid.n_x1", "5"), ("grid.m", "-1"), ("background.resolution", "1")])
+    def test_bad_size_exit_code_before_any_row(self, tmp_path, capsys, key, value):
+        # the rows would each fail on their own grid or background and the sweep exit 0
+        assert self._sweep_input_error(tmp_path, capsys, key, value).startswith(key)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("damping.theta", "2.0", "theta"), ("solver.eps0", "-1", "eps0"), ("tol.eps", "nan", "tol_eps"),
+         ("tol.outer", "nan", "tol_outer"), ("tol.root", "0", "root_tol"), ("solver.max_outer", "0", "max_outer"),
+         ("solver.eps_cap", "-1", "cap")],
+    )
+    def test_bad_solver_option_exit_code_before_any_row(self, tmp_path, capsys, key, value, message):
+        # each row would fail in its own solve, every row read converged=false, and the sweep exit 0
+        assert message in self._sweep_input_error(tmp_path, capsys, key, value)
 
     def test_infinite_J_row_recorded(self, tmp_path):
         rows = sweep(parse_config(BASE_CONFIG), "J", [float("inf")], tmp_path / "inf_row")

@@ -742,6 +742,28 @@ class TestWarmStart:
         # the carrier is unchanged: same stop, and the reference stays the eps0 energy
         assert carrier == WarmStart(k_stop - WARM_START_OCTAVES, energy_ref)
 
+    def test_resume_depth_leaves_the_answer_bit_identical(self, setup):
+        # each box solve starts from the carrier's solution at its own viscosity,
+        # so solves above the last few feed only trace entries: resuming 2 or 4
+        # octaves above a floor stop gives the same (v, w) and the same trace tail
+        grid, _, coeffs = setup
+        f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
+        carrier = WarmStart()
+        _, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=0.0, warm=carrier)
+        k_stop = trace0[-1]["k"]
+        assert 0.1 * 0.5 ** (k_stop + 1) < grid.h1 ** 2
+        # a next iterate's set couples the modes, so no start is its own solution
+        mod = 1.0 + 1e-3 * np.cos(np.pi * grid.x2)
+        later = replace(coeffs, a11=coeffs.a11 * mod, a=coeffs.a * mod)
+        (v2, w2, short), (v4, w4, long) = (
+            vanishing_viscosity(later, f1 * mod, f2, tol_eps=0.0,
+                                warm=WarmStart(k_stop - octaves, carrier.energy_ref, dict(carrier.solutions)))
+            for octaves in (2, 4)
+        )
+        assert np.array_equal(v2.modes, v4.modes) and np.array_equal(w2.modes, w4.modes)
+        assert [t["k"] for t in long] == list(range(k_stop - 3, k_stop + 1))
+        assert short == long[-2:]
+
     def test_revisited_solutions_kept_and_reused(self, setup, monkeypatch):
         # the carrier keeps the solutions from its start down to the stop; the
         # same system re-solved from them needs no GMRES step
