@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 from .background import DEFAULT_RESOLUTION
 from .boundary import BoundaryDataSpec
-from .driver import DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER, check_outer_options
+from .driver import (DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER, check_outer_options,
+                     check_sigma_cap)
 from .errors import InputError
 from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL, check_schedule
 
@@ -113,6 +114,7 @@ class RunConfig:
         self.boundary_data()            # raises on a bad mode list
         # the solver's own option rules, so that a sweep rejects them before any row
         check_outer_options(self.theta, self.max_outer, self.tol_outer, self.tol_root)
+        check_sigma_cap(self.sigma_cap)
         check_schedule(self.eps0, self.tol_eps, self.eps_cap)
         return self
 

@@ -96,6 +96,12 @@ def check_outer_options(theta: float, max_outer: int, tol_outer: float, root_tol
         raise InputError(f"root tolerance root_tol must be positive, got {root_tol}")
 
 
+def check_sigma_cap(sigma_cap: float | None) -> None:
+    """``InputError`` unless ``sigma_cap`` is ``None`` (meaning ``default_sigma_cap``) or finite and positive."""
+    if sigma_cap is not None and not 0 < sigma_cap < np.inf:
+        raise InputError(f"amplitude cap sigma_cap must be finite and positive, got {sigma_cap}")
+
+
 def fixed_point_solve(
     bg: BackgroundSolution,
     bdata: BoundaryDataSpec,
@@ -122,8 +128,8 @@ def fixed_point_solve(
     ------
     InputError
         Missing certificate/cap violations (a NaN sigma violates the cap),
-        options that :func:`check_outer_options` or ``check_schedule`` of
-        ``vanishing_viscosity`` rejects, or domain too long (L >= l_max).
+        options that :func:`check_outer_options`, :func:`check_sigma_cap` or ``check_schedule``
+        of ``vanishing_viscosity`` rejects, or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
         iterate number are named in the message).
@@ -134,6 +140,7 @@ def fixed_point_solve(
     if grid.L >= bg.l_max:
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
     check_outer_options(theta, max_outer, tol_outer, root_tol)
+    check_sigma_cap(sigma_cap)
     if not override_certificate:
         if certificate is None or not getattr(certificate, "certified", False):
             raise InputError(

@@ -15,39 +15,56 @@ functions that occurs here exactly (discrete cosine/sine aliasing
 identities), so projections of dealiased nonlinear products are exact up
 to roundoff provided ``n_x2 - 1 >= 4 (m + 1)`` panels, which the default
 grid guarantees; for the same reason the quadrature of a field's H1 norm
-is a sum over its modes (``Field2D.h1_norm``).  Flow-direction derivatives use second-order central
-differences with one-sided closures at the ends.
+is a sum over its modes (``Field2D.h1_norm``).  Flow-direction derivatives are numpy stencils
+(``Stencil``) of second-order central differences with one-sided closures at the ends.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
 
 
-def _difference_matrix(n: int, end, offsets, weights, odd: bool) -> sp.csr_matrix:
-    """CSR matrix: the centred ``weights`` at ``offsets`` on rows 1..n-2, the
-    one-sided ``end`` weights on row 0 and their mirror image (negated if
-    ``odd``) on row n-1."""
-    k, q = len(end), len(offsets)
-    data = np.concatenate([end, np.tile(weights, n - 2), -end[::-1] if odd else end[::-1]])
-    centred = (np.arange(1, n - 1)[:, None] + offsets).ravel()
-    indices = np.concatenate([np.arange(k), centred, np.arange(n - k, n)])
-    indptr = np.concatenate([[0], k + q * np.arange(n - 1), [2 * k + q * (n - 2)]])
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+class Stencil:
+    """Difference operator on ``n`` stations along the first axis: the centred ``weights`` at ``offsets``
+    on rows 1..n-2, the one-sided ``end`` weights on row 0 and their mirror image (negated if ``odd``)
+    on row n-1.  ``D @ x`` sums each row in ascending column order into a C-ordered array, as scipy's
+    CSR product does, and equals that product bit for bit but for which NaN a sum of two NaNs returns
+    (IEEE 754 leaves it open, and scipy's choice changes with the column count)."""
+
+    def __init__(self, n: int, end, offsets, weights, odd: bool):
+        self.n, self.centre = n, tuple(zip(offsets, weights))
+        self.ends = np.stack([end, -end[::-1] if odd else end[::-1]], axis=1)   # (k, 2): rows 0, n-1
+
+    @np.errstate(over="ignore", invalid="ignore")      # as the CSR product, which warns of neither
+    def __matmul__(self, x) -> np.ndarray:
+        x, n, k = np.asarray(x), self.n, len(self.ends)
+        if x.shape[:1] != (n,):
+            raise ValueError(f"difference operator of size {n} cannot act on shape {x.shape}")
+        y = np.empty(x.shape)
+        (o, w), *rest = self.centre
+        mid = np.multiply(x[1 + o:n - 1 + o], w, out=y[1:-1])
+        for o, w in rest:
+            mid += x[1 + o:n - 1 + o] * w
+        # y[::n-1] is rows 0 and n-1, and x[j:n-k+j+1:n-k] their j-th columns j and n-k+j
+        w = self.ends.reshape(self.ends.shape + (1,) * (x.ndim - 1))
+        ends = np.multiply(x[0:n - k + 1:n - k], w[0], out=y[::n - 1])
+        for j in range(1, k):
+            ends += x[j:n - k + j + 1:n - k] * w[j]
+        y += 0.0    # for the CSR sum's start at 0.0: a -0.0 row sum becomes 0.0, no other bit moves
+        return y
 
 
-def d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Second-order first-derivative matrix (central, one-sided at the ends)."""
-    return _difference_matrix(n, np.array([-1.5, 2.0, -0.5]) / h, (-1, 1), np.array([-0.5, 0.5]) / h, odd=True)
+def d1_stencil(n: int, h: float) -> Stencil:
+    """Second-order first-derivative operator (central, one-sided at the ends)."""
+    return Stencil(n, np.array([-1.5, 2.0, -0.5]) / h, (-1, 1), np.array([-0.5, 0.5]) / h, odd=True)
 
 
-def d2_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Second-order second-derivative matrix (compact central, one-sided ends)."""
+def d2_stencil(n: int, h: float) -> Stencil:
+    """Second-order second-derivative operator (compact central, one-sided ends)."""
     end, centred = np.array([2.0, -5.0, 4.0, -1.0]) / h ** 2, np.array([1.0, -2.0, 1.0]) / h ** 2
-    return _difference_matrix(n, end, (-1, 0, 1), centred, odd=False)
+    return Stencil(n, end, (-1, 0, 1), centred, odd=False)
 
 
 class Grid:
@@ -101,8 +118,8 @@ class Grid:
         self.dir_basis_d = self.dir_freq * np.cos(np.outer(self.x2 + 1.0, self.dir_freq))
         self.dir_basis_dd = -self.dir_freq ** 2 * self.dir_basis
 
-        self.D1 = d1_matrix(self.n_x1, self.h1)
-        self.D2 = d2_matrix(self.n_x1, self.h1)
+        self.D1 = d1_stencil(self.n_x1, self.h1)
+        self.D2 = d2_stencil(self.n_x1, self.h1)
 
     # -- projections ----------------------------------------------------
     def project_cosine(self, values: np.ndarray) -> np.ndarray:

@@ -65,16 +65,38 @@ whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
 
 from .coefficients import CoefficientSet
 from .errors import InputError, NonConvergenceError
 from .fields import Field2D
+
+
+def _scipy_linalg_extension(name: str):
+    """The compiled ``scipy.linalg.<name>``, found in scipy's ``linalg`` folder and registered under that
+    name: importing the package would run ``scipy._lib._util``, whose array-API copy of numpy costs a
+    fresh process about 0.17 s.  A later ``import scipy.linalg`` reuses the module."""
+    qualified = f"scipy.linalg.{name}"
+    if qualified not in sys.modules:
+        spec = PathFinder.find_spec(qualified, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"no compiled {qualified} in {scipy.__path__[0]}")
+        sys.modules[qualified] = module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[qualified]
+
+
+# the f2py wrappers that scipy.linalg.lapack and scipy.linalg.blas re-export
+lapack, blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
 
 DEFAULT_EPS0 = 0.1
 DEFAULT_EPS_TOL = 1e-6

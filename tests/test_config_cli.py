@@ -52,7 +52,7 @@ CONFIGS = st.tuples(
         "theta": st.floats(0, 1, exclude_min=True),
         "eps0": st.floats(0, allow_infinity=False, exclude_min=True),
         "eps_cap": st.integers(0, 100), "max_outer": st.integers(1, 1000),
-        "sigma_cap": st.none() | FLOATS,
+        "sigma_cap": st.none() | st.floats(0, allow_infinity=False, exclude_min=True),
         "out_dir": st.text("abcxyz_-./0123456789", min_size=1, max_size=12),
         "override_certificate": st.booleans(), "emit_fields": st.booleans(), "emit_traces": st.booleans(),
     }),
@@ -559,6 +559,11 @@ class TestSweep:
     def test_bad_solver_option_exit_code_before_any_row(self, tmp_path, capsys, key, value, message):
         # each row would fail in its own solve, every row read converged=false, and the sweep exit 0
         assert message in self._sweep_input_error(tmp_path, capsys, key, value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_bad_sigma_cap_exit_code_before_any_row(self, tmp_path, capsys, value):
+        # every row's solve would reject its amplitude against the cap and the sweep exit 0
+        assert "sigma_cap" in self._sweep_input_error(tmp_path, capsys, "solver.sigma_cap", value)
 
     def test_infinite_J_row_recorded(self, tmp_path):
         rows = sweep(parse_config(BASE_CONFIG), "J", [float("inf")], tmp_path / "inf_row")

@@ -121,9 +121,14 @@ class TestInvalidSolverInputs:
             ({"tol_eps": -1.0}, "tol_eps"),
             ({"tol_eps": np.nan}, "tol_eps"),
             ({"eps_cap": -1}, "cap"),
+            ({"sigma_cap": np.nan}, "sigma_cap"),
+            ({"sigma_cap": np.inf}, "sigma_cap"),
+            ({"sigma_cap": 0.0}, "sigma_cap"),
+            ({"sigma_cap": -1e-3}, "sigma_cap"),
         ],
         ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative",
-             "tol_eps_nan", "eps_cap_negative"],
+             "tol_eps_nan", "eps_cap_negative", "sigma_cap_nan", "sigma_cap_inf", "sigma_cap_zero",
+             "sigma_cap_negative"],
     )
     def test_rejected_with_input_error(self, small, options, message):
         bg, grid, bdata = small

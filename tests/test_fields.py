@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import lil_d1_matrix, lil_d2_matrix, per_value_csv
 
 from epnozzle import Field2D, GasParameters, Grid, InputError, solve_background
-from epnozzle.fields import d1_matrix, d2_matrix, write_csv_table, write_grid_csv
+from epnozzle.fields import d1_stencil, d2_stencil, write_csv_table, write_grid_csv
 from epnozzle.regimes import write_alpha_csv
 
 GRID = Grid(L=0.6, n_x1=41, m=8)
@@ -163,12 +163,35 @@ class TestParitySplitDerivative:
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
+def _difference_inputs(n: int, rng) -> list:
+    """The layouts the package differentiates (1-D; C- and F-ordered 2-D of
+    the canonical mode and node counts 17, 34 and 69; a strided view) and
+    data of signed zeros, infinities and NaNs."""
+    inputs = [rng.standard_normal(n)]
+    for width in (17, 34, 69):
+        a = rng.standard_normal((n, width))
+        inputs += [a, np.asfortranarray(a)]
+    inputs.append(rng.standard_normal((5, n, 3))[:, :, 0].T)
+    special = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.0, -2.5], size=(n, 34))
+    return inputs + [special, np.asfortranarray(special), special[:, 0].copy(), np.full(n, -0.0)]
+
+
 @pytest.mark.parametrize("n, h", [(9, 0.1), (10, 3.0), (151, 1.3 / 150), (401, 0.7 / 400)])
 def test_difference_matrices_match_row_by_row_construction(n, h):
-    for new, old in ((d1_matrix(n, h), lil_d1_matrix(n, h)), (d2_matrix(n, h), lil_d2_matrix(n, h))):
-        assert new.format == "csr" and new.shape == old.shape
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(new, part), getattr(old, part)), part
+    # D @ x is the CSR product of the row-by-row matrix bit for bit, signed
+    # zeros included, and C-ordered like it.  Where the CSR product is NaN the
+    # stencil is NaN: which of two NaNs a sum returns IEEE 754 leaves open,
+    # and scipy's choice changes between its vector and remainder loops.
+    rng = np.random.default_rng(n)
+    for new, old in ((d1_stencil(n, h), lil_d1_matrix(n, h)), (d2_stencil(n, h), lil_d2_matrix(n, h))):
+        for x in _difference_inputs(n, rng):
+            got, ref = new @ x, old @ x
+            nan = np.isnan(ref)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+        with pytest.raises(ValueError, match="cannot act"):
+            new @ np.ones(n + 1)
 
 
 class TestCsvNumberContract:

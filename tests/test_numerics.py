@@ -155,19 +155,47 @@ class TestCumulativeSimpson:
         assert np.array_equal(np.signbit(ours), np.signbit(ref))
 
 
-def test_package_imports_no_heavy_scipy_subpackage():
-    # scipy.optimize, integrate and interpolate (and through them special)
-    # cost a fresh process about 0.3 s; the package imports only linalg and sparse
+def _fresh_process(code: str):
+    """The last stdout line, as JSON, of ``code`` run in a fresh interpreter
+    after ``import epnozzle, epnozzle.cli`` from this source tree."""
     src = str(Path(epnozzle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import json, sys\n"
-        "import epnozzle, epnozzle.cli\n"
-        "heavy = ('optimize', 'integrate', 'interpolate', 'special')\n"
-        "print(json.dumps([epnozzle.__file__, sorted(m for m in sys.modules\n"
-        "    if m.split('.')[0] == 'scipy' and m.split('.')[1:2] and m.split('.')[1].lstrip('_') in heavy)]))\n"
-    )
+    code = "import json, sys\nimport epnozzle, epnozzle.cli\n" + code
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    source, heavy = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert Path(source).resolve().parents[1] == Path(src)
-    assert heavy == []
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_imports_no_heavy_scipy_subpackage():
+    # scipy.optimize, integrate and interpolate (and through them special)
+    # cost a fresh process about 0.3 s.  scipy.sparse and the scipy.linalg
+    # package load scipy._lib._util, whose array-API copy of numpy imports
+    # numpy.f2py, testing, ma and random (about 0.17 s); the package loads
+    # only the two compiled LAPACK/BLAS wrappers of scipy.linalg, by file.
+    source, loaded = _fresh_process(
+        "print(json.dumps([epnozzle.__file__, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))]))\n"
+    )
+    assert Path(source).resolve().parents[1] == Path(epnozzle.__file__).resolve().parents[1]
+    heavy = ("optimize", "integrate", "interpolate", "special", "sparse")
+    assert [m for m in loaded if m.startswith("scipy.") and m.split(".")[1].lstrip("_") in heavy] == []
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert "scipy._lib._util" not in loaded and "numpy.f2py" not in loaded
+
+
+def test_scipy_linalg_imported_later_reuses_the_wrappers():
+    # a canonical-sized mode-diagonal band (17 modes of 5 x 401 unknowns)
+    # factors bit-identically through scipy.linalg.lapack and the package
+    same, identical = _fresh_process(
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from epnozzle import mixed_solver as ms\n"
+        "n, l, u = 17 * 5 * 401, ms.BAND_L, ms.BAND_U\n"
+        "ab = np.zeros((2 * l + u + 1, n), order='F')\n"
+        "ab[l:] = np.random.default_rng(0).standard_normal((l + u + 1, n))\n"
+        "ab[l + u] += 8.0\n"
+        "ref = scipy.linalg.lapack.dgbtrf(ab.copy(order='F'), l, u)\n"
+        "got = ms.lapack.dgbtrf(ab.copy(order='F'), l, u)\n"
+        "print(json.dumps([scipy.linalg.lapack.dgbtrf is ms.lapack.dgbtrf and scipy.linalg.blas.dgbmv is ms.blas.dgbmv,\n"
+        "    ref[2] == got[2] == 0 and np.array_equal(ref[0].view(np.uint64), got[0].view(np.uint64))\n"
+        "    and np.array_equal(ref[1], got[1])]))\n"
+    )
+    assert same and identical
