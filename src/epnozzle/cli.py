@@ -72,22 +72,8 @@ def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:
             fh.write(json.dumps({k: entry[k] for k in ("epsilon", "h1_diff", "sup_diff", "iterations")}) + "\n")
 
     try:
-        outcome = fixed_point_solve(
-            bg,
-            bdata,
-            grid,
-            tol_outer=cfg.tol_outer,
-            max_outer=cfg.max_outer,
-            theta=cfg.theta,
-            eps0=cfg.eps0,
-            tol_eps=cfg.tol_eps,
-            eps_cap=cfg.eps_cap,
-            certificate=report,
-            override_certificate=cfg.override_certificate,
-            sigma_cap=cfg.sigma_cap,
-            root_tol=cfg.tol_root,
-            trace_sink=sink,
-        )
+        outcome = fixed_point_solve(bg, bdata, grid, **vars(cfg.solver_options()), certificate=report,
+                                    override_certificate=cfg.override_certificate, trace_sink=sink)
     finally:
         if fh is not None:
             fh.close()
@@ -161,11 +147,9 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
     if cfg.d is not None:
         kappa0, kappaL = 1.0 - cfg.d, 1.0 + cfg.d
     else:
-        u0, kappaL_cfg = resolve_window(cfg, base_params)
+        u0, kappaL = resolve_window(cfg, base_params)
         kappa0 = u0 / base_params.u_s
-        if kappaL_cfg is not None:
-            kappaL = kappaL_cfg
-        else:
+        if kappaL is None:
             bg0 = solve_background(base_params, u0, resolution=cfg.resolution)
             kappaL = bg0.evaluate(np.array([cfg.L]))["u1"][0] / base_params.u_s
 
@@ -176,7 +160,6 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
             "sup_gs_minus_ls": float("nan"), "iterations": 0,
         }
         try:
-            row_cfg = cfg
             k0, kL = kappa0, kappaL
             if axis == "J":
                 row_cfg = with_overrides(cfg, J=value, u0=None, L=None, kappa0=k0, kappaL=kL, d=None)

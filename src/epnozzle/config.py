@@ -17,10 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 from .background import DEFAULT_RESOLUTION
 from .boundary import BoundaryDataSpec
-from .driver import (DEFAULT_MAX_OUTER, DEFAULT_ROOT_TOL, DEFAULT_THETA, DEFAULT_TOL_OUTER, check_outer_options,
-                     check_sigma_cap)
 from .errors import InputError
-from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL, check_schedule
+from .options import SolverOptions
 
 
 def _parse_int(value) -> int:
@@ -75,14 +73,14 @@ class RunConfig:
     s_modes: tuple = ()
     e_modes: tuple = ()
     w_modes: tuple = ()
-    tol_eps: float = DEFAULT_EPS_TOL
-    tol_outer: float = DEFAULT_TOL_OUTER
-    tol_root: float = DEFAULT_ROOT_TOL
-    theta: float = DEFAULT_THETA
-    eps0: float = DEFAULT_EPS0
-    eps_cap: int = DEFAULT_EPS_CAP
-    max_outer: int = DEFAULT_MAX_OUTER
-    sigma_cap: float | None = None
+    tol_eps: float = SolverOptions.tol_eps
+    tol_outer: float = SolverOptions.tol_outer
+    tol_root: float = SolverOptions.root_tol
+    theta: float = SolverOptions.theta
+    eps0: float = SolverOptions.eps0
+    eps_cap: int = SolverOptions.eps_cap
+    max_outer: int = SolverOptions.max_outer
+    sigma_cap: float | None = SolverOptions.sigma_cap
     out_dir: str = "out"
     override_certificate: bool = False
     emit_fields: bool = True
@@ -112,11 +110,14 @@ class RunConfig:
         if self.resolution < 2:
             raise InputError(f"background.resolution must be at least 2, got {self.resolution}")
         self.boundary_data()            # raises on a bad mode list
-        # the solver's own option rules, so that a sweep rejects them before any row
-        check_outer_options(self.theta, self.max_outer, self.tol_outer, self.tol_root)
-        check_sigma_cap(self.sigma_cap)
-        check_schedule(self.eps0, self.tol_eps, self.eps_cap)
+        self.solver_options()           # the solver's own rules, so that a sweep rejects them before any row
         return self
+
+    def solver_options(self) -> SolverOptions:
+        """The solver options this config sets; ``InputError`` on a bad one."""
+        return SolverOptions(tol_outer=self.tol_outer, max_outer=self.max_outer, theta=self.theta, eps0=self.eps0,
+                             tol_eps=self.tol_eps, eps_cap=self.eps_cap, sigma_cap=self.sigma_cap,
+                             root_tol=self.tol_root)
 
     def boundary_data(self) -> BoundaryDataSpec:
         """The inlet data this config describes; ``InputError`` on a bad mode list."""

@@ -43,14 +43,11 @@ from .coefficients import (
 )
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
-from .mixed_solver import DEFAULT_EPS0, DEFAULT_EPS_CAP, DEFAULT_EPS_TOL, WarmStart, solve_linear_problem
+from .mixed_solver import WarmStart, solve_linear_problem
 from .numerics import Pchip, brentq
+from .options import SolverOptions
 from .transport import lagrangian_map, stream_function, transport_entropy
 
-DEFAULT_TOL_OUTER = 1e-9
-DEFAULT_MAX_OUTER = 100
-DEFAULT_THETA = 1.0
-DEFAULT_ROOT_TOL = 1e-12
 THETA_FLOOR = 1.0 / 32.0
 
 # Residuals are reported on ``INTERIOR_MARGIN * L <= x1 <= (1 - INTERIOR_MARGIN) * L``.
@@ -84,38 +81,20 @@ def default_sigma_cap(bg: BackgroundSolution) -> float:
     return 1e-3 * min(bg.params.S0, abs(bg.E0) if bg.E0 != 0 else bg.u0, bg.u0)
 
 
-def check_outer_options(theta: float, max_outer: int, tol_outer: float, root_tol: float) -> None:
-    """``InputError`` unless ``0 < theta <= 1``, ``max_outer >= 1``, ``tol_outer >= 0``, ``root_tol > 0``."""
-    if not 0 < theta <= 1:
-        raise InputError(f"damping factor theta must lie in (0, 1], got {theta}")
-    if max_outer < 1:
-        raise InputError(f"outer iteration budget max_outer must be at least 1, got {max_outer}")
-    if not tol_outer >= 0:
-        raise InputError(f"outer tolerance tol_outer must be nonnegative, got {tol_outer}")
-    if not root_tol > 0:
-        raise InputError(f"root tolerance root_tol must be positive, got {root_tol}")
-
-
-def check_sigma_cap(sigma_cap: float | None) -> None:
-    """``InputError`` unless ``sigma_cap`` is ``None`` (meaning ``default_sigma_cap``) or finite and positive."""
-    if sigma_cap is not None and not 0 < sigma_cap < np.inf:
-        raise InputError(f"amplitude cap sigma_cap must be finite and positive, got {sigma_cap}")
-
-
 def fixed_point_solve(
     bg: BackgroundSolution,
     bdata: BoundaryDataSpec,
     grid: Grid,
-    tol_outer: float = DEFAULT_TOL_OUTER,
-    max_outer: int = DEFAULT_MAX_OUTER,
-    theta: float = DEFAULT_THETA,
-    eps0: float = DEFAULT_EPS0,
-    tol_eps: float = DEFAULT_EPS_TOL,
-    eps_cap: int = DEFAULT_EPS_CAP,
+    tol_outer: float = SolverOptions.tol_outer,
+    max_outer: int = SolverOptions.max_outer,
+    theta: float = SolverOptions.theta,
+    eps0: float = SolverOptions.eps0,
+    tol_eps: float = SolverOptions.tol_eps,
+    eps_cap: int = SolverOptions.eps_cap,
     certificate=None,
     override_certificate: bool = False,
-    sigma_cap: float | None = None,
-    root_tol: float = DEFAULT_ROOT_TOL,
+    sigma_cap: float | None = SolverOptions.sigma_cap,
+    root_tol: float = SolverOptions.root_tol,
     trace_sink=None,
 ) -> SolveOutcome:
     """Run the damped Picard iteration to a fixed point and extract results.
@@ -128,8 +107,8 @@ def fixed_point_solve(
     ------
     InputError
         Missing certificate/cap violations (a NaN sigma violates the cap),
-        options that :func:`check_outer_options`, :func:`check_sigma_cap` or ``check_schedule``
-        of ``vanishing_viscosity`` rejects, or domain too long (L >= l_max).
+        options that ``options.SolverOptions`` rejects (each rule named
+        there), or domain too long (L >= l_max).
     AdmissibilityError
         An iterate left the admissible set (the violated bound and the
         iterate number are named in the message).
@@ -139,14 +118,11 @@ def fixed_point_solve(
     """
     if grid.L >= bg.l_max:
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
-    check_outer_options(theta, max_outer, tol_outer, root_tol)
-    check_sigma_cap(sigma_cap)
-    if not override_certificate:
-        if certificate is None or not getattr(certificate, "certified", False):
-            raise InputError(
-                "no certified regime report for these parameters; pass "
-                "override_certificate=True to proceed anyway"
-            )
+    options = SolverOptions(tol_outer=tol_outer, max_outer=max_outer, theta=theta, eps0=eps0, tol_eps=tol_eps,
+                            eps_cap=eps_cap, sigma_cap=sigma_cap, root_tol=root_tol)
+    if not override_certificate and not getattr(certificate, "certified", False):
+        raise InputError("no certified regime report for these parameters; pass "
+                         "override_certificate=True to proceed anyway")
     cap = default_sigma_cap(bg) if sigma_cap is None else sigma_cap
     if not abs(bdata.sigma) <= cap:
         raise InputError(f"boundary amplitude sigma={bdata.sigma} exceeds cap {cap}")
@@ -157,13 +133,10 @@ def fixed_point_solve(
     increments: list = []
     eps_trace: list = []
     theta_cur = float(theta)
-    converged = False
-    iterations = 0
     growth_streak = 0
     warm = WarmStart()
 
     for it in range(1, max_outer + 1):
-        iterations = it
         state = view.state
         m1, _, _ = momentum_field(view)
         sf = stream_function(m1, grid)
@@ -180,16 +153,13 @@ def fixed_point_solve(
         # T does not enter the velocity: the iterate's view serves the new T
         coeffs = assemble_coefficients(view._replace(state=replace(state, T=T_new)), d0)
         del view  # the box solves' peak memory need not hold it
-        psi_new, Psi_new, phi_new = solve_linear_problem(
-            coeffs, bdata, eps0=eps0, tol_eps=tol_eps, eps_cap=eps_cap, trace_sink=sink, warm=warm,
-        )
+        psi_new, Psi_new, phi_new = solve_linear_problem(coeffs, bdata, options, trace_sink=sink, warm=warm)
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
         view = collocate(state.blend(update, theta_cur), prof)
         require_admissible(view, d0, context=f"at outer iterate {it}")
         incr = view.state.h1_distance(state)
         increments.append(incr)
         if incr <= tol_outer:
-            converged = True
             break
         if len(increments) >= 2 and incr > increments[-2]:
             growth_streak += 1
@@ -202,7 +172,7 @@ def fixed_point_solve(
                     )
         else:
             growth_streak = 0
-    if not converged:
+    else:  # no break: the budget ran out
         raise NonConvergenceError(f"no outer convergence within {max_outer} iterations")
 
     coeffs = assemble_coefficients(view, d0)
@@ -223,8 +193,8 @@ def fixed_point_solve(
         classification_mismatches=mismatches,
         primitives=prim,
         residuals=residuals,
-        iterations=iterations,
-        converged=converged,
+        iterations=it,
+        converged=True,
         increments=increments,
         margins=margins,
         d0=d0,
@@ -232,7 +202,7 @@ def fixed_point_solve(
     )
 
 
-def sonic_interface(coeffs: CoefficientSet, root_tol: float = DEFAULT_ROOT_TOL):
+def sonic_interface(coeffs: CoefficientSet, root_tol: float = SolverOptions.root_tol):
     """Per-line root of the principal determinant ``a11 - a12^2``.
 
     Asserts exactly one sign change per wall-normal line (elliptic at the
@@ -296,7 +266,14 @@ def mach_field(prim: dict, coeffs: CoefficientSet, gs: np.ndarray):
 
 
 def reconstruct_primitives(view: Collocated) -> dict:
-    """Primitive fields and residuals of the original balance laws."""
+    """Primitive fields and residuals of the original balance laws.
+
+    ``residual_poisson`` differences the whole potential ``Phibar + Psi``, so it
+    carries the background's own O(h^2) balance ``D2 Phibar - (rhobar - rhobar_inf)``:
+    of the canonical interior sup 4.267e-8 that is 3.988e-8, the perturbation's
+    balance 2.81e-9, and the rest, about 3e-10, roundoff of differencing the
+    O(1) potential at 1/h^2 = 5e5, which leaves the sum 2-3 significant digits.
+    """
     state, prof = view.state, view.prof
     p = prof.bg.params
     g = prof.grid
@@ -343,12 +320,14 @@ def fixed_point_residuals(view: Collocated, coeffs: CoefficientSet, prim: dict) 
 
     Differential rows are evaluated on the fixed physical interior of
     :func:`interior_mask` (0.05 L to 0.95 L).  The sup of the psi residual
-    there does not refine: on the canonical setup it is 4.4e-4, 4.6e-4 and
-    4.7e-4 at n_x1 = 101, 201 and 401.  Its cause is an odd-even sawtooth
-    that the box scheme leaves in ``v''`` at the floor eps = h^2, excited
-    by the inlet condition the viscous construction imposes; it spans a
-    fixed fraction of L, not a sub-grid layer.  The residual refines only
-    beyond about 0.5 L (ROADMAP open item 3).
+    is the largest (canonical 4.79e-4; 5.1-6.6e-7 on the seed-1 sweep rows,
+    whose others are at most 6.7e-9) and does not refine: 4.4e-4, 4.6e-4 and
+    4.7e-4 at n_x1 = 101, 201 and 401 on canonical.  Its cause is an odd-even
+    sawtooth that the box scheme leaves in ``v''`` at the floor eps = h^2,
+    excited by the inlet condition the viscous construction imposes; it spans
+    a fixed fraction of L, not a sub-grid layer, and refines only beyond
+    about 0.5 L (ROADMAP open item 6).  ``sup_poisson_Phi`` is split in
+    :func:`reconstruct_primitives`.
     """
     state = view.state
     mask = interior_mask(state.grid)

@@ -79,6 +79,7 @@ import scipy
 from .coefficients import CoefficientSet
 from .errors import InputError, NonConvergenceError
 from .fields import Field2D
+from .options import SolverOptions
 
 
 def _scipy_linalg_extension(name: str):
@@ -98,9 +99,6 @@ def _scipy_linalg_extension(name: str):
 # the f2py wrappers that scipy.linalg.lapack and scipy.linalg.blas re-export
 lapack, blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
 
-DEFAULT_EPS0 = 0.1
-DEFAULT_EPS_TOL = 1e-6
-DEFAULT_EPS_CAP = 20
 WARM_START_OCTAVES = 2          # later outer iterates start their schedule 2**2 above the last stop
 
 LINEAR_RESIDUAL_MAX = 1e-10     # bound on |b - A x| / |b| of every box solve
@@ -499,23 +497,13 @@ class WarmStart:
     solutions: dict = field(default_factory=dict, compare=False)
 
 
-def check_schedule(eps0: float, tol_eps: float, cap: int) -> None:
-    """``InputError`` unless ``eps0`` is finite and positive and ``tol_eps`` and ``cap`` are nonnegative."""
-    if not 0 < eps0 < np.inf:
-        raise InputError(f"initial viscosity eps0 must be finite and positive, got {eps0}")
-    if not tol_eps >= 0:
-        raise InputError(f"continuation tolerance tol_eps must be nonnegative, got {tol_eps}")
-    if cap < 0:
-        raise InputError(f"viscosity schedule cap must be nonnegative, got {cap}")
-
-
 def vanishing_viscosity(
     coeffs: CoefficientSet,
     f1_grid: np.ndarray,
     f2_grid: np.ndarray,
-    eps0: float = DEFAULT_EPS0,
-    tol_eps: float = DEFAULT_EPS_TOL,
-    cap: int = DEFAULT_EPS_CAP,
+    eps0: float = SolverOptions.eps0,
+    tol_eps: float = SolverOptions.tol_eps,
+    cap: int = SolverOptions.eps_cap,
     trace_sink=None,
     *,
     warm: WarmStart | None = None,
@@ -558,9 +546,10 @@ def vanishing_viscosity(
     Raises
     ------
     InputError
-        On a schedule :func:`check_schedule` rejects, whatever the forcing.
+        On a schedule that ``options.SolverOptions`` rejects (``cap`` is its
+        ``eps_cap``), whatever the forcing.
     """
-    check_schedule(eps0, tol_eps, cap)
+    options = SolverOptions(eps0=eps0, tol_eps=tol_eps, eps_cap=cap)
     grid = coeffs.grid
     system = ModeSystem(coeffs, f1_grid, f2_grid)
     if not system.forced:
@@ -569,9 +558,9 @@ def vanishing_viscosity(
     starts = {} if warm is None else dict(warm.solutions)
     out = None
     if warm is not None and warm.k > 0 and warm.energy_ref is not None:
-        out = _continue(system, starts, eps0, tol_eps, cap, trace_sink, min(warm.k, cap), warm.energy_ref)
+        out = _continue(system, starts, options, trace_sink, min(warm.k, cap), warm.energy_ref)
     if out is None:
-        out = _continue(system, starts, eps0, tol_eps, cap, trace_sink, 0, None)
+        out = _continue(system, starts, options, trace_sink, 0, None)
     v, w, trace, k_last, energy_ref = out
     if warm is not None:
         warm.k, warm.energy_ref = max(k_last - WARM_START_OCTAVES, 0), energy_ref
@@ -579,7 +568,7 @@ def vanishing_viscosity(
     return v, w, trace
 
 
-def _continue(system: ModeSystem, starts, eps0, tol_eps, cap, trace_sink, k_first, energy_ref):
+def _continue(system: ModeSystem, starts, options: SolverOptions, trace_sink, k_first, energy_ref):
     """Run the schedule of :func:`vanishing_viscosity` from the absolute index ``k_first``.
 
     ``starts`` maps a viscosity to the GMRES start of its box solve; each
@@ -594,8 +583,8 @@ def _continue(system: ModeSystem, starts, eps0, tol_eps, cap, trace_sink, k_firs
     eps_floor = grid.h1 ** 2
     trace = []
     prev = None
-    for k in range(k_first, cap + 1):
-        eps = eps0 * 0.5 ** k
+    for k in range(k_first, options.eps_cap + 1):
+        eps = options.eps0 * 0.5 ** k
         if k > k_first and eps < eps_floor:
             break
         theta, Theta = system.solve_banded(eps, starts)
@@ -623,7 +612,7 @@ def _continue(system: ModeSystem, starts, eps0, tol_eps, cap, trace_sink, k_firs
                 raise NonConvergenceError(
                     "eps-continuation trace non-decreasing over 5 consecutive steps"
                 )
-            if diff <= tol_eps:
+            if diff <= options.tol_eps:
                 return v, w, trace, k, energy_ref
         prev = (v, w, k)
     return prev[0], prev[1], trace, prev[2], energy_ref
@@ -632,9 +621,7 @@ def _continue(system: ModeSystem, starts, eps0, tol_eps, cap, trace_sink, k_firs
 def solve_linear_problem(
     coeffs: CoefficientSet,
     bdata,
-    eps0: float = DEFAULT_EPS0,
-    tol_eps: float = DEFAULT_EPS_TOL,
-    eps_cap: int = DEFAULT_EPS_CAP,
+    options: SolverOptions = SolverOptions(),
     trace_sink=None,
     *,
     warm: WarmStart | None = None,
@@ -644,13 +631,14 @@ def solve_linear_problem(
     Solves the rotational Poisson problem for the new ``phi``, lifts the
     boundary data, continues the viscous mixed-type solves to the limit
     (from the start that ``warm`` carries, see :func:`vanishing_viscosity`,
-    whose ``trace_sink`` receives the eps-trace) and restores the lifts.
-    Returns ``(psi, Psi, phi)``.
+    whose ``trace_sink`` receives the eps-trace) on the schedule
+    ``options.eps0``, ``tol_eps`` and ``eps_cap`` set, and restores the
+    lifts.  Returns ``(psi, Psi, phi)``.
     """
     phi_new = poisson_solve_phi(Field2D.from_grid_values("dirichlet", coeffs.f3, coeffs.grid))
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
     v, w, _ = vanishing_viscosity(
-        coeffs, f1s, f2s, eps0=eps0, tol_eps=tol_eps, cap=eps_cap, trace_sink=trace_sink,
-        warm=warm,
+        coeffs, f1s, f2s, eps0=options.eps0, tol_eps=options.tol_eps, cap=options.eps_cap,
+        trace_sink=trace_sink, warm=warm,
     )
     return v + lift_psi, w + lift_Psi, phi_new

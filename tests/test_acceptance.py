@@ -38,6 +38,7 @@ from epnozzle import (
     flux_F_sonic,
     nozzle_length,
     solve_background,
+    vanishing_viscosity,
 )
 from epnozzle.background import _H_closed, _kappa_H_direct, kappa_H_sonic
 from epnozzle.driver import interior_mask
@@ -282,6 +283,43 @@ def test_criterion_08_manufactured_elliptic_convergence(bg_std):
             )
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.9
+
+
+def test_manufactured_transonic_vanishing_viscosity_limit(bg_std):
+    # criterion 8's v* = p(x1) cos(pi x2), w* = q(x1) on a domain that crosses
+    # the sonic line (a11 changes sign at 0.51 L), forced without an eps term,
+    # so the continuation to the h^2 floor converges to the inviscid limit;
+    # the error is the viscous bias, about 57 eps_stop at every n
+    bg, _ = bg_std
+    L = 0.567
+    assert 0.5 * L < bg.l_s < 0.52 * L
+    errs = []
+    for n in (101, 201, 401):
+        grid = Grid(L=L, n_x1=n, m=4)
+        prof = background_profile(bg, grid)
+        coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
+        x, k = grid.x1, 1.5 * np.pi / L
+        c2 = k ** 2 * np.sin(k * L) / 2.0
+        p = np.sin(k * x) - k * x + c2 * x ** 2
+        p1 = k * np.cos(k * x) - k + 2 * c2 * x
+        p2 = -(k ** 2) * np.sin(k * x) + 2 * c2
+        q = np.cos(np.pi * x / (2 * L))
+        q1 = -np.pi / (2 * L) * np.sin(np.pi * x / (2 * L))
+        q2 = -((np.pi / (2 * L)) ** 2) * q
+        a = (prof.E - (CANON.gamma + 1) * prof.du1 * prof.u1) / prof.A22
+        b1 = prof.u1 / prof.A22
+        b0 = (CANON.gamma - 1) * prof.du1 / prof.A22
+        cosx2 = np.cos(np.pi * grid.x2)[None, :]
+        f1 = (prof.a11 * p2 + a * p1 - np.pi ** 2 * p)[:, None] * cosx2 + (b1 * q1 + b0 * q)[:, None]
+        f2 = (q2 - prof.c0 * q)[:, None] - (prof.c1 * p1)[:, None] * cosx2
+        v, w, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=0.0)
+        eps_stop = trace[-1]["epsilon"]
+        assert grid.h1 ** 2 <= eps_stop < 2 * grid.h1 ** 2
+        err = max(np.max(np.abs(v.values() - p[:, None] * cosx2)), np.max(np.abs(w.values() - q[:, None])))
+        assert err <= 60 * eps_stop
+        errs.append(err)
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.9)
 
 
 def test_criterion_09_eps_continuation(std_run):

@@ -1,5 +1,6 @@
 """Config round trips, CLI subcommands, artifacts, exit codes, sweeps."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import epnozzle
 from epnozzle import InputError, background_profile, parse_config, serialize_config
 from epnozzle.cli import build_problem, main, run, sweep
 from epnozzle.config import RunConfig, config_from_mapping, load_config, with_overrides
+from epnozzle.options import SolverOptions
 
 BASE_CONFIG = """
 # standard almost-sonic window, tiny single-mode data
@@ -118,6 +120,15 @@ class TestConfig:
         assert (cfg.u0, cfg.kappaL, cfg.n_x1, cfg.m, cfg.sigma) == (0.9, 1.1, 401, 16, 1e-4)
         assert cfg.s_modes == cfg.e_modes == cfg.w_modes == ((1, 1.0),)
         assert (cfg.tol_root, cfg.out_dir, cfg.override_certificate) == (1e-12, "out", True)
+
+    def test_solver_option_defaults_have_one_source(self):
+        # the config fields and the library keywords default to the SolverOptions fields
+        defaults = vars(SolverOptions())
+        assert RunConfig().solver_options() == SolverOptions()
+        keywords = inspect.signature(epnozzle.fixed_point_solve).parameters
+        assert {name: keywords[name].default for name in defaults} == defaults
+        keywords = inspect.signature(epnozzle.vanishing_viscosity).parameters
+        assert [keywords[name].default for name in ("eps0", "tol_eps", "cap")] == [0.1, 1e-6, 20]
 
     def test_comment_needs_leading_whitespace(self):
         cfg = parse_config(BASE_CONFIG + "output.dir = run#1\t# the run's folder\n")

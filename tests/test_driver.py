@@ -121,13 +121,18 @@ class TestInvalidSolverInputs:
             ({"tol_eps": -1.0}, "tol_eps"),
             ({"tol_eps": np.nan}, "tol_eps"),
             ({"eps_cap": -1}, "cap"),
+            ({"max_outer": 2.5}, "max_outer"),
+            ({"max_outer": True}, "max_outer"),
+            ({"eps_cap": 2.5}, "cap"),
+            ({"eps_cap": np.float64(3.0)}, "cap"),
             ({"sigma_cap": np.nan}, "sigma_cap"),
             ({"sigma_cap": np.inf}, "sigma_cap"),
             ({"sigma_cap": 0.0}, "sigma_cap"),
             ({"sigma_cap": -1e-3}, "sigma_cap"),
         ],
         ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative",
-             "tol_eps_nan", "eps_cap_negative", "sigma_cap_nan", "sigma_cap_inf", "sigma_cap_zero",
+             "tol_eps_nan", "eps_cap_negative", "max_outer_fraction", "max_outer_bool", "eps_cap_fraction",
+             "eps_cap_float64", "sigma_cap_nan", "sigma_cap_inf", "sigma_cap_zero",
              "sigma_cap_negative"],
     )
     def test_rejected_with_input_error(self, small, options, message):

@@ -52,6 +52,7 @@ from epnozzle.mixed_solver import (
     _gmres,
     energy_sign_audit,
 )
+from epnozzle.options import SolverOptions
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 # boundary-data mode lists: mode numbers 1..8, coefficients in [-1, 1]
@@ -675,8 +676,10 @@ class TestVanishingViscosity:
     @pytest.mark.parametrize(
         "options, message",
         [({"eps0": -0.1}, "eps0"), ({"eps0": 0.0}, "eps0"), ({"eps0": np.inf}, "eps0"),
-         ({"tol_eps": -1.0}, "tol_eps"), ({"tol_eps": np.nan}, "tol_eps"), ({"cap": -1}, "cap")],
-        ids=["eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative", "tol_eps_nan", "cap_negative"],
+         ({"tol_eps": -1.0}, "tol_eps"), ({"tol_eps": np.nan}, "tol_eps"), ({"cap": -1}, "cap"),
+         ({"cap": 2.5}, "cap")],
+        ids=["eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative", "tol_eps_nan", "cap_negative",
+             "cap_fraction"],
     )
     def test_invalid_schedule_rejected_before_zero_forcing_shortcut(self, setup, options, message):
         grid, _, coeffs = setup
@@ -891,7 +894,7 @@ class TestSolveLinearProblem:
             grids[n] = grid
             prof = background_profile(bg, grid)
             coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
-            psi, Psi, _ = solve_linear_problem(coeffs, bdata, **solver_kw)
+            psi, Psi, _ = solve_linear_problem(coeffs, bdata, SolverOptions(**solver_kw))
             sols[n] = (psi.modes, Psi.modes)
 
         def h1_dist(a, b):
