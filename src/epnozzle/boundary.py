@@ -9,14 +9,15 @@ sine series::
 
 Every member satisfies the wall compatibility conditions identically
 (odd derivatives of the cosines and even derivatives of orders 0, 2, 4 of
-the sines vanish at x2 = +-1), so only the mode lists are checked, once,
-at construction: integral mode numbers (no bools), n >= 0 in the cosine
-families and n >= 1 in the sine family, and finite coefficients.
+the sines vanish at x2 = +-1), so only the inputs are checked, once, at
+construction: a real ``sigma``, integral mode numbers n >= 0 in the cosine
+families and n >= 1 in the sine family, finite real coefficients, no bools.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,13 +26,17 @@ from .errors import InputError
 
 
 def _checked_modes(family: str, modes, lowest: int) -> tuple:
-    """``(n, c)`` pairs with integral ``n >= lowest`` (no bools) and finite ``c``."""
+    """``(n, c)`` pairs with integral ``n >= lowest`` and finite ``c``, both real and no bools."""
     out = []
     for n, c in modes:
-        if isinstance(n, bool) or not (float(n).is_integer() and n >= lowest and math.isfinite(c)):
-            raise InputError(f"{family}: mode ({n!r}, {c!r}) needs an integer n >= {lowest}, finite c")
+        if not (_real(n) and _real(c) and float(n).is_integer() and n >= lowest and math.isfinite(c)):
+            raise InputError(f"{family}: mode ({n!r}, {c!r}) needs an integer n >= {lowest}, finite real c")
         out.append((int(n), float(c)))
     return tuple(out)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ class BoundaryDataSpec:
     w_modes: tuple = ()
 
     def __post_init__(self):
+        if not _real(self.sigma):
+            raise InputError(f"boundary amplitude sigma must be real, got {self.sigma!r}")
         object.__setattr__(self, "s_modes", _checked_modes("s_modes", self.s_modes, 0))
         object.__setattr__(self, "e_modes", _checked_modes("e_modes", self.e_modes, 0))
         object.__setattr__(self, "w_modes", _checked_modes("w_modes", self.w_modes, 1))

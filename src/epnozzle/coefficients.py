@@ -57,12 +57,7 @@ class FlowState:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "FlowState":
-        return cls(
-            psi=Field2D.zeros("cosine", grid),
-            phi=Field2D.zeros("dirichlet", grid),
-            Psi=Field2D.zeros("cosine", grid),
-            T=Field2D.zeros("cosine", grid),
-        )
+        return cls(*(Field2D.zeros(parity, grid) for parity in ("cosine", "dirichlet", "cosine", "cosine")))
 
     @property
     def grid(self) -> Grid:
@@ -82,12 +77,7 @@ class FlowState:
 
     def blend(self, update: "FlowState", theta: float) -> "FlowState":
         """Damped combination ``theta * update + (1 - theta) * self``."""
-        return FlowState(
-            psi=theta * update.psi + (1 - theta) * self.psi,
-            phi=theta * update.phi + (1 - theta) * self.phi,
-            Psi=theta * update.Psi + (1 - theta) * self.Psi,
-            T=theta * update.T + (1 - theta) * self.T,
-        )
+        return FlowState(*(theta * new + (1 - theta) * old for new, old in zip(update.fields(), self.fields())))
 
     def h1_distance(self, other: "FlowState") -> float:
         return float(

@@ -9,6 +9,10 @@ are supported:
 * ``dirichlet``: basis ``sin(k pi (x2+1)/2)``, k = 1..K.  The field and
   its second wall-normal derivative vanish identically at the walls.
 
+Each basis is one ``Family``: its values and x2-derivatives on the
+collocation nodes, frequencies and squared norms, tabulated once per
+``Grid``; synthesis, projection, norms and ``grid_d2_parity_split`` read it.
+
 Collocation uses a uniform closed grid in ``x2`` with trapezoid weights.
 On that grid the trapezoid rule integrates every product of basis
 functions that occurs here exactly (discrete cosine/sine aliasing
@@ -67,6 +71,34 @@ def d2_stencil(n: int, h: float) -> Stencil:
     return Stencil(n, end, (-1, 0, 1), centred, odd=False)
 
 
+class Family:
+    """One wall-direction basis tabulated on the collocation nodes: ``value``, ``d2`` and ``d22`` are its
+    functions and their first and second x2-derivatives, each ``(n_x2, K)``, ``freq`` their frequencies and
+    ``norm`` their squared L2 norms on (-1, 1)."""
+
+    def __init__(self, value, d2, freq, norm):
+        self.value, self.d2, self.d22 = value, d2, -freq ** 2 * value
+        self.freq, self.norm = freq, norm
+
+    @classmethod
+    def cosines(cls, x2, K: int) -> "Family":
+        """``cos(k pi x2)``, k = 0..K-1."""
+        k = np.arange(K)
+        freq = k * np.pi
+        arg = np.outer(x2, freq)
+        return cls(np.cos(arg), -freq * np.sin(arg), freq, np.where(k == 0, 2.0, 1.0))
+
+    @classmethod
+    def sines(cls, x, freq) -> "Family":
+        """``sin(freq x)``, each of unit norm on (-1, 1) for the families built here."""
+        arg = np.outer(x, freq)
+        return cls(np.sin(arg), freq * np.cos(arg), freq, np.ones(len(freq)))
+
+    def project(self, values: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Column-wise projection of collocation values (trapezoid weights ``w2``) onto the basis."""
+        return (values * w2) @ self.value / self.norm
+
+
 class Grid:
     """Discretization of the rectangle: stations, collocation nodes, bases.
 
@@ -80,6 +112,10 @@ class Grid:
         Cosine mode cutoff; modes 0..m are carried.  The dirichlet family
         carries 2(m+1) modes so wall-normal derivatives of cosine fields
         stay representable.
+
+    ``families`` maps each field parity to its ``Family``; ``split`` holds the
+    even ``cos(k pi x2)``, k = 0..2(m+1), and odd ``sin(k pi x2)``,
+    k = 1..2(m+1), families of :func:`grid_d2_parity_split`.
     """
 
     def __init__(self, L: float, n_x1: int, m: int):
@@ -96,101 +132,66 @@ class Grid:
         self.n_x2 = panels + 1
         self.x2 = np.linspace(-1.0, 1.0, self.n_x2)
         self.w2 = np.full(self.n_x2, 2.0 / panels)
-        self.w2[0] *= 0.5
-        self.w2[-1] *= 0.5
+        self.w2[::panels] *= 0.5                        # trapezoid end weights
         self.w1 = np.full(self.n_x1, self.h1)
-        self.w1[0] *= 0.5
-        self.w1[-1] *= 0.5
+        self.w1[::self.n_x1 - 1] *= 0.5
 
-        k = np.arange(self.n_cos)
-        self.cos_freq = k * np.pi
-        self.cos_basis = np.cos(np.outer(self.x2, self.cos_freq))            # (n_x2, m+1)
-        self.cos_basis_d = -self.cos_freq * np.sin(np.outer(self.x2, self.cos_freq))
-        self.cos_basis_dd = -self.cos_freq ** 2 * self.cos_basis
-        self.cos_norm = np.where(k == 0, 2.0, 1.0)
-        # orthonormal Galerkin basis eta_k = cos(k pi x2)/sqrt(norm)
-        self.eta_basis = self.cos_basis / np.sqrt(self.cos_norm)
-        self.eta_basis_d = self.cos_basis_d / np.sqrt(self.cos_norm)
-
-        kd = np.arange(1, self.n_dir + 1)
-        self.dir_freq = kd * np.pi / 2.0
-        self.dir_basis = np.sin(np.outer(self.x2 + 1.0, self.dir_freq))      # (n_x2, K)
-        self.dir_basis_d = self.dir_freq * np.cos(np.outer(self.x2 + 1.0, self.dir_freq))
-        self.dir_basis_dd = -self.dir_freq ** 2 * self.dir_basis
-
+        k = np.arange(1, self.n_dir + 1)
+        self.families = {"cosine": Family.cosines(self.x2, self.n_cos),
+                         "dirichlet": Family.sines(self.x2 + 1.0, k * np.pi / 2.0)}
+        self.split = (Family.cosines(self.x2, self.n_dir + 1), Family.sines(self.x2, k * np.pi))
         self.D1 = d1_stencil(self.n_x1, self.h1)
         self.D2 = d2_stencil(self.n_x1, self.h1)
 
-    # -- projections ----------------------------------------------------
-    def project_cosine(self, values: np.ndarray) -> np.ndarray:
-        """Column-wise projection of grid values onto the cosine modes."""
-        return (values * self.w2) @ self.cos_basis / self.cos_norm
 
-    def project_dirichlet(self, values: np.ndarray) -> np.ndarray:
-        """Column-wise projection onto the dirichlet modes (each of unit norm)."""
-        return (values * self.w2) @ self.dir_basis
-
-    def basis(self, parity: str, derivative: int = 0) -> np.ndarray:
-        tab = {
-            ("cosine", 0): self.cos_basis,
-            ("cosine", 1): self.cos_basis_d,
-            ("cosine", 2): self.cos_basis_dd,
-            ("dirichlet", 0): self.dir_basis,
-            ("dirichlet", 1): self.dir_basis_d,
-            ("dirichlet", 2): self.dir_basis_dd,
-        }
-        return tab[(parity, derivative)]
+def _family(parity: str, grid: Grid) -> Family:
+    if parity not in grid.families:
+        raise InputError(f"unknown parity {parity!r}")
+    return grid.families[parity]
 
 
 class Field2D:
     """Spectral-in-x2, nodal-in-x1 scalar field.
 
-    ``modes`` has shape (n_x1, n_modes).  Values and derivatives are
-    synthesized on the collocation grid; x2-derivatives are spectral
-    (exact per mode), x1-derivatives use the grid's difference matrices.
+    ``modes`` has shape (n_x1, K) for the K functions of the parity's
+    ``Family``.  Values and derivatives are synthesized on the collocation
+    grid; x2-derivatives are spectral (exact per mode), x1-derivatives are
+    the grid's difference stencils.
     """
 
     def __init__(self, parity: str, modes: np.ndarray, grid: Grid):
-        if parity not in ("cosine", "dirichlet"):
-            raise InputError(f"unknown parity {parity!r}")
-        expected = grid.n_cos if parity == "cosine" else grid.n_dir
-        modes = np.asarray(modes, dtype=float)
-        if modes.shape != (grid.n_x1, expected):
-            raise InputError(f"mode array shape {modes.shape} != {(grid.n_x1, expected)}")
-        self.parity = parity
-        self.modes = modes
-        self.grid = grid
+        self.parity, self.grid, self.family = parity, grid, _family(parity, grid)
+        self.modes = np.asarray(modes, dtype=float)
+        if self.modes.shape != (shape := (grid.n_x1, len(self.family.freq))):
+            raise InputError(f"mode array shape {self.modes.shape} != {shape}")
 
     @classmethod
     def zeros(cls, parity: str, grid: Grid) -> "Field2D":
-        n = grid.n_cos if parity == "cosine" else grid.n_dir
-        return cls(parity, np.zeros((grid.n_x1, n)), grid)
+        return cls(parity, np.zeros((grid.n_x1, len(_family(parity, grid).freq))), grid)
 
     @classmethod
     def from_grid_values(cls, parity: str, values: np.ndarray, grid: Grid) -> "Field2D":
         """Project collocation values column-wise onto the parity's basis."""
-        if parity == "cosine":
-            return cls(parity, grid.project_cosine(values), grid)
-        return cls(parity, grid.project_dirichlet(values), grid)
+        return cls(parity, _family(parity, grid).project(values, grid.w2), grid)
 
     # -- synthesis -------------------------------------------------------
     def values(self) -> np.ndarray:
-        return self.modes @ self.grid.basis(self.parity, 0).T
+        return self.modes @ self.family.value.T
 
     def d2(self) -> np.ndarray:
-        return self.modes @ self.grid.basis(self.parity, 1).T
+        return self.modes @ self.family.d2.T
 
     def d22(self) -> np.ndarray:
-        return self.modes @ self.grid.basis(self.parity, 2).T
+        return self.modes @ self.family.d22.T
 
     def d1(self) -> np.ndarray:
-        return (self.grid.D1 @ self.modes) @ self.grid.basis(self.parity, 0).T
+        return (self.grid.D1 @ self.modes) @ self.family.value.T
 
     def d11(self) -> np.ndarray:
-        return (self.grid.D2 @ self.modes) @ self.grid.basis(self.parity, 0).T
+        return (self.grid.D2 @ self.modes) @ self.family.value.T
 
     def d12(self) -> np.ndarray:
-        return (self.grid.D1 @ self.modes) @ self.grid.basis(self.parity, 1).T
+        return (self.grid.D1 @ self.modes) @ self.family.d2.T
 
     # -- algebra ---------------------------------------------------------
     def __add__(self, other: "Field2D") -> "Field2D":
@@ -205,13 +206,6 @@ class Field2D:
     __rmul__ = __mul__
 
     # -- norms -----------------------------------------------------------
-    def _mode_weights(self):
-        """Wall-direction frequency and squared norm of each basis function."""
-        g = self.grid
-        if self.parity == "cosine":
-            return g.cos_freq, g.cos_norm
-        return g.dir_freq, np.ones(g.n_dir)
-
     def h1_norm(self) -> float:
         """Discrete H1 norm: trapezoid quadrature of |u|^2 + |Du|^2, summed over the modes.
 
@@ -222,14 +216,12 @@ class Field2D:
         values is ``w1 @ sum_k norm_k ((1 + freq_k^2) c_k^2 + (D1 c_k)^2)`` to
         roundoff; no grid values are formed.
         """
-        freq, norm = self._mode_weights()
-        c = self.modes
-        return float(np.sqrt(self.grid.w1 @ (((1.0 + freq ** 2) * c ** 2 + (self.grid.D1 @ c) ** 2) @ norm)))
+        f, c = self.family, self.modes
+        return float(np.sqrt(self.grid.w1 @ (((1.0 + f.freq ** 2) * c ** 2 + (self.grid.D1 @ c) ** 2) @ f.norm)))
 
     def d11_norm(self) -> float:
         """Discrete L2 norm of ``d11 u``, by the mode sum of :meth:`h1_norm`."""
-        _, norm = self._mode_weights()
-        return float(np.sqrt(self.grid.w1 @ ((self.grid.D2 @ self.modes) ** 2 @ norm)))
+        return float(np.sqrt(self.grid.w1 @ ((self.grid.D2 @ self.modes) ** 2 @ self.family.norm)))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values())))
@@ -243,26 +235,16 @@ def grid_d2_parity_split(values: np.ndarray, grid: Grid) -> np.ndarray:
 
     Splits the field into even/odd parts about ``x2 = 0`` (the collocation
     grid is symmetric), differentiates the even part in the cosine family
-    and the odd part in the ``sin(k pi x2)`` family, and sums.  Both
-    families are carried to twice the solver's mode cutoff (still below
-    the collocation Nyquist limit): residual fields built from products of
-    solved modes carry second-order content beyond the cutoff that would
-    otherwise be dropped asymmetrically against the flow-direction
-    derivative.
+    and the odd part in the ``sin(k pi x2)`` family of ``grid.split``, and
+    sums.  Both families are carried to twice the solver's mode cutoff
+    (still below the collocation Nyquist limit): residual fields built from
+    products of solved modes carry second-order content beyond the cutoff
+    that would otherwise be dropped asymmetrically against the
+    flow-direction derivative.
     """
-    even = 0.5 * (values + values[:, ::-1])
-    odd = 0.5 * (values - values[:, ::-1])
-    K2 = 2 * (grid.m + 1)
-    kc = np.arange(K2 + 1)
-    C = np.cos(np.outer(grid.x2, kc * np.pi))
-    norms = np.where(kc == 0, 2.0, 1.0)
-    coef_e = (even * grid.w2) @ C / norms
-    d_even = coef_e @ (-kc * np.pi * np.sin(np.outer(grid.x2, kc * np.pi))).T
-    ks = np.arange(1, K2 + 1)
-    S = np.sin(np.outer(grid.x2, ks * np.pi))           # odd family, zero at walls
-    coef_o = (odd * grid.w2) @ S                        # ||sin||^2 = 1 on [-1, 1]
-    d_odd = coef_o @ (ks * np.pi * np.cos(np.outer(grid.x2, ks * np.pi))).T
-    return d_even + d_odd
+    even, odd = grid.split
+    return (even.project(0.5 * (values + values[:, ::-1]), grid.w2) @ even.d2.T
+            + odd.project(0.5 * (values - values[:, ::-1]), grid.w2) @ odd.d2.T)
 
 
 def write_csv_table(path, header: str, columns) -> None:

@@ -129,7 +129,7 @@ def poisson_solve_phi(f0: Field2D) -> Field2D:
         raise InputError("Poisson forcing must carry dirichlet parity")
     grid = f0.grid
     n, K, h2 = grid.n_x1, grid.n_dir, grid.h1 ** 2
-    diag = np.tile(2.0 / h2 + grid.dir_freq[:, None] ** 2, n)
+    diag = np.tile(2.0 / h2 + f0.family.freq[:, None] ** 2, n)
     diag[:, -1] = 1.0                   # exit Dirichlet row
     upper = np.full((K, n), -1.0 / h2)
     upper[:, 0] = -2.0 / h2             # inlet mirror ghost: phi(-h) = phi(h)
@@ -271,7 +271,8 @@ class ModeSystem:
 
     def __init__(self, coeffs: CoefficientSet, f1_grid: np.ndarray, f2_grid: np.ndarray):
         self.grid = grid = coeffs.grid
-        eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
+        cos, w2 = grid.families["cosine"], grid.w2
+        eta, eta_d = cos.value / np.sqrt(cos.norm), cos.d2 / np.sqrt(cos.norm)   # orthonormal Galerkin basis
         F1, F2 = (f1_grid * w2) @ eta, (f2_grid * w2) @ eta
         wall_uniform = not any(np.any(np.ptp(c, axis=1))
                                for c in (coeffs.a11, coeffs.a12, coeffs.a, coeffs.b1, coeffs.b0))
@@ -333,7 +334,7 @@ class ModeSystem:
         """
         g = self.grid
         n, K, half = g.n_x1, self.K, g.h1 / 2.0
-        lam = g.cos_freq[self.modes] ** 2       # from d22: -lam_k per mode
+        lam = g.families["cosine"].freq[self.modes] ** 2   # from d22: -lam_k per mode
         N = 5 * n
         top = BAND_L + BAND_U                   # ab row of the main diagonal
         ab = np.zeros((K, N, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
@@ -455,10 +456,8 @@ class ModeSystem:
 
     def to_fields(self, theta: np.ndarray, Theta: np.ndarray):
         """Convert orthonormal-basis Galerkin coefficients to cosine fields."""
-        scale = 1.0 / np.sqrt(self.grid.cos_norm)
-        v = Field2D("cosine", theta * scale, self.grid)
-        w = Field2D("cosine", Theta * scale, self.grid)
-        return v, w
+        scale = 1.0 / np.sqrt(self.grid.families["cosine"].norm)
+        return tuple(Field2D("cosine", c * scale, self.grid) for c in (theta, Theta))
 
 
 def energy_sign_audit(coeffs: CoefficientSet) -> bool:

@@ -26,10 +26,12 @@ class SolverOptions:
     root_tol: float = 1e-12
 
     def __post_init__(self):
-        for what, count in (("outer iteration budget max_outer", self.max_outer),
-                            ("viscosity schedule cap", self.eps_cap)):
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise InputError(f"{what} must be an integer, got {count!r}")
+        for name, value in vars(self).items():
+            integral = name in ("max_outer", "eps_cap")
+            if name == "sigma_cap" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+                raise InputError(f"solver option {name} must be {'an integer' if integral else 'real'}, got {value!r}")
         if not 0 < self.theta <= 1:
             raise InputError(f"damping factor theta must lie in (0, 1], got {self.theta}")
         if self.max_outer < 1:

@@ -7,7 +7,8 @@ coefficients and never read from a ``ModeSystem``), the dense
 integral-equation solve and dense box assembly on that data, the
 per-mode banded Poisson solve, the RK4 streamline tracer, the advective
 residual of transported fields, the per-row difference-matrix
-construction, the per-line sonic root and the per-value CSV writer.
+construction, the per-call parity-split derivative, the per-line sonic
+root and the per-value CSV writer.
 """
 
 from types import SimpleNamespace
@@ -89,6 +90,29 @@ def rk_station_events(params, u0, rtol=1e-12, max_step=np.inf, dstop=1e-7):
 INLET_ANCHORED = np.array([True, True, False, False, True])
 
 
+def parity_split_d2(values, grid) -> np.ndarray:
+    """``grid_d2_parity_split`` with its even and odd trig tables evaluated on every call."""
+    even = 0.5 * (values + values[:, ::-1])
+    odd = 0.5 * (values - values[:, ::-1])
+    K2 = 2 * (grid.m + 1)
+    kc = np.arange(K2 + 1)
+    C = np.cos(np.outer(grid.x2, kc * np.pi))
+    norms = np.where(kc == 0, 2.0, 1.0)
+    coef_e = (even * grid.w2) @ C / norms
+    d_even = coef_e @ (-kc * np.pi * np.sin(np.outer(grid.x2, kc * np.pi))).T
+    ks = np.arange(1, K2 + 1)
+    S = np.sin(np.outer(grid.x2, ks * np.pi))
+    coef_o = (odd * grid.w2) @ S
+    d_odd = coef_o @ (ks * np.pi * np.cos(np.outer(grid.x2, ks * np.pi))).T
+    return d_even + d_odd
+
+
+def galerkin_basis(grid):
+    """The orthonormal Galerkin basis ``eta_k = cos(k pi x2) / sqrt(norm_k)`` and its x2-derivative."""
+    cos = grid.families["cosine"]
+    return cos.value / np.sqrt(cos.norm), cos.d2 / np.sqrt(cos.norm)
+
+
 def galerkin_data(coeffs, f1, f2) -> SimpleNamespace:
     """Galerkin data of the viscous pair for ``coeffs`` and the grid forcings ``f1``, ``f2``.
 
@@ -98,7 +122,8 @@ def galerkin_data(coeffs, f1, f2) -> SimpleNamespace:
     """
     grid = coeffs.grid
     C3, C2, C5, C4 = batched_coupling_blocks(coeffs)
-    F1, F2 = (np.einsum("ij,j,jk->ik", f, grid.w2, grid.eta_basis) for f in (f1, f2))
+    eta, _ = galerkin_basis(grid)
+    F1, F2 = (np.einsum("ij,j,jk->ik", f, grid.w2, eta) for f in (f1, f2))
     return SimpleNamespace(grid=grid, K=grid.n_cos, C3=C3, C2=C2, C5=C5, C4=C4,
                            lam=(np.pi * np.arange(grid.n_cos)) ** 2, c0=coeffs.c0, c1=coeffs.c1,
                            F1=F1, F2=F2)
@@ -129,7 +154,7 @@ def batched_coupling_blocks(coeffs):
     temporaries, one per coefficient.  Returns ``(C3, C2, C5, C4)``.
     """
     grid = coeffs.grid
-    eta, eta_d, w2 = grid.eta_basis, grid.eta_basis_d, grid.w2
+    (eta, eta_d), w2 = galerkin_basis(grid), grid.w2
     wB = (eta * w2[:, None]).T
     C3 = (wB * coeffs.a11[:, None, :]) @ eta
     C2 = (wB * (2.0 * coeffs.a12)[:, None, :]) @ eta_d + (wB * coeffs.a[:, None, :]) @ eta
@@ -195,7 +220,7 @@ def per_mode_poisson(f0) -> np.ndarray:
     for k in range(grid.n_dir):
         ab = np.zeros((3, n))
         rhs = f0.modes[:, k].copy()
-        ab[1, :] = 2.0 / h ** 2 + grid.dir_freq[k] ** 2
+        ab[1, :] = 2.0 / h ** 2 + f0.family.freq[k] ** 2
         ab[0, 1:] = -1.0 / h ** 2
         ab[2, :-1] = -1.0 / h ** 2
         ab[0, 1] = -2.0 / h ** 2

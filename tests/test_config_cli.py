@@ -329,15 +329,24 @@ class TestBoundaryData:
         "family, modes",
         [("w_modes", ((1.7, 1.0),)), ("w_modes", ((0, 1.0),)), ("s_modes", ((1, float("nan")),)),
          ("e_modes", ((1, float("inf")),)), ("e_modes", ((-1, 1.0),)), ("s_modes", ((True, 1.0),)),
-         ("w_modes", ((float("nan"), 1.0),))],
+         ("w_modes", ((float("nan"), 1.0),)), ("s_modes", ((1, "x"),)), ("e_modes", (("a", 1.0),)),
+         ("w_modes", ((1, True),)), ("s_modes", ((1, 1j),)), ("e_modes", ((2j, 1.0),))],
         ids=["fractional", "sine_mode_zero", "nan_coefficient", "inf_coefficient", "negative",
-             "bool", "nan_mode"],
+             "bool", "nan_mode", "str_coefficient", "str_mode", "bool_coefficient", "complex_coefficient",
+             "complex_mode"],
     )
     def test_bad_mode_rejected_at_construction(self, family, modes):
         from epnozzle import BoundaryDataSpec
 
         with pytest.raises(InputError, match=rf"{family}: mode \({modes[0][0]!r}, "):
             BoundaryDataSpec(sigma=1e-4, **{family: modes})
+
+    @pytest.mark.parametrize("sigma", ["1e-4", True, 1e-4j, None], ids=["str", "bool", "complex", "none"])
+    def test_bad_sigma_rejected_at_construction(self, sigma):
+        from epnozzle import BoundaryDataSpec
+
+        with pytest.raises(InputError, match="sigma must be real"):
+            BoundaryDataSpec(sigma=sigma, s_modes=((1, 1.0),))
 
     def test_integral_modes_normalized(self):
         from epnozzle import BoundaryDataSpec

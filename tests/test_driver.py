@@ -129,11 +129,20 @@ class TestInvalidSolverInputs:
             ({"sigma_cap": np.inf}, "sigma_cap"),
             ({"sigma_cap": 0.0}, "sigma_cap"),
             ({"sigma_cap": -1e-3}, "sigma_cap"),
+            ({"theta": True}, "theta"),
+            ({"eps0": True}, "eps0"),
+            ({"tol_eps": False}, "tol_eps"),
+            ({"sigma_cap": True}, "sigma_cap"),
+            ({"theta": "0.5"}, "theta"),
+            ({"tol_outer": "1e-9"}, "tol_outer"),
+            ({"root_tol": None}, "root_tol"),
+            ({"eps0": 1j}, "eps0"),
         ],
         ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative",
              "tol_eps_nan", "eps_cap_negative", "max_outer_fraction", "max_outer_bool", "eps_cap_fraction",
              "eps_cap_float64", "sigma_cap_nan", "sigma_cap_inf", "sigma_cap_zero",
-             "sigma_cap_negative"],
+             "sigma_cap_negative", "theta_bool", "eps0_bool", "tol_eps_bool", "sigma_cap_bool",
+             "theta_str", "tol_outer_str", "root_tol_none", "eps0_complex"],
     )
     def test_rejected_with_input_error(self, small, options, message):
         bg, grid, bdata = small

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lil_d1_matrix, lil_d2_matrix, per_value_csv
+from oracles import galerkin_basis, lil_d1_matrix, lil_d2_matrix, parity_split_d2, per_value_csv
 
 from epnozzle import Field2D, GasParameters, Grid, InputError, solve_background
 from epnozzle.fields import d1_stencil, d2_stencil, write_csv_table, write_grid_csv
@@ -25,16 +25,19 @@ class TestGrid:
         assert GRID.w1.sum() == pytest.approx(GRID.L)
 
     def test_orthonormality_of_galerkin_basis(self):
-        gram = (GRID.eta_basis * GRID.w2[:, None]).T @ GRID.eta_basis
+        eta, _ = galerkin_basis(GRID)
+        gram = (eta * GRID.w2[:, None]).T @ eta
         assert np.max(np.abs(gram - np.eye(GRID.n_cos))) < 1e-12
 
     def test_dirichlet_family_orthogonal(self):
-        gram = (GRID.dir_basis * GRID.w2[:, None]).T @ GRID.dir_basis
+        sines = GRID.families["dirichlet"].value
+        gram = (sines * GRID.w2[:, None]).T @ sines
         assert np.max(np.abs(gram - np.eye(GRID.n_dir))) < 1e-12
 
     def test_triple_product_quadrature_exact(self):
         # worst-frequency triple product still integrated exactly
-        f = GRID.cos_basis[:, -1] * GRID.dir_basis[:, -1] * GRID.cos_basis[:, -1]
+        cos, sines = GRID.families["cosine"].value, GRID.families["dirichlet"].value
+        f = cos[:, -1] * sines[:, -1] * cos[:, -1]
         xg, wg = np.polynomial.legendre.leggauss(600)
         ref = (
             np.cos(GRID.m * np.pi * xg) ** 2 * np.sin(GRID.n_dir * np.pi * (xg + 1) / 2)
@@ -161,6 +164,16 @@ class TestParitySplitDerivative:
         )
         got = grid_d2_parity_split(vals, GRID)
         assert np.max(np.abs(got - expect)) < 1e-10
+
+    @pytest.mark.parametrize("m", [0, 4, 16])
+    def test_tables_built_once_match_per_call_tables_bit_for_bit(self, m):
+        from epnozzle.fields import grid_d2_parity_split
+
+        grid = Grid(L=0.6, n_x1=41, m=m)
+        rng = np.random.default_rng(m)
+        for values in (rng.standard_normal((grid.n_x1, grid.n_x2)), 1e-7 * rng.standard_normal((3, grid.n_x2))):
+            got, ref = grid_d2_parity_split(values, grid), parity_split_d2(values, grid)
+            assert got.shape == ref.shape and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def _difference_inputs(n: int, rng) -> list:

@@ -12,6 +12,7 @@ from oracles import (
     INLET_ANCHORED,
     batched_coupling_blocks,
     dense_box_system,
+    galerkin_basis,
     per_mode_poisson,
     solve_dense_first_order,
 )
@@ -119,7 +120,7 @@ def _oracle_system(bg, n_x1, m, amp, every_mode=False):
     )
     f2 = 0.3 * np.outer(np.cos(np.pi * grid.x1 / L), np.ones(grid.n_x2))
     if every_mode:
-        f2 = f2 + 0.2 * np.outer(grid.x1 / L, grid.cos_basis.sum(axis=1))
+        f2 = f2 + 0.2 * np.outer(grid.x1 / L, grid.families["cosine"].value.sum(axis=1))
     return grid, ModeSystem(coeffs, f1, f2), (coeffs, f1, f2)
 
 
@@ -372,8 +373,9 @@ class TestForcedModes:
         K = m + 1
         c1, c2 = np.array(amplitudes[:K]), np.array(amplitudes[5:5 + K])
         profiles = np.polynomial.polynomial.polyval(x1, rng.standard_normal((3, K)))   # (K, n)
-        f1 = (c1[:, None] * profiles).T @ grid.cos_basis.T
-        f2 = (c2[:, None] * profiles[::-1]).T @ grid.cos_basis.T
+        cos = grid.families["cosine"].value
+        f1 = (c1[:, None] * profiles).T @ cos.T
+        f2 = (c2[:, None] * profiles[::-1]).T @ cos.T
         sysm = ModeSystem(coeffs, f1, f2)
         assert sysm.C_off is None
         assert list(sysm.modes) == list(np.flatnonzero((c1 != 0) | (c2 != 0)))
@@ -398,7 +400,7 @@ class TestForcedModes:
         coeffs, f1, f2 = _first_iterate_forcing(bg, grid, bdata)
         sysm = ModeSystem(coeffs, f1, f2)
         assert list(sysm.modes) == [0, 1, 2, 3, 4] and sysm.C_off is None
-        w2, eta = grid.w2, grid.eta_basis
+        w2, (eta, _) = grid.w2, galerkin_basis(grid)
         forcing = np.max(np.abs((f1 * w2) @ eta) + np.abs((f2 * w2) @ eta), axis=0)
         ulps = forcing / (np.finfo(float).eps * np.max(((np.abs(f1) + np.abs(f2)) * w2) @ np.abs(eta), axis=0))
         assert np.max(ulps[5:]) <= FORCED_MODE_ROUNDOFF / 3 and ulps[4] >= 1.5 * FORCED_MODE_ROUNDOFF

@@ -150,7 +150,7 @@ class TestStreamlineOracle:
             vals = []
             for idx in range(0, n_steps + 1, 4):      # sample at the stations
                 y = paths[row, idx]
-                vals.append(float(T.modes[idx // 4] @ np.cos(y * g.cos_freq)))
+                vals.append(float(T.modes[idx // 4] @ np.cos(y * g.families["cosine"].freq)))
             worst = max(worst, np.max(vals) - np.min(vals))
         assert worst <= 1e-6 * osc
 
