@@ -25,6 +25,8 @@ is a sum over its modes (``Field2D.h1_norm``).  Flow-direction derivatives are n
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InputError
@@ -113,12 +115,18 @@ class Grid:
         carries 2(m+1) modes so wall-normal derivatives of cosine fields
         stay representable.
 
-    ``families`` maps each field parity to its ``Family``; ``split`` holds the
-    even ``cos(k pi x2)``, k = 0..2(m+1), and odd ``sin(k pi x2)``,
-    k = 1..2(m+1), families of :func:`grid_d2_parity_split`.
+    A bool, a size that is not an integer or a length that is not real is
+    an ``InputError`` naming the parameter.  ``families`` maps each field
+    parity to its ``Family``; ``split`` holds the even ``cos(k pi x2)``,
+    k = 0..2(m+1), and odd ``sin(k pi x2)``, k = 1..2(m+1), families of
+    :func:`grid_d2_parity_split`.
     """
 
     def __init__(self, L: float, n_x1: int, m: int):
+        for name, value in (("L", L), ("n_x1", n_x1), ("m", m)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real if name == "L" else numbers.Integral):
+                kind = "real" if name == "L" else "an integer"
+                raise InputError(f"grid parameter {name} must be {kind}, got {value!r}")
         if not 0 < L < np.inf or n_x1 < 9 or m < 0:
             raise InputError(f"bad grid parameters L={L}, n_x1={n_x1}, m={m}")
         self.L = float(L)

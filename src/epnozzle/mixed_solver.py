@@ -38,27 +38,27 @@ continuation relies on.  The box scheme stays bounded down to about
 the continuum family (``|v|_H1`` 3-5x at ``0.4 h^2``, 100x and more at
 ``0.2 h^2``), so the schedule is floored at ``eps >= h^2``.
 
-The box system is numbered mode-major and solved at each ``eps`` by GMRES
-(Saad & Schultz 1986) on the full operator, right-preconditioned by an
-exact LU of its mode-diagonal part: K independent box systems, one per
-cosine mode.  Within a mode the three inlet rows come first and the two
-exit rows last, so each mode block is banded with 6 sub- and 4
+The box system is numbered mode-major and solved at each ``eps`` by
+GMRES (Saad & Schultz 1986) on the full operator, right-preconditioned
+by an exact LU of its mode-diagonal part: K independent box systems, one
+per cosine mode.  Within a mode the three inlet rows come first and the
+two exit rows last, so each mode block is banded with 6 sub- and 4
 super-diagonals and the mode-diagonal part of all K modes is one
 Fortran-order band, copied once per ``eps`` and factored in place by a
 single LAPACK ``dgbtrf``.  The operator is matrix-free: one BLAS
 ``dgbmv`` on the ``eps``-free band, the viscous X3 differences and the
-off-mode ``C`` blocks.  Modes couple only through those blocks, and there
-only through the O(sigma) wall-direction variation of the coefficients.
-On the canonical solve's later iterates (sigma = 1e-4) the
-neighbouring-mode entries of ``C`` are 8e-5 to 4e-3 and fall by 1e-3 to
-1e-4 per further mode, and one preconditioner solve leaves
-``|b - A M^-1 b| / |b|`` = 6e-3 to 3e-2, mostly in modes 0 and 2; the
-preconditioned iteration closes in 3 to 5 steps, whose Arnoldi products
-need the ``C`` blocks only.  On a wall-uniform coefficient set (the
-first outer iterate) the modes decouple exactly: the system carries only
-its forced modes, builds no ``C`` and GMRES closes after one step.  A
-solve starts from the previous outer iterate's solution at its viscosity,
-if there is one; whatever its start, every solve stops at
+off-mode coupling ``C``, applied by the transform method (Orszag 1970)
+from the O(sigma) wall variation of the coefficient fields, the only
+path by which modes couple.  On the canonical solve's later iterates
+(sigma = 1e-4) the neighbouring-mode entries of ``C`` are 8e-5 to 4e-3
+and fall by 1e-3 to 1e-4 per further mode, and one preconditioner solve
+leaves ``|b - A M^-1 b| / |b|`` = 6e-3 to 3e-2, mostly in modes 0 and 2;
+the preconditioned iteration closes in 3 to 5 steps, whose Arnoldi
+products need the ``C`` product only.  On a wall-uniform coefficient set
+(the first outer iterate) the modes decouple exactly: the system carries
+only its forced modes, builds no coupling and GMRES closes after one
+step.  A solve starts from the previous outer iterate's solution at its
+viscosity, if there is one; whatever its start, every solve stops at
 ``|b - A x| <= GMRES_RTOL |b|`` and raises rather than return an iterate
 whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
 """
@@ -70,11 +70,10 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .coefficients import CoefficientSet
 from .errors import InputError, NonConvergenceError
@@ -84,13 +83,14 @@ from .options import SolverOptions
 
 def _scipy_linalg_extension(name: str):
     """The compiled ``scipy.linalg.<name>``, found in scipy's ``linalg`` folder and registered under that
-    name: importing the package would run ``scipy._lib._util``, whose array-API copy of numpy costs a
-    fresh process about 0.17 s.  A later ``import scipy.linalg`` reuses the module."""
+    name: the package would run ``scipy._lib._util`` (0.17 s for a fresh process) and even ``scipy``
+    its ``__init__`` (``subprocess``, test utilities).  A later ``import scipy.linalg`` reuses the module."""
     qualified = f"scipy.linalg.{name}"
     if qualified not in sys.modules:
-        spec = PathFinder.find_spec(qualified, [os.path.join(scipy.__path__[0], "linalg")])
+        folder = os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg")
+        spec = PathFinder.find_spec(qualified, [folder])
         if spec is None:
-            raise ImportError(f"no compiled {qualified} in {scipy.__path__[0]}")
+            raise ImportError(f"no compiled {qualified} in {folder}")
         sys.modules[qualified] = module = module_from_spec(spec)
         spec.loader.exec_module(module)
     return sys.modules[qualified]
@@ -108,6 +108,7 @@ GMRES_CYCLES = 3
 GMRES_RTOL = 1e-12
 BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
 PI = np.array([True, True, False, False, True])  # projection Pi: inlet-anchored (X1, X2, X5)
+COUPLED_BLOCKS = (1, 1, 2, 4, 3)  # the X_blk that 2 a12 d2, a, a11, b1, b0 act on in the X3' rows
 
 splu = None  # unused: perfbench/spans.py binds its factor span here until ROADMAP item 1
 
@@ -199,12 +200,12 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
     ``coupling=None`` means ``M = A``: the Krylov space is invariant after
     one step, which makes no coupling product.  ``apply`` (the full ``A``)
     is used only for the start check and the residual that closes each
-    cycle.  A cycle runs at most ``GMRES_RESTART``
-    modified Gram-Schmidt Arnoldi steps on ``A M^-1``, each one ``precond``
-    and one ``coupling``, keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` and ends
-    early once its least-squares residual, which is ``|b - A x|``, is at
-    most ``GMRES_RTOL |b|``; the iteration stops after ``GMRES_CYCLES``
-    cycles or once the recomputed ``|b - A x| <= GMRES_RTOL |b|``.
+    cycle.  A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt
+    Arnoldi steps on ``A M^-1``, each one ``precond`` and one ``coupling``,
+    keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` (summed in place, not
+    stacked) and ends early once its least-squares residual, which is
+    ``|b - A x|``, is at most ``GMRES_RTOL |b|``; the iteration stops after
+    ``GMRES_CYCLES`` cycles or once the recomputed ``|b - A x| <= GMRES_RTOL |b|``.
     Returns ``(x, |b - A x|, iterations)``.
     """
     x, r, iterations = np.zeros_like(b), b, 0
@@ -231,7 +232,10 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
                     or H[j + 1, j] <= np.finfo(float).eps * w_norm):   # invariant Krylov space
                 break
             V.append(w / H[j + 1, j])
-        x = x + y @ np.array(Z)
+        update = y[0] * Z[0]
+        for y_j, z in zip(y[1:], Z[1:]):
+            update += y_j * z
+        x = x + update
         r = b - apply(x)
         residual = np.linalg.norm(r)
     return x, residual, iterations
@@ -242,11 +246,12 @@ class ModeSystem:
 
     Holds only what a box solve reads: the grid, the carried cosine modes
     ``modes`` (``K`` of them), the ``eps``-free band ``band`` of those
-    modes, their off-mode coupling ``C_off`` of the X3 rows, their
-    right-hand side ``rhs``, the norm ``rhs_dropped`` of the right-hand
-    side of the modes it does not carry, and ``forced``, whether it carries
-    any.  The blocks and forcings it is built from are not kept.  Solutions
-    span every mode, with zeros in those it does not carry.
+    modes, their right-hand side ``rhs``, the norm ``rhs_dropped`` of the
+    right-hand side of the modes it does not carry, ``forced``, whether it
+    carries any, and ``coupled``: the fields ``a12, a, a11, b1, b0`` (by
+    reference) and their w2-means that :meth:`coupling` reads, or ``None``.
+    No array it holds grows like ``K^2`` per station.  Solutions span every
+    mode, with zeros in those it does not carry.
 
     A set whose coefficients couple the modes (any of ``a11, a12, a, b1,
     b0`` varies along x2) carries every mode if its projected forcing is
@@ -274,8 +279,8 @@ class ModeSystem:
         cos, w2 = grid.families["cosine"], grid.w2
         eta, eta_d = cos.value / np.sqrt(cos.norm), cos.d2 / np.sqrt(cos.norm)   # orthonormal Galerkin basis
         F1, F2 = (f1_grid * w2) @ eta, (f2_grid * w2) @ eta
-        wall_uniform = not any(np.any(np.ptp(c, axis=1))
-                               for c in (coeffs.a11, coeffs.a12, coeffs.a, coeffs.b1, coeffs.b0))
+        fields = (coeffs.a12, coeffs.a, coeffs.a11, coeffs.b1, coeffs.b0)
+        wall_uniform = not any(np.any(np.ptp(c, axis=1)) for c in fields)
         if wall_uniform:
             magnitude = ((np.abs(f1_grid) + np.abs(f2_grid)) * w2) @ np.abs(eta)
             bound = FORCED_MODE_ROUNDOFF * np.finfo(float).eps * np.max(magnitude, axis=0)
@@ -290,31 +295,21 @@ class ModeSystem:
         rhs[:, 7:-2:5] = half * (F2[:-1] + F2[1:]).T
         self.rhs = rhs[self.modes].ravel()
         self.rhs_dropped = np.linalg.norm(np.delete(rhs, self.modes, axis=0))
-        self.C_off = None
+        self.coupled = None
         if not self.forced:
             return
-        # Galerkin blocks C[i, k, j] = <coef(x1_i, .) B_j, eta_k>, one GEMM per
-        # coefficient against the weighted basis-pair products w2 eta_k B_j:
-        # on a wall-uniform set only the diagonal pairs of the carried modes
-        eta, eta_d = eta[:, self.modes], eta_d[:, self.modes]
-        if wall_uniform:
-            pair, pair_d = w2[:, None] * eta * eta, w2[:, None] * eta * eta_d
-        else:
-            pair = (w2[:, None, None] * eta[:, :, None] * eta[:, None, :]).reshape(-1, K * K)
-            pair_d = (w2[:, None, None] * eta[:, :, None] * eta_d[:, None, :]).reshape(-1, K * K)
-        C3, C5, C4 = (c @ pair for c in (coeffs.a11, coeffs.b1, coeffs.b0))
-        blocks = [C3, (2.0 * coeffs.a12) @ pair_d + coeffs.a @ pair, C5, C4]
+        # mode-diagonal Galerkin entries <c B_k, eta_k>(x1_i), one GEMM per field c against w2 eta_k B_k
+        eta = eta[:, self.modes]
+        bases = (2.0 * eta_d[:, self.modes], eta, eta, eta, eta)
+        pairs = [w2[:, None] * eta * B for B in bases]
+        C2d, C2, C3, C5, C4 = (c @ pair for c, pair in zip(fields, pairs))
+        self.band = self._assemble_banded([C3, C2d + C2, C5, C4], coeffs.c0, coeffs.c1)
         if not wall_uniform:
-            # off-mode coupling (h/2) [C3 | C2 | C5 | C4] of the X3' rows, written in place
-            n = grid.n_x1
-            blocks = [C.reshape(n, K, K) for C in blocks]
-            C_off = np.empty((n, K, len(blocks), K))
-            for j, C in enumerate(blocks):
-                np.multiply(C, half, out=C_off[:, :, j])
-            C_off[:, np.arange(K), :, np.arange(K)] = 0.0
-            self.C_off = C_off.reshape(n, K, -1)
-            blocks = [np.diagonal(C, axis1=1, axis2=2) for C in blocks]
-        self.band = self._assemble_banded(blocks, coeffs.c0, coeffs.c1)
+            # the coupling reads the wall-varying parts c - <c> (a w2-mean couples no modes)
+            self.coupled, self.bases = [(c, (c @ w2) / np.sum(w2)) for c in fields], bases
+            self.diagonal = np.zeros((K, grid.n_x1, 5))
+            for blk, (c, mean), pair in zip(COUPLED_BLOCKS, self.coupled, pairs):
+                self.diagonal[:, :, blk] += ((c - mean[:, None]) @ pair).T
 
     # -- production banded assembly (box scheme in the X variables) --------
     def _assemble_banded(self, diagonals, c0, c1):
@@ -368,13 +363,19 @@ class ModeSystem:
         return ab.reshape(-1, K * N)
 
     def _off_mode(self, x: np.ndarray):
-        """Off-mode part of ``A x`` on the X3' rows, ``(K, n - 1)``: one batched
-        matmul, or 0 for a system without coupling."""
-        if self.C_off is None:
+        """Off-mode part of ``A x`` on the X3' rows, ``(K, n - 1)``, or 0 without coupling: X2..X5 (and
+        2 X2') synthesized on the nodes, times the wall-varying part of their coefficients, projected on
+        ``w2 eta`` less that part's own mode diagonal, then the trapezoid over the cells."""
+        if self.coupled is None:
             return 0.0
-        X = x.reshape(self.K, -1, 5)[:, :, [2, 1, 4, 3]].transpose(1, 2, 0).reshape(-1, 4 * self.K, 1)
-        z = np.matmul(self.C_off, X)[:, :, 0]
-        return (z[:-1] + z[1:]).T
+        X, eta = x.reshape(self.K, -1, 5), self.bases[1]
+        product = np.zeros((X.shape[1], eta.shape[0]))
+        for blk, (c, mean), B in zip(COUPLED_BLOCKS, self.coupled, self.bases):
+            term = c - mean[:, None]
+            term *= X[:, :, blk].T @ B.T
+            product += term
+        z = product @ (self.grid.w2[:, None] * eta) - np.einsum("kib,kib->ik", self.diagonal, X)
+        return (self.grid.h1 / 2.0) * (z[:-1] + z[1:]).T
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
         """Off-mode part ``C x`` of the box operator (zero off the X3' rows)."""
@@ -438,9 +439,8 @@ class ModeSystem:
             x0 = None if starts is None else starts.get(eps)
             if x0 is not None:
                 x0 = x0.reshape(g.n_cos, -1)[self.modes].ravel()
-            coupling = None if self.C_off is None else self.coupling
-            sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve, coupling,
-                                               self.rhs, x0)
+            sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve,
+                                               self.coupling if self.coupled else None, self.rhs, x0)
             residual = np.hypot(residual, self.rhs_dropped)
             b_norm = np.hypot(np.linalg.norm(self.rhs), self.rhs_dropped)
             if not residual <= LINEAR_RESIDUAL_MAX * b_norm:

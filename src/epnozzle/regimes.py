@@ -207,7 +207,8 @@ def _window_grid(kappa0: float, kappaL: float) -> np.ndarray:
     edges = np.concatenate(
         [kappa0 + fine * np.arange(ENDPOINT_REFINE + 1), kappaL - fine * np.arange(ENDPOINT_REFINE + 1)]
     )
-    return np.unique(np.concatenate([base, edges]))
+    grid = np.sort(np.concatenate([base, edges]))
+    return grid[np.r_[True, grid[1:] != grid[:-1]]]   # np.unique's rule; np.unique itself loads numpy.ma
 
 
 def certify_regime(params: GasParameters) -> RegimeReport:

@@ -8,7 +8,7 @@ integral-equation solve and dense box assembly on that data, the
 per-mode banded Poisson solve, the RK4 streamline tracer, the advective
 residual of transported fields, the per-row difference-matrix
 construction, the per-call parity-split derivative, the per-line sonic
-root and the per-value CSV writer.
+root, the per-value CSV writer and the ``np.unique`` window scan grid.
 """
 
 from types import SimpleNamespace
@@ -21,6 +21,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from epnozzle import flux_F, u_max_root
+from epnozzle.regimes import ENDPOINT_REFINE, KAPPA_RESOLUTION
 
 
 def oracle_H(u, params):
@@ -341,3 +342,14 @@ def per_line_sonic_roots(x1, det, xtol: float) -> np.ndarray:
         i = np.nonzero((col[:-1] > 0) & (col[1:] < 0))[0][0]
         roots.append(brentq(PchipInterpolator(x1, col), x1[i], x1[i + 1], xtol=xtol, rtol=8.9e-16))
     return np.array(roots)
+
+
+def unique_window_grid(kappa0: float, kappaL: float) -> np.ndarray:
+    """The regime scan grid of ``regimes._window_grid``, merged by ``np.unique``."""
+    n = max(9, int(np.ceil((kappaL - kappa0) / KAPPA_RESOLUTION)) + 1)
+    base = np.linspace(kappa0, kappaL, n)
+    fine = (kappaL - kappa0) / (n - 1) / ENDPOINT_REFINE
+    edges = np.concatenate(
+        [kappa0 + fine * np.arange(ENDPOINT_REFINE + 1), kappaL - fine * np.arange(ENDPOINT_REFINE + 1)]
+    )
+    return np.unique(np.concatenate([base, edges]))

@@ -20,6 +20,7 @@ from oracles import (
     trace_streamlines,
 )
 
+import epnozzle.mixed_solver as mixed_solver
 from epnozzle import (
     BoundaryDataSpec,
     Field2D,
@@ -94,20 +95,27 @@ def zero_run(bg_std, grid_std):
 
 @pytest.fixture(scope="module")
 def std_counted(bg_std, grid_std, bdata_std):
-    """The standard run and the viscosity of each of its box solves, in order."""
+    """The standard run, the viscosity of each of its box solves, in order, and
+    the GMRES steps of each solve."""
     # tol_eps pinned low so compared runs share the viscosity depth
     bg, _ = bg_std
-    calls = []
-    solve = ModeSystem.solve_banded
+    calls, steps = [], []
+    solve, gmres = ModeSystem.solve_banded, mixed_solver._gmres
 
     def counted(self, eps, *args):
         calls.append(eps)
         return solve(self, eps, *args)
 
+    def counted_gmres(*args):
+        out = gmres(*args)
+        steps.append(out[2])
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ModeSystem, "solve_banded", counted)
+        mp.setattr(mixed_solver, "_gmres", counted_gmres)
         out = fixed_point_solve(bg, bdata_std, grid_std, override_certificate=True, tol_eps=1e-9)
-    return out, calls
+    return out, calls, steps
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +345,7 @@ def test_criterion_09_eps_continuation(std_run):
 def test_eps_continuation_warm_starts(std_counted):
     # iterates 2-4 resume their schedule 2^2 above the previous stop eps
     # (absolute trace index k), so the run makes 25 box solves, not 64
-    out, calls = std_counted
+    out, calls, _ = std_counted
     first_k, last_k = {}, {}
     for entry in out.eps_trace:
         first_k.setdefault(entry["iterations"], entry["k"])
@@ -348,6 +356,14 @@ def test_eps_continuation_warm_starts(std_counted):
     starts = [eps for i, eps in enumerate(calls) if i == 0 or eps > calls[i - 1]]
     assert starts == [0.1] + [0.1 * 0.5 ** (first_k[it] - 1) for it in (2, 3, 4)]
     assert len(calls) == 25 and len(out.eps_trace) == 21
+
+
+def test_canonical_gmres_steps(std_counted):
+    # the 16 box solves of the wall-uniform first iterate close in one step
+    # each; the 9 coupled ones of iterates 2-4 take 32 (3 to 5 each)
+    out, calls, steps = std_counted
+    assert len(calls) == len(steps) == 25
+    assert steps[:16] == [1] * 16 and sum(steps[16:]) == 32 and sum(steps) == 48
 
 
 def test_criterion_10_linear_response(std_run, half_run):

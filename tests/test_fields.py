@@ -49,6 +49,19 @@ class TestGrid:
         with pytest.raises(InputError, match="bad grid parameters"):
             Grid(L=L, n_x1=21, m=2)
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("m", True, "an integer"), ("m", 2.5, "an integer"), ("n_x1", 41.0, "an integer"),
+        ("n_x1", False, "an integer"), ("L", "0.5", "real"), ("L", True, "real"), ("L", 1j, "real"),
+    ])
+    def test_bool_non_integral_or_non_real_grid_parameter_rejected(self, name, value, kind):
+        # a bool would run as 0 or 1, a float size or a string length raise TypeError
+        with pytest.raises(InputError, match=f"grid parameter {name} must be {kind}"):
+            Grid(**{"L": 0.5, "n_x1": 41, "m": 2, name: value})
+
+    def test_numpy_scalars_accepted(self):
+        grid = Grid(L=np.float64(0.5), n_x1=np.int64(41), m=np.int32(2))
+        assert (grid.L, grid.n_x1, grid.m) == (0.5, 41, 2)
+
 
 class TestField2D:
     def test_round_trip_cosine(self):

@@ -229,6 +229,18 @@ class TestLift:
         assert np.all(np.isfinite(f1s)) and np.all(np.isfinite(f2s))
 
 
+def _held_arrays(obj, path="sysm"):
+    """``(path, size)`` of every array a mode system holds, through lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj.size
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _held_arrays(item, f"{path}[{i}]")
+    elif isinstance(obj, ModeSystem):
+        for name, value in vars(obj).items():
+            yield from _held_arrays(value, f"{path}.{name}")
+
+
 class TestEpsSystem:
     def test_zero_forcing_zero_solution(self, setup):
         grid, _, coeffs = setup
@@ -289,20 +301,56 @@ class TestEpsSystem:
         blocks = batched_coupling_blocks(coeffs)
         K, N, half = m + 1, 5 * n_x1, grid.h1 / 2.0
         assert all(ref.shape == (n_x1, K, K) for ref in blocks)
-        assert sysm.C_off.shape == (n_x1, K, 4 * K)
         # the X3' row of cell i carries (h/2) diag C(x1_i) on its left station's
-        # X_blk and (h/2) diag C(x1_(i+1)) on its right one (band row l + u + r - c);
-        # the off-mode coupling is (h/2) C without its diagonal, blocks side by side
+        # X_blk and (h/2) diag C(x1_(i+1)) on its right one (band row l + u + r - c)
         ab = sysm.band.reshape(-1, K, N)
-        for j, (blk, ref) in enumerate(zip((2, 1, 4, 3), blocks)):
+        for blk, ref in zip((2, 1, 4, 3), blocks):
             tol = 1e-15 * half * np.max(np.abs(ref))
             diag = half * np.diagonal(ref, axis1=1, axis2=2).T          # (K, n)
             left = ab[BAND_L + BAND_U + 5 - blk, :, blk:5 * (n_x1 - 1):5]
             right = ab[BAND_L + BAND_U - blk, :, 5 + blk::5]
-            off = half * (1.0 - np.eye(K)) * ref
-            for got, want in ((left, diag[:, :-1]), (right, diag[:, 1:]),
-                              (sysm.C_off[:, :, j * K:(j + 1) * K], off)):
+            for got, want in ((left, diag[:, :-1]), (right, diag[:, 1:])):
                 assert np.max(np.abs(got - want)) <= tol
+        # and (h/2) times the off-diagonal part of C applied at both stations,
+        # nothing on the other rows; a random vector and a box solution, whose
+        # X components differ in scale.  The tolerance is the per-entry bound
+        # 1e-15 (h/2) max|C| summed over the 2 K entries of each block a row
+        # reads, times the largest |X_blk| of the vector.  A wall-constant
+        # coefficient adds nothing off the diagonal (eta_k orthonormal, eta_k
+        # eta_j' odd), so the blocks of the coefficients less their wall means
+        # have the same off-diagonal part, with roundoff 1e-15 (h/2) max|C_var|
+        fields = {name: getattr(coeffs, name) for name in ("a11", "a12", "a", "b1", "b0")}
+        varying = SimpleNamespace(grid=grid, **{name: c - (c @ grid.w2)[:, None] / 2.0
+                                                for name, c in fields.items()})
+        starts = {}
+        sysm.solve_banded(1e-2, starts)
+        for x in (np.random.default_rng(m).standard_normal(K * N), starts[1e-2]):
+            X = x.reshape(K, n_x1, 5)
+            for ref_blocks in (blocks, batched_coupling_blocks(varying)):
+                z = sum(np.einsum("ikj,ji->ik", (1.0 - np.eye(K)) * ref, X[:, :, blk])
+                        for blk, ref in zip((2, 1, 4, 3), ref_blocks))
+                want = np.zeros((K, N))
+                want[:, 5:-2:5] = half * (z[:-1] + z[1:]).T
+                tol = sum(2 * K * 1e-15 * half * np.max(np.abs(ref)) * np.max(np.abs(X[:, :, blk]))
+                          for blk, ref in zip((2, 1, 4, 3), ref_blocks))
+                assert np.max(np.abs(sysm.coupling(x) - want.ravel())) <= tol
+
+    def test_no_held_array_grows_like_k_squared_per_station(self, bg_narrow):
+        # the entries each array of a coupled system adds per station, from
+        # n_x1 = 33 to 65, at m = 8 and m = 16 (K = 9, 17): K^2 entries per
+        # station grow 3.6x, K or n_x2 = 4K + 1 entries 1.9x
+        def per_station(m):
+            sizes = []
+            for n_x1 in (33, 65):
+                sysm = _oracle_system(bg_narrow, n_x1, m, 0.5)[1]
+                assert sysm.K == m + 1 and sysm.coupled is not None
+                sizes.append(dict(_held_arrays(sysm)))
+            return {path: (sizes[1][path] - size) / 32 for path, size in sizes[0].items()}
+
+        coarse, fine = per_station(8), per_station(16)
+        assert coarse.keys() == fine.keys() and "sysm.band" in coarse
+        for path, grow in coarse.items():
+            assert fine[path] <= 2.0 * grow, path
 
     def test_mode0_principal_profile_degenerates_once_at_sonic(self, setup, bg):
         grid, _, coeffs = setup
@@ -348,6 +396,17 @@ def _first_iterate_forcing(bg, grid, bdata):
     return coeffs, f1, f2
 
 
+def _builds_no_coupling(sysm):
+    """The system holds no coupling fields, its off-mode product is zero and
+    its operator maps the first carried mode, if any, into itself alone."""
+    if not sysm.forced:
+        return sysm.coupled is None
+    x = np.zeros((sysm.K, sysm.rhs.size // sysm.K))
+    x[0] = np.random.default_rng(0).standard_normal(x.shape[1])
+    y = sysm.operator(1e-2)(x.ravel()).reshape(x.shape)
+    return sysm.coupled is None and not sysm.coupling(x.ravel()).any() and y[0].any() and not y[1:].any()
+
+
 class TestForcedModes:
     """A wall-uniform set carries only its forced modes and builds no coupling."""
 
@@ -377,7 +436,7 @@ class TestForcedModes:
         f1 = (c1[:, None] * profiles).T @ cos.T
         f2 = (c2[:, None] * profiles[::-1]).T @ cos.T
         sysm = ModeSystem(coeffs, f1, f2)
-        assert sysm.C_off is None
+        assert _builds_no_coupling(sysm)
         assert list(sysm.modes) == list(np.flatnonzero((c1 != 0) | (c2 != 0)))
 
         A, rhs = dense_box_system(coeffs, f1, f2, eps)
@@ -399,7 +458,7 @@ class TestForcedModes:
         bdata = BoundaryDataSpec(sigma=1e-4, s_modes=one, e_modes=one, w_modes=one)
         coeffs, f1, f2 = _first_iterate_forcing(bg, grid, bdata)
         sysm = ModeSystem(coeffs, f1, f2)
-        assert list(sysm.modes) == [0, 1, 2, 3, 4] and sysm.C_off is None
+        assert list(sysm.modes) == [0, 1, 2, 3, 4] and _builds_no_coupling(sysm)
         w2, (eta, _) = grid.w2, galerkin_basis(grid)
         forcing = np.max(np.abs((f1 * w2) @ eta) + np.abs((f2 * w2) @ eta), axis=0)
         ulps = forcing / (np.finfo(float).eps * np.max(((np.abs(f1) + np.abs(f2)) * w2) @ np.abs(eta), axis=0))

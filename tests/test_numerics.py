@@ -179,6 +179,15 @@ def test_package_imports_no_heavy_scipy_subpackage():
     assert [m for m in loaded if m.startswith("scipy.") and m.split(".")[1].lstrip("_") in heavy] == []
     assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
     assert "scipy._lib._util" not in loaded and "numpy.f2py" not in loaded
+    # nor the top-level scipy package (its __init__ loads subprocess and the
+    # test utilities), nor numpy.ma, not even after a regime certificate,
+    # the first unit of every sweep
+    assert "scipy" not in loaded and "numpy.ma" not in loaded
+    assert _fresh_process(
+        "from epnozzle import GasParameters, certify_regime\n"
+        "report = certify_regime(GasParameters(gamma=3.0, zeta0=2.0, J=0.05, S0=1.0 / 3.0))\n"
+        "print(json.dumps([bool(report.certified), 'numpy.ma' in sys.modules, 'scipy' in sys.modules]))\n"
+    ) == [True, False, False]
 
 
 def test_scipy_linalg_imported_later_reuses_the_wrappers():

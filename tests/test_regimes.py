@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from oracles import alpha_sonic_limit
+from oracles import alpha_sonic_limit, unique_window_grid
 
 from epnozzle import (
     GasParameters,
@@ -27,6 +27,7 @@ from epnozzle.regimes import (
     D_SHRINK,
     D_START,
     KAPPA_SWITCH,
+    _window_grid,
     kappa_max,
     lambda_window,
     omega2,
@@ -215,6 +216,14 @@ class TestCertify:
         assert rep.certified
         assert rep.eta == pytest.approx(0.25 * params.gamma)
         assert rep.J_regime == "large"
+
+
+@settings(max_examples=50)
+@given(kappa0=st.floats(0.5, 1.0), width=st.floats(1e-6, 0.5))
+def test_window_grid_matches_unique_bit_for_bit(kappa0, width):
+    # sorted with equal neighbours dropped, as np.unique merges (which loads numpy.ma)
+    got, want = _window_grid(kappa0, kappa0 + width), unique_window_grid(kappa0, kappa0 + width)
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLambdaWindow:
