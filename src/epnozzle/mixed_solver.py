@@ -43,24 +43,25 @@ GMRES (Saad & Schultz 1986) on the full operator, right-preconditioned
 by an exact LU of its mode-diagonal part: K independent box systems, one
 per cosine mode.  Within a mode the three inlet rows come first and the
 two exit rows last, so each mode block is banded with 6 sub- and 4
-super-diagonals and the mode-diagonal part of all K modes is one
-Fortran-order band, copied once per ``eps`` and factored in place by a
-single LAPACK ``dgbtrf``.  The operator is matrix-free: one BLAS
-``dgbmv`` on the ``eps``-free band, the viscous X3 differences and the
-off-mode coupling ``C``, applied by the transform method (Orszag 1970)
-from the O(sigma) wall variation of the coefficient fields, the only
-path by which modes couple.  On the canonical solve's later iterates
-(sigma = 1e-4) the neighbouring-mode entries of ``C`` are 8e-5 to 4e-3
-and fall by 1e-3 to 1e-4 per further mode, and one preconditioner solve
-leaves ``|b - A M^-1 b| / |b|`` = 6e-3 to 3e-2, mostly in modes 0 and 2;
-the preconditioned iteration closes in 3 to 5 steps, whose Arnoldi
-products need the ``C`` product only.  On a wall-uniform coefficient set
-(the first outer iterate) the modes decouple exactly: the system carries
-only its forced modes, builds no coupling and GMRES closes after one
-step.  A solve starts from the previous outer iterate's solution at its
-viscosity, if there is one; whatever its start, every solve stops at
-``|b - A x| <= GMRES_RTOL |b|`` and raises rather than return an iterate
-whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
+super-diagonals.  The box rows of all K modes are one table of terms
+(row, unknown, station, coefficient), ``eps`` in its viscous ones: per
+``eps`` it is scattered into one Fortran-order band, factored in place by
+a single LAPACK ``dgbtrf``, and the matrix-free operator sums the same
+terms on the mode arrays, plus the off-mode coupling ``C``, applied by the
+transform method (Orszag 1970) from the O(sigma) wall variation of the
+coefficient fields, the only path by which modes couple.  On the
+canonical solve's later iterates (sigma = 1e-4) the neighbouring-mode
+entries of ``C`` are 8e-5 to 4e-3 and fall by 1e-3 to 1e-4 per further
+mode, and one preconditioner solve leaves ``|b - A M^-1 b| / |b|`` =
+6e-3 to 3e-2, mostly in modes 0 and 2; the preconditioned iteration
+closes in 3 to 5 steps, whose Arnoldi products need the ``C`` product
+only.  On a wall-uniform coefficient set (the first outer iterate) the
+modes decouple exactly: the system carries only its forced modes, builds
+no coupling and GMRES closes after one step.  A solve starts from the
+previous outer iterate's solution at its viscosity, if there is one;
+whatever its start, every solve stops at ``|b - A x| <= GMRES_RTOL |b|``
+and raises rather than return an iterate whose residual exceeds
+``LINEAR_RESIDUAL_MAX |b|``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ def _scipy_linalg_extension(name: str):
     return sys.modules[qualified]
 
 
-# the f2py wrappers that scipy.linalg.lapack and scipy.linalg.blas re-export
-lapack, blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
+lapack = _scipy_linalg_extension("_flapack")   # the f2py wrappers that scipy.linalg.lapack re-exports
 
 WARM_START_OCTAVES = 2          # later outer iterates start their schedule 2**2 above the last stop
 
@@ -181,6 +181,12 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet):
 # Galerkin mode system
 # ---------------------------------------------------------------------------
 
+def _boundary_rows(N: int):
+    """Rows and columns, among a mode's ``N = 5n``, of the boundary rows split by ``PI``: its
+    components vanish at the inlet (station 0), the complement at the exit (station n - 1)."""
+    return np.r_[0:3, N - 2:N], np.r_[np.flatnonzero(PI), N - 5 + np.flatnonzero(~PI)]
+
+
 class BandLU(NamedTuple):
     """``dgbtrf`` factors of the mode-diagonal band and their row pivots."""
 
@@ -245,13 +251,13 @@ class ModeSystem:
     """Galerkin truncation of the viscous mixed-type pair as a box system.
 
     Holds only what a box solve reads: the grid, the carried cosine modes
-    ``modes`` (``K`` of them), the ``eps``-free band ``band`` of those
-    modes, their right-hand side ``rhs``, the norm ``rhs_dropped`` of the
-    right-hand side of the modes it does not carry, ``forced``, whether it
-    carries any, and ``coupled``: the fields ``a12, a, a11, b1, b0`` (by
-    reference) and their w2-means that :meth:`coupling` reads, or ``None``.
-    No array it holds grows like ``K^2`` per station.  Solutions span every
-    mode, with zeros in those it does not carry.
+    ``modes`` (``K`` of them), the ``eps``-free ``terms`` of their box rows
+    (:meth:`_rows`; no band), their right-hand side ``rhs``, the norm
+    ``rhs_dropped`` of the right-hand side of the modes it does not carry,
+    ``forced``, whether it carries any, and ``coupled``: the fields ``a12,
+    a, a11, b1, b0`` (by reference) and their w2-means that :meth:`coupling`
+    reads, or ``None``.  No array it holds grows like ``K^2`` per station.
+    Solutions span every mode, with zeros in those it does not carry.
 
     A set whose coefficients couple the modes (any of ``a11, a12, a, b1,
     b0`` varies along x2) carries every mode if its projected forcing is
@@ -262,7 +268,7 @@ class ModeSystem:
     ``max_i (|F1| + |F2|)`` exceeds the roundoff of its own projection,
     ``FORCED_MODE_ROUNDOFF`` machine epsilons of
     ``max_i ((|f1| + |f2|) w2) @ |eta_k|``, and builds no coupling.  A set
-    with no carried mode assembles no band.
+    with no carried mode builds no terms.
 
     The constant bounds the roundoff the assembled forcings carry in modes
     they do not drive: 220 to 830 ulps of that magnitude sum on the first
@@ -303,7 +309,18 @@ class ModeSystem:
         bases = (2.0 * eta_d[:, self.modes], eta, eta, eta, eta)
         pairs = [w2[:, None] * eta * B for B in bases]
         C2d, C2, C3, C5, C4 = (c @ pair for c, pair in zip(fields, pairs))
-        self.band = self._assemble_banded([C3, C2d + C2, C5, C4], coeffs.c0, coeffs.c1)
+        n, lam = grid.n_x1, cos.freq[self.modes, None] ** 2   # from d22: -lam_k per mode
+        # node-valued coefficients, (K, n) or (n,), of the two trapezoid ends of dynamic row 1,
+        # trap(C3 X3 + C2 X2 + C5 X5 + C4 X4), and of row 2, X5' - trap((lam + c0) X4 + c1 X2)
+        nodal = [(2, blk, (half * C).T.copy()) for blk, C in zip((2, 1, 4, 3), (C3, C2d + C2, C5, C4))]
+        nodal += [(4, 3, -half * (lam + coeffs.c0)), (4, 1, -half * coeffs.c1)]
+        self.terms = []
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            for dst, src in ((0, 1), (1, 2), (3, 4)):   # kinematic X1' = X2, X2' = X3, X4' = X5
+                self.terms += [(dst, dst, side, sign), (dst, src, side, -half)]
+            self.terms += [(p, blk, side, c[..., side:n - 1 + side]) for p, blk, c in nodal]
+            self.terms += [(2, 0, side, -half * lam), (4, 4, side, sign)]
+        self.terms.sort(key=lambda term: term[1:3])   # the band scatter then walks its columns in order
         if not wall_uniform:
             # the coupling reads the wall-varying parts c - <c> (a w2-mean couples no modes)
             self.coupled, self.bases = [(c, (c @ w2) / np.sum(w2)) for c in fields], bases
@@ -311,56 +328,35 @@ class ModeSystem:
             for blk, (c, mean), pair in zip(COUPLED_BLOCKS, self.coupled, pairs):
                 self.diagonal[:, :, blk] += ((c - mean[:, None]) @ pair).T
 
-    # -- production banded assembly (box scheme in the X variables) --------
-    def _assemble_banded(self, diagonals, c0, c1):
-        """Assemble the mode-diagonal part of ``A_base`` in ``(A_base + eps K_visc) X = rhs``.
+    def _rows(self, eps: float):
+        """The box rows at ``eps``, read by :meth:`_assemble_banded` and :meth:`operator`.
 
-        ``diagonals`` are the mode-diagonal entries of the Galerkin blocks
-        ``(C3, C2, C5, C4)`` of the carried modes, each ``(n, K)``, and
-        ``c0``, ``c1`` the profiles of the second equation.
-        Unknown ``X_blk`` of the ``k``-th carried mode at station ``i`` is
-        column ``k 5n + 5i + blk``.  Mode ``k``'s 5n rows are its inlet rows
-        ``X1, X2, X5 = 0``, then the box equations of each cell ``i`` at
-        ``3 + 5i + blk`` (one per ``X_blk'``), then its exit rows
-        ``X3, X4 = 0``: every mode block has ``l = 6``, ``u = 4``, so the
-        mode-diagonal part of all K modes is one band of order ``5nK``.
-        Returns it in Fortran-order ``dgbtrf`` layout
-        (``A[r, c]`` at ``ab[l + u + r - c, c]``).
+        A mode's rows are its inlet rows ``X1, X2, X5 = 0`` (:func:`_boundary_rows`), the
+        box equations of each cell ``i`` at ``3 + 5i + p`` (one per ``X_p'``) and its exit
+        rows ``X3, X4 = 0``.  The cell rows are the terms ``(p, blk, side, coefficient)``,
+        one per ``(p, blk, side)``: equation ``X_p'`` of every cell on ``X_blk`` at its left
+        (side 0) or right (1) station, the coefficient broadcasting against ``(K, n - 1)``.
+        The viscous ``eps (X3(i + 1) - X3(i))`` adds to the X3 terms of dynamic row 1.
         """
-        g = self.grid
-        n, K, half = g.n_x1, self.K, g.h1 / 2.0
-        lam = g.families["cosine"].freq[self.modes] ** 2   # from d22: -lam_k per mode
-        N = 5 * n
+        return [(p, blk, side, c + (2 * side - 1) * eps if p == blk == 2 else c) for p, blk, side, c in self.terms]
+
+    def _assemble_banded(self, eps: float) -> np.ndarray:
+        """The mode-diagonal part of the box operator at ``eps``, scattered from :meth:`_rows`.
+
+        Unknown ``X_blk`` of the ``k``-th carried mode at station ``i`` is
+        column ``k 5n + 5i + blk``; every mode block has ``l = 6``, ``u = 4``,
+        so the mode-diagonal part of all K modes is one band of order ``5nK``.
+        Returns it in the Fortran-order ``dgbtrf`` layout, ``BAND_L`` fill rows
+        first (``A[r, c]`` at ``ab[l + u + r - c, c]``), ready to factor in place.
+        """
+        n, K = self.grid.n_x1, self.K
         top = BAND_L + BAND_U                   # ab row of the main diagonal
-        ab = np.zeros((K, N, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
-
-        def put(p, blk, side, val):
-            # equation X_p' of every cell on X_blk at its left (side 0) or
-            # right (side 1) station; val broadcasts against (K, n - 1)
-            ab[top + 3 + p - 5 * side - blk, :, 5 * side + blk:5 * (n - 1 + side):5] = val
-
-        def at(values, side):
-            return values[side:n - 1 + side].T  # (K, n - 1) at the cells' ends
-
-        for side, sign in ((0, -1.0), (1, 1.0)):
-            # kinematic relations X1' = X2, X2' = X3, X4' = X5 (trapezoid)
-            for dst, src in ((0, 1), (1, 2), (3, 4)):
-                put(dst, dst, side, sign)
-                put(dst, src, side, -half)
-            # dynamic row 1: eps X3' + trap(C3 X3 + C2 X2 - lam X1 + C5 X5 + C4 X4) = trap F1
-            for blk, diagonal in zip((2, 1, 4, 3), diagonals):
-                put(2, blk, side, half * at(diagonal, side))
-            put(2, 0, side, -half * lam[:, None])
-            # dynamic row 2: X5' - trap((lam + c0) X4 + c1 X2) = trap F2
-            put(4, 4, side, sign)
-            put(4, 3, side, -half * (lam[:, None] + at(c0, side)))
-            put(4, 1, side, -half * at(c1, side))
-        # projection-split boundary rows: Pi components vanish at the inlet,
-        # the complement at the exit
-        rows = np.r_[0:3, N - 2:N]
-        cols = np.r_[np.flatnonzero(PI), N - 5 + np.flatnonzero(~PI)]
+        ab = np.zeros((K, 5 * n, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
+        for p, blk, side, coef in self._rows(eps):
+            ab[top + 3 + p - 5 * side - blk, :, 5 * side + blk:5 * (n - 1 + side):5] = coef
+        rows, cols = _boundary_rows(5 * n)
         ab[top + rows - cols, :, cols] = 1.0
-        return ab.reshape(-1, K * N)
+        return ab.reshape(-1, K * 5 * n)
 
     def _off_mode(self, x: np.ndarray):
         """Off-mode part of ``A x`` on the X3' rows, ``(K, n - 1)``, or 0 without coupling: X2..X5 (and
@@ -384,28 +380,32 @@ class ModeSystem:
         return y
 
     def operator(self, eps: float):
-        """Matrix-free ``x -> (A_base + eps K_visc) x``: one ``dgbmv`` on ``A_base``
-        (its ``BAND_L`` fill rows read as zero super-diagonals), then ``eps``
-        times the X3 differences and the off-mode coupling, if any, on the X3' rows."""
+        """Matrix-free ``x -> A x`` at ``eps``: the terms of :meth:`_rows` summed on the
+        ``(K, n, 5)`` mode arrays, then the off-mode coupling, if any, on the X3' rows."""
+        terms, n = self._rows(eps), self.grid.n_x1
+        rows, cols = _boundary_rows(5 * n)
+
         def apply(x):
-            y = blas.dgbmv(x.size, x.size, BAND_L, BAND_L + BAND_U, 1.0, self.band, x)
-            x3 = x.reshape(self.K, -1, 5)[:, :, 2]
-            y.reshape(self.K, -1)[:, 5:-2:5] += eps * (x3[:, 1:] - x3[:, :-1]) + self._off_mode(x)
+            X = x.reshape(self.K, n, 5).transpose(2, 0, 1).copy()   # (5, K, n): each X_blk contiguous
+            cells, product = np.zeros((5, self.K, n - 1)), np.empty((self.K, n - 1))
+            for p, blk, side, coef in terms:
+                cells[p] += np.multiply(coef, X[blk, :, side:n - 1 + side], out=product)
+            cells[2] += self._off_mode(x)
+            y = np.empty_like(x)
+            (Y := y.reshape(self.K, 5 * n))[:, rows] = x.reshape(self.K, 5 * n)[:, cols]
+            for p in range(5):
+                Y[:, 3 + p:-2:5] = cells[p]
             return y
 
         return apply
 
     def factor(self, eps: float) -> BandLU:
-        """Band LU of the mode-diagonal part at ``eps``: one Fortran copy of ``A_base``
-        plus ``eps`` times the X3 differences of the X3' rows, factored in place by ``dgbtrf``.
+        """Band LU of the mode-diagonal part at ``eps``: :meth:`_assemble_banded`
+        factored in place by ``dgbtrf``, with no copy.
 
         Raises ``NonConvergenceError`` if the band is singular.
         """
-        ab = self.band.copy(order="F")
-        x3 = ab.reshape(ab.shape[0], self.K, -1, 5)[:, :, :, 2]   # (ab row, mode, station) on X3
-        x3[BAND_L + BAND_U + 3, :, :-1] -= eps   # X3' row of cell i on X3(i) ...
-        x3[BAND_L + BAND_U - 2, :, 1:] += eps    # ... and on X3(i + 1)
-        lu, piv, info = lapack.dgbtrf(ab, BAND_L, BAND_U, overwrite_ab=1)
+        lu, piv, info = lapack.dgbtrf(self._assemble_banded(eps), BAND_L, BAND_U, overwrite_ab=1)
         if info > 0:
             raise NonConvergenceError(
                 f"singular linear system at eps={eps}, m={self.grid.m}: zero pivot in column {info}"

@@ -29,6 +29,7 @@ from epnozzle import (
     NonConvergenceError,
     assemble_coefficients,
     background_profile,
+    certify_regime,
     collocate,
     default_d0,
     fixed_point_solve,
@@ -71,6 +72,15 @@ def bg_narrow():
 
 
 @pytest.fixture(scope="module")
+def bg_certified():
+    """The certified small-J background (gamma 1.4, zeta0 2, J 1e-2, S0 1) and its certified length."""
+    gas = GasParameters(gamma=1.4, zeta0=2.0, J=1e-2, S0=1.0)
+    report = certify_regime(gas)
+    bg = solve_background(gas, report.kappa0 * gas.u_s, resolution=801)
+    return bg, bg.x1_at_speed(report.kappaL * gas.u_s)
+
+
+@pytest.fixture(scope="module")
 def setup(bg):
     L = bg.x1_at_speed(1.1 * CANON.u_s)
     grid = Grid(L=L, n_x1=101, m=4)
@@ -101,15 +111,17 @@ def box_solves(monkeypatch):
     return calls
 
 
-def _oracle_system(bg, n_x1, m, amp, every_mode=False):
-    """Small mode system on the window 0.95..1.05 with ``a11``, ``a`` and ``b0``
-    scaled by ``1 + amp cos(pi x2)``, which couples the cosine modes.
+def _oracle_system(bg, n_x1, m, amp, every_mode=False, L=None):
+    """Small mode system on the window from ``bg``'s inlet to length ``L``
+    (default: CANON's speed 1.05 u_s, so 0.95..1.05 on ``bg_narrow``), with
+    ``a11``, ``a`` and ``b0`` scaled by ``1 + amp cos(pi x2)``, which couples
+    the cosine modes.
 
     The forcing drives modes 0 and 1, or every mode with ``every_mode``, so
     that a wall-uniform set (``amp = 0``) carries all of them too.  Returns
     the grid, the ``ModeSystem`` and its inputs ``(coeffs, f1, f2)``, from
     which the oracles build their own reference."""
-    L = bg.x1_at_speed(1.05 * CANON.u_s)
+    L = bg.x1_at_speed(1.05 * CANON.u_s) if L is None else L
     grid = Grid(L=L, n_x1=n_x1, m=m)
     prof = background_profile(bg, grid)
     coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
@@ -230,9 +242,9 @@ class TestLift:
 
 
 def _held_arrays(obj, path="sysm"):
-    """``(path, size)`` of every array a mode system holds, through lists and tuples."""
+    """``(path, array)`` of every array a mode system holds, through lists and tuples."""
     if isinstance(obj, np.ndarray):
-        yield path, obj.size
+        yield path, obj
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             yield from _held_arrays(item, f"{path}[{i}]")
@@ -302,8 +314,9 @@ class TestEpsSystem:
         K, N, half = m + 1, 5 * n_x1, grid.h1 / 2.0
         assert all(ref.shape == (n_x1, K, K) for ref in blocks)
         # the X3' row of cell i carries (h/2) diag C(x1_i) on its left station's
-        # X_blk and (h/2) diag C(x1_(i+1)) on its right one (band row l + u + r - c)
-        ab = sysm.band.reshape(-1, K, N)
+        # X_blk and (h/2) diag C(x1_(i+1)) on its right one (band row l + u + r - c);
+        # at eps = 0 the band holds no viscous X3 entry
+        ab = sysm._assemble_banded(0.0).reshape(-1, K, N)
         for blk, ref in zip((2, 1, 4, 3), blocks):
             tol = 1e-15 * half * np.max(np.abs(ref))
             diag = half * np.diagonal(ref, axis1=1, axis2=2).T          # (K, n)
@@ -338,17 +351,23 @@ class TestEpsSystem:
     def test_no_held_array_grows_like_k_squared_per_station(self, bg_narrow):
         # the entries each array of a coupled system adds per station, from
         # n_x1 = 33 to 65, at m = 8 and m = 16 (K = 9, 17): K^2 entries per
-        # station grow 3.6x, K or n_x2 = 4K + 1 entries 1.9x
+        # station grow 3.6x, K or n_x2 = 4K + 1 entries 1.9x.  Neither a
+        # coupled nor a wall-uniform system holds an array, or the base of a
+        # view, with a band's (2 l + u + 1) 5 n K entries
         def per_station(m):
             sizes = []
             for n_x1 in (33, 65):
-                sysm = _oracle_system(bg_narrow, n_x1, m, 0.5)[1]
-                assert sysm.K == m + 1 and sysm.coupled is not None
-                sizes.append(dict(_held_arrays(sysm)))
+                sysm, uniform = (_oracle_system(bg_narrow, n_x1, m, amp, every_mode=True)[1] for amp in (0.5, 0.0))
+                assert sysm.K == uniform.K == m + 1 and sysm.coupled is not None and uniform.coupled is None
+                band = (2 * BAND_L + BAND_U + 1) * 5 * n_x1 * (m + 1)
+                for system in (sysm, uniform):
+                    held = [a if a.base is None else a.base for _, a in _held_arrays(system)]
+                    assert held and max(a.size for a in held) < band
+                sizes.append({path: a.size for path, a in _held_arrays(sysm)})
             return {path: (sizes[1][path] - size) / 32 for path, size in sizes[0].items()}
 
         coarse, fine = per_station(8), per_station(16)
-        assert coarse.keys() == fine.keys() and "sysm.band" in coarse
+        assert coarse.keys() == fine.keys() and any(path.startswith("sysm.terms") for path in coarse)
         for path, grow in coarse.items():
             assert fine[path] <= 2.0 * grow, path
 
@@ -518,13 +537,19 @@ class TestForcedModes:
 @pytest.mark.parametrize("amp", [0.0, 0.5])
 @pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)])
 @pytest.mark.parametrize("eps", ["1e-2", "h1^2"])
+@pytest.mark.parametrize("gas", ["canon", "certified"])
 class TestBandSystem:
-    """The matrix-free operator, the band and its LU against a dense assembly."""
+    """The matrix-free operator, the band and its LU against a dense assembly,
+    on CANON's window 0.95..1.05 and on the certified gamma = 1.4 background."""
 
     @pytest.fixture
-    def instance(self, bg_narrow, amp, n_x1, m, eps):
+    def instance(self, request, gas, amp, n_x1, m, eps):
         # forced in every mode, so the wall-uniform set (amp = 0) carries the full band
-        grid, sysm, data = _oracle_system(bg_narrow, n_x1, m, amp, every_mode=True)
+        if gas == "canon":
+            bg, L = request.getfixturevalue("bg_narrow"), None
+        else:
+            bg, L = request.getfixturevalue("bg_certified")
+        grid, sysm, data = _oracle_system(bg, n_x1, m, amp, every_mode=True, L=L)
         assert sysm.K == m + 1
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
         A, rhs = dense_box_system(*data, eps)
@@ -546,6 +571,17 @@ class TestBandSystem:
         assert np.all(rows - cols <= BAND_L) and np.all(cols - rows <= BAND_U)
         assert np.max(rows - cols) == BAND_L and np.max(cols - rows) == BAND_U
 
+    def test_assembled_band_is_mode_diagonal_part(self, instance):
+        # entry by entry in dgbtrf storage, D[r, c] at ab[l + u + r - c, c],
+        # with the l fill rows zero
+        sysm, eps, *_, D = instance
+        ab = sysm._assemble_banded(eps)
+        rows, cols = np.nonzero(D)
+        ref = np.zeros((2 * BAND_L + BAND_U + 1, len(D)))
+        ref[BAND_L + BAND_U + rows - cols, cols] = D[rows, cols]
+        assert ab.shape == ref.shape and ab.flags.f_contiguous
+        assert np.max(np.abs(ab - ref)) <= 1e-14 * np.max(np.abs(D))
+
     def test_factor_solves_mode_diagonal_part(self, instance):
         sysm, eps, _, rhs, D = instance
         b = rhs + np.cos(np.arange(len(rhs)))               # excite every row
@@ -554,11 +590,10 @@ class TestBandSystem:
         assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
 
     def test_factor_in_place_leaves_base_untouched(self, instance, monkeypatch):
-        # one Fortran copy per eps goes to dgbtrf, which factors it in place;
-        # the operator's eps-free band stays as assembled and needs no copy
+        # each eps assembles its own Fortran-order band, which dgbtrf factors
+        # in place with no copy; nothing the system holds is written
         sysm, eps, *_ = instance
-        ab_base = sysm.band
-        before = ab_base.copy()
+        before = [(path, a.copy()) for path, a in _held_arrays(sysm)]
         inputs = []
         dgbtrf = mixed_solver.lapack.dgbtrf
 
@@ -569,11 +604,14 @@ class TestBandSystem:
         monkeypatch.setattr(mixed_solver.lapack, "dgbtrf", spy)
         lu = sysm.factor(eps)
         (ab,) = inputs
-        assert ab.flags.f_contiguous and ab_base.flags.f_contiguous
-        assert np.shares_memory(lu.lu, ab) and not np.shares_memory(ab, ab_base)
-        assert np.array_equal(ab_base, before)
-        sysm.operator(eps)(np.ones(ab_base.shape[1]))
-        assert np.array_equal(ab_base, before)
+        assert ab.flags.f_contiguous and np.shares_memory(lu.lu, ab)
+        assert not any(np.shares_memory(ab, a) for _, a in _held_arrays(sysm))
+        again = sysm.factor(eps)
+        assert np.array_equal(again.lu, lu.lu) and np.array_equal(again.piv, lu.piv)
+        sysm.operator(eps)(np.ones(ab.shape[1]))
+        after = list(_held_arrays(sysm))
+        assert [path for path, _ in after] == [path for path, _ in before]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(after, before))
 
     def test_arnoldi_product_from_coupling_only(self, instance):
         # A M^-1 v = v + C M^-1 v for the exact mode-diagonal LU M
@@ -594,11 +632,17 @@ class TestBandSystem:
         assert np.max(np.abs(y - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
-def test_singular_band_raises_naming_eps_and_m(bg_narrow):
+def test_singular_band_raises_naming_eps_and_m(bg_narrow, monkeypatch):
     grid, sysm, _ = _oracle_system(bg_narrow, 17, 2, 0.0)
-    ab_base = sysm.band
     column = 5 * grid.n_x1 + 6                              # mode 1, station 1, X2
-    ab_base[:, column] = 0.0
+    assemble = ModeSystem._assemble_banded
+
+    def singular(self, eps):
+        ab = assemble(self, eps)
+        ab[:, column] = 0.0
+        return ab
+
+    monkeypatch.setattr(ModeSystem, "_assemble_banded", singular)
     with pytest.raises(NonConvergenceError, match=r"eps=0\.01, m=2"):
         sysm.factor(1e-2)
 
