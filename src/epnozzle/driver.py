@@ -326,7 +326,7 @@ def fixed_point_residuals(view: Collocated, coeffs: CoefficientSet, prim: dict) 
     sawtooth that the box scheme leaves in ``v''`` at the floor eps = h^2,
     excited by the inlet condition the viscous construction imposes; it spans
     a fixed fraction of L, not a sub-grid layer, and refines only beyond
-    about 0.5 L (ROADMAP open item 6).  ``sup_poisson_Phi`` is split in
+    about 0.5 L (ROADMAP open item 2).  ``sup_poisson_Phi`` is split in
     :func:`reconstruct_primitives`.
     """
     state = view.state

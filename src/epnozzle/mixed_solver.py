@@ -33,35 +33,31 @@ sign-changing principal coefficient it develops a resonance band of
 viscosities (around ``eps ~ 0.1 h^2 .. h``) where the discrete solution
 blows up by many orders, violating the uniform viscous-energy bound the
 continuation relies on.  The box scheme stays bounded down to about
-``0.6 h^2`` (``|v|_H1`` within 1 % of its value at ``h^2`` for n_x1 = 101,
-201 and 401 on the first canonical iterate); below ``0.5 h^2`` it leaves
-the continuum family (``|v|_H1`` 3-5x at ``0.4 h^2``, 100x and more at
-``0.2 h^2``), so the schedule is floored at ``eps >= h^2``.
+``0.6 h^2`` and leaves the continuum family below ``0.5 h^2`` (README,
+numerical notes), so the schedule is floored at ``eps >= h^2``.
 
-The box system is numbered mode-major and solved at each ``eps`` by
-GMRES (Saad & Schultz 1986) on the full operator, right-preconditioned
-by an exact LU of its mode-diagonal part: K independent box systems, one
-per cosine mode.  Within a mode the three inlet rows come first and the
-two exit rows last, so each mode block is banded with 6 sub- and 4
-super-diagonals.  The box rows of all K modes are one table of terms
-(row, unknown, station, coefficient), ``eps`` in its viscous ones: per
+The box system is numbered mode-major and solved at each ``eps`` by GMRES
+(Saad & Schultz 1986) on the full operator, right-preconditioned by an
+exact LU of its mode-diagonal part: K independent box systems, one per
+cosine mode.  A mode's 5n rows are the five slots of its row stations
+0..n: the inlet station holds the rows of ``Pi``'s components at node 0,
+each cell station its cell's box equations and the exit station the rows
+of the complement at node n - 1, so each mode block is banded with 6 sub-
+and 4 super-diagonals.  All rows are sums of the terms of one table, the
+boundary rows generated from ``Pi`` and ``eps`` in the viscous terms: per
 ``eps`` it is scattered into one Fortran-order band, factored in place by
-a single LAPACK ``dgbtrf``, and the matrix-free operator sums the same
-terms on the mode arrays, plus the off-mode coupling ``C``, applied by the
-transform method (Orszag 1970) from the O(sigma) wall variation of the
-coefficient fields, the only path by which modes couple.  On the
-canonical solve's later iterates (sigma = 1e-4) the neighbouring-mode
-entries of ``C`` are 8e-5 to 4e-3 and fall by 1e-3 to 1e-4 per further
-mode, and one preconditioner solve leaves ``|b - A M^-1 b| / |b|`` =
-6e-3 to 3e-2, mostly in modes 0 and 2; the preconditioned iteration
-closes in 3 to 5 steps, whose Arnoldi products need the ``C`` product
-only.  On a wall-uniform coefficient set (the first outer iterate) the
-modes decouple exactly: the system carries only its forced modes, builds
-no coupling and GMRES closes after one step.  A solve starts from the
-previous outer iterate's solution at its viscosity, if there is one;
-whatever its start, every solve stops at ``|b - A x| <= GMRES_RTOL |b|``
-and raises rather than return an iterate whose residual exceeds
-``LINEAR_RESIDUAL_MAX |b|``.
+a single LAPACK ``dgbtrf``, and the matrix-free operator sums it into the
+row stations, which also place the right-hand side and the off-mode
+coupling ``C``, the only path by which modes couple (transform method,
+Orszag 1970, from the O(sigma) wall variation of the coefficient fields;
+GMRES closes in 3 to 5 steps on the canonical solve's later iterates,
+whose Arnoldi products need the ``C`` product only).  On a wall-uniform
+coefficient set (the first outer iterate) the modes decouple exactly: the
+system carries only its forced modes, builds no coupling and GMRES closes
+after one step.  A solve starts from the previous outer iterate's solution
+at its viscosity, if there is one; whatever its start, every solve stops
+at ``|b - A x| <= GMRES_RTOL |b|`` and raises rather than return an
+iterate whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
 """
 
 from __future__ import annotations
@@ -109,6 +105,7 @@ GMRES_RTOL = 1e-12
 BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
 PI = np.array([True, True, False, False, True])  # projection Pi: inlet-anchored (X1, X2, X5)
 COUPLED_BLOCKS = (1, 1, 2, 4, 3)  # the X_blk that 2 a12 d2, a, a11, b1, b0 act on in the X3' rows
+INLET, CELLS, EXIT = slice(0, 1), slice(1, -1), slice(-1, None)  # row stations of a mode (ModeSystem)
 
 splu = None  # unused: perfbench/spans.py binds its factor span here until ROADMAP item 1
 
@@ -181,10 +178,16 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet):
 # Galerkin mode system
 # ---------------------------------------------------------------------------
 
-def _boundary_rows(N: int):
-    """Rows and columns, among a mode's ``N = 5n``, of the boundary rows split by ``PI``: its
-    components vanish at the inlet (station 0), the complement at the exit (station n - 1)."""
-    return np.r_[0:3, N - 2:N], np.r_[np.flatnonzero(PI), N - 5 + np.flatnonzero(~PI)]
+def _mode_rows(rows: np.ndarray) -> np.ndarray:
+    """A ``(5, n + 1, K)`` row array as the ``(K, 5n)`` mode rows: slot p of station j is row 5j + p - 2."""
+    out = np.empty((rows.shape[2], rows.shape[1] - 1, 5))   # rows 5i + 0..4: slots 2..4 of i, 0..1 of i + 1
+    out[:, :, :3], out[:, :, 3:] = rows[2:, :-1].transpose(2, 1, 0), rows[:2, 1:].transpose(2, 1, 0)
+    return out.reshape(len(out), -1)
+
+
+def _nodes(stations: slice, side: int, n: int) -> slice:
+    """The nodes, among ``n``, that the row ``stations`` read on ``side``: station ``j`` reads ``j - 1 + side``."""
+    return slice(*(j - 1 + side for j in stations.indices(n + 1)[:2]))
 
 
 class BandLU(NamedTuple):
@@ -251,7 +254,7 @@ class ModeSystem:
     """Galerkin truncation of the viscous mixed-type pair as a box system.
 
     Holds only what a box solve reads: the grid, the carried cosine modes
-    ``modes`` (``K`` of them), the ``eps``-free ``terms`` of their box rows
+    ``modes`` (``K`` of them), the ``eps``-free ``terms`` of all their rows
     (:meth:`_rows`; no band), their right-hand side ``rhs``, the norm
     ``rhs_dropped`` of the right-hand side of the modes it does not carry,
     ``forced``, whether it carries any, and ``coupled``: the fields ``a12,
@@ -295,10 +298,10 @@ class ModeSystem:
             self.modes = np.arange(grid.n_cos if np.any(F1) or np.any(F2) else 0)
         self.K = K = len(self.modes)
         self.forced = K > 0
-        half = grid.h1 / 2.0
-        rhs = np.zeros((grid.n_cos, 5 * grid.n_x1))
-        rhs[:, 5:-2:5] = half * (F1[:-1] + F1[1:]).T
-        rhs[:, 7:-2:5] = half * (F2[:-1] + F2[1:]).T
+        n, half = grid.n_x1, grid.h1 / 2.0
+        rows = np.zeros((5, n + 1, grid.n_cos))
+        rows[2, CELLS], rows[4, CELLS] = (half * (F[:-1] + F[1:]) for F in (F1, F2))
+        rhs = _mode_rows(rows)
         self.rhs = rhs[self.modes].ravel()
         self.rhs_dropped = np.linalg.norm(np.delete(rhs, self.modes, axis=0))
         self.coupled = None
@@ -308,18 +311,22 @@ class ModeSystem:
         eta = eta[:, self.modes]
         bases = (2.0 * eta_d[:, self.modes], eta, eta, eta, eta)
         pairs = [w2[:, None] * eta * B for B in bases]
-        C2d, C2, C3, C5, C4 = (c @ pair for c, pair in zip(fields, pairs))
-        n, lam = grid.n_x1, cos.freq[self.modes, None] ** 2   # from d22: -lam_k per mode
-        # node-valued coefficients, (K, n) or (n,), of the two trapezoid ends of dynamic row 1,
+        blocks = {}   # <c B_k, eta_k> summed per X_blk, the a12 block before the a one
+        for blk, c, pair in zip(COUPLED_BLOCKS, fields, pairs):
+            blocks[blk] = blocks[blk] + c @ pair if blk in blocks else c @ pair
+        lam, c0, c1 = cos.freq[self.modes] ** 2, coeffs.c0[:, None], coeffs.c1[:, None]   # d22: -lam_k
+        # node-valued coefficients, (n, K) or (n, 1), of the two trapezoid ends of dynamic row 1,
         # trap(C3 X3 + C2 X2 + C5 X5 + C4 X4), and of row 2, X5' - trap((lam + c0) X4 + c1 X2)
-        nodal = [(2, blk, (half * C).T.copy()) for blk, C in zip((2, 1, 4, 3), (C3, C2d + C2, C5, C4))]
-        nodal += [(4, 3, -half * (lam + coeffs.c0)), (4, 1, -half * coeffs.c1)]
+        nodal = [(2, blk, half * C) for blk, C in blocks.items()]
+        nodal += [(4, 3, -half * (lam + c0)), (4, 1, -half * c1)]
         self.terms = []
         for side, sign in ((0, -1.0), (1, 1.0)):
             for dst, src in ((0, 1), (1, 2), (3, 4)):   # kinematic X1' = X2, X2' = X3, X4' = X5
-                self.terms += [(dst, dst, side, sign), (dst, src, side, -half)]
-            self.terms += [(p, blk, side, c[..., side:n - 1 + side]) for p, blk, c in nodal]
-            self.terms += [(2, 0, side, -half * lam), (4, 4, side, sign)]
+                self.terms += [(dst, dst, side, sign, CELLS), (dst, src, side, -half, CELLS)]
+            self.terms += [(p, blk, side, c[_nodes(CELLS, side, n)], CELLS) for p, blk, c in nodal]
+            self.terms += [(2, 0, side, -half * lam, CELLS), (4, 4, side, sign, CELLS)]
+        self.terms += [(p, blk, 1, 1.0, INLET) for p, blk in zip(range(2, 5), np.flatnonzero(PI))]  # node 0
+        self.terms += [(p, blk, 0, 1.0, EXIT) for p, blk in zip(range(2), np.flatnonzero(~PI))]  # node n - 1
         self.terms.sort(key=lambda term: term[1:3])   # the band scatter then walks its columns in order
         if not wall_uniform:
             # the coupling reads the wall-varying parts c - <c> (a w2-mean couples no modes)
@@ -331,39 +338,37 @@ class ModeSystem:
     def _rows(self, eps: float):
         """The box rows at ``eps``, read by :meth:`_assemble_banded` and :meth:`operator`.
 
-        A mode's rows are its inlet rows ``X1, X2, X5 = 0`` (:func:`_boundary_rows`), the
-        box equations of each cell ``i`` at ``3 + 5i + p`` (one per ``X_p'``) and its exit
-        rows ``X3, X4 = 0``.  The cell rows are the terms ``(p, blk, side, coefficient)``,
-        one per ``(p, blk, side)``: equation ``X_p'`` of every cell on ``X_blk`` at its left
-        (side 0) or right (1) station, the coefficient broadcasting against ``(K, n - 1)``.
-        The viscous ``eps (X3(i + 1) - X3(i))`` adds to the X3 terms of dynamic row 1.
+        Terms ``(p, blk, side, coefficient, stations)``, one per ``(p, blk, side, stations)``: slot ``p`` of
+        each row station ``j`` of ``INLET``, ``CELLS`` or ``EXIT`` (:func:`_mode_rows`) on ``X_blk`` at node
+        ``j - 1 + side``, the coefficient broadcasting against ``(len(stations), K)``.  The inlet slots 2..4
+        and exit slots 0, 1 are the rows ``X_blk = 0`` of ``PI``'s components at node 0 and of the rest at
+        node n - 1.  The viscous ``eps (X3(j) - X3(j - 1))`` adds to the X3 terms of the X3' row.
         """
-        return [(p, blk, side, c + (2 * side - 1) * eps if p == blk == 2 else c) for p, blk, side, c in self.terms]
+        return [(p, blk, side, c + (2 * side - 1) * eps if p == blk == 2 else c, j)
+                for p, blk, side, c, j in self.terms]
 
     def _assemble_banded(self, eps: float) -> np.ndarray:
         """The mode-diagonal part of the box operator at ``eps``, scattered from :meth:`_rows`.
 
-        Unknown ``X_blk`` of the ``k``-th carried mode at station ``i`` is
-        column ``k 5n + 5i + blk``; every mode block has ``l = 6``, ``u = 4``,
-        so the mode-diagonal part of all K modes is one band of order ``5nK``.
-        Returns it in the Fortran-order ``dgbtrf`` layout, ``BAND_L`` fill rows
-        first (``A[r, c]`` at ``ab[l + u + r - c, c]``), ready to factor in place.
+        Unknown ``X_blk`` of the ``k``-th carried mode at node ``i`` is column ``k 5n + 5i + blk``, so a
+        term of slot ``p`` on ``side`` lies ``3 + p - 5 side - blk`` below the diagonal: each mode block has
+        ``l = 6``, ``u = 4``, all K one band of order ``5nK``.  Returns it in the Fortran-order ``dgbtrf``
+        layout, ``BAND_L`` fill rows first (``A[r, c]`` at ``ab[l + u + r - c, c]``), ready to factor in place.
         """
         n, K = self.grid.n_x1, self.K
         top = BAND_L + BAND_U                   # ab row of the main diagonal
         ab = np.zeros((K, 5 * n, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
-        for p, blk, side, coef in self._rows(eps):
-            ab[top + 3 + p - 5 * side - blk, :, 5 * side + blk:5 * (n - 1 + side):5] = coef
-        rows, cols = _boundary_rows(5 * n)
-        ab[top + rows - cols, :, cols] = 1.0
+        for p, blk, side, coef, j in self._rows(eps):
+            nodes = _nodes(j, side, n)
+            ab[top + 3 + p - 5 * side - blk].T[5 * nodes.start + blk:5 * nodes.stop:5] = coef
         return ab.reshape(-1, K * 5 * n)
 
-    def _off_mode(self, x: np.ndarray):
-        """Off-mode part of ``A x`` on the X3' rows, ``(K, n - 1)``, or 0 without coupling: X2..X5 (and
-        2 X2') synthesized on the nodes, times the wall-varying part of their coefficients, projected on
-        ``w2 eta`` less that part's own mode diagonal, then the trapezoid over the cells."""
+    def _off_mode(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``rows`` plus the off-mode part of ``A x``, if any, in the X3' slot of ``CELLS``: X2..X5 (and 2 X2')
+        synthesized on the nodes, times the wall-varying part of their coefficients, projected on ``w2 eta``
+        less that part's own mode diagonal, then the trapezoid over the cells."""
         if self.coupled is None:
-            return 0.0
+            return rows
         X, eta = x.reshape(self.K, -1, 5), self.bases[1]
         product = np.zeros((X.shape[1], eta.shape[0]))
         for blk, (c, mean), B in zip(COUPLED_BLOCKS, self.coupled, self.bases):
@@ -371,31 +376,25 @@ class ModeSystem:
             term *= X[:, :, blk].T @ B.T
             product += term
         z = product @ (self.grid.w2[:, None] * eta) - np.einsum("kib,kib->ik", self.diagonal, X)
-        return (self.grid.h1 / 2.0) * (z[:-1] + z[1:]).T
+        rows[2, CELLS] += (self.grid.h1 / 2.0) * (z[:-1] + z[1:])
+        return rows
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
         """Off-mode part ``C x`` of the box operator (zero off the X3' rows)."""
-        y = np.zeros_like(x)
-        y.reshape(self.K, -1)[:, 5:-2:5] = self._off_mode(x)
-        return y
+        return _mode_rows(self._off_mode(x, np.zeros((5, self.grid.n_x1 + 1, self.K)))).ravel()
 
     def operator(self, eps: float):
-        """Matrix-free ``x -> A x`` at ``eps``: the terms of :meth:`_rows` summed on the
-        ``(K, n, 5)`` mode arrays, then the off-mode coupling, if any, on the X3' rows."""
-        terms, n = self._rows(eps), self.grid.n_x1
-        rows, cols = _boundary_rows(5 * n)
+        """Matrix-free ``x -> A x`` at ``eps``: the terms of :meth:`_rows` summed into the
+        ``(5, n + 1, K)`` row array, then the off-mode coupling, if any, on the X3' rows."""
+        K, n = self.K, self.grid.n_x1
+        terms = [(p, blk, coef, j, _nodes(j, side, n)) for p, blk, side, coef, j in self._rows(eps)]
 
         def apply(x):
-            X = x.reshape(self.K, n, 5).transpose(2, 0, 1).copy()   # (5, K, n): each X_blk contiguous
-            cells, product = np.zeros((5, self.K, n - 1)), np.empty((self.K, n - 1))
-            for p, blk, side, coef in terms:
-                cells[p] += np.multiply(coef, X[blk, :, side:n - 1 + side], out=product)
-            cells[2] += self._off_mode(x)
-            y = np.empty_like(x)
-            (Y := y.reshape(self.K, 5 * n))[:, rows] = x.reshape(self.K, 5 * n)[:, cols]
-            for p in range(5):
-                Y[:, 3 + p:-2:5] = cells[p]
-            return y
+            X = x.reshape(K, n, 5).transpose(2, 1, 0).copy()   # (5, n, K): each term's block contiguous
+            rows, product = np.zeros((5, n + 1, K)), np.empty((n + 1, K))
+            for p, blk, coef, j, nodes in terms:
+                rows[p, j] += np.multiply(coef, X[blk, nodes], out=product[j])
+            return _mode_rows(self._off_mode(x, rows)).ravel()
 
         return apply
 

@@ -301,9 +301,11 @@ def dense_box_system(coeffs, f1, f2, eps: float):
         A[np.ix_(rows, slot + 5 * i)] = scale[:, None] * (-eye - h / 2 * node_block(system, i, eps))
         A[np.ix_(rows, slot + 5 * i + 5)] = scale[:, None] * (eye - h / 2 * node_block(system, i + 1, eps))
         rhs[rows] = scale * h / 2 * (Fvec[i] + Fvec[i + 1])
-    for k in range(K):
-        for r, c in ((0, 0), (1, 1), (2, 4), (N - 2, N - 3), (N - 1, N - 2)):
-            A[k * N + r, k * N + c] = 1.0
+    # the boundary rows X_blk = 0: the inlet-anchored components at station 0 in the first rows,
+    # the rest at station n - 1 in the last ones
+    inlet, exit_ = np.flatnonzero(INLET_ANCHORED), N - 5 + np.flatnonzero(~INLET_ANCHORED)
+    for r, c in zip(np.r_[:len(inlet), N - len(exit_):N], np.r_[inlet, exit_]):
+        A[N * np.arange(K) + r, N * np.arange(K) + c] = 1.0
     return A, rhs
 
 
