@@ -4,14 +4,14 @@ Starting from the unperturbed state, each sweep (a) transports the inlet
 entropy along the streamlines of the current momentum field, (b) solves
 the rotational Poisson problem with the new baroclinic source, and (c)
 solves the viscosity-continued mixed-type pair with coefficients frozen
-at the current iterate, optionally damped.  The first sweep runs the
-whole viscosity schedule from ``eps0``; each later one resumes it a few
-halvings above the previous sweep's stop, each box solve starting from
-that sweep's solution at the same viscosity (one
-``mixed_solver.WarmStart`` carried across the sweeps; see
-``vanishing_viscosity``).  The unperturbed state is an exact fixed
-point, so zero boundary data converge immediately; small data contract
-geometrically.
+at the current iterate, optionally damped, until the undamped residual
+``|G(x) - x|`` (the step over ``theta``) is at most ``tol_outer``.  The
+first sweep walks the viscosity schedule from ``eps0``, each later one
+from a few halvings above the previous stop, each box solve starting from
+the previous sweep's solution at its viscosity (one dict carried across
+the sweeps; see ``mixed_solver.vanishing_viscosity``).  The unperturbed
+state is an exact fixed point, so zero boundary data converge
+immediately; small data contract geometrically.
 
 After convergence the sonic interface is extracted as the per-line root
 of the principal-part determinant ``a11 - a12^2``, the Mach field is
@@ -43,7 +43,7 @@ from .coefficients import (
 )
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
-from .mixed_solver import WarmStart, solve_linear_problem
+from .mixed_solver import solve_linear_problem
 from .numerics import Pchip, brentq
 from .options import SolverOptions
 from .transport import lagrangian_map, stream_function, transport_entropy
@@ -134,7 +134,7 @@ def fixed_point_solve(
     eps_trace: list = []
     theta_cur = float(theta)
     growth_streak = 0
-    warm = WarmStart()
+    warm: dict = {}
 
     for it in range(1, max_outer + 1):
         state = view.state
@@ -159,7 +159,7 @@ def fixed_point_solve(
         require_admissible(view, d0, context=f"at outer iterate {it}")
         incr = view.state.h1_distance(state)
         increments.append(incr)
-        if incr <= tol_outer:
+        if incr <= tol_outer * theta_cur:   # the undamped residual |G(x) - x| = incr / theta
             break
         if len(increments) >= 2 and incr > increments[-2]:
             growth_streak += 1

@@ -62,10 +62,10 @@ iterate whose residual exceeds ``LINEAR_RESIDUAL_MAX |b|``.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
@@ -363,12 +363,10 @@ class ModeSystem:
             ab[top + 3 + p - 5 * side - blk].T[5 * nodes.start + blk:5 * nodes.stop:5] = coef
         return ab.reshape(-1, K * 5 * n)
 
-    def _off_mode(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``rows`` plus the off-mode part of ``A x``, if any, in the X3' slot of ``CELLS``: X2..X5 (and 2 X2')
+    def _off_mode(self, x: np.ndarray) -> np.ndarray:
+        """The off-mode part of ``A x`` on the X3' rows of ``CELLS``, ``(n - 1, K)``: X2..X5 (and 2 X2')
         synthesized on the nodes, times the wall-varying part of their coefficients, projected on ``w2 eta``
         less that part's own mode diagonal, then the trapezoid over the cells."""
-        if self.coupled is None:
-            return rows
         X, eta = x.reshape(self.K, -1, 5), self.bases[1]
         product = np.zeros((X.shape[1], eta.shape[0]))
         for blk, (c, mean), B in zip(COUPLED_BLOCKS, self.coupled, self.bases):
@@ -376,12 +374,14 @@ class ModeSystem:
             term *= X[:, :, blk].T @ B.T
             product += term
         z = product @ (self.grid.w2[:, None] * eta) - np.einsum("kib,kib->ik", self.diagonal, X)
-        rows[2, CELLS] += (self.grid.h1 / 2.0) * (z[:-1] + z[1:])
-        return rows
+        return (self.grid.h1 / 2.0) * (z[:-1] + z[1:])
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
         """Off-mode part ``C x`` of the box operator (zero off the X3' rows)."""
-        return _mode_rows(self._off_mode(x, np.zeros((5, self.grid.n_x1 + 1, self.K)))).ravel()
+        out = np.zeros((self.K, self.grid.n_x1, 5))
+        if self.coupled is not None:
+            out[:, 1:, 0] = self._off_mode(x).T
+        return out.ravel()
 
     def operator(self, eps: float):
         """Matrix-free ``x -> A x`` at ``eps``: the terms of :meth:`_rows` summed into the
@@ -394,7 +394,9 @@ class ModeSystem:
             rows, product = np.zeros((5, n + 1, K)), np.empty((n + 1, K))
             for p, blk, coef, j, nodes in terms:
                 rows[p, j] += np.multiply(coef, X[blk, nodes], out=product[j])
-            return _mode_rows(self._off_mode(x, rows)).ravel()
+            if self.coupled is not None:
+                rows[2, CELLS] += self._off_mode(x)
+            return _mode_rows(rows).ravel()
 
         return apply
 
@@ -435,8 +437,7 @@ class ModeSystem:
         g = self.grid
         full = np.zeros((g.n_cos, g.n_x1, 5))
         if self.forced:
-            x0 = None if starts is None else starts.get(eps)
-            if x0 is not None:
+            if (x0 := (starts or {}).get(eps)) is not None:
                 x0 = x0.reshape(g.n_cos, -1)[self.modes].ravel()
             sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve,
                                                self.coupling if self.coupled else None, self.rhs, x0)
@@ -477,24 +478,6 @@ def energy_sign_audit(coeffs: CoefficientSet) -> bool:
     return ok
 
 
-@dataclass
-class WarmStart:
-    """Where the next outer iterate's eps-continuation begins.
-
-    ``k`` is the absolute schedule index of its first solve (viscosity
-    ``eps0 2^-k``) and ``energy_ref`` the viscous energy of an ``eps0``
-    solve, the reference of the blow-up guard.  ``solutions`` holds the box
-    solutions from ``eps0 2^-k`` down to the last stop, the GMRES starts of
-    the next continuation; equality ignores it.  A fresh carrier means the
-    full schedule; :func:`vanishing_viscosity` reads it and advances it on
-    return (the box system keeps no start).
-    """
-
-    k: int = 0
-    energy_ref: float | None = None
-    solutions: dict = field(default_factory=dict, compare=False)
-
-
 def vanishing_viscosity(
     coeffs: CoefficientSet,
     f1_grid: np.ndarray,
@@ -504,9 +487,9 @@ def vanishing_viscosity(
     cap: int = SolverOptions.eps_cap,
     trace_sink=None,
     *,
-    warm: WarmStart | None = None,
+    warm: dict | None = None,
 ):
-    """Continue the viscous solves along ``eps_k = eps0 2^-k`` to the limit.
+    """Continue the viscous solves along ``eps_k = eps0 2^-k`` to the limit, in one walk.
 
     Stops when the discrete-H1 difference of consecutive solutions falls
     below ``tol_eps``, the schedule cap ``k = cap`` is reached, or the next
@@ -517,27 +500,22 @@ def vanishing_viscosity(
     become decreasing (five consecutive non-decreasing steps raise
     ``NonConvergenceError``) and the viscous energy
     ``sqrt(eps)|d11 v| + |v|_H1 + |w|_H1`` may not exceed 1e3 times that
-    of the ``eps0`` solve.  Trace entries carry the absolute index ``k``.
+    of the walk's first solve.  Trace entries carry the absolute index
+    ``k``; ``trace_sink`` receives each as it is made.
 
-    With a ``warm`` carrier (one per outer fixed point) the schedule starts
-    at ``warm.k`` instead of 0: ``WARM_START_OCTAVES`` halvings above the
-    previous continuation's last viscosity, the fewest that give the two
-    differences the decrease check below reads.  A box solve at a viscosity
-    that continuation also solved starts GMRES from its solution there
-    (``warm.solutions``), never from another viscosity's, and stops on the
-    same residual bounds as from zero.  So the result agrees with the full
-    schedule's to the solve tolerance if that would stop after ``warm.k``,
-    and is more resolved (it stops at a smaller viscosity) if it would stop
-    earlier; a schedule that has not met the stop test by the old stop goes
-    on under the same floor and cap.  The energy guard keeps the ``eps0``
-    energy carried in ``warm.energy_ref``, and a warm trace that is not
-    strictly decreasing (too short for the five-step rule) is abandoned for
-    a full schedule from ``eps0``, whose guards decide.  On the canonical
-    solve this cuts the box solves from 64 to 25 over four outer iterates,
-    and the trace entries from 60 to 21.  ``trace_sink`` receives every
-    entry, those of an abandoned warm start included; the returned trace is
-    that of the schedule that produced ``(v, w)``.  On return ``warm`` holds
-    the start of the next continuation.
+    ``warm`` (one dict per outer fixed point) maps a viscosity to the box
+    solution the previous walk kept there.  The walk starts
+    ``WARM_START_OCTAVES`` halvings (the fewest that give the two
+    differences the decrease check reads) above the smallest kept
+    viscosity, the last stop, but not above ``eps0`` nor below
+    ``eps0 2^-cap``; with nothing kept, at ``eps0``.  A box solve at a kept viscosity starts GMRES from
+    that solution, never from another viscosity's, and stops on the same
+    residual bounds as from zero.  So the result agrees with the full
+    schedule's to the solve tolerance if that would stop below the start,
+    and is more resolved if it would stop earlier.  Each solution replaces
+    the kept one at its viscosity and is dropped once no later start can
+    revisit it; on return ``warm`` holds the next walk's starts, down to
+    this one's stop.
 
     Returns ``(v, w, trace)``.
 
@@ -547,73 +525,43 @@ def vanishing_viscosity(
         On a schedule that ``options.SolverOptions`` rejects (``cap`` is its
         ``eps_cap``), whatever the forcing.
     """
-    options = SolverOptions(eps0=eps0, tol_eps=tol_eps, eps_cap=cap)
+    SolverOptions(eps0=eps0, tol_eps=tol_eps, eps_cap=cap)
     grid = coeffs.grid
     system = ModeSystem(coeffs, f1_grid, f2_grid)
     if not system.forced:
         return Field2D.zeros("cosine", grid), Field2D.zeros("cosine", grid), []
     energy_sign_audit(coeffs)
-    starts = {} if warm is None else dict(warm.solutions)
-    out = None
-    if warm is not None and warm.k > 0 and warm.energy_ref is not None:
-        out = _continue(system, starts, options, trace_sink, min(warm.k, cap), warm.energy_ref)
-    if out is None:
-        out = _continue(system, starts, options, trace_sink, 0, None)
-    v, w, trace, k_last, energy_ref = out
-    if warm is not None:
-        warm.k, warm.energy_ref = max(k_last - WARM_START_OCTAVES, 0), energy_ref
-        warm.solutions = {eps: x for eps, x in starts.items() if eps >= eps0 * 0.5 ** k_last}
-    return v, w, trace
-
-
-def _continue(system: ModeSystem, starts, options: SolverOptions, trace_sink, k_first, energy_ref):
-    """Run the schedule of :func:`vanishing_viscosity` from the absolute index ``k_first``.
-
-    ``starts`` maps a viscosity to the GMRES start of its box solve; each
-    solve stores its solution there and drops the one no later start
-    revisits.  ``energy_ref`` is the blow-up guard's reference; ``None``
-    takes the energy of the first solve, which must then be the ``eps0`` one.
-    Returns ``(v, w, trace, k_last, energy_ref)``, or ``None`` as soon as
-    a warm start (``k_first > 0``) adds a difference no smaller than the
-    one before it.
-    """
-    grid = system.grid
-    eps_floor = grid.h1 ** 2
-    trace = []
-    prev = None
-    for k in range(k_first, options.eps_cap + 1):
-        eps = options.eps0 * 0.5 ** k
-        if k > k_first and eps < eps_floor:
+    starts = {} if warm is None else warm
+    k_first = min(max(round(math.log2(eps0 / min(starts))) - WARM_START_OCTAVES, 0), cap) if starts else 0
+    trace, v, w = [], None, None
+    for k in range(k_first, cap + 1):
+        eps = eps0 * 0.5 ** k
+        if k > k_first and eps < grid.h1 ** 2:
             break
-        theta, Theta = system.solve_banded(eps, starts)
+        prev, (v, w) = (v, w), system.to_fields(*system.solve_banded(eps, starts))
         starts.pop(eps * 2.0 ** (WARM_START_OCTAVES + 1), None)  # no later start revisits it
-        v, w = system.to_fields(theta, Theta)
+        stop = eps
         energy = np.sqrt(eps) * v.d11_norm() + v.h1_norm() + w.h1_norm()
-        if energy_ref is None:
-            energy_ref = max(energy, 1e-300)
-        if energy > 1e3 * energy_ref:
-            raise NonConvergenceError(
-                f"viscous energy blow-up at eps={eps}: {energy:.3e} vs {energy_ref:.3e} at eps0"
-            )
-        if prev is not None:
-            dv, dw = v - prev[0], w - prev[1]
-            diff = float(np.sqrt(dv.h1_norm() ** 2 + dw.h1_norm() ** 2))
-            sup = float(max(np.max(np.abs(dv.values())), np.max(np.abs(dw.values()))))
-            entry = {"epsilon": eps, "h1_diff": diff, "sup_diff": sup, "k": k}
-            trace.append(entry)
-            if trace_sink is not None:
-                trace_sink(entry)
-            if k_first > 0 and len(trace) >= 2 and diff >= trace[-2]["h1_diff"]:
-                return None
-            tail = [t["h1_diff"] for t in trace[-6:]]
-            if len(tail) == 6 and all(tail[i + 1] >= tail[i] for i in range(5)):
-                raise NonConvergenceError(
-                    "eps-continuation trace non-decreasing over 5 consecutive steps"
-                )
-            if diff <= options.tol_eps:
-                return v, w, trace, k, energy_ref
-        prev = (v, w, k)
-    return prev[0], prev[1], trace, prev[2], energy_ref
+        if k == k_first:
+            energy_top = max(energy, 1e-300)
+            continue
+        if energy > 1e3 * energy_top:
+            raise NonConvergenceError(f"viscous energy blow-up at eps={eps}: {energy:.3e} "
+                                      f"vs {energy_top:.3e} at eps={eps0 * 0.5 ** k_first}")
+        dv, dw = v - prev[0], w - prev[1]
+        diff = float(np.sqrt(dv.h1_norm() ** 2 + dw.h1_norm() ** 2))
+        sup = float(max(np.max(np.abs(dv.values())), np.max(np.abs(dw.values()))))
+        trace.append({"epsilon": eps, "h1_diff": diff, "sup_diff": sup, "k": k})
+        if trace_sink is not None:
+            trace_sink(trace[-1])
+        tail = [t["h1_diff"] for t in trace[-6:]]
+        if len(tail) == 6 and all(tail[i + 1] >= tail[i] for i in range(5)):
+            raise NonConvergenceError("eps-continuation trace non-decreasing over 5 consecutive steps")
+        if diff <= tol_eps:
+            break
+    for eps in [eps for eps in starts if eps < stop]:   # a deeper walk's, below this stop
+        del starts[eps]
+    return v, w, trace
 
 
 def solve_linear_problem(
@@ -622,16 +570,17 @@ def solve_linear_problem(
     options: SolverOptions = SolverOptions(),
     trace_sink=None,
     *,
-    warm: WarmStart | None = None,
+    warm: dict | None = None,
 ):
     """One full linearized sweep for the coefficients ``coeffs`` frozen at an iterate.
 
     Solves the rotational Poisson problem for the new ``phi``, lifts the
-    boundary data, continues the viscous mixed-type solves to the limit
-    (from the start that ``warm`` carries, see :func:`vanishing_viscosity`,
-    whose ``trace_sink`` receives the eps-trace) on the schedule
-    ``options.eps0``, ``tol_eps`` and ``eps_cap`` set, and restores the
-    lifts.  Returns ``(psi, Psi, phi)``.
+    boundary data, continues the viscous mixed-type solves to the limit in
+    one walk of :func:`vanishing_viscosity` (whose ``trace_sink`` receives
+    the eps-trace) on the schedule ``options.eps0``, ``tol_eps`` and
+    ``eps_cap`` set, starting above the solutions the ``warm`` dict keeps
+    and leaving the next walk's there, and restores the lifts.  Returns
+    ``(psi, Psi, phi)``.
     """
     phi_new = poisson_solve_phi(Field2D.from_grid_values("dirichlet", coeffs.f3, coeffs.grid))
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)

@@ -29,7 +29,8 @@ from epnozzle.driver import (
     reconstruct_primitives,
     sonic_interface,
 )
-from epnozzle.mixed_solver import LINEAR_RESIDUAL_MAX
+from epnozzle.mixed_solver import LINEAR_RESIDUAL_MAX, WARM_START_OCTAVES
+from epnozzle.options import SolverOptions
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
 
@@ -283,6 +284,57 @@ class TestBoxSolveStarts:
         for later in steps[2:]:
             assert later.keys() <= steps[1].keys()
             assert all(n < steps[1][eps] for eps, n in later.items())
+
+    def test_tol_stopping_walks_start_from_eps0(self, bg, grid, bdata, monkeypatch):
+        # continuations that stop by tol_eps at eps0 / 2 keep only the eps0 and
+        # eps0 / 2 solutions, so every later iterate walks from eps0 again, each
+        # box solve starting from the previous iterate's solution at its viscosity
+        import epnozzle.mixed_solver as mixed_solver
+
+        solves, carriers, gmres_starts = [], [], []
+        solve_banded, walk, gmres = (mixed_solver.ModeSystem.solve_banded, mixed_solver.vanishing_viscosity,
+                                     mixed_solver._gmres)
+
+        def solve(system, eps, starts):
+            solves.append((eps, starts.get(eps)))
+            return solve_banded(system, eps, starts)
+
+        def continuation(*args, warm, **kwargs):
+            out = walk(*args, warm=warm, **kwargs)
+            carriers.append(dict(warm))
+            return out
+
+        def run(apply, precond, coupling, b, x0):
+            gmres_starts.append(x0 is not None)
+            return gmres(apply, precond, coupling, b, x0)
+
+        monkeypatch.setattr(mixed_solver.ModeSystem, "solve_banded", solve)
+        monkeypatch.setattr(mixed_solver, "vanishing_viscosity", continuation)
+        monkeypatch.setattr(mixed_solver, "_gmres", run)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-4)
+        eps0, n = SolverOptions.eps0, out.iterations
+        assert out.converged and n >= 3
+        assert [(t["iterations"], t["k"]) for t in out.eps_trace] == [(it, 1) for it in range(1, n + 1)]
+        assert all(t["h1_diff"] <= 1e-4 for t in out.eps_trace)
+        assert [eps for eps, _ in solves] == [eps0, eps0 / 2] * n
+        assert gmres_starts == [False, False] + [True, True] * (n - 1)
+        for i, (eps, start) in enumerate(solves):
+            assert start is (carriers[i // 2 - 1][eps] if i >= 2 else None)
+        assert len(carriers) == n
+        assert all(len(carrier) <= WARM_START_OCTAVES + 1 and sorted(carrier) == [eps0 / 2, eps0]
+                   for carrier in carriers)
+
+
+class TestDampedStop:
+    def test_damped_iteration_stops_on_the_undamped_residual(self, bg, grid, bdata):
+        # at theta = 0.5 the step is half the undamped residual |G(x) - x|; the
+        # iteration stops on that residual, while the reported increments stay
+        # the steps (here 1.11e-6 and then 5.67e-7 against a 7.5e-7 bound)
+        theta, tol_outer = 0.5, 1.5e-6
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, theta=theta, tol_outer=tol_outer)
+        assert out.converged
+        assert out.increments[-1] / theta <= tol_outer < out.increments[-2] / theta
+        assert out.increments[-2] <= tol_outer
 
 
 class TestPerturbedRun:

@@ -1,5 +1,6 @@
 """Mixed-type solver: Poisson problem, lifts, viscous continuation, oracles."""
 
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -50,7 +51,6 @@ from epnozzle.mixed_solver import (
     GMRES_RESTART,
     GMRES_RTOL,
     WARM_START_OCTAVES,
-    WarmStart,
     _gmres,
     energy_sign_audit,
 )
@@ -827,47 +827,46 @@ class TestVanishingViscosity:
 
 
 class TestWarmStart:
-    """A continuation resumed ``WARM_START_OCTAVES`` halvings above the last stop."""
+    """A continuation carried in a dict from viscosity to kept box solution, whose walk starts
+    ``WARM_START_OCTAVES`` halvings above the smallest kept viscosity, the last stop."""
 
     def test_warm_start_bit_identical(self, setup, box_solves):
         grid, _, coeffs = setup
         f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
-        carrier = WarmStart()
+        carrier = {}
         v0, w0, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
         k_stop = trace0[-1]["k"]
+        kept = [0.1 * 0.5 ** k for k in range(k_stop - WARM_START_OCTAVES, k_stop + 1)]
         assert trace0[0]["k"] == 1 and k_stop > WARM_START_OCTAVES
-        assert carrier.k == k_stop - WARM_START_OCTAVES and carrier.energy_ref > 0
+        assert sorted(carrier, reverse=True) == kept
         full_solves = len(box_solves)
         assert full_solves == k_stop + 1
-        energy_ref = carrier.energy_ref
 
         v, w, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
         assert np.array_equal(v.modes, v0.modes) and np.array_equal(w.modes, w0.modes)
         assert trace == trace0[-WARM_START_OCTAVES:]
-        assert box_solves[full_solves:] == [
-            0.1 * 0.5 ** k for k in range(k_stop - WARM_START_OCTAVES, k_stop + 1)
-        ]
-        # the carrier is unchanged: same stop, and the reference stays the eps0 energy
-        assert carrier == WarmStart(k_stop - WARM_START_OCTAVES, energy_ref)
+        assert box_solves[full_solves:] == kept
+        # the carrier keeps the same viscosities: same stop, so the same next start
+        assert sorted(carrier, reverse=True) == kept
 
-    def test_resume_depth_leaves_the_answer_bit_identical(self, setup):
+    def test_resume_depth_leaves_the_answer_bit_identical(self, setup, monkeypatch):
         # each box solve starts from the carrier's solution at its own viscosity,
         # so solves above the last few feed only trace entries: resuming 2 or 4
         # octaves above a floor stop gives the same (v, w) and the same trace tail
         grid, _, coeffs = setup
         f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
-        carrier = WarmStart()
+        carrier = {}
         _, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=0.0, warm=carrier)
         k_stop = trace0[-1]["k"]
         assert 0.1 * 0.5 ** (k_stop + 1) < grid.h1 ** 2
         # a next iterate's set couples the modes, so no start is its own solution
         mod = 1.0 + 1e-3 * np.cos(np.pi * grid.x2)
         later = replace(coeffs, a11=coeffs.a11 * mod, a=coeffs.a * mod)
-        (v2, w2, short), (v4, w4, long) = (
-            vanishing_viscosity(later, f1 * mod, f2, tol_eps=0.0,
-                                warm=WarmStart(k_stop - octaves, carrier.energy_ref, dict(carrier.solutions)))
-            for octaves in (2, 4)
-        )
+        runs = []
+        for octaves in (2, 4):
+            monkeypatch.setattr(mixed_solver, "WARM_START_OCTAVES", octaves)
+            runs.append(vanishing_viscosity(later, f1 * mod, f2, tol_eps=0.0, warm=dict(carrier)))
+        (v2, w2, short), (v4, w4, long) = runs
         assert np.array_equal(v2.modes, v4.modes) and np.array_equal(w2.modes, w4.modes)
         assert [t["k"] for t in long] == list(range(k_stop - 3, k_stop + 1))
         assert short == long[-2:]
@@ -886,12 +885,12 @@ class TestWarmStart:
             return out
 
         monkeypatch.setattr(mixed_solver, "_gmres", counted)
-        carrier = WarmStart()
+        carrier = {}
         _, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
         k_stop = trace0[-1]["k"]
         revisited = [0.1 * 0.5 ** k for k in range(k_stop - WARM_START_OCTAVES, k_stop + 1)]
-        assert sorted(carrier.solutions, reverse=True) == revisited
-        kept = dict(carrier.solutions)
+        assert sorted(carrier, reverse=True) == revisited
+        kept = dict(carrier)
         n_cold = len(steps)
         assert min(steps) >= 1
         vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
@@ -899,79 +898,90 @@ class TestWarmStart:
         # the set carries only its forced mode; its starts span every mode and
         # come back as they went in
         assert all(x.size == grid.n_cos * 5 * grid.n_x1 for x in kept.values())
-        assert all(np.array_equal(carrier.solutions[eps], x) for eps, x in kept.items())
+        assert all(np.array_equal(carrier[eps], x) for eps, x in kept.items())
 
     def test_shallower_stop_drops_deeper_solutions(self, setup):
         # a looser tolerance stops the warm schedule on its first difference;
         # solutions below the new stop are no start of the next continuation
         grid, _, coeffs = setup
         f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
-        carrier = WarmStart()
+        carrier = {}
         _, _, deep = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
         k_deep = deep[-1]["k"]
         _, _, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=1.0, warm=carrier)
         assert [t["k"] for t in trace] == [k_deep - WARM_START_OCTAVES + 1]
-        assert carrier.k == k_deep - 2 * WARM_START_OCTAVES + 1
-        assert sorted(carrier.solutions) == [0.1 * 0.5 ** (k_deep - WARM_START_OCTAVES + 1),
-                                             0.1 * 0.5 ** (k_deep - WARM_START_OCTAVES)]
+        # the next walk starts at k_deep - 2 WARM_START_OCTAVES + 1
+        assert sorted(carrier) == [0.1 * 0.5 ** (k_deep - WARM_START_OCTAVES + 1),
+                                   0.1 * 0.5 ** (k_deep - WARM_START_OCTAVES)]
 
     def test_schedule_goes_on_past_the_old_stop(self, setup):
         # a start carried from a looser stop continues to the new stop,
         # with the same floor and cap rules as the full schedule
         grid, _, coeffs = setup
         f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
-        carrier = WarmStart()
+        carrier = {}
         _, _, loose = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-6, warm=carrier)
-        k_start = carrier.k
-        assert k_start == loose[-1]["k"] - WARM_START_OCTAVES > 0
+        k_start = loose[-1]["k"] - WARM_START_OCTAVES
+        assert min(carrier) == 0.1 * 0.5 ** loose[-1]["k"] and k_start > 0
         v0, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9)
         v, _, trace = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
         assert trace == [t for t in trace0 if t["k"] > k_start]
         assert trace[-1]["k"] > loose[-1]["k"]
         assert np.array_equal(v.modes, v0.modes)
 
-    def test_energy_guard_keeps_eps0_reference(self, setup):
-        # the warm start's own first energy would pass; the carried one does not
+    def test_energy_guard_reads_the_warm_top(self, setup, monkeypatch):
+        # the warm walk's own first solve is the reference: one solve below it
+        # 1e4 times too large trips the energy guard
         grid, _, coeffs = setup
         f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
-        with pytest.raises(NonConvergenceError, match="energy blow-up at eps=0.0125"):
-            vanishing_viscosity(coeffs, f1, f2, warm=WarmStart(3, 1e-12))
+        carrier = {}
+        _, _, trace0 = vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+        top = 0.1 * 0.5 ** (trace0[-1]["k"] - WARM_START_OCTAVES)
+        solve = ModeSystem.solve_banded
 
-    def test_rising_warm_trace_redone_from_eps0(self, setup, box_solves):
-        # from eps0 = 0.2 the differences rise from k = 2 to k = 3, so a start
-        # at k = 1 is abandoned and the full schedule decides (and succeeds)
+        def spoiled(self, eps, *args):
+            theta, Theta = solve(self, eps, *args)
+            return (1e4 * theta, Theta) if eps == top / 2 else (theta, Theta)
+
+        monkeypatch.setattr(ModeSystem, "solve_banded", spoiled)
+        with pytest.raises(NonConvergenceError, match=re.escape(f"blow-up at eps={top / 2}: ")
+                           + ".* " + re.escape(f"at eps={top}")):
+            vanishing_viscosity(coeffs, f1, f2, tol_eps=1e-9, warm=carrier)
+
+    def test_rising_warm_trace_goes_on(self, setup, box_solves):
+        # from eps0 = 0.2 the differences rise from k = 2 to k = 3; a walk that
+        # starts at k = 1 goes on through the rise and returns the full schedule's (v, w)
         grid, _, coeffs = setup
         f1, f2 = _bump(grid), np.zeros((grid.n_x1, grid.n_x2))
-        full = WarmStart()
-        v0, w0, trace0 = vanishing_viscosity(coeffs, f1, f2, eps0=0.2, tol_eps=1e-9, warm=full)
+        v0, w0, trace0 = vanishing_viscosity(coeffs, f1, f2, eps0=0.2, tol_eps=1e-9)
         assert trace0[2]["h1_diff"] >= trace0[1]["h1_diff"]
-        n_full = len(box_solves)
+        carrier = {}
+        vanishing_viscosity(coeffs, f1, f2, eps0=0.2, cap=1 + WARM_START_OCTAVES, warm=carrier)
+        assert min(carrier) == 0.2 * 0.5 ** (1 + WARM_START_OCTAVES)
+        n_before = len(box_solves)
         seen = []
-        carrier = WarmStart(1, full.energy_ref)
         v, w, trace = vanishing_viscosity(
             coeffs, f1, f2, eps0=0.2, tol_eps=1e-9, trace_sink=seen.append, warm=carrier
         )
         assert np.array_equal(v.modes, v0.modes) and np.array_equal(w.modes, w0.modes)
-        assert trace == trace0 and carrier == full
-        # the sink saw the abandoned entries (k = 2, 3) before the full schedule's
-        assert seen == trace0[1:3] + trace0
-        assert len(box_solves) == 2 * n_full + 3
+        assert trace == seen == trace0[1:]
+        assert box_solves[n_before:] == [0.2 * 0.5 ** t["k"] for t in trace0]
 
-    def test_rising_warm_trace_redo_can_fail(self, setup, box_solves):
-        # far above the resolved range the full schedule's trace guard fires
+    def test_rising_warm_trace_can_fail(self, setup, box_solves):
+        # far above the resolved range a warm walk's own trace guard fires
         grid, _, coeffs = setup
         f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
         f2 = np.zeros_like(f1)
-        first = WarmStart()
-        vanishing_viscosity(coeffs, f1, f2, eps0=1e10, cap=0, warm=first)
+        carrier = {}
+        vanishing_viscosity(coeffs, f1, f2, eps0=1e10, tol_eps=1e-18, cap=5, warm=carrier)
+        assert min(carrier) == 1e10 * 0.5 ** 5
+        n_before = len(box_solves)
         seen = []
         with pytest.raises(NonConvergenceError, match="non-decreasing over 5"):
-            vanishing_viscosity(
-                coeffs, f1, f2, eps0=1e10, tol_eps=1e-18, cap=40, trace_sink=seen.append,
-                warm=WarmStart(5, first.energy_ref),
-            )
-        assert [t["k"] for t in seen] == [6, 7, 1, 2, 3, 4, 5, 6]
-        assert box_solves[1:] == [1e10 * 0.5 ** k for k in (5, 6, 7, 0, 1, 2, 3, 4, 5, 6)]
+            vanishing_viscosity(coeffs, f1, f2, eps0=1e10, tol_eps=1e-18, cap=40, trace_sink=seen.append,
+                                warm=carrier)
+        assert [t["k"] for t in seen] == [4, 5, 6, 7, 8, 9]
+        assert box_solves[n_before:] == [1e10 * 0.5 ** k for k in range(3, 10)]
 
 
 class TestSolveLinearProblem:
