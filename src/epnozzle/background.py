@@ -81,10 +81,25 @@ L_MAX_CAP = 1e4
 
 DEFAULT_RESOLUTION = 2001       # nodes of the uniform sample grid on [0, l_max]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
+# Stations per block of the partial-panel evaluation (_Trajectory._eval):
+# bounds its (block, 14) temporaries whatever the number of stations.
+_EVAL_BLOCK = 256
+
+# Gauss-Legendre rules on [-1, 1], written out as numpy's leggauss(14) and
+# leggauss(5) return them, so that numpy.polynomial is never imported.
+_GL_NODES = np.array([
+    -0.9862838086968124, -0.9284348836635735, -0.827201315069765, -0.6872929048116855, -0.5152486363581541,
+    -0.31911236892788974, -0.10805494870734367, 0.10805494870734367, 0.31911236892788974, 0.5152486363581541,
+    0.6872929048116855, 0.827201315069765, 0.9284348836635735, 0.9862838086968124])
+_GL_WEIGHTS = np.array([
+    0.03511946033175175, 0.08015808715975999, 0.12151857068790331, 0.15720316715819363, 0.18553839747793788,
+    0.20519846372129572, 0.21526385346315793, 0.21526385346315793, 0.20519846372129572, 0.18553839747793788,
+    0.15720316715819363, 0.12151857068790331, 0.08015808715975999, 0.03511946033175175])
 # 5 nodes integrate curly_F' over [kappa_max - delta, kappa_max] to about
 # 1e-16 relative for delta < NEAR_MAX_SWITCH (kappa_max - 1).
-_Q_NODES, _Q_WEIGHTS = np.polynomial.legendre.leggauss(5)
+_Q_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664])
+_Q_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+                       0.23692688505618928])
 
 
 def _gl_panels(a, b):
@@ -399,15 +414,24 @@ class _Trajectory:
         self.phi_max = float(self.cum_phi[-1])
 
     def _eval(self, cum, s):
-        """Cumulative integral from 0 to each s, any shape (exact partial final panel)."""
+        """Cumulative integral from 0 to each s, any shape (exact partial final panel).
+
+        The partial panels are summed in blocks of ``_EVAL_BLOCK`` stations
+        into the gathered table values; every step is per station, so the
+        result does not depend on the block size.
+        """
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
         idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self.edges) - 2)
-        sm, ww = _gl_panels(self.edges[idx], flat)
-        g = self._integrand_x(sm) * ww
-        if cum is self.cum_phi:
-            g *= self.u_max - sm ** 2
-        return (cum[idx] + g.sum(axis=1)).reshape(s.shape)
+        out = cum[idx]
+        for lo in range(0, flat.size, _EVAL_BLOCK):
+            block = slice(lo, lo + _EVAL_BLOCK)
+            sm, ww = _gl_panels(self.edges[idx[block]], flat[block])
+            g = self._integrand_x(sm) * ww
+            if cum is self.cum_phi:
+                g *= self.u_max - sm ** 2
+            out[block] += g.sum(axis=1)
+        return out.reshape(s.shape)
 
     def _integrand_x(self, s):
         """``dx1/ds = 2 s / F(u_max - s^2)``, smooth down to ``s = 0``."""

@@ -279,9 +279,9 @@ def assemble_coefficients(view: Collocated, d0: float) -> CoefficientSet:
 
     rho_pert = varrho(T, prof.Phi[:, None] + Psi, v1 ** 2 + v2 ** 2, p)
     # base density through the same expression so f2 vanishes identically
-    # at the unperturbed state (the Bernoulli identity makes it equal J/u1)
-    zero = np.zeros_like(T)
-    rho_base = varrho(zero, prof.Phi[:, None] + zero, (prof.u1 ** 2)[:, None] + zero, p)
+    # at the unperturbed state (the Bernoulli identity makes it equal J/u1);
+    # it depends on x1 only, so it is one column broadcast across x2
+    rho_base = varrho(0.0, prof.Phi[:, None], (prof.u1 ** 2)[:, None], p)
     f2 = rho_pert - rho_base - prof.c0[:, None] * Psi - prof.c1[:, None] * p1
 
     if np.min(v1) <= 0:

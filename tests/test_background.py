@@ -21,6 +21,11 @@ from epnozzle import (
     u_max_root,
 )
 from epnozzle.background import (
+    _EVAL_BLOCK,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _Q_NODES,
+    _Q_WEIGHTS,
     KAPPA_SWITCH,
     NEAR_MAX_SWITCH,
     H_second_sonic,
@@ -352,6 +357,28 @@ class TestOrbitIntegrand:
         s = np.sqrt(kmax) * np.concatenate([[0.0], np.logspace(-12, -7, 11)])
         vals = _orbit_s_integrand(s, params)
         assert np.max(np.abs(vals / g0 - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes, weights", [(_GL_NODES, _GL_WEIGHTS), (_Q_NODES, _Q_WEIGHTS)], ids=["14", "5"])
+def test_literal_rules_are_leggauss(nodes, weights):
+    # within 1 ulp, not bit-equal: leggauss's eigvalsh may differ in the last
+    # bit between numpy versions
+    x, w = np.polynomial.legendre.leggauss(nodes.size)
+    assert np.all(np.abs(nodes - x) <= np.spacing(np.abs(x)))
+    assert np.all(np.abs(weights - w) <= np.spacing(w))
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+
+
+@pytest.mark.parametrize("n", [1, _EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1, 2001])
+def test_blocked_eval_matches_one_block(n, monkeypatch):
+    traj = _Trajectory(CANON, 0.9)
+    # stations from the orbit end (near-u_max form) through the sonic panels
+    # to the inlet, shuffled so that every block mixes the integrand's forms
+    s = np.random.default_rng(n).permutation(np.linspace(0.0, traj.s_inlet, n))
+    blocked = [traj._eval(cum, s) for cum in (traj.cum_x, traj.cum_phi)]
+    monkeypatch.setattr("epnozzle.background._EVAL_BLOCK", n)
+    for cum, value in zip((traj.cum_x, traj.cum_phi), blocked):
+        assert np.array_equal(value, traj._eval(cum, s))
 
 
 @pytest.fixture(scope="module")

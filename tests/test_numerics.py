@@ -183,6 +183,8 @@ def test_package_imports_no_heavy_scipy_subpackage():
     # test utilities), nor numpy.ma, not even after a regime certificate,
     # the first unit of every sweep
     assert "scipy" not in loaded and "numpy.ma" not in loaded
+    # the quadrature rules are literals, so numpy.polynomial is not loaded
+    assert "numpy.polynomial" not in loaded
     assert _fresh_process(
         "from epnozzle import GasParameters, certify_regime\n"
         "report = certify_regime(GasParameters(gamma=3.0, zeta0=2.0, J=0.05, S0=1.0 / 3.0))\n"
