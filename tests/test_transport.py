@@ -14,6 +14,7 @@ from epnozzle import (
     stream_function,
     transport_entropy,
 )
+from epnozzle.numerics import Pchip
 
 GRID = Grid(L=0.5, n_x1=41, m=6)
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
@@ -89,6 +90,62 @@ class TestLagrangianMap:
 
         inlet = PchipInterpolator(GRID.x2, sf.inlet)
         assert np.max(np.abs(inlet(lab) - np.clip(sf.theta, sf.inlet[0], sf.inlet[-1]))) < 1e-11
+
+
+def _count_evaluations(monkeypatch):
+    """Record the calls of ``Pchip.value_and_slope`` and ``Pchip.__call__``."""
+    counts = {"value_and_slope": 0, "call": 0}
+    slope, call = Pchip.value_and_slope, Pchip.__call__
+
+    def counted_slope(self, x):
+        counts["value_and_slope"] += 1
+        return slope(self, x)
+
+    def counted_call(self, x):
+        counts["call"] += 1
+        return call(self, x)
+
+    monkeypatch.setattr(Pchip, "value_and_slope", counted_slope)
+    monkeypatch.setattr(Pchip, "__call__", counted_call)
+    return counts
+
+
+class TestLagrangianNewtonStop:
+    """The Newton polish of ``lagrangian_map`` stops at its noise floor and gates its last evaluation."""
+
+    def test_linear_inlet_flux_stops_after_the_start(self, monkeypatch):
+        # the inlet flux is linear in x2, so the monotone inverse start is
+        # already at the noise floor: one evaluation, no step, no extra
+        # evaluation for the residual gate (the one call is the start)
+        _, m1, _ = solenoidal_field(GRID)
+        sf = stream_function(m1, GRID)
+        counts = _count_evaluations(monkeypatch)
+        lab = lagrangian_map(sf)
+        assert counts == {"value_and_slope": 1, "call": 1}
+        np.testing.assert_array_equal(lab, Pchip(sf.inlet, GRID.x2)(np.clip(sf.theta, sf.inlet[0], sf.inlet[-1])))
+
+    def test_strongly_perturbed_inlet_converges_under_the_gate(self, monkeypatch):
+        # labels counted from the mid-channel station, where the amplitude-0.25
+        # perturbation peaks: the inlet flux is far from linear
+        _, m1, _ = solenoidal_field(GRID, amp=0.25)
+        sf = stream_function(np.roll(m1, -(GRID.n_x1 // 2), axis=0), GRID)
+        counts = _count_evaluations(monkeypatch)
+        lab = lagrangian_map(sf)
+        # it stops by the noise floor before the cap: the gate reads the last polish evaluation
+        assert 2 <= counts["value_and_slope"] <= 4 and counts["call"] == 1
+        monkeypatch.undo()
+        tgt = np.clip(sf.theta, sf.inlet[0], sf.inlet[-1])
+        assert np.max(np.abs(Pchip(GRID.x2, sf.inlet)(lab) - tgt)) <= 1e-10 * (sf.inlet[-1] - sf.inlet[0])
+
+    def test_polish_not_converged_within_the_cap_fails_the_gate(self, monkeypatch):
+        # a slope ten times too steep makes every step a tenth of Newton's:
+        # four steps leave the error far above the 1e-10 gate
+        _, m1, _ = solenoidal_field(GRID, amp=0.25)
+        sf = stream_function(np.roll(m1, -(GRID.n_x1 // 2), axis=0), GRID)
+        slope = Pchip.value_and_slope
+        monkeypatch.setattr(Pchip, "value_and_slope", lambda self, x: (slope(self, x)[0], 10.0 * slope(self, x)[1]))
+        with pytest.raises(DegenerateStateError, match="stalled"):
+            lagrangian_map(sf)
 
 
 class TestTransportEntropy:
