@@ -81,20 +81,18 @@ L_MAX_CAP = 1e4
 
 DEFAULT_RESOLUTION = 2001       # nodes of the uniform sample grid on [0, l_max]
 
-# Stations per block of the partial-panel evaluation (_Trajectory._eval):
-# bounds its (block, 14) temporaries whatever the number of stations.
-_EVAL_BLOCK = 256
+_EVAL_BLOCK = 256   # stations per block of _Trajectory._eval: bounds its (block, 14) temporaries
 
 # Gauss-Legendre rules on [-1, 1], written out as numpy's leggauss(14) and
 # leggauss(5) return them, so that numpy.polynomial is never imported.
-_GL_NODES = np.array([
-    -0.9862838086968124, -0.9284348836635735, -0.827201315069765, -0.6872929048116855, -0.5152486363581541,
-    -0.31911236892788974, -0.10805494870734367, 0.10805494870734367, 0.31911236892788974, 0.5152486363581541,
-    0.6872929048116855, 0.827201315069765, 0.9284348836635735, 0.9862838086968124])
-_GL_WEIGHTS = np.array([
-    0.03511946033175175, 0.08015808715975999, 0.12151857068790331, 0.15720316715819363, 0.18553839747793788,
-    0.20519846372129572, 0.21526385346315793, 0.21526385346315793, 0.20519846372129572, 0.18553839747793788,
-    0.15720316715819363, 0.12151857068790331, 0.08015808715975999, 0.03511946033175175])
+_GL_NODES = np.array([-0.9862838086968124, -0.9284348836635735, -0.827201315069765, -0.6872929048116855,
+                      -0.5152486363581541, -0.31911236892788974, -0.10805494870734367, 0.10805494870734367,
+                      0.31911236892788974, 0.5152486363581541, 0.6872929048116855, 0.827201315069765,
+                      0.9284348836635735, 0.9862838086968124])
+_GL_WEIGHTS = np.array([0.03511946033175175, 0.08015808715975999, 0.12151857068790331, 0.15720316715819363,
+                        0.18553839747793788, 0.20519846372129572, 0.21526385346315793, 0.21526385346315793,
+                        0.20519846372129572, 0.18553839747793788, 0.15720316715819363, 0.12151857068790331,
+                        0.08015808715975999, 0.03511946033175175])
 # 5 nodes integrate curly_F' over [kappa_max - delta, kappa_max] to about
 # 1e-16 relative for delta < NEAR_MAX_SWITCH (kappa_max - 1).
 _Q_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664])
@@ -414,12 +412,7 @@ class _Trajectory:
         self.phi_max = float(self.cum_phi[-1])
 
     def _eval(self, cum, s):
-        """Cumulative integral from 0 to each s, any shape (exact partial final panel).
-
-        The partial panels are summed in blocks of ``_EVAL_BLOCK`` stations
-        into the gathered table values; every step is per station, so the
-        result does not depend on the block size.
-        """
+        """Cumulative integral from 0 to each s, any shape (exact partial final panel, block-independent)."""
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
         idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self.edges) - 2)

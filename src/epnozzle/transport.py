@@ -68,17 +68,14 @@ def lagrangian_map(sf: StreamFunction) -> np.ndarray:
 
     Solves ``theta(0, label) = theta(x1, x2)`` per point on the
     monotone-cubic interpolant of the inlet profile: the monotone inverse
-    interpolant ``x2(theta)`` gives the start value, and a Newton polish
-    on the forward interpolant finishes it.  The polish stops, without
-    taking it, on the first step of at most ``1e-14`` of the channel
-    half-width (its noise floor: a few ulps over the relative inlet slope;
-    every canonical start is already there), and after 4 steps at most.
-    The residual of the last evaluation must be at most ``1e-10`` of the
-    inlet flux range.  Targets may exit the inlet flux range by up to the
-    field's own measured top-wall divergence defect (that overshoot *is*
-    the defect, by the divergence theorem) plus the ``CLAMP_TOL`` floor;
-    such excursions are clamped with a warning, anything larger is an
-    error.
+    interpolant ``x2(theta)`` gives the start value, and a Newton polish on
+    the forward interpolant finishes it.  The polish stops before a step of
+    at most ``1e-14`` (of the unit half-width; its noise floor) or after 4
+    steps, and its last evaluation must meet ``1e-10`` of the inlet flux
+    range.  Targets may exit the inlet flux range by up to the field's own
+    measured top-wall divergence defect (that overshoot *is* the defect, by
+    the divergence theorem) plus the ``CLAMP_TOL`` floor; such excursions
+    are clamped with a warning, anything larger is an error.
     """
     if sf.monotone_margin <= 0 or np.any(np.diff(sf.inlet) <= 0):
         raise DegenerateStateError("stream function is not strictly monotone across the channel")
@@ -104,11 +101,10 @@ def lagrangian_map(sf: StreamFunction) -> np.ndarray:
     tgt = np.clip(target, lo_v, hi_v)
 
     lab = Pchip(sf.inlet, grid.x2)(tgt)
-    noise = 1e-14 * 0.5 * (grid.x2[-1] - grid.x2[0])
     for _ in range(4):
         value, d = inlet.value_and_slope(lab)
         step = np.where(d > 0, (value - tgt) / np.where(d > 0, d, 1.0), 0.0)
-        if np.max(np.abs(step)) <= noise:
+        if np.max(np.abs(step)) <= 1e-14:
             break
         lab = np.clip(lab - step, grid.x2[0], grid.x2[-1])
     else:
