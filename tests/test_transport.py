@@ -143,7 +143,12 @@ class TestLagrangianNewtonStop:
         _, m1, _ = solenoidal_field(GRID, amp=0.25)
         sf = stream_function(np.roll(m1, -(GRID.n_x1 // 2), axis=0), GRID)
         slope = Pchip.value_and_slope
-        monkeypatch.setattr(Pchip, "value_and_slope", lambda self, x: (slope(self, x)[0], 10.0 * slope(self, x)[1]))
+
+        def steep(self, x):
+            value, d = slope(self, x)
+            return value, 10.0 * d
+
+        monkeypatch.setattr(Pchip, "value_and_slope", steep)
         with pytest.raises(DegenerateStateError, match="stalled"):
             lagrangian_map(sf)
 
