@@ -182,6 +182,7 @@ def _curly_F_closed(kappa, params: GasParameters):
     return d - d * (2.0 + d) / (2.0 * z) + np.expm1(-g * ld) / g - np.expm1((1.0 - g) * ld) / ((g - 1.0) * z)
 
 
+@lru_cache(maxsize=64)
 def _sonic_taylor(params: GasParameters):
     """Exact Taylor data of ``kappa_H`` at ``kappa = 1``, highest power first (``np.polyval`` order).
 
@@ -189,7 +190,7 @@ def _sonic_taylor(params: GasParameters):
     (so ``curly_F' = f``, ``f(1) = 0``) returns ``(num, den)`` with
     ``curly_F / d^2 = sum_{n=1}^{4} f^(n)(1) / (n+1)! d^(n-1)`` and
     ``(kappa^(gamma+1) - 1) / d = sum_{k=1}^{4} C(gamma+1, k) d^(k-1)``,
-    both truncated after the ``d^3`` term.
+    both truncated after the ``d^3`` term.  Cached per gas, as read-only arrays.
     """
     g, z = params.gamma, params.zeta0
     n = np.arange(1.0, 5.0)
@@ -199,6 +200,7 @@ def _sonic_taylor(params: GasParameters):
     f_der = (1.0 - 1.0 / z) * b[1:] - n / z * b[:-1]
     num = f_der / np.cumprod(n + 1)
     den = np.cumprod((g + 2.0 - n) / n)
+    num.flags.writeable = den.flags.writeable = False
     return num[::-1], den[::-1]
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .background import BackgroundSolution
 from .errors import AdmissibilityError, DegenerateStateError
-from .fields import Field2D, Grid, grid_d2_parity_split
+from .fields import Field2D, Grid
 
 # Fraction of the background minimum that A22 may lose before the state
 # counts as degenerate.
@@ -334,9 +334,7 @@ def verify_structure(coeffs: CoefficientSet) -> None:
 def momentum_field(view: Collocated):
     """Pseudo momentum density ``m = (Phibar + Psi - |v|^2/2)^(1/(gamma-1)) v``.
 
-    Returns ``(m1, m2, div_residual)`` on the collocation grid.  The
-    divergence residual uses a central difference in x1 and the
-    parity-split spectral derivative in x2.  Note the normalization: at
+    Returns ``(m1, m2)`` on the collocation grid.  Note the normalization: at
     the background state ``m = (gamma S0/(gamma-1))^(1/(gamma-1)) J e1``
     (constant), a fixed multiple of the true momentum ``rho u``; the
     multiple cancels in the streamline construction.  Admissibility is not
@@ -344,8 +342,5 @@ def momentum_field(view: Collocated):
     """
     if np.any(view.head <= 0):
         raise DegenerateStateError("momentum density base lost positivity")
-    grid = view.prof.grid
     dens = view.head ** (1.0 / (view.prof.bg.params.gamma - 1))
-    m1, m2 = dens * view.v1, dens * view.v2
-    div = grid.D1 @ m1 + grid_d2_parity_split(m2, grid)
-    return m1, m2, div
+    return dens * view.v1, dens * view.v2

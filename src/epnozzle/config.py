@@ -75,7 +75,6 @@ class RunConfig:
     w_modes: tuple = ()
     tol_eps: float = SolverOptions.tol_eps
     tol_outer: float = SolverOptions.tol_outer
-    tol_root: float = SolverOptions.root_tol
     theta: float = SolverOptions.theta
     eps0: float = SolverOptions.eps0
     eps_cap: int = SolverOptions.eps_cap
@@ -115,9 +114,7 @@ class RunConfig:
 
     def solver_options(self) -> SolverOptions:
         """The solver options this config sets; ``InputError`` on a bad one."""
-        return SolverOptions(tol_outer=self.tol_outer, max_outer=self.max_outer, theta=self.theta, eps0=self.eps0,
-                             tol_eps=self.tol_eps, eps_cap=self.eps_cap, sigma_cap=self.sigma_cap,
-                             root_tol=self.tol_root)
+        return SolverOptions(**{f.name: getattr(self, f.name) for f in fields(SolverOptions)})
 
     def boundary_data(self) -> BoundaryDataSpec:
         """The inlet data this config describes; ``InputError`` on a bad mode list."""
@@ -144,7 +141,6 @@ _KEYMAP = {
     "boundary.w_modes": ("w_modes", _parse_modes),
     "tol.eps": ("tol_eps", float),
     "tol.outer": ("tol_outer", float),
-    "tol.root": ("tol_root", float),
     "damping.theta": ("theta", float),
     "solver.eps0": ("eps0", float),
     "solver.eps_cap": ("eps_cap", _parse_int),

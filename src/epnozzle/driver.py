@@ -34,7 +34,7 @@ from .coefficients import (
     FlowState,
     assemble_coefficients,
     background_profile,
-    check_smallness,
+    check_smallness,  # noqa: F401 -- not called here; perfbench/spans.py wraps this binding
     collocate,
     default_d0,
     momentum_field,
@@ -94,7 +94,6 @@ def fixed_point_solve(
     certificate=None,
     override_certificate: bool = False,
     sigma_cap: float | None = SolverOptions.sigma_cap,
-    root_tol: float = SolverOptions.root_tol,
     trace_sink=None,
 ) -> SolveOutcome:
     """Run the damped Picard iteration to a fixed point and extract results.
@@ -119,7 +118,7 @@ def fixed_point_solve(
     if grid.L >= bg.l_max:
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
     options = SolverOptions(tol_outer=tol_outer, max_outer=max_outer, theta=theta, eps0=eps0, tol_eps=tol_eps,
-                            eps_cap=eps_cap, sigma_cap=sigma_cap, root_tol=root_tol)
+                            eps_cap=eps_cap, sigma_cap=sigma_cap)
     if not override_certificate and not getattr(certificate, "certified", False):
         raise InputError("no certified regime report for these parameters; pass "
                          "override_certificate=True to proceed anyway")
@@ -138,7 +137,7 @@ def fixed_point_solve(
 
     for it in range(1, max_outer + 1):
         state = view.state
-        m1, _, _ = momentum_field(view)
+        m1, _ = momentum_field(view)
         sf = stream_function(m1, grid)
         label = lagrangian_map(sf)
         T_new = transport_entropy(bdata.s_en_minus_s0, label, grid)
@@ -156,7 +155,7 @@ def fixed_point_solve(
         psi_new, Psi_new, phi_new = solve_linear_problem(coeffs, bdata, options, trace_sink=sink, warm=warm)
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
         view = collocate(state.blend(update, theta_cur), prof)
-        require_admissible(view, d0, context=f"at outer iterate {it}")
+        margins = require_admissible(view, d0, context=f"at outer iterate {it}")
         incr = view.state.h1_distance(state)
         increments.append(incr)
         if incr <= tol_outer * theta_cur:   # the undamped residual |G(x) - x| = incr / theta
@@ -176,12 +175,11 @@ def fixed_point_solve(
         raise NonConvergenceError(f"no outer convergence within {max_outer} iterations")
 
     coeffs = assemble_coefficients(view, d0)
-    x2s, gs = sonic_interface(coeffs, root_tol=root_tol)
+    x2s, gs = sonic_interface(coeffs)
     sup_dev = float(np.max(np.abs(gs - bg.l_s)))
     prim = reconstruct_primitives(view)
     mach, mismatches = mach_field(prim, coeffs, gs)
     residuals = fixed_point_residuals(view, coeffs, prim)
-    margins = check_smallness(view, d0)
     return SolveOutcome(
         state=view.state,
         background=bg,
@@ -202,15 +200,13 @@ def fixed_point_solve(
     )
 
 
-def sonic_interface(coeffs: CoefficientSet, root_tol: float = SolverOptions.root_tol):
+def sonic_interface(coeffs: CoefficientSet):
     """Per-line root of the principal determinant ``a11 - a12^2``.
 
     Asserts exactly one sign change per wall-normal line (elliptic at the
     inlet, hyperbolic at the exit) and refines each root with Brent's
     method (bisection + inverse quadratic interpolation) on a monotone
-    interpolant of the determinant profile.  Brent's ``xtol`` is
-    ``min(root_tol, 1e-10)``, so a ``root_tol`` (config ``tol.root``) above
-    1e-10 has no effect.
+    interpolant of the determinant profile, to ``xtol = 1e-12``.
 
     All lines share one column-wise PCHIP over the stations around their
     crossing cells.  PCHIP is local (a cell's cubic reads one node before
@@ -238,7 +234,7 @@ def sonic_interface(coeffs: CoefficientSet, root_tol: float = SolverOptions.root
     cells = np.argmax(crossings, axis=0)
     rows = slice(max(cells.min() - 2, 0), cells.max() + 4)
     prof = Pchip(g.x1[rows], det[rows])
-    gs = [brentq(prof.column(j), g.x1[i], g.x1[i + 1], xtol=min(root_tol, 1e-10), rtol=8.9e-16)
+    gs = [brentq(prof.column(j), g.x1[i], g.x1[i + 1], xtol=1e-12, rtol=8.9e-16)
           for j, i in enumerate(cells)]
     return g.x2.copy(), np.array(gs)
 

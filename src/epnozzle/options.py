@@ -1,4 +1,4 @@
-"""The eight solver options, checked once where they are built."""
+"""The seven solver options, checked once where they are built."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .errors import InputError
 class SolverOptions:
     """``tol_outer``, ``max_outer``, ``theta`` and ``sigma_cap`` (``None``: ``driver.default_sigma_cap``) set the
     damped Picard fixed point, ``eps0``, ``tol_eps`` and ``eps_cap`` the viscosity schedule ``eps0 2^-k``,
-    ``k <= eps_cap``, and ``root_tol`` the sonic-interface root.  A bad option is an ``InputError`` naming it."""
+    ``k <= eps_cap``.  A bad option is an ``InputError`` naming it."""
 
     tol_outer: float = 1e-9
     max_outer: int = 100
@@ -23,7 +23,6 @@ class SolverOptions:
     tol_eps: float = 1e-6
     eps_cap: int = 20
     sigma_cap: float | None = None
-    root_tol: float = 1e-12
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -38,8 +37,6 @@ class SolverOptions:
             raise InputError(f"outer iteration budget max_outer must be at least 1, got {self.max_outer}")
         if not self.tol_outer >= 0:
             raise InputError(f"outer tolerance tol_outer must be nonnegative, got {self.tol_outer}")
-        if not self.root_tol > 0:
-            raise InputError(f"root tolerance root_tol must be positive, got {self.root_tol}")
         if self.sigma_cap is not None and not 0 < self.sigma_cap < np.inf:
             raise InputError(f"amplitude cap sigma_cap must be finite and positive, got {self.sigma_cap}")
         if not 0 < self.eps0 < np.inf:

@@ -31,7 +31,7 @@ about 1e-13.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,6 +211,13 @@ def _window_grid(kappa0: float, kappaL: float) -> np.ndarray:
     return grid[np.r_[True, grid[1:] != grid[:-1]]]   # np.unique's rule; np.unique itself loads numpy.ma
 
 
+def _report(params: GasParameters, eta: float, regime: str, d: float, alpha_min: float) -> RegimeReport:
+    """The report of the window ``[1 - d, 1 + d]``, with its nozzle length."""
+    k0, kL = 1.0 - d, 1.0 + d
+    return RegimeReport(eta=eta, J_regime=regime, d=d, kappa0=k0, kappaL=kL, alpha_min=alpha_min,
+                        L=nozzle_length(k0, kL, params), certified=alpha_min > 0, J=params.J)
+
+
 def certify_regime(params: GasParameters) -> RegimeReport:
     """Search for a certifiable almost-sonic window at the momentum density ``params.J``.
 
@@ -219,40 +226,28 @@ def certify_regime(params: GasParameters) -> RegimeReport:
     energy coefficient is positive on the whole window (grid scan at
     ``KAPPA_RESOLUTION`` plus endpoint refinement); falls back to the
     large-momentum exponent ``eta = gamma / 4``.  An uncertified report
-    (with the best minimum found) is a valid outcome, not an error.  The
-    nozzle length is computed only for the window of the returned report.
-    A certificate at another J takes ``dataclasses.replace(params, J=J)``.
+    (the first scanned window with the largest minimum) is a valid outcome,
+    not an error.  Only the returned window gets a report and a nozzle
+    length.  A certificate at another J takes
+    ``dataclasses.replace(params, J=J)``.
     """
     g = params.gamma
     kmax = kappa_max(params)
-    best = None
+    best = None   # (alpha_min, eta, d) of the best uncertified window so far
     for eta, regime in ((0.75 * g, "small"), (0.25 * g, "large")):
         d = D_START
         while d >= D_MIN:
             k0, kL = 1.0 - d, 1.0 + d
-            if kL >= kmax:
-                d *= D_SHRINK
-                continue
-            grid = _window_grid(k0, kL)
-            _, amin = alpha_profile(grid, k0, kL, params, eta)
-            report = RegimeReport(
-                eta=eta,
-                J_regime=regime,
-                d=d,
-                kappa0=k0,
-                kappaL=kL,
-                alpha_min=amin,
-                L=float("nan"),
-                certified=amin > 0,
-                J=params.J,
-            )
-            if report.certified:
-                return replace(report, L=nozzle_length(k0, kL, params))
-            if best is None or report.alpha_min > best.alpha_min:
-                best = report
+            if kL < kmax:
+                _, amin = alpha_profile(_window_grid(k0, kL), k0, kL, params, eta)
+                if amin > 0:
+                    return _report(params, eta, regime, d, amin)
+                if best is None or amin > best[0]:
+                    best = (amin, eta, d)
             d *= D_SHRINK
     assert best is not None
-    return replace(best, J_regime="uncertified", L=nozzle_length(best.kappa0, best.kappaL, params))
+    amin, eta, d = best
+    return _report(params, eta, "uncertified", d, amin)
 
 
 def write_alpha_csv(path, kappa_grid, alpha_values) -> None:

@@ -6,7 +6,8 @@ of the regime function ``alpha``, the Galerkin data of the mode system
 coefficients and never read from a ``ModeSystem``), the dense
 integral-equation solve and dense box assembly on that data, the
 per-mode banded Poisson solve, the RK4 streamline tracer, the advective
-residual of transported fields, the per-row difference-matrix
+residual of transported fields, the discrete divergence of a momentum
+field, the per-row difference-matrix
 construction, the per-call parity-split derivative, the per-line sonic
 root, the per-value CSV writer and the ``np.unique`` window scan grid.
 """
@@ -21,6 +22,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from epnozzle import flux_F, u_max_root
+from epnozzle.fields import grid_d2_parity_split
 from epnozzle.regimes import ENDPOINT_REFINE, KAPPA_RESOLUTION
 
 
@@ -235,6 +237,11 @@ def per_mode_poisson(f0) -> np.ndarray:
 def m_dot_grad(field, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Advective residual ``m . grad(field)`` (spectral in x2, central in x1)."""
     return m1 * field.d1() + m2 * field.d2()
+
+
+def divergence_residual(m1: np.ndarray, m2: np.ndarray, grid) -> np.ndarray:
+    """``D1 m1 + d2 m2``: the package's central difference in x1, its parity-split derivative in x2."""
+    return grid.D1 @ m1 + grid_d2_parity_split(m2, grid)
 
 
 def trace_streamlines(sf, x2_starts, n_steps: int = 400):

@@ -32,6 +32,7 @@ from epnozzle.background import (
     _H_closed,
     _kappa_H_direct,
     _orbit_s_integrand,
+    _sonic_taylor,
     _Trajectory,
     kappa_max,
 )
@@ -128,6 +129,16 @@ class TestFluxF:
         # kappa_H's Taylor branch against its defining ratio just inside the switch
         for k in (1 + 0.999 * KAPPA_SWITCH, 1 - 0.999 * KAPPA_SWITCH):
             assert kappa_H(k, CANON) == pytest.approx(_kappa_H_direct(k, CANON), rel=1e-10)
+
+    def test_sonic_taylor_data_cached_per_gas_read_only(self):
+        # one table per gas serves every kappa_H call, so no caller may write it
+        data = _sonic_taylor(CANON)
+        assert _sonic_taylor(GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)) is data
+        for cached, fresh in zip(data, _sonic_taylor.__wrapped__(CANON)):
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            data[0][0] = 0.0
 
     @pytest.mark.parametrize("params", GASES, ids=GAS_IDS)
     def test_continuous_across_switch(self, params):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import epnozzle
 from epnozzle import InputError, background_profile, parse_config, serialize_config
 from epnozzle.cli import build_problem, main, run, sweep
-from epnozzle.config import RunConfig, config_from_mapping, load_config, with_overrides
+from epnozzle.config import _KEYMAP, RunConfig, config_from_mapping, load_config, with_overrides
 from epnozzle.options import SolverOptions
 
 BASE_CONFIG = """
@@ -50,7 +50,6 @@ CONFIGS = st.tuples(
         "resolution": st.integers(2, 10 ** 6), "n_x1": st.integers(9, 10 ** 4), "m": st.integers(0, 64),
         "sigma": FLOATS, "s_modes": MODES, "e_modes": MODES, "w_modes": SINE_MODES,
         "tol_eps": st.floats(0, allow_infinity=False), "tol_outer": st.floats(0, allow_infinity=False),
-        "tol_root": st.floats(0, allow_infinity=False, exclude_min=True),
         "theta": st.floats(0, 1, exclude_min=True),
         "eps0": st.floats(0, allow_infinity=False, exclude_min=True),
         "eps_cap": st.integers(0, 100), "max_outer": st.integers(1, 1000),
@@ -119,7 +118,7 @@ class TestConfig:
         cfg = parse_config(block)
         assert (cfg.u0, cfg.kappaL, cfg.n_x1, cfg.m, cfg.sigma) == (0.9, 1.1, 401, 16, 1e-4)
         assert cfg.s_modes == cfg.e_modes == cfg.w_modes == ((1, 1.0),)
-        assert (cfg.tol_root, cfg.out_dir, cfg.override_certificate) == (1e-12, "out", True)
+        assert (cfg.tol_outer, cfg.out_dir, cfg.override_certificate) == (1e-9, "out", True)
 
     def test_solver_option_defaults_have_one_source(self):
         # the config fields and the library keywords default to the SolverOptions fields
@@ -129,6 +128,21 @@ class TestConfig:
         assert {name: keywords[name].default for name in defaults} == defaults
         keywords = inspect.signature(epnozzle.vanishing_viscosity).parameters
         assert [keywords[name].default for name in ("eps0", "tol_eps", "cap")] == [0.1, 1e-6, 20]
+
+    def test_solver_keys_map_one_to_one_onto_solver_options(self):
+        # each key of the tol, damping and solver sections moves exactly one
+        # SolverOptions field, and every field has its key
+        values = {"tol.outer": "2e-08", "tol.eps": "3e-07", "damping.theta": "0.5", "solver.eps0": "0.05",
+                  "solver.eps_cap": "7", "solver.max_outer": "9", "solver.sigma_cap": "0.001"}
+        assert {key for key in _KEYMAP if key.split(".")[0] in ("tol", "damping", "solver")} == set(values)
+        base = vars(parse_config(BASE_CONFIG).solver_options())
+        moved = []
+        for key, value in values.items():
+            options = vars(parse_config(BASE_CONFIG + f"{key} = {value}\n").solver_options())
+            changed = [name for name in options if options[name] != base[name]]
+            assert len(changed) == 1, (key, changed)
+            moved += changed
+        assert sorted(moved) == sorted(base)
 
     def test_comment_needs_leading_whitespace(self):
         cfg = parse_config(BASE_CONFIG + "output.dir = run#1\t# the run's folder\n")
@@ -400,9 +414,7 @@ class TestExitCodes:
             ("solver.max_outer = 0", "max_outer"),
             ("tol.outer = -1", "tol_outer"),
             ("tol.outer = nan", "tol_outer"),
-            ("tol.root = 0", "root_tol"),
-            ("tol.root = -1e-12", "root_tol"),
-            ("tol.root = nan", "root_tol"),
+            ("tol.root = 1e-12", "unknown config key 'tol.root'"),
             ("solver.eps0 = inf", "eps0"),
             ("tol.eps = nan", "tol_eps"),
             ("boundary.s_modes = 1:nan", "s_modes: mode (1, nan)"),
@@ -410,7 +422,7 @@ class TestExitCodes:
             ("boundary.e_modes = 1:inf", "e_modes: mode (1, inf)"),
         ],
         ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan",
-             "tol_root_zero", "tol_root_negative", "tol_root_nan", "eps0_inf", "tol_eps_nan",
+             "tol_root_removed", "eps0_inf", "tol_eps_nan",
              "s_mode_nan_coefficient", "w_mode_zero", "e_mode_inf_coefficient"],
     )
     def test_outer_input_exit_code(self, tmp_path, capsys, line, message):
@@ -573,7 +585,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "key, value, message",
         [("damping.theta", "2.0", "theta"), ("solver.eps0", "-1", "eps0"), ("tol.eps", "nan", "tol_eps"),
-         ("tol.outer", "nan", "tol_outer"), ("tol.root", "0", "root_tol"), ("solver.max_outer", "0", "max_outer"),
+         ("tol.outer", "nan", "tol_outer"), ("solver.max_outer", "0", "max_outer"),
          ("solver.eps_cap", "-1", "cap")],
     )
     def test_bad_solver_option_exit_code_before_any_row(self, tmp_path, capsys, key, value, message):

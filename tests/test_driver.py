@@ -17,6 +17,7 @@ from epnozzle import (
     assemble_coefficients,
     background_profile,
     certify_regime,
+    check_smallness,
     collocate,
     default_d0,
     fixed_point_solve,
@@ -136,19 +137,24 @@ class TestInvalidSolverInputs:
             ({"sigma_cap": True}, "sigma_cap"),
             ({"theta": "0.5"}, "theta"),
             ({"tol_outer": "1e-9"}, "tol_outer"),
-            ({"root_tol": None}, "root_tol"),
             ({"eps0": 1j}, "eps0"),
         ],
         ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative",
              "tol_eps_nan", "eps_cap_negative", "max_outer_fraction", "max_outer_bool", "eps_cap_fraction",
              "eps_cap_float64", "sigma_cap_nan", "sigma_cap_inf", "sigma_cap_zero",
              "sigma_cap_negative", "theta_bool", "eps0_bool", "tol_eps_bool", "sigma_cap_bool",
-             "theta_str", "tol_outer_str", "root_tol_none", "eps0_complex"],
+             "theta_str", "tol_outer_str", "eps0_complex"],
     )
     def test_rejected_with_input_error(self, small, options, message):
         bg, grid, bdata = small
         with pytest.raises(InputError, match=message):
             fixed_point_solve(bg, bdata, grid, override_certificate=True, **options)
+
+    def test_root_tol_is_not_an_option(self, small):
+        # Brent's tolerance of the sonic interface is fixed, not configurable
+        bg, grid, bdata = small
+        with pytest.raises(TypeError, match="root_tol"):
+            fixed_point_solve(bg, bdata, grid, override_certificate=True, root_tol=1e-12)
 
 
 class TestOtherGases:
@@ -409,6 +415,11 @@ class TestPerturbedRun:
 
     def test_margins_reported_positive(self, std_run):
         assert all(v > 0 for v in std_run.margins.values())
+
+    def test_margins_are_those_of_the_final_state(self, std_run):
+        # the last iterate's admissibility check, not a separate evaluation, yet the same numbers
+        view = collocate(std_run.state, std_run.coeffs.profile)
+        assert std_run.margins == check_smallness(view, std_run.d0)
 
     def test_entropy_range_preserved(self, std_run, bdata):
         prof = bdata.s_en_minus_s0(np.linspace(-1, 1, 4001))

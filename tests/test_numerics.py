@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 import epnozzle
 from epnozzle.numerics import Pchip, brentq, cumulative_simpson
 
-# (xtol, rtol) as the package calls Brent: kappa_max, and sonic_interface at
-# the default and a loose root_tol
+# (xtol, rtol) as kappa_max and sonic_interface call Brent, and a looser xtol
 BRENT_TOLS = [(1e-15, 4 * np.finfo(float).eps), (1e-12, 8.9e-16), (1e-10, 8.9e-16)]
 COEF = st.floats(-10.0, 10.0)
 SCALES = st.sampled_from([1e-8, 1e-3, 1.0, 1e3])

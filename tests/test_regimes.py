@@ -210,6 +210,23 @@ class TestCertify:
         assert rep.J_regime == "uncertified"
         assert np.isfinite(rep.alpha_min)
 
+    @pytest.mark.parametrize("params", [CANON, replace(GAS14, J=3e-2)], ids=["canonical", "gamma1.4_J3e-2"])
+    def test_uncertified_reports_the_largest_scanned_minimum(self, params):
+        # the search's windows, scanned here on the test's own loop: both
+        # branches, every half-width from D_START down to D_MIN below kappa_max
+        rep = certify_regime(params)
+        scanned = []
+        for eta in (0.75 * params.gamma, 0.25 * params.gamma):
+            for d in D_START * D_SHRINK ** np.arange(64):
+                if D_MIN <= d and 1 + d < kappa_max(params):
+                    k = unique_window_grid(1 - d, 1 + d)
+                    scanned.append((alpha_profile(k, 1 - d, 1 + d, params, eta)[1], eta, d))
+        assert max(amin for amin, _, _ in scanned) <= 0
+        amin, eta, d = max(scanned, key=lambda window: window[0])  # the first of equal maxima
+        assert (rep.certified, rep.J_regime, rep.J) == (False, "uncertified", params.J)
+        assert (rep.alpha_min, rep.eta, rep.d, rep.kappa0, rep.kappaL) == (amin, eta, d, 1 - d, 1 + d)
+        assert rep.L == nozzle_length(1 - d, 1 + d, params)
+
     def test_large_J_certificate_uses_large_branch(self):
         params = GasParameters(gamma=3.0, zeta0=2.0, J=300.0, S0=1.0 / 3.0)
         rep = certify_regime(params)
