@@ -248,6 +248,11 @@ def assemble_coefficients(view: Collocated, d0: float) -> CoefficientSet:
         If ``A22`` drops below its positivity floor.
     """
     require_admissible(view, d0)
+    return _assemble(view)
+
+
+def _assemble(view: Collocated) -> CoefficientSet:
+    """:func:`assemble_coefficients` of a view whose margins its caller has just checked."""
     state, prof, p1, _, q1, _, v1, v2, Psi, head = view
     p = prof.bg.params
     T = state.T.values()

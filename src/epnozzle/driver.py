@@ -32,6 +32,7 @@ from .coefficients import (
     CoefficientSet,
     Collocated,
     FlowState,
+    _assemble,
     assemble_coefficients,
     background_profile,
     check_smallness,  # noqa: F401 -- not called here; perfbench/spans.py wraps this binding
@@ -137,10 +138,9 @@ def fixed_point_solve(
 
     for it in range(1, max_outer + 1):
         state = view.state
-        m1, _ = momentum_field(view)
-        sf = stream_function(m1, grid)
-        label = lagrangian_map(sf)
-        T_new = transport_entropy(bdata.s_en_minus_s0, label, grid)
+        # nested, so that no transport temporary outlives its reader into the box solves
+        T_new = transport_entropy(
+            bdata.s_en_minus_s0, lagrangian_map(stream_function(momentum_field(view)[0], grid)), grid)
 
         def sink(entry, _it=it):
             entry = dict(entry)
@@ -149,10 +149,14 @@ def fixed_point_solve(
             if trace_sink is not None:
                 trace_sink(entry)
 
-        # T does not enter the velocity: the iterate's view serves the new T
-        coeffs = assemble_coefficients(view._replace(state=replace(state, T=T_new)), d0)
-        del view  # the box solves' peak memory need not hold it
-        psi_new, Psi_new, phi_new = solve_linear_problem(coeffs, bdata, options, trace_sink=sink, warm=warm)
+        # T does not enter the velocity: the iterate's view serves the new T.  The box solves' peak
+        # memory holds neither the view nor the set's forcings: the set reaches the call through a
+        # one-item list, so no name here keeps it, and CPython (3.11+) moves a call's arguments
+        # into the callee, which frees the forcings before its walk
+        handover = [assemble_coefficients(view._replace(state=replace(state, T=T_new)), d0)]
+        del view
+        psi_new, Psi_new, phi_new = solve_linear_problem(handover.pop(), bdata, options, trace_sink=sink,
+                                                         warm=warm)
         update = FlowState(psi=psi_new, phi=phi_new, Psi=Psi_new, T=T_new)
         view = collocate(state.blend(update, theta_cur), prof)
         margins = require_admissible(view, d0, context=f"at outer iterate {it}")
@@ -174,7 +178,7 @@ def fixed_point_solve(
     else:  # no break: the budget ran out
         raise NonConvergenceError(f"no outer convergence within {max_outer} iterations")
 
-    coeffs = assemble_coefficients(view, d0)
+    coeffs = _assemble(view)   # the last in-loop require_admissible passed this view
     x2s, gs = sonic_interface(coeffs)
     sup_dev = float(np.max(np.abs(gs - bg.l_s)))
     prim = reconstruct_primitives(view)

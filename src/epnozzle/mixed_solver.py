@@ -66,6 +66,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
@@ -211,25 +212,35 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
     is used only for the start check and the residual that closes each
     cycle.  A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt
     Arnoldi steps on ``A M^-1``, each one ``precond`` and one ``coupling``,
-    keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` (summed in place, not
-    stacked) and ends early once its least-squares residual, which is
-    ``|b - A x|``, is at most ``GMRES_RTOL |b|``; the iteration stops after
+    keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` (summed in place in ``Z_0``)
+    and ends early once its least-squares residual, which is ``|b - A x|``,
+    is at most ``GMRES_RTOL |b|``; the iteration stops after
     ``GMRES_CYCLES`` cycles or once the recomputed ``|b - A x| <= GMRES_RTOL |b|``.
-    Returns ``(x, |b - A x|, iterations)``.
+    No vector is held twice, and the basis is released before the closing
+    product.  Neither ``b`` nor ``x0`` is written, and ``x0`` is returned
+    as it is if it meets the bound.  Returns ``(x, |b - A x|, iterations)``.
     """
     x, r, iterations = np.zeros_like(b), b, 0
     residual = b_norm = np.linalg.norm(b)
-    if x0 is not None and np.linalg.norm(r0 := b - apply(x0)) < b_norm:
-        x, r, residual = x0, r0, np.linalg.norm(r0)
+    if x0 is not None:
+        r0 = apply(x0)
+        if np.linalg.norm(np.subtract(b, r0, out=r0)) < b_norm:
+            x, r, residual = x0, r0, np.linalg.norm(r0)
+        del r0
     for _ in range(GMRES_CYCLES):
         if residual <= GMRES_RTOL * b_norm:
             break
         g = np.zeros(GMRES_RESTART + 1)
         g[0] = residual
         V, Z, H = [r / residual], [], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        del r
         for j in range(GMRES_RESTART):
             Z.append(precond(V[j]))
-            w = V[j] + coupling(Z[j]) if coupling is not None else V[j].copy()
+            if coupling is not None:
+                w = coupling(Z[j])
+                w += V[j]
+            else:
+                w = V[j].copy()
             w_norm = np.linalg.norm(w)
             for i, v in enumerate(V):
                 H[i, j] = v @ w
@@ -240,12 +251,16 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
             if (np.linalg.norm(H[:j + 2, :j + 1] @ y - g[:j + 2]) <= GMRES_RTOL * b_norm
                     or H[j + 1, j] <= np.finfo(float).eps * w_norm):   # invariant Krylov space
                 break
-            V.append(w / H[j + 1, j])
-        update = y[0] * Z[0]
-        for y_j, z in zip(y[1:], Z[1:]):
-            update += y_j * z
-        x = x + update
-        r = b - apply(x)
+            w /= H[j + 1, j]
+            V.append(w)
+        del V, v, w
+        update = np.multiply(y[0], Z[0], out=Z[0])   # Z is not read again
+        for j in range(1, len(y)):
+            update += y[j] * Z[j]
+        del Z
+        x = np.add(update, x, out=update)
+        r = apply(x)
+        np.subtract(b, r, out=r)
         residual = np.linalg.norm(r)
     return x, residual, iterations
 
@@ -378,9 +393,10 @@ class ModeSystem:
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
         """Off-mode part ``C x`` of the box operator (zero off the X3' rows)."""
+        # the product first, so that its temporaries are gone when ``out`` is allocated
+        off = self._off_mode(x).T if self.coupled is not None else 0.0
         out = np.zeros((self.K, self.grid.n_x1, 5))
-        if self.coupled is not None:
-            out[:, 1:, 0] = self._off_mode(x).T
+        out[:, 1:, 0] = off
         return out.ravel()
 
     def operator(self, eps: float):
@@ -435,23 +451,28 @@ class ModeSystem:
             carried is part of that residual.
         """
         g = self.grid
+        if not self.forced:
+            full = np.zeros((g.n_cos, g.n_x1, 5))
+            return full[:, :, 0].T, full[:, :, 3].T
+        if (x0 := (starts or {}).get(eps)) is not None and self.K < g.n_cos:   # all modes: read in place
+            x0 = x0.reshape(g.n_cos, -1)[self.modes].ravel()
+        sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve,
+                                           self.coupling if self.coupled else None, self.rhs, x0)
+        residual = np.hypot(residual, self.rhs_dropped)
+        b_norm = np.hypot(np.linalg.norm(self.rhs), self.rhs_dropped)
+        if not residual <= LINEAR_RESIDUAL_MAX * b_norm:
+            raise NonConvergenceError(
+                f"GMRES missed the residual bound at eps={eps}, m={g.m}: "
+                f"|b - A x|/|b| = {residual / b_norm:.3e} > {LINEAR_RESIDUAL_MAX:.0e} "
+                f"after {iterations} iterations"
+            )
+        if starts is not None:
+            starts.pop(eps, None)   # the start this solution replaces, freed before ``full`` is made
+        del x0
         full = np.zeros((g.n_cos, g.n_x1, 5))
-        if self.forced:
-            if (x0 := (starts or {}).get(eps)) is not None:
-                x0 = x0.reshape(g.n_cos, -1)[self.modes].ravel()
-            sol, residual, iterations = _gmres(self.operator(eps), self.factor(eps).solve,
-                                               self.coupling if self.coupled else None, self.rhs, x0)
-            residual = np.hypot(residual, self.rhs_dropped)
-            b_norm = np.hypot(np.linalg.norm(self.rhs), self.rhs_dropped)
-            if not residual <= LINEAR_RESIDUAL_MAX * b_norm:
-                raise NonConvergenceError(
-                    f"GMRES missed the residual bound at eps={eps}, m={g.m}: "
-                    f"|b - A x|/|b| = {residual / b_norm:.3e} > {LINEAR_RESIDUAL_MAX:.0e} "
-                    f"after {iterations} iterations"
-                )
-            full[self.modes] = sol.reshape(self.K, g.n_x1, 5)
-            if starts is not None:
-                starts[eps] = full.ravel()
+        full[self.modes] = sol.reshape(self.K, g.n_x1, 5)
+        if starts is not None:
+            starts[eps] = full.ravel()
         return full[:, :, 0].T, full[:, :, 3].T
 
     def to_fields(self, theta: np.ndarray, Theta: np.ndarray):
@@ -581,9 +602,15 @@ def solve_linear_problem(
     ``eps_cap`` set, starting above the solutions the ``warm`` dict keeps
     and leaving the next walk's there, and restores the lifts.  Returns
     ``(psi, Psi, phi)``.
+
+    The walk reads ``coeffs`` without its forcings and ``A22``, from a
+    copy: ``coeffs`` is not written, and if the caller keeps no reference
+    to it (``fixed_point_solve`` hands its set over) they are freed before
+    the walk.
     """
     phi_new = poisson_solve_phi(Field2D.from_grid_values("dirichlet", coeffs.f3, coeffs.grid))
     f1s, f2s, lift_psi, lift_Psi = lift_boundary_data(bdata, coeffs)
+    coeffs = replace(coeffs, f1=None, f2=None, f3=None, A22=None)
     v, w, _ = vanishing_viscosity(
         coeffs, f1s, f2s, eps0=options.eps0, tol_eps=options.tol_eps, cap=options.eps_cap,
         trace_sink=trace_sink, warm=warm,

@@ -1,5 +1,8 @@
 """Outer fixed point, interface extraction, Mach classification, primitives."""
 
+import re
+import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +17,7 @@ from epnozzle import (
     Grid,
     InputError,
     InternalError,
+    NonConvergenceError,
     assemble_coefficients,
     background_profile,
     certify_regime,
@@ -24,6 +28,7 @@ from epnozzle import (
     solve_background,
 )
 from epnozzle.driver import (
+    THETA_FLOOR,
     default_sigma_cap,
     interior_mask,
     mach_field,
@@ -255,6 +260,50 @@ class TestBackgroundProfileOnce:
         assert len(views) == out.iterations + 1
         assert out.state is views[-1].state
 
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                        reason="CPython moves call arguments into the callee from 3.11 on")
+    def test_sets_handed_over_to_the_walk(self, bg, grid, bdata, monkeypatch):
+        # no iterate's coefficient set is kept through its walk, so its forcings are freed first
+        import epnozzle.driver
+        import epnozzle.mixed_solver as mixed_solver
+
+        refs, alive = [], []
+        assemble, walk = epnozzle.driver.assemble_coefficients, mixed_solver.vanishing_viscosity
+
+        def assembled(view, d0):
+            coeffs = assemble(view, d0)
+            refs.append(weakref.ref(coeffs.f1))
+            return coeffs
+
+        def checked(*args, **kwargs):
+            alive.append(refs[-1]() is not None)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(epnozzle.driver, "assemble_coefficients", assembled)
+        monkeypatch.setattr(mixed_solver, "vanishing_viscosity", checked)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        assert out.iterations >= 2 and alive == [False] * out.iterations
+
+    def test_each_state_checked_once(self, bg, grid, bdata, monkeypatch):
+        # one smallness check per (state, T): the assembly of each iterate and its
+        # blended update; the final assembly reuses the last update's margins
+        import epnozzle.coefficients
+
+        checked = []
+        original = epnozzle.coefficients.check_smallness
+
+        def counting(view, d0):
+            checked.append(view)
+            return original(view, d0)
+
+        monkeypatch.setattr(epnozzle.coefficients, "check_smallness", counting)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        assert out.iterations >= 2 and len(checked) == 2 * out.iterations
+        assert checked[-1].state is out.state
+        final = assemble_coefficients(checked[-1], out.d0)
+        assert all(np.array_equal(getattr(out.coeffs, name), getattr(final, name))
+                   for name in ("a11", "a12", "a", "b1", "b0", "f1", "f2", "f3", "A22"))
+
 
 class TestBoxSolveStarts:
     def test_later_iterates_start_closer(self, bg, grid, bdata, monkeypatch):
@@ -437,6 +486,21 @@ class TestLinearResponse:
         r_gs = std_run.sup_gs_minus_ls / half.sup_gs_minus_ls
         assert 1.8 <= r_norm <= 2.2
         assert 1.8 <= r_gs <= 2.2
+
+
+class TestDampingFloor:
+    def test_divergence_past_the_floor_raises(self, bg):
+        # past the contraction edge (ROADMAP item 5: 201 x 8 at sigma 5e-3) the
+        # increments keep growing; theta halves after every two growing steps in
+        # a row, so it falls below THETA_FLOOR after 2 log2(2 / THETA_FLOOR)
+        # growing steps at least (iterate 23 here, and for every sigma from
+        # 5e-3 to 8e-3 at this grid)
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=201, m=2)
+        bdata = BoundaryDataSpec(sigma=6e-3, s_modes=((1, 1.0),), e_modes=((1, 1.0),), w_modes=((1, 1.0),))
+        with pytest.raises(NonConvergenceError, match=r"diverging after damping floor \(iterate \d+\)") as failure:
+            fixed_point_solve(bg, bdata, grid, override_certificate=True, sigma_cap=1.0)
+        iterate = int(re.search(r"iterate (\d+)", str(failure.value)).group(1))
+        assert iterate > 2 * np.log2(2 / THETA_FLOOR)
 
 
 class TestAdmissibilityGuard:

@@ -1,6 +1,9 @@
 """Mixed-type solver: Poisson problem, lifts, viscous continuation, oracles."""
 
 import re
+import sys
+import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -57,6 +60,10 @@ from epnozzle.mixed_solver import (
 from epnozzle.options import SolverOptions
 
 CANON = GasParameters(gamma=3.0, zeta0=2.0, J=1.0, S0=1.0 / 3.0)
+# a caller that hands its set over keeps no reference through the call only
+# where calls move their arguments into the callee
+HANDOVER = pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                              reason="CPython moves call arguments into the callee from 3.11 on")
 # boundary-data mode lists: mode numbers 1..8, coefficients in [-1, 1]
 MODE_LISTS = st.lists(st.tuples(st.integers(1, 8), st.floats(-1.0, 1.0)), max_size=4)
 
@@ -743,6 +750,36 @@ class TestGmres:
         assert iterations > 1 and len(applied) == -(-iterations // GMRES_RESTART)
         assert residual == np.linalg.norm(b - A @ x) <= GMRES_RTOL * np.linalg.norm(b)
 
+    def test_writes_neither_b_nor_the_start(self):
+        A, b = self._system()
+        jacobi, coupling = self._jacobi(A)
+        x0 = 0.5 * np.linalg.solve(A, b)
+        b_in, x0_in = b.copy(), x0.copy()
+        x, _, iterations = _gmres(lambda v: A @ v, jacobi, coupling, b, x0)
+        assert iterations > 1 and np.array_equal(b, b_in) and np.array_equal(x0, x0_in)
+        assert not np.may_share_memory(x, x0) and not np.may_share_memory(x, b)
+
+    def test_basis_released_before_the_closing_product(self):
+        # A = I + S/8 with S a cyclic shift, M = 2 I: one cycle, in which every
+        # Arnoldi step keeps two new vectors, yet when the product that closes
+        # it runs, only x is live besides b
+        n = 100_000
+        b = np.random.default_rng(5).standard_normal(n)
+        live = []
+
+        def apply(v):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return v + 0.125 * np.roll(v, 1)
+
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            x, _, iterations = _gmres(apply, lambda v: v / 2.0, lambda z: 0.125 * np.roll(z, 1) - z, b)
+        finally:
+            tracemalloc.stop()
+        assert iterations >= 4 and len(live) == 1
+        assert live[0] - entry < 1.5 * b.nbytes
+
 
 class TestVanishingViscosity:
     def test_zero_data_short_circuit(self, setup):
@@ -983,6 +1020,38 @@ class TestWarmStart:
         assert [t["k"] for t in seen] == [4, 5, 6, 7, 8, 9]
         assert box_solves[n_before:] == [1e10 * 0.5 ** k for k in range(3, 10)]
 
+    def test_coupled_solve_writes_no_start_and_no_rhs(self, setup, monkeypatch):
+        # a system that carries every mode reads its kept start in place, not as
+        # a copy: from a start 1e-6 off its solution GMRES takes steps, from the
+        # solution itself none, and neither solve may write a kept start, the
+        # start it replaces or the right-hand side, nor return the kept array
+        grid, _, coeffs = setup
+        mod = 1.0 + 1e-3 * np.cos(np.pi * grid.x2)
+        sysm = ModeSystem(replace(coeffs, a11=coeffs.a11 * mod, a=coeffs.a * mod), _bump(grid),
+                          np.zeros((grid.n_x1, grid.n_x2)))
+        assert sysm.coupled is not None and sysm.K == grid.n_cos
+        starts = {}
+        for eps in (0.1, 0.05, 0.025):
+            sysm.solve_banded(eps, starts)
+        starts[0.05] = starts[0.05] * (1.0 + 1e-6)
+        steps = []
+        gmres = mixed_solver._gmres
+
+        def counted(*args):
+            out = gmres(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(mixed_solver, "_gmres", counted)
+        for eps in (0.05, 0.025):
+            kept, copies, rhs = dict(starts), {e: x.copy() for e, x in starts.items()}, sysm.rhs.copy()
+            theta, Theta = sysm.solve_banded(eps, starts)
+            assert all(np.array_equal(kept[e], copies[e]) for e in kept)
+            assert all(starts[e] is kept[e] for e in kept if e != eps)
+            assert np.array_equal(sysm.rhs, rhs)
+            assert not any(np.may_share_memory(new, kept[eps]) for new in (starts[eps], theta, Theta))
+        assert steps[0] > 0 and steps[1] == 0
+
 
 class TestSolveLinearProblem:
     def test_zero_everything_returns_zero(self, setup):
@@ -999,6 +1068,58 @@ class TestSolveLinearProblem:
         for f in (psi, Psi):
             v = f.values()
             assert np.max(np.abs(v - v[:, ::-1])) < 1e-10 * max(np.max(np.abs(v)), 1e-30)
+
+    def test_set_left_as_it_was(self, setup):
+        _, _, coeffs = setup
+        fields = {name: getattr(coeffs, name) for name in ("a11", "a12", "a", "b1", "b0", "f1", "f2", "f3", "A22")}
+        copies = {name: f.copy() for name, f in fields.items()}
+        solve_linear_problem(coeffs, BoundaryDataSpec(sigma=1e-5, e_modes=((1, 1.0),), w_modes=((1, 1.0),)))
+        assert all(getattr(coeffs, name) is f and np.array_equal(f, copies[name]) for name, f in fields.items())
+
+    @HANDOVER
+    def test_handed_over_set_frees_its_forcings_before_the_walk(self, setup, monkeypatch):
+        _, _, coeffs = setup
+        forcings = ("f1", "f2", "f3", "A22")
+        handover = [replace(coeffs, **{name: getattr(coeffs, name).copy() for name in forcings})]
+        refs = [weakref.ref(getattr(handover[0], name)) for name in forcings]
+        alive, walk = [], mixed_solver.vanishing_viscosity
+
+        def checked(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(mixed_solver, "vanishing_viscosity", checked)
+        solve_linear_problem(handover.pop(), BoundaryDataSpec.zero())
+        assert alive == [[False] * len(forcings)]
+
+    def test_working_set_of_a_warm_coupled_solve(self, bg):
+        # the memory one warm-started coupled sweep allocates above its entry, in
+        # full box vectors (5 n_x1 n_cos floats) beyond its band LU, is 22.1 at
+        # 101 x 8 when each array dies after its last reader; one more live box
+        # vector (a copy of the start, a solution array allocated before GMRES,
+        # a second copy of an Arnoldi vector or of the residual) fails
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=101, m=8)
+        prof = background_profile(bg, grid)
+        coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=((1, 1.0),), e_modes=((1, 1.0),), w_modes=((1, 1.0),))
+
+        def coupled(amp):
+            mod = 1.0 + amp * np.cos(np.pi * grid.x2)
+            return replace(coeffs, a11=coeffs.a11 * mod, a=coeffs.a * mod, b0=coeffs.b0 * mod)
+
+        warm = {}
+        solve_linear_problem(coupled(1e-3), bdata, warm=warm)
+        later = coupled(2e-3)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            solve_linear_problem(later, bdata, warm=warm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vector = 5 * grid.n_x1 * grid.n_cos * 8
+        band = (2 * BAND_L + BAND_U + 1) * vector
+        assert (peak - entry - band) / vector <= 22.6
 
     def _cauchy_orders(self, bg, **solver_kw):
         L = bg.x1_at_speed(1.1 * CANON.u_s)
