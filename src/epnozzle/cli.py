@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -62,21 +63,11 @@ def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:
     params, bg, grid, bdata = build_problem(cfg)
     bg.write_csv(out_dir / "background.csv")
     report = certify_regime(params) if certificate is None else certificate
-    trace_path = out_dir / "convergence.jsonl"
-    sink = None
-    fh = None
-    if cfg.emit_traces:
-        fh = open(trace_path, "w")
-
-        def sink(entry):
-            fh.write(json.dumps({k: entry[k] for k in ("epsilon", "h1_diff", "sup_diff", "iterations")}) + "\n")
-
-    try:
+    with open(out_dir / "convergence.jsonl", "w") if cfg.emit_traces else nullcontext() as fh:
+        sink = None if fh is None else lambda entry: fh.write(
+            json.dumps({k: entry[k] for k in ("epsilon", "h1_diff", "sup_diff", "iterations")}) + "\n")
         outcome = fixed_point_solve(bg, bdata, grid, **vars(cfg.solver_options()), certificate=report,
                                     override_certificate=cfg.override_certificate, trace_sink=sink)
-    finally:
-        if fh is not None:
-            fh.close()
 
     if cfg.emit_fields:
         fdir = out_dir / "fields"
@@ -144,14 +135,16 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     base_params = gas_from_config(cfg)
+    # the speed-ratio window (kappa0, kappaL) that sweep.csv's L is measured in; only J moves the
+    # sonic speed it is scaled by, so a sigma row solves cfg itself, and each d row sets its own
     if cfg.d is not None:
-        kappa0, kappaL = 1.0 - cfg.d, 1.0 + cfg.d
-    else:
+        window = 1.0 - cfg.d, 1.0 + cfg.d
+    elif axis != "d":
         u0, kappaL = resolve_window(cfg, base_params)
-        kappa0 = u0 / base_params.u_s
         if kappaL is None:
             bg0 = solve_background(base_params, u0, resolution=cfg.resolution)
             kappaL = bg0.evaluate(np.array([cfg.L]))["u1"][0] / base_params.u_s
+        window = u0 / base_params.u_s, kappaL
 
     for value in values:
         row = {
@@ -160,27 +153,21 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
             "sup_gs_minus_ls": float("nan"), "iterations": 0,
         }
         try:
-            k0, kL = kappa0, kappaL
             if axis == "J":
-                row_cfg = with_overrides(cfg, J=value, u0=None, L=None, kappa0=k0, kappaL=kL, d=None)
+                row_cfg = with_overrides(cfg, J=value, u0=None, L=None, kappa0=window[0], kappaL=window[1], d=None)
             elif axis == "d":
                 row_cfg = with_overrides(cfg, u0=None, L=None, kappa0=None, kappaL=None, d=value)
-                k0, kL = 1.0 - value, 1.0 + value
+                window = 1.0 - value, 1.0 + value
             else:
-                row_cfg = with_overrides(cfg, sigma=cfg.sigma * value, u0=None, L=None,
-                                         kappa0=k0, kappaL=kL, d=None)
+                row_cfg = with_overrides(cfg, sigma=cfg.sigma * value)
             params = gas_from_config(row_cfg)
             report = certify_regime(params)
-            row["alpha_min"] = report.alpha_min
-            row["certified"] = report.certified
-            row["L"] = regimes_mod.nozzle_length(k0, kL, params)
-            if not report.certified and not row_cfg.override_certificate:
-                rows.append(row)
-                continue
-            outcome = run(row_cfg, out_dir / f"row_{axis}_{value}", certificate=report)
-            row["converged"] = outcome.converged
-            row["sup_gs_minus_ls"] = outcome.sup_gs_minus_ls
-            row["iterations"] = outcome.iterations
+            row.update(alpha_min=report.alpha_min, certified=report.certified)
+            row["L"] = regimes_mod.nozzle_length(*window, params)
+            if report.certified or row_cfg.override_certificate:
+                outcome = run(row_cfg, out_dir / f"row_{axis}_{value}", certificate=report)
+                row.update(converged=outcome.converged, sup_gs_minus_ls=outcome.sup_gs_minus_ls,
+                           iterations=outcome.iterations)
         except SolverError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

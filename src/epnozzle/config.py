@@ -3,9 +3,9 @@
 A config is a mapping from dotted section keys to scalars; the text form
 is one ``key = value`` pair per line with ``#`` comments (whole lines, or
 after whitespace at the end of a line), the JSON form a flat object with
-the same keys.  A value that does not convert is an ``InputError`` naming
-its key.  Parsing, serializing, and re-parsing is an identity on the
-typed configuration.
+the same keys; one converter per key reads both forms.  A value that does
+not convert is an ``InputError`` naming its key.  Parsing, serializing,
+and re-parsing is an identity on the typed configuration.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from .errors import InputError
 from .options import SolverOptions
 
 
+def _parse_number(value) -> float:
+    """A float from a real number or its decimal text; never from a bool."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
 def _parse_int(value) -> int:
     """An integer from an int, an integral float or a decimal string; never from a bool."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -28,28 +35,33 @@ def _parse_int(value) -> int:
     return int(value)
 
 
-def _parse_modes(text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for item in text.split(";"):
-        n, c = item.split(":")
-        out.append((int(n), float(c)))
-    return tuple(out)
+def _parse_modes(value) -> tuple:
+    """``(n, c)`` pairs from ``n:c;...`` text or a JSON list of ``[n, c]`` pairs."""
+    if isinstance(value, str):
+        value = [item.split(":") for item in value.split(";")] if value.strip() else []
+    return tuple((_parse_int(n), _parse_number(c)) for n, c in value)
 
 
 def _format_modes(modes) -> str:
     return ";".join(f"{n}:{c!r}" for n, c in modes)
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
+def _parse_bool(value) -> bool:
+    """A flag from a JSON bool or one of the words true/1/yes, false/0/no (any case)."""
+    if isinstance(value, bool):
+        return value
+    word = value.strip().lower() if isinstance(value, str) else None
+    if word in ("true", "1", "yes"):
         return True
-    if t in ("false", "0", "no"):
+    if word in ("false", "0", "no"):
         return False
-    raise InputError(f"not a boolean: {text!r}")
+    raise ValueError("not a boolean")
+
+
+def _parse_text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,31 +134,31 @@ class RunConfig:
 
 
 _KEYMAP = {
-    "gas.gamma": ("gamma", float),
-    "gas.zeta0": ("zeta0", float),
-    "gas.J": ("J", float),
-    "gas.S0": ("S0", float),
-    "gas.E0": ("E0", float),
-    "background.u0": ("u0", float),
+    "gas.gamma": ("gamma", _parse_number),
+    "gas.zeta0": ("zeta0", _parse_number),
+    "gas.J": ("J", _parse_number),
+    "gas.S0": ("S0", _parse_number),
+    "gas.E0": ("E0", _parse_number),
+    "background.u0": ("u0", _parse_number),
     "background.resolution": ("resolution", _parse_int),
-    "window.kappa0": ("kappa0", float),
-    "window.kappaL": ("kappaL", float),
-    "window.d": ("d", float),
-    "domain.L": ("L", float),
+    "window.kappa0": ("kappa0", _parse_number),
+    "window.kappaL": ("kappaL", _parse_number),
+    "window.d": ("d", _parse_number),
+    "domain.L": ("L", _parse_number),
     "grid.n_x1": ("n_x1", _parse_int),
     "grid.m": ("m", _parse_int),
-    "boundary.sigma": ("sigma", float),
+    "boundary.sigma": ("sigma", _parse_number),
     "boundary.s_modes": ("s_modes", _parse_modes),
     "boundary.e_modes": ("e_modes", _parse_modes),
     "boundary.w_modes": ("w_modes", _parse_modes),
-    "tol.eps": ("tol_eps", float),
-    "tol.outer": ("tol_outer", float),
-    "damping.theta": ("theta", float),
-    "solver.eps0": ("eps0", float),
+    "tol.eps": ("tol_eps", _parse_number),
+    "tol.outer": ("tol_outer", _parse_number),
+    "damping.theta": ("theta", _parse_number),
+    "solver.eps0": ("eps0", _parse_number),
     "solver.eps_cap": ("eps_cap", _parse_int),
     "solver.max_outer": ("max_outer", _parse_int),
-    "solver.sigma_cap": ("sigma_cap", float),
-    "output.dir": ("out_dir", str),
+    "solver.sigma_cap": ("sigma_cap", _parse_number),
+    "output.dir": ("out_dir", _parse_text),
     "flags.override_certificate": ("override_certificate", _parse_bool),
     "flags.emit_fields": ("emit_fields", _parse_bool),
     "flags.emit_traces": ("emit_traces", _parse_bool),
@@ -163,13 +175,8 @@ def config_from_mapping(raw: dict) -> RunConfig:
             raise InputError(f"unknown config key {key!r}")
         attr, conv = _KEYMAP[key]
         try:
-            if conv is _parse_modes and not isinstance(value, str):
-                kw[attr] = tuple((_parse_int(n), float(c)) for n, c in value)
-            elif conv is _parse_bool and isinstance(value, bool):
-                kw[attr] = value
-            else:
-                kw[attr] = conv(value)
-        except (TypeError, ValueError, InputError) as exc:
+            kw[attr] = conv(value)
+        except (TypeError, ValueError) as exc:
             raise InputError(f"config key {key}: cannot read {value!r} ({exc})") from None
     return RunConfig(**kw).validate()
 
@@ -184,7 +191,7 @@ def parse_config(text: str) -> RunConfig:
             raise InputError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise InputError("JSON config must be an object of dotted keys")
-        return config_from_mapping({k: v for k, v in raw.items()})
+        return config_from_mapping(raw)
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = re.split(r"\s#", line, maxsplit=1)[0].strip()

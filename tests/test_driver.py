@@ -503,6 +503,39 @@ class TestDampingFloor:
         assert iterate > 2 * np.log2(2 / THETA_FLOOR)
 
 
+class TestDampingRescue:
+    """51 x 2 at sigma 2e-2, past the undamped edge (sigma 1e-2 converges in 23 iterates at theta 1): the
+    increments grow at iterates 4 and 5, theta halves after iterate 5 and the run converges in 65
+    iterates; with the halving taken out, iterate 6 leaves the admissible set (perturbation margin -1.1e-3)."""
+
+    @pytest.fixture(scope="class")
+    def edge(self, bg):
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=51, m=2)
+        one = ((1, 1.0),)
+        return bg, BoundaryDataSpec(sigma=2e-2, s_modes=one, e_modes=one, w_modes=one), grid
+
+    @pytest.fixture(scope="class")
+    def rescued(self, edge):
+        return fixed_point_solve(*edge, override_certificate=True, sigma_cap=1.0)
+
+    def test_halving_rescues_the_run(self, rescued):
+        increments = rescued.increments
+        assert [k + 1 for k in range(1, len(increments)) if increments[k] > increments[k - 1]] == [4, 5]
+        assert rescued.converged and rescued.iterations == 65
+
+    def test_floor_error_names_contraction_and_theta(self, edge, rescued, monkeypatch):
+        # a floor above 1/2 turns the halving after iterate 5 into the floor's error
+        monkeypatch.setattr("epnozzle.driver.THETA_FLOOR", 0.6)
+        with pytest.raises(NonConvergenceError, match=r"damping floor \(iterate 5\); last contraction factor "
+                           rf"{rescued.increments[4] / rescued.increments[3]:.3g} at theta 1$"):
+            fixed_point_solve(*edge, override_certificate=True, sigma_cap=1.0)
+
+    def test_budget_error_names_contraction_and_theta(self, edge, rescued):
+        with pytest.raises(NonConvergenceError, match=r"within 10 iterations; last contraction factor "
+                           rf"{rescued.increments[9] / rescued.increments[8]:.3g} at theta 0.5$"):
+            fixed_point_solve(*edge, override_certificate=True, sigma_cap=1.0, max_outer=10)
+
+
 class TestAdmissibilityGuard:
     def test_named_bound_and_iterate_in_error(self, bg, grid):
         # inlet data far above the smallness radius make the first update inadmissible
