@@ -125,8 +125,8 @@ def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:
 def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
     """Run the pipeline per value along one axis; failures recorded per row.
 
-    Emits ``sweep.csv`` with columns
-    ``value, L, alpha_min, certified, converged, sup_gs_minus_ls, iterations``.
+    Emits ``sweep.csv`` with columns ``value, L, alpha_min, certified, converged, sup_gs_minus_ls,
+    iterations``, and one stderr JSON line per failed row: its value, error type and message.
     """
     if axis not in ("J", "sigma", "d"):
         raise InputError(f"unknown sweep axis {axis!r}")
@@ -170,6 +170,7 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
                            iterations=outcome.iterations)
         except SolverError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
+            print(json.dumps({"value": value, "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         rows.append(row)
 
     with open(out_dir / "sweep.csv", "w") as fh:

@@ -39,6 +39,8 @@ def _parse_modes(value) -> tuple:
     """``(n, c)`` pairs from ``n:c;...`` text or a JSON list of ``[n, c]`` pairs."""
     if isinstance(value, str):
         value = [item.split(":") for item in value.split(";")] if value.strip() else []
+    elif not all(isinstance(item, (list, tuple)) for item in value):
+        raise ValueError("a mode is an [n, c] pair")
     return tuple((_parse_int(n), _parse_number(c)) for n, c in value)
 
 
@@ -59,8 +61,8 @@ def _parse_bool(value) -> bool:
 
 
 def _parse_text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError("not a string")
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError("not a nonempty string")
     return value
 
 

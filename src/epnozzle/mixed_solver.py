@@ -42,8 +42,9 @@ exact LU of its mode-diagonal part: K independent box systems, one per
 cosine mode.  A mode's 5n rows are the five slots of its row stations
 0..n: the inlet station holds the rows of ``Pi``'s components at node 0,
 each cell station its cell's box equations and the exit station the rows
-of the complement at node n - 1, so each mode block is banded with 6 sub-
-and 4 super-diagonals.  All rows are sums of the terms of one table, the
+of the complement at node n - 1; rows ordered by slot 2, 4, 3 | 0, 1 (``ROW``)
+make each mode block banded with 5 sub- and 4 super-diagonals.  All rows
+are sums of the terms of one table, the
 boundary rows generated from ``Pi`` and ``eps`` in the viscous terms: per
 ``eps`` it is scattered into one Fortran-order band, factored in place by
 a single LAPACK ``dgbtrf``, and the matrix-free operator sums it into the
@@ -103,7 +104,8 @@ FORCED_MODE_ROUNDOFF = 1024     # projection roundoff, in ulps of its magnitude 
 GMRES_RESTART = 30
 GMRES_CYCLES = 3
 GMRES_RTOL = 1e-12
-BAND_L, BAND_U = 6, 4           # sub-/super-diagonals of each mode's box system
+BAND_L, BAND_U = 5, 4           # sub-/super-diagonals of each mode's box system
+ROW = (-2, -1, 0, 2, 1)         # slot p of row station j is row 5j + ROW[p] of its mode (_mode_rows)
 PI = np.array([True, True, False, False, True])  # projection Pi: inlet-anchored (X1, X2, X5)
 COUPLED_BLOCKS = (1, 1, 2, 4, 3)  # the X_blk that 2 a12 d2, a, a11, b1, b0 act on in the X3' rows
 INLET, CELLS, EXIT = slice(0, 1), slice(1, -1), slice(-1, None)  # row stations of a mode (ModeSystem)
@@ -180,9 +182,10 @@ def lift_boundary_data(bdata, coeffs: CoefficientSet):
 # ---------------------------------------------------------------------------
 
 def _mode_rows(rows: np.ndarray) -> np.ndarray:
-    """A ``(5, n + 1, K)`` row array as the ``(K, 5n)`` mode rows: slot p of station j is row 5j + p - 2."""
-    out = np.empty((rows.shape[2], rows.shape[1] - 1, 5))   # rows 5i + 0..4: slots 2..4 of i, 0..1 of i + 1
-    out[:, :, :3], out[:, :, 3:] = rows[2:, :-1].transpose(2, 1, 0), rows[:2, 1:].transpose(2, 1, 0)
+    """A ``(5, n + 1, K)`` row array as the ``(K, 5n)`` mode rows: slot p of station j is row 5j + ROW[p]."""
+    out = np.empty((rows.shape[2], rows.shape[1] - 1, 5))   # rows 5i + 0..4: slots 2, 4, 3 of i, 0, 1 of i + 1
+    for p, row in enumerate(ROW):
+        out[:, :, row % 5] = (rows[p, 1:] if row < 0 else rows[p, :-1]).T
     return out.reshape(len(out), -1)
 
 
@@ -212,13 +215,13 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
     is used only for the start check and the residual that closes each
     cycle.  A cycle runs at most ``GMRES_RESTART`` modified Gram-Schmidt
     Arnoldi steps on ``A M^-1``, each one ``precond`` and one ``coupling``,
-    keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` (summed in place in ``Z_0``)
-    and ends early once its least-squares residual, which is ``|b - A x|``,
-    is at most ``GMRES_RTOL |b|``; the iteration stops after
-    ``GMRES_CYCLES`` cycles or once the recomputed ``|b - A x| <= GMRES_RTOL |b|``.
-    No vector is held twice, and the basis is released before the closing
-    product.  Neither ``b`` nor ``x0`` is written, and ``x0`` is returned
-    as it is if it meets the bound.  Returns ``(x, |b - A x|, iterations)``.
+    keeps ``Z_j = M^-1 v_j`` for ``x += Z y`` (summed in place in ``Z_0``), makes
+    each new Hessenberg column triangular by a Givens rotation and ends early once
+    the rotated residual ``|g_(j+1)| = |b - A x|`` is at most ``GMRES_RTOL |b|``;
+    the iteration stops after ``GMRES_CYCLES`` cycles or once the recomputed
+    ``|b - A x| <= GMRES_RTOL |b|``.  No vector is held twice, and the basis is
+    released before the closing product.  Neither ``b`` nor ``x0`` is written, and
+    ``x0`` is returned as it is if it meets the bound.  Returns ``(x, |b - A x|, iterations)``.
     """
     x, r, iterations = np.zeros_like(b), b, 0
     residual = b_norm = np.linalg.norm(b)
@@ -232,7 +235,7 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
             break
         g = np.zeros(GMRES_RESTART + 1)
         g[0] = residual
-        V, Z, H = [r / residual], [], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        V, Z, H, G = [r / residual], [], np.zeros((GMRES_RESTART + 1, GMRES_RESTART)), []
         del r
         for j in range(GMRES_RESTART):
             Z.append(precond(V[j]))
@@ -247,16 +250,20 @@ def _gmres(apply, precond, coupling, b: np.ndarray, x0: np.ndarray | None = None
                 w -= H[i, j] * v
             H[j + 1, j] = np.linalg.norm(w)
             iterations += 1
-            y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
-            if (np.linalg.norm(H[:j + 2, :j + 1] @ y - g[:j + 2]) <= GMRES_RTOL * b_norm
-                    or H[j + 1, j] <= np.finfo(float).eps * w_norm):   # invariant Krylov space
+            for i in range(j):   # the earlier rotations, then the one that zeroes H[j + 1, j] below H[j, j]
+                H[i:i + 2, j] = G[i] @ H[i:i + 2, j]
+            G.append(np.array([[H[j, j], H[j + 1, j]], [-H[j + 1, j], H[j, j]]]) / math.hypot(H[j, j], H[j + 1, j]))
+            H[j, j], g[j:j + 2] = G[j][0] @ H[j:j + 2, j], G[j] @ g[j:j + 2]   # H[j + 1, j] kept for the basis
+            if abs(g[j + 1]) <= GMRES_RTOL * b_norm or H[j + 1, j] <= np.finfo(float).eps * w_norm:  # or invariant
                 break
             w /= H[j + 1, j]
             V.append(w)
         del V, v, w
-        update = np.multiply(y[0], Z[0], out=Z[0])   # Z is not read again
-        for j in range(1, len(y)):
-            update += y[j] * Z[j]
+        for i in range(j, -1, -1):   # back-substitute y in place of g[:j + 1]
+            g[i] = (g[i] - H[i, i + 1:j + 1] @ g[i + 1:j + 1]) / H[i, i]
+        update = np.multiply(g[0], Z[0], out=Z[0])   # Z is not read again
+        for i in range(1, len(Z)):
+            update += g[i] * Z[i]
         del Z
         x = np.add(update, x, out=update)
         r = apply(x)
@@ -366,8 +373,8 @@ class ModeSystem:
         """The mode-diagonal part of the box operator at ``eps``, scattered from :meth:`_rows`.
 
         Unknown ``X_blk`` of the ``k``-th carried mode at node ``i`` is column ``k 5n + 5i + blk``, so a
-        term of slot ``p`` on ``side`` lies ``3 + p - 5 side - blk`` below the diagonal: each mode block has
-        ``l = 6``, ``u = 4``, all K one band of order ``5nK``.  Returns it in the Fortran-order ``dgbtrf``
+        term of slot ``p`` on ``side`` lies ``5 + ROW[p] - 5 side - blk`` below the diagonal: each mode block
+        has ``l = 5``, ``u = 4``, all K one band of order ``5nK``.  Returns it in the Fortran-order ``dgbtrf``
         layout, ``BAND_L`` fill rows first (``A[r, c]`` at ``ab[l + u + r - c, c]``), ready to factor in place.
         """
         n, K = self.grid.n_x1, self.K
@@ -375,7 +382,7 @@ class ModeSystem:
         ab = np.zeros((K, 5 * n, top + BAND_L + 1)).transpose(2, 0, 1)  # Fortran order once flattened
         for p, blk, side, coef, j in self._rows(eps):
             nodes = _nodes(j, side, n)
-            ab[top + 3 + p - 5 * side - blk].T[5 * nodes.start + blk:5 * nodes.stop:5] = coef
+            ab[top + 5 + ROW[p] - 5 * side - blk].T[5 * nodes.start + blk:5 * nodes.stop:5] = coef
         return ab.reshape(-1, K * 5 * n)
 
     def _off_mode(self, x: np.ndarray) -> np.ndarray:

@@ -286,9 +286,11 @@ def dense_box_system(coeffs, f1, f2, eps: float):
     Built from the first-order form ``X' = A(x1) X + F`` (``node_block``):
     each cell row is ``X(i+1) - X(i) - h/2 (A_i X(i) + A_(i+1) X(i+1)) =
     h/2 (F(i) + F(i+1))``, its dynamic row 1 scaled by ``eps``.  Mode ``k``
-    owns rows ``k 5n ..``: the inlet rows ``X1, X2, X5 = 0``, the cell rows
-    ``3 + 5i + blk``, then the exit rows ``X3, X4 = 0``; unknown ``X_blk``
-    of mode ``k`` at station ``i`` is column ``k 5n + 5i + blk``.
+    owns rows ``k 5n ..``: the inlet rows ``X1, X5, X2 = 0``, the cell rows,
+    the ``X_blk'`` equation of cell ``i`` in row ``5 + 5i + (-2, -1, 0, 2, 1)[blk]``
+    (a cell's ``X1', X2', X3', X5', X4'`` in turn), then the exit rows
+    ``X3, X4 = 0``; unknown ``X_blk`` of mode ``k`` at station ``i`` is
+    column ``k 5n + 5i + blk``.
     """
     system = galerkin_data(coeffs, f1, f2)
     g = system.grid
@@ -300,18 +302,19 @@ def dense_box_system(coeffs, f1, f2, eps: float):
     Fvec[:, 2 * K:3 * K] = system.F1 / eps
     Fvec[:, 4 * K:5 * K] = system.F2
     scale = np.repeat([1.0, 1.0, eps, 1.0, 1.0], K)
-    # station-0 column (and cell-0 row offset) of each (blk, k) slot of node_block
+    # station-0 column and cell-0 row of each (blk, k) slot of node_block
     slot = np.array([k * N + blk for blk in range(5) for k in range(K)])
+    row = np.array([k * N + 5 + offset for offset in (-2, -1, 0, 2, 1) for k in range(K)])
     eye = np.eye(5 * K)
     for i in range(n - 1):
-        rows = slot + 3 + 5 * i
+        rows = row + 5 * i
         A[np.ix_(rows, slot + 5 * i)] = scale[:, None] * (-eye - h / 2 * node_block(system, i, eps))
         A[np.ix_(rows, slot + 5 * i + 5)] = scale[:, None] * (eye - h / 2 * node_block(system, i + 1, eps))
         rhs[rows] = scale * h / 2 * (Fvec[i] + Fvec[i + 1])
-    # the boundary rows X_blk = 0: the inlet-anchored components at station 0 in the first rows,
-    # the rest at station n - 1 in the last ones
+    # the boundary rows X_blk = 0: the inlet-anchored X1, X2, X5 at station 0 in rows 0, 2, 1,
+    # the rest at station n - 1 in the last two rows
     inlet, exit_ = np.flatnonzero(INLET_ANCHORED), N - 5 + np.flatnonzero(~INLET_ANCHORED)
-    for r, c in zip(np.r_[:len(inlet), N - len(exit_):N], np.r_[inlet, exit_]):
+    for r, c in zip(np.r_[0, 2, 1, N - len(exit_):N], np.r_[inlet, exit_]):
         A[N * np.arange(K) + r, N * np.arange(K) + c] = 1.0
     return A, rhs
 

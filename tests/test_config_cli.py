@@ -483,6 +483,28 @@ class TestExitCodes:
         assert error["error"] == "InputError" and f"config key {key}: cannot read" in error["message"]
         assert [path.name for path in tmp_path.iterdir()] == ["typed.json"]
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("modes.json", json.dumps({**TestConfig.MINIMAL, "boundary.s_modes": ["12"]})),
+         ("modes.json", json.dumps({**TestConfig.MINIMAL, "boundary.e_modes": [[1, 1.0], "23"]})),
+         ("dir.json", json.dumps({**TestConfig.MINIMAL, "output.dir": ""})),
+         ("dir.json", json.dumps({**TestConfig.MINIMAL, "output.dir": "  "})),
+         ("dir.cfg", "".join(f"{key} = {value}\n" for key, value in TestConfig.MINIMAL.items()) + "output.dir =\n")],
+        ids=["mode_string", "mode_string_after_pair", "dir_empty_json", "dir_blank_json", "dir_empty_text"],
+    )
+    def test_misread_value_exit_code(self, tmp_path, capsys, monkeypatch, name, text):
+        # a JSON mode item that is a string, not an [n, c] pair ("12" once read as mode 1 of
+        # coefficient 2), and an empty output.dir (once a run into the current directory)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        key = "output.dir" if name.startswith("dir") else "_modes"
+        assert main(["solve", "--config", name]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InputError" and "config key " in error["message"]
+        assert key in error["message"].split(":")[0]
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
     @pytest.mark.parametrize("key", ["gas.gamma", "gas.zeta0", "gas.J", "gas.S0"])
     def test_infinite_gas_parameter_exit_code(self, tmp_path, capsys, key):
         lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
@@ -523,6 +545,12 @@ class TestExitCodes:
 
 
 class TestSweep:
+    # the canonical gas at 51 x 2 on a window given by its length
+    LENGTH_CONFIG = "\n".join([
+        "gas.gamma = 3.0", "gas.zeta0 = 2.0", "gas.J = 1.0", "gas.S0 = 0.3333333333333333",
+        "background.u0 = 0.9", "domain.L = 0.7", "grid.n_x1 = 51", "grid.m = 2", "boundary.sigma = 1e-4",
+        "boundary.s_modes = 1:1.0", "boundary.e_modes = 1:1.0", "flags.override_certificate = true"]) + "\n"
+
     def test_empty_values_empty_table(self, cfg_file, tmp_path):
         out = tmp_path / "sw0"
         rc = main(["sweep", "--config", str(cfg_file), "--axis", "J", "--values", "", "--out", str(out)])
@@ -543,10 +571,7 @@ class TestSweep:
         # a sigma row keeps its config's window: on a domain.L config its row directory is the
         # solve's, file for file (rebuilt from speed ratios, the row solved L = 0.6999999999999993)
         cfgp = tmp_path / "length.cfg"
-        cfgp.write_text("\n".join([
-            "gas.gamma = 3.0", "gas.zeta0 = 2.0", "gas.J = 1.0", "gas.S0 = 0.3333333333333333",
-            "background.u0 = 0.9", "domain.L = 0.7", "grid.n_x1 = 51", "grid.m = 2", "boundary.sigma = 1e-4",
-            "boundary.s_modes = 1:1.0", "boundary.e_modes = 1:1.0", "flags.override_certificate = true"]) + "\n")
+        cfgp.write_text(self.LENGTH_CONFIG)
         solve, swept = tmp_path / "solve", tmp_path / "sweep"
         assert main(["solve", "--config", str(cfgp), "--out", str(solve)]) == 0
         assert main(["sweep", "--config", str(cfgp), "--axis", "sigma", "--values", "1", "--out", str(swept)]) == 0
@@ -558,6 +583,21 @@ class TestSweep:
         # sweep.csv's L is the nozzle length of the row's ratio window, not the solved L itself
         length = float((swept / "sweep.csv").read_text().splitlines()[1].split(",")[1])
         assert length == pytest.approx(0.7, rel=1e-12)
+
+    def test_failed_row_says_why_on_stderr(self, tmp_path, capsys):
+        # the d = 0.05 row's window is too short for the config's sigma; the d = 0.1 row solves
+        cfgp = tmp_path / "length.cfg"
+        cfgp.write_text(self.LENGTH_CONFIG)
+        out = tmp_path / "dsweep"
+        assert main(["sweep", "--config", str(cfgp), "--axis", "d", "--values", "0.05,0.1", "--out", str(out)]) == 0
+        [line] = capsys.readouterr().err.strip().splitlines()
+        failed = json.loads(line)
+        assert (failed["value"], failed["error"]) == (0.05, "InputError")
+        assert "exceeds cap" in failed["message"]
+        table = (out / "sweep.csv").read_text().splitlines()
+        assert table[0] == "value,L,alpha_min,certified,converged,sup_gs_minus_ls,iterations"
+        assert [row.split(",")[4] for row in table[1:]] == ["false", "true"]
+        assert table[1].split(",")[5] == "nan"
 
     def test_J_sweep_uncertified_rows_recorded(self, tmp_path):
         # gamma = 1.4 small-momentum family: L increases as J decreases
