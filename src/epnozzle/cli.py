@@ -2,8 +2,11 @@
 
 Artifacts written by ``solve``: ``background.csv``, ``fields/*.csv`` for
 psi, phi, Psi, T, rho, u1, u2, M, ``sonic_interface.csv``,
-``summary.json``, ``convergence.jsonl``.  Exit codes: 0 success, 2 input
-error, 3 non-convergence, 4 internal invariant violation.
+``summary.json``, ``convergence.jsonl``.  Each command computes first and
+makes its output directory only when the work that can fail is done, so a
+failed command, or a failed or refused sweep row, leaves no directory.
+Exit codes: 0 success, 2 input error, 3 non-convergence, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -57,18 +59,20 @@ def run(cfg: RunConfig, out_dir: Path, certificate=None) -> SolveOutcome:
     """Full pipeline: background -> regimes -> fixed point -> extraction + artifacts.
 
     ``certificate`` is the regime report of ``cfg``'s gas parameters when
-    the caller already holds it; otherwise it is computed here.
+    the caller already holds it; otherwise it is computed here.  Nothing is
+    written before the solve returns.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, bg, grid, bdata = build_problem(cfg)
-    bg.write_csv(out_dir / "background.csv")
     report = certify_regime(params) if certificate is None else certificate
-    with open(out_dir / "convergence.jsonl", "w") if cfg.emit_traces else nullcontext() as fh:
-        sink = None if fh is None else lambda entry: fh.write(
-            json.dumps({k: entry[k] for k in ("epsilon", "h1_diff", "sup_diff", "iterations")}) + "\n")
-        outcome = fixed_point_solve(bg, bdata, grid, **vars(cfg.solver_options()), certificate=report,
-                                    override_certificate=cfg.override_certificate, trace_sink=sink)
+    outcome = fixed_point_solve(bg, bdata, grid, **vars(cfg.solver_options()), certificate=report,
+                                override_certificate=cfg.override_certificate)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bg.write_csv(out_dir / "background.csv")
+    if cfg.emit_traces:
+        keys = ("epsilon", "h1_diff", "sup_diff", "iterations")
+        with open(out_dir / "convergence.jsonl", "w") as fh:
+            fh.write("".join(json.dumps({k: entry[k] for k in keys}) + "\n" for entry in outcome.eps_trace))
     if cfg.emit_fields:
         fdir = out_dir / "fields"
         fdir.mkdir(exist_ok=True)
@@ -132,7 +136,6 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
         raise InputError(f"unknown sweep axis {axis!r}")
     if len(set(values)) != len(values):
         raise InputError(f"repeated sweep values {list(values)}: rows would share an output directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     base_params = gas_from_config(cfg)
     # the speed-ratio window (kappa0, kappaL) that sweep.csv's L is measured in; only J moves the
@@ -173,6 +176,7 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
             print(json.dumps({"value": value, "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         rows.append(row)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write("value,L,alpha_min,certified,converged,sup_gs_minus_ls,iterations\n")
         for row in rows:
@@ -185,23 +189,25 @@ def sweep(cfg: RunConfig, axis: str, values, out_dir: Path) -> list:
 
 
 def _cmd_background(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = gas_from_config(cfg)
     u0, _ = resolve_window(cfg, params)
     bg = solve_background(params, u0, resolution=cfg.resolution)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bg.write_csv(out_dir / "background.csv")
     bg.write_summary(out_dir / "summary.json")
     return 0
 
 
 def _cmd_regimes(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = gas_from_config(cfg)
     report = certify_regime(params)
-    report.write_json(out_dir / "regime.json")
-    if cfg.emit_fields and report.d > 0:
+    profile = cfg.emit_fields and report.d > 0
+    if profile:
         kgrid = np.linspace(report.kappa0, report.kappaL, 501)
         vals, _ = regimes_mod.alpha_profile(kgrid, report.kappa0, report.kappaL, params, report.eta)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report.write_json(out_dir / "regime.json")
+    if profile:
         write_alpha_csv(out_dir / "alpha_profile.csv", kgrid, vals)
     return 0
 

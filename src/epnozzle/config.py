@@ -3,9 +3,10 @@
 A config is a mapping from dotted section keys to scalars; the text form
 is one ``key = value`` pair per line with ``#`` comments (whole lines, or
 after whitespace at the end of a line), the JSON form a flat object with
-the same keys; one converter per key reads both forms.  A value that does
-not convert is an ``InputError`` naming its key.  Parsing, serializing,
-and re-parsing is an identity on the typed configuration.
+the same keys.  Each ``RunConfig`` field declares its key and the one
+converter that reads both forms.  A value that does not convert is an
+``InputError`` naming its key.  Parsing, serializing, and re-parsing is an
+identity on the typed configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .background import DEFAULT_RESOLUTION
 from .boundary import BoundaryDataSpec
@@ -44,10 +45,6 @@ def _parse_modes(value) -> tuple:
     return tuple((_parse_int(n), _parse_number(c)) for n, c in value)
 
 
-def _format_modes(modes) -> str:
-    return ";".join(f"{n}:{c!r}" for n, c in modes)
-
-
 def _parse_bool(value) -> bool:
     """A flag from a JSON bool or one of the words true/1/yes, false/0/no (any case)."""
     if isinstance(value, bool):
@@ -66,38 +63,43 @@ def _parse_text(value) -> str:
     return value
 
 
+def _key(key: str, parse, default=None):
+    """A ``RunConfig`` field read from the dotted config ``key`` by ``parse``."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Typed run configuration; ``None`` marks an omitted optional key."""
 
-    gamma: float = None
-    zeta0: float = None
-    J: float = None
-    S0: float = None
-    E0: float | None = None
-    u0: float | None = None
-    resolution: int = DEFAULT_RESOLUTION
-    kappa0: float | None = None
-    kappaL: float | None = None
-    d: float | None = None
-    L: float | None = None
-    n_x1: int = 401
-    m: int = 16
-    sigma: float = 0.0
-    s_modes: tuple = ()
-    e_modes: tuple = ()
-    w_modes: tuple = ()
-    tol_eps: float = SolverOptions.tol_eps
-    tol_outer: float = SolverOptions.tol_outer
-    theta: float = SolverOptions.theta
-    eps0: float = SolverOptions.eps0
-    eps_cap: int = SolverOptions.eps_cap
-    max_outer: int = SolverOptions.max_outer
-    sigma_cap: float | None = SolverOptions.sigma_cap
-    out_dir: str = "out"
-    override_certificate: bool = False
-    emit_fields: bool = True
-    emit_traces: bool = True
+    gamma: float = _key("gas.gamma", _parse_number)
+    zeta0: float = _key("gas.zeta0", _parse_number)
+    J: float = _key("gas.J", _parse_number)
+    S0: float = _key("gas.S0", _parse_number)
+    E0: float | None = _key("gas.E0", _parse_number)
+    u0: float | None = _key("background.u0", _parse_number)
+    resolution: int = _key("background.resolution", _parse_int, DEFAULT_RESOLUTION)
+    kappa0: float | None = _key("window.kappa0", _parse_number)
+    kappaL: float | None = _key("window.kappaL", _parse_number)
+    d: float | None = _key("window.d", _parse_number)
+    L: float | None = _key("domain.L", _parse_number)
+    n_x1: int = _key("grid.n_x1", _parse_int, 401)
+    m: int = _key("grid.m", _parse_int, 16)
+    sigma: float = _key("boundary.sigma", _parse_number, 0.0)
+    s_modes: tuple = _key("boundary.s_modes", _parse_modes, ())
+    e_modes: tuple = _key("boundary.e_modes", _parse_modes, ())
+    w_modes: tuple = _key("boundary.w_modes", _parse_modes, ())
+    tol_eps: float = _key("tol.eps", _parse_number, SolverOptions.tol_eps)
+    tol_outer: float = _key("tol.outer", _parse_number, SolverOptions.tol_outer)
+    theta: float = _key("damping.theta", _parse_number, SolverOptions.theta)
+    eps0: float = _key("solver.eps0", _parse_number, SolverOptions.eps0)
+    eps_cap: int = _key("solver.eps_cap", _parse_int, SolverOptions.eps_cap)
+    max_outer: int = _key("solver.max_outer", _parse_int, SolverOptions.max_outer)
+    sigma_cap: float | None = _key("solver.sigma_cap", _parse_number, SolverOptions.sigma_cap)
+    out_dir: str = _key("output.dir", _parse_text, "out")
+    override_certificate: bool = _key("flags.override_certificate", _parse_bool, False)
+    emit_fields: bool = _key("flags.emit_fields", _parse_bool, True)
+    emit_traces: bool = _key("flags.emit_traces", _parse_bool, True)
 
     def validate(self) -> "RunConfig":
         for name in ("gamma", "zeta0", "J", "S0"):
@@ -135,49 +137,17 @@ class RunConfig:
         return BoundaryDataSpec(sigma=self.sigma, s_modes=self.s_modes, e_modes=self.e_modes, w_modes=self.w_modes)
 
 
-_KEYMAP = {
-    "gas.gamma": ("gamma", _parse_number),
-    "gas.zeta0": ("zeta0", _parse_number),
-    "gas.J": ("J", _parse_number),
-    "gas.S0": ("S0", _parse_number),
-    "gas.E0": ("E0", _parse_number),
-    "background.u0": ("u0", _parse_number),
-    "background.resolution": ("resolution", _parse_int),
-    "window.kappa0": ("kappa0", _parse_number),
-    "window.kappaL": ("kappaL", _parse_number),
-    "window.d": ("d", _parse_number),
-    "domain.L": ("L", _parse_number),
-    "grid.n_x1": ("n_x1", _parse_int),
-    "grid.m": ("m", _parse_int),
-    "boundary.sigma": ("sigma", _parse_number),
-    "boundary.s_modes": ("s_modes", _parse_modes),
-    "boundary.e_modes": ("e_modes", _parse_modes),
-    "boundary.w_modes": ("w_modes", _parse_modes),
-    "tol.eps": ("tol_eps", _parse_number),
-    "tol.outer": ("tol_outer", _parse_number),
-    "damping.theta": ("theta", _parse_number),
-    "solver.eps0": ("eps0", _parse_number),
-    "solver.eps_cap": ("eps_cap", _parse_int),
-    "solver.max_outer": ("max_outer", _parse_int),
-    "solver.sigma_cap": ("sigma_cap", _parse_number),
-    "output.dir": ("out_dir", _parse_text),
-    "flags.override_certificate": ("override_certificate", _parse_bool),
-    "flags.emit_fields": ("emit_fields", _parse_bool),
-    "flags.emit_traces": ("emit_traces", _parse_bool),
-}
-
-_FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEYMAP.items()}
-_DEFAULTS = RunConfig()
+_KEYMAP = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def config_from_mapping(raw: dict) -> RunConfig:
     kw = {}
     for key, value in raw.items():
-        if key not in _KEYMAP:
+        f = _KEYMAP.get(key)
+        if f is None:
             raise InputError(f"unknown config key {key!r}")
-        attr, conv = _KEYMAP[key]
         try:
-            kw[attr] = conv(value)
+            kw[f.name] = f.metadata["parse"](value)
         except (TypeError, ValueError) as exc:
             raise InputError(f"config key {key}: cannot read {value!r} ({exc})") from None
     return RunConfig(**kw).validate()
@@ -211,17 +181,15 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        default = getattr(_DEFAULTS, f.name)
-        if value is None and default is None:
+        if value is None and f.default is None:
             continue
-        key = _FIELD_TO_KEY[f.name]
         if isinstance(value, tuple):
-            text = _format_modes(value)
+            text = ";".join(f"{n}:{c!r}" for n, c in value)
         elif isinstance(value, bool):
             text = "true" if value else "false"
         else:
             text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
+        lines.append(f"{f.metadata['key']} = {text}")
     return "\n".join(sorted(lines)) + "\n"
 
 

@@ -290,9 +290,6 @@ def reconstruct_primitives(view: Collocated) -> dict:
 
     mass = g.D1 @ (rho * u1) + grid_d2_parity_split(rho * u2, g)
     poisson = g.D2 @ Phi + state.Psi.d22() - (rho - p.rho_bar_inf)
-    vorticity = g.D1 @ u2 - grid_d2_parity_split(u1, g) - rho ** (p.gamma - 1) * state.T.d2() / (
-        (p.gamma - 1) * u1
-    )
     entropy = rho * (u1 * state.T.d1() + u2 * state.T.d2())
     return {
         "rho": rho,
@@ -302,7 +299,6 @@ def reconstruct_primitives(view: Collocated) -> dict:
         "Phi": Phi,
         "residual_mass": mass,
         "residual_poisson": poisson,
-        "residual_vorticity": vorticity,
         "residual_entropy": entropy,
     }
 

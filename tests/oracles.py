@@ -7,7 +7,7 @@ coefficients and never read from a ``ModeSystem``), the dense
 integral-equation solve and dense box assembly on that data, the
 per-mode banded Poisson solve, the RK4 streamline tracer, the advective
 residual of transported fields, the discrete divergence of a momentum
-field, the per-row difference-matrix
+field, the vorticity balance of a solve, the per-row difference-matrix
 construction, the per-call parity-split derivative, the per-line sonic
 root, the per-value CSV writer and the ``np.unique`` window scan grid.
 """
@@ -242,6 +242,18 @@ def m_dot_grad(field, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 def divergence_residual(m1: np.ndarray, m2: np.ndarray, grid) -> np.ndarray:
     """``D1 m1 + d2 m2``: the package's central difference in x1, its parity-split derivative in x2."""
     return grid.D1 @ m1 + grid_d2_parity_split(m2, grid)
+
+
+def vorticity_residual(out) -> np.ndarray:
+    """``D1 u2 - d2 u1 - rho^(gamma-1) d2 T / ((gamma-1) u1)`` of a solve outcome.
+
+    The vorticity balance of the extension to nonzero vorticity, on the
+    operators of :func:`divergence_residual` and the outcome's primitives.
+    """
+    grid, prim, gamma = out.state.grid, out.primitives, out.background.params.gamma
+    u1, u2, rho = prim["u1"], prim["u2"], prim["rho"]
+    return (grid.D1 @ u2 - grid_d2_parity_split(u1, grid)
+            - rho ** (gamma - 1) * out.state.T.d2() / ((gamma - 1) * u1))
 
 
 def trace_streamlines(sf, x2_starts, n_steps: int = 400):

@@ -237,11 +237,13 @@ class TestRunPipeline:
         assert summary["certificate"]["certified"] is False  # J = 1 is uncertified
 
     def test_convergence_trace_schema(self, run_dir):
-        out, _ = run_dir
+        out, outcome = run_dir
         lines = (out / "convergence.jsonl").read_text().splitlines()
         assert lines
         entry = json.loads(lines[0])
         assert set(entry) == {"epsilon", "h1_diff", "sup_diff", "iterations"}
+        assert lines == [json.dumps({k: e[k] for k in ("epsilon", "h1_diff", "sup_diff", "iterations")})
+                         for e in outcome.eps_trace]
 
     def test_csv_headers_and_precision(self, run_dir):
         out, _ = run_dir
@@ -319,6 +321,17 @@ class TestCliEntry:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "InputError" and error["exit_code"] == 2
         assert "theta" in error["message"]
+
+    @pytest.mark.parametrize("command", ["solve", "regimes", "background", "sweep"])
+    def test_bad_gas_leaves_no_directory(self, tmp_path, capsys, command):
+        # gamma = 0.5 passes the config's own checks and fails at the gas; nothing is written
+        cfgp = tmp_path / "gamma.cfg"
+        cfgp.write_text(BASE_CONFIG.replace("gas.gamma = 3.0", "gas.gamma = 0.5"))
+        out = tmp_path / "o"
+        sweep_args = ["--axis", "J", "--values", "1"] if command == "sweep" else []
+        assert main([command, "--config", str(cfgp), "--out", str(out), *sweep_args]) == 2
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "InputError"
+        assert not out.exists()
 
     def test_missing_certificate_exit_code(self, tmp_path):
         text = BASE_CONFIG.replace("flags.override_certificate = true", "")
@@ -598,6 +611,7 @@ class TestSweep:
         assert table[0] == "value,L,alpha_min,certified,converged,sup_gs_minus_ls,iterations"
         assert [row.split(",")[4] for row in table[1:]] == ["false", "true"]
         assert table[1].split(",")[5] == "nan"
+        assert not (out / "row_d_0.05").exists() and (out / "row_d_0.1" / "summary.json").exists()
 
     def test_J_sweep_uncertified_rows_recorded(self, tmp_path):
         # gamma = 1.4 small-momentum family: L increases as J decreases

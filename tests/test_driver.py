@@ -366,9 +366,11 @@ class TestBoxSolveStarts:
         monkeypatch.setattr(mixed_solver.ModeSystem, "solve_banded", solve)
         monkeypatch.setattr(mixed_solver, "vanishing_viscosity", continuation)
         monkeypatch.setattr(mixed_solver, "_gmres", run)
-        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-4)
+        seen = []
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-4, trace_sink=seen.append)
         eps0, n = SolverOptions.eps0, out.iterations
         assert out.converged and n >= 3
+        assert seen == out.eps_trace  # the library sink gets each step of the returned trace, in order
         assert [(t["iterations"], t["k"]) for t in out.eps_trace] == [(it, 1) for it in range(1, n + 1)]
         assert all(t["h1_diff"] <= 1e-4 for t in out.eps_trace)
         assert [eps for eps, _ in solves] == [eps0, eps0 / 2] * n
