@@ -25,7 +25,9 @@ is a sum over its modes (``Field2D.h1_norm``).  Flow-direction derivatives are n
 
 from __future__ import annotations
 
+import functools
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,13 +257,228 @@ def grid_d2_parity_split(values: np.ndarray, grid: Grid) -> np.ndarray:
             + odd.project(0.5 * (values - values[:, ::-1]), grid.w2) @ odd.d2.T)
 
 
+# CSV numbers: every float of a table is printed as C printf "%.17g" prints it (CPython's
+# "%.17g" % x gives the same bytes), but the digits are computed in numpy.  With x = M 2**(E - 53)
+# (M the 53-bit integer significand) and k = floor(log10 |x|), the 17 digits are the integer
+# N = round-half-even(M 5**p 2**(E - 53 + p)), p = 16 - k, evaluated exactly in 32-bit limbs of
+# uint64: the fixed-precision method of Adams 2019, "Ryu revisited: printf floating point
+# conversion".  5**p < 2**63 for p <= 27 bounds the exact window to 10**-11 <= |x| < 1e17; zeros,
+# non-finite values and magnitudes outside it take "%.17g" one value at a time.  A value's text is
+# laid out in four little-endian 64-bit words: the sign and a "0.000" prefix at the high end of the
+# first, the digits, point, exponent and separator in the other three; the NUL padding is dropped
+# when the block is written.  Every constant that meets a uint64 array is an np.uint64: on numpy
+# 1.x, uint64 with a signed integer promotes to float64.  Temporaries are deleted once read, which
+# keeps a block's peak near 130 bytes per value.
+_CSV_BLOCK = 2048  # values formatted at a time
+_EXACT_END = 1e17
+_EXACT_MIN = float(np.nextafter(1e-11, 1.0))  # the float 1e-11 lies just below 10**-11
+
+
+def _words(masks, n_words: int) -> np.ndarray:
+    """``(n_words, len(masks))`` uint64: the 64-bit words, low first, of each integer in ``masks``."""
+    return np.array([[m >> 64 * w & (1 << 64) - 1 for m in masks] for w in range(n_words)], dtype=np.uint64)
+
+
+class _CsvTables(NamedTuple):
+    digits4: np.ndarray  # the ASCII of each 4-digit group, first digit in the low byte
+    zeros4: np.ndarray  # its trailing zeros: 4 for 0000
+    pow5_lo: np.ndarray  # 5**p, p = 0..27, in 32-bit limbs
+    pow5_hi: np.ndarray
+    # three words over the 17-digit string: bytes [0, n) kept (row n); bytes [a, 17) and the
+    # '.' at byte a for a point before digit a (row 17: no point)
+    keep: np.ndarray
+    after: np.ndarray
+    point: np.ndarray
+    # per k in -11..16: the digits before the point, and the digit the point goes before
+    int_digits: np.ndarray
+    point_at: np.ndarray
+    # per (k, flag): the sign and "0.000" prefix (flag: negative), at the high end of a word,
+    # and the exponent and separator (flag: last column)
+    prefix: np.ndarray
+    suffix: np.ndarray
+    byte_bits: np.ndarray  # 0, 8, ..., 56
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """The writer's constant tables, built on its first call (a run that writes no CSV never
+    touches them)."""
+    U = np.uint64
+    group = np.arange(10000, dtype=U)
+    digits4 = np.zeros(10000, U)
+    zeros4 = np.zeros(10000, np.int64)
+    for c in range(4):
+        tens = group // U(10 ** (c + 1))
+        zeros4 += tens * U(10 ** (c + 1)) == group
+        digits4 |= (group // U(10 ** c) - tens * U(10) + U(48)) << U(24 - 8 * c)
+    pow5 = _words([5 ** p for p in range(28)], 1)[0]
+    int_digits, point_at, prefix, suffix = [], [], [], []
+    for k in range(-11, 17):
+        int_digits.append(k + 1 if k >= 0 else 1)
+        point_at.append(k + 1 if k >= 0 else 17 if k >= -4 else 1)
+        for flag in (0, 1):
+            text = b"-" * flag + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"")
+            prefix.append(int.from_bytes(text, "little") << 8 * (8 - len(text)))
+            text = (b"e%+03d" % k if k < -4 else b"") + (b"\n" if flag else b",")
+            suffix.append(int.from_bytes(text, "little"))
+    tables = _CsvTables(
+        digits4, zeros4, pow5 & U(0xFFFFFFFF), pow5 >> U(32),
+        _words([(1 << 8 * n) - 1 for n in range(18)], 3),
+        _words([(1 << 192) - (1 << 8 * a) for a in range(17)] + [0], 3),
+        _words([ord(".") << 8 * a for a in range(17)] + [0], 3),
+        np.array(int_digits), np.array(point_at), _words(prefix, 1)[0], _words(suffix, 1)[0],
+        np.arange(0, 64, 8, dtype=U))
+    for table in tables:
+        table.flags.writeable = False  # every call shares them
+    return tables
+
+
+def _round17(M, E, k):
+    """``N = round-half-even(M 10**(16 - k) 2**(E - 53))``, exactly, and the quotient truncated."""
+    U, tab = np.uint64, _csv_tables()
+    p = 16 - k
+    f_lo, f_hi = tab.pow5_lo.take(p), tab.pow5_hi.take(p)
+    p += E
+    p -= 53  # the product M 5**p is shifted left by this many bits (right by minus it)
+    left = np.maximum(p, 0).astype(U)
+    right = np.negative(np.minimum(p, 0, out=p), out=p).astype(U)
+    del p
+    m_lo, m_hi = M & U(0xFFFFFFFF), M >> U(32)
+    lo = m_lo * f_lo
+    mid = np.multiply(m_hi, f_lo, out=f_lo)
+    mid += np.multiply(m_lo, f_hi, out=m_lo)
+    hi = np.multiply(m_hi, f_hi, out=f_hi)  # the product is hi 2**64 + mid 2**32 + lo, before carries
+    del m_lo, m_hi
+    cross = mid << U(32)
+    lo += cross
+    hi += np.right_shift(mid, U(32), out=mid)
+    hi += lo < cross
+    del mid, cross
+    q = lo >> right
+    hi <<= U(63) - right  # a shift by 64 - right, in two steps so that right = 0 is allowed
+    hi <<= U(1)
+    q |= hi
+    q <<= left
+    half = np.left_shift(U(1), right, out=right)  # against twice the remainder: round up above
+    lo &= half - U(1)                             # it, or on it with q odd
+    lo <<= U(1)
+    lo += q & U(1)
+    return q + (lo > half), q
+
+
+def _decimal17(values: np.ndarray):
+    """The 17-digit decimal ``N 10**(k - 16)`` of each value, and where it is exact (in the window)."""
+    U = np.uint64
+    mag = np.abs(values)
+    exact = (mag >= _EXACT_MIN) & (mag < _EXACT_END)
+    mag[~exact] = 1.0
+    frac, E = np.frexp(mag)
+    frac *= 2.0 ** 53
+    M = frac.astype(U)
+    del frac
+    k = np.floor(np.log10(mag, out=mag), out=mag).astype(np.int64)
+    np.minimum(k, 16, out=k)
+    np.maximum(k, -11, out=k)
+    N, q = _round17(M, E, k)
+    # log10 can be one off near a power of ten; the truncated quotient then leaves [1e16, 1e17)
+    off = np.flatnonzero(q - U(10 ** 16) >= U(9 * 10 ** 16))  # q < 1e16 wraps around
+    if off.size:
+        k[off] += np.where(q[off] < U(10 ** 16), -1, 1)
+        N[off] = _round17(M[off], E[off], k[off])[0]
+    return N, k, exact  # N < 1e17: no float in the window rounds up to a power of ten
+
+
+def _text_words(N, k, negative, last_col) -> np.ndarray:
+    """``(n, 4)`` little-endian words holding the NUL-padded ``%.17g`` text of ``N 10**(k - 16)``,
+    its separator included (``N`` and ``k`` are overwritten)."""
+    U, tab = np.uint64, _csv_tables()
+    # the digits in groups 4 + 4 | 1 + 4 + 4, and the count of trailing zeros
+    t2 = N // U(10 ** 9)
+    N -= t2 * U(10 ** 9)
+    t1 = t2 // U(10 ** 4)
+    t2 -= t1 * U(10 ** 4)
+    d8 = N // U(10 ** 8)
+    N -= d8 * U(10 ** 8)
+    t3 = N // U(10 ** 4)
+    t4 = N
+    t4 -= t3 * U(10 ** 4)
+    zeros = tab.zeros4.take(t4)
+    z = np.flatnonzero(t4 == U(0))
+    for group in (t3, d8, t2, t1):
+        if not z.size:
+            break
+        zeros[z] += tab.zeros4[group[z]] if group is not d8 else group[z] == U(0)
+        z = z[group[z] == U(0)]
+    # the string of digits in three words, cut after its last nonzero digit, or after the integer
+    # digits in fixed notation; the point before digit k + 1 in fixed notation, before digit 1 in
+    # exponent notation, and none without digits after it or in the "0.000" prefix (k < 0)
+    k += 11  # the row of k in the per-k tables
+    kept = np.maximum(17 - zeros, tab.int_digits.take(k))
+    point = tab.point_at.take(k)
+    point[point >= kept] = 17
+    words = np.empty((3, k.size), U)
+    words[0] = tab.digits4.take(t1)
+    words[0] |= tab.digits4.take(t2) << U(32)
+    words[2] = tab.digits4.take(t4)
+    words[1] = d8 + U(48)
+    words[1] |= tab.digits4.take(t3) << U(8)
+    words[1] |= words[2] << U(40)
+    words[2] >>= U(24)
+    del t1, t2, t3, t4, d8, zeros, z
+    words &= tab.keep.take(kept, axis=1)
+    after = words & tab.after.take(point, axis=1)
+    words ^= after
+    words |= after << U(8)
+    words[1:] |= after[:2] >> U(56)
+    words |= tab.point.take(point, axis=1)
+    # the sign and the "0.000" prefix in word 0, ending where the string starts, and the exponent
+    # and separator after the string
+    end = kept + (point < 17)
+    del kept, point, after
+    n = k.size
+    text = np.empty(4 * n + 1, np.dtype("<u8"))  # a spare word for the last separator's high half
+    text[-1] = 0
+    rows = text[:-1].reshape(n, 4)
+    rows[:, 0] = tab.prefix.take(2 * k + negative)
+    rows[:, 1:] = words.T
+    del words
+    suffix = tab.suffix.take(2 * k + last_col)
+    bits = tab.byte_bits.take(end & 7)
+    at = np.arange(1, 4 * n, 4) + (end >> 3)
+    text[at] |= suffix << bits
+    suffix >>= U(63) - bits  # the bits shifted out, in two steps: bits = 0 is allowed
+    suffix >>= U(1)
+    text[at + 1] |= suffix
+    return rows
+
+
+def _format_block(values: np.ndarray, last_col: np.ndarray) -> bytes:
+    """The ``%.17g`` text of ``values`` (table rows, flattened), each value followed by ``,`` or,
+    where ``last_col`` is 1, by a newline."""
+    N, k, exact = _decimal17(values)
+    text = _text_words(N, k, values < 0, last_col).view(np.uint8)
+    del N, k
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        lines = [("%.17g\n" if last else "%.17g,") % x
+                 for x, last in zip(values[slow].tolist(), last_col[slow].tolist())]
+        text[slow] = np.array(lines, "S32").view(np.uint8).reshape(-1, 32)
+    return text.tobytes().translate(None, b"\0")
+
+
 def write_csv_table(path, header: str, columns) -> None:
     """CSV of the float columns (1-D or 2-D arrays, stacked side by side)
-    under ``header``, each value as ``%.17g``, formatted and written at once."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
+    under ``header``, each value as ``%.17g``, formatted and written a block of rows at a time."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    rows, cols = len(columns[0]), sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    n_blocks = max(1, -(-rows * cols // _CSV_BLOCK))
+    step = max(1, -(-rows // n_blocks))  # rows per block, the blocks of equal size
+    last_col = np.tile(np.arange(cols) == cols - 1, step).astype(np.int64)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, rows, step):
+            block = np.column_stack([c[start:start + step] for c in columns]).ravel()
+            fh.write(_format_block(block, last_col[:block.size]))
 
 
 def write_grid_csv(path, field_values: np.ndarray, grid: Grid) -> None:

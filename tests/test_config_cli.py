@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import per_value_csv
 
 import epnozzle
 from epnozzle import InputError, background_profile, parse_config, serialize_config
@@ -71,6 +72,20 @@ def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG)
     return path
+
+
+def assert_float_tables_per_value(out: Path) -> int:
+    """Every float CSV under ``out`` is per-value ``%.17g`` of its own cells (the text round-trips
+    through float); returns how many were checked.  ``sweep.csv`` holds words and is skipped."""
+    checked = 0
+    for path in sorted(out.rglob("*.csv")):
+        if path.name == "sweep.csv":
+            continue
+        header, *lines = path.read_text().splitlines()
+        assert path.read_text() == per_value_csv(header, [[float(cell) for cell in line.split(",")]
+                                                          for line in lines]), path
+        checked += 1
+    return checked
 
 
 class TestConfig:
@@ -260,6 +275,10 @@ class TestRunPipeline:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["sup_gs_minus_ls"] <= 1e-8
+
+    def test_float_tables_are_per_value_formatting(self, run_dir):
+        out, _ = run_dir
+        assert assert_float_tables_per_value(out) == 10  # background, sonic interface, eight fields
 
     def test_deterministic_rerun(self, run_dir, tmp_path):
         out, _ = run_dir
@@ -563,6 +582,17 @@ class TestSweep:
         "gas.gamma = 3.0", "gas.zeta0 = 2.0", "gas.J = 1.0", "gas.S0 = 0.3333333333333333",
         "background.u0 = 0.9", "domain.L = 0.7", "grid.n_x1 = 51", "grid.m = 2", "boundary.sigma = 1e-4",
         "boundary.s_modes = 1:1.0", "boundary.e_modes = 1:1.0", "flags.override_certificate = true"]) + "\n"
+
+    def test_float_tables_of_a_sweep_are_per_value_formatting(self, tmp_path):
+        # two certified small-J rows of the benchmark's gamma = 1.4 gas at 51 x 2
+        cfg = parse_config("\n".join([
+            "gas.gamma = 1.4", "gas.zeta0 = 2.0", "gas.J = 0.001", "gas.S0 = 1.0", "window.d = 0.015625",
+            "grid.n_x1 = 51", "grid.m = 2", "boundary.sigma = 1.5e-7",
+            "boundary.s_modes = 1:1.0;2:0.5;3:0.3333333333333333",
+            "boundary.e_modes = 1:1.0;2:0.5;3:0.3333333333333333"]))
+        rows = sweep(cfg, "J", [0.001, 0.005], tmp_path / "sweep")
+        assert [r["converged"] for r in rows] == [True, True]
+        assert assert_float_tables_per_value(tmp_path / "sweep") == 20
 
     def test_empty_values_empty_table(self, cfg_file, tmp_path):
         out = tmp_path / "sw0"

@@ -1,6 +1,9 @@
 """Spectral representation: round trips, quadrature exactness, differentiation, CSV tables."""
 
 import dataclasses
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +13,18 @@ from hypothesis import strategies as st
 from oracles import galerkin_basis, lil_d1_matrix, lil_d2_matrix, parity_split_d2, per_value_csv
 
 from epnozzle import Field2D, GasParameters, Grid, InputError, solve_background
-from epnozzle.fields import d1_stencil, d2_stencil, write_csv_table, write_grid_csv
+from epnozzle.fields import _CSV_BLOCK, _EXACT_MIN, d1_stencil, d2_stencil, write_csv_table, write_grid_csv
 from epnozzle.regimes import write_alpha_csv
 
 GRID = Grid(L=0.6, n_x1=41, m=8)
+# every float64: nan, infinities, subnormals and signed zeros among them, with powers of ten and
+# their neighbours (where the decimal exponent turns) drawn often
+CSV_FLOATS = st.floats(width=64) | st.integers(-30, 30).flatmap(
+    lambda j: st.sampled_from([10.0 ** j, np.nextafter(10.0 ** j, 0.0), np.nextafter(10.0 ** j, np.inf)]))
+# tables up to 40 x 7 whose cells are drawn, by a seeded generator, from a drawn list of such floats
+CSV_TABLES = st.tuples(st.integers(1, 40), st.integers(1, 7), st.lists(CSV_FLOATS, min_size=1, max_size=16),
+                       st.integers(0, 2 ** 32 - 1)).map(
+    lambda t: np.array(t[2])[np.random.default_rng(t[3]).integers(len(t[2]), size=(t[0], t[1]))])
 
 
 class TestGrid:
@@ -269,3 +280,71 @@ class TestCsvNumberContract:
         path = tmp_path / "alpha.csv"
         write_alpha_csv(path, kappa, alpha)
         assert path.read_text() == per_value_csv("kappa,alpha", zip(kappa, alpha))
+
+    # --- the numpy formatter against per-value "%.17g", value family by value family ----------
+
+    def _assert_per_value(self, path, table):
+        write_csv_table(path, "a", [table])
+        assert path.read_text() == per_value_csv("a", table.reshape(table.shape[0], -1))
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = 10.0 ** np.arange(-30, 31)
+        family = np.stack([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)], axis=1)
+        self._assert_per_value(tmp_path / "p.csv", np.concatenate([family, -family]))
+
+    def test_no_float_in_the_exact_window_rounds_up_to_a_power_of_ten(self):
+        # the writer keeps 17 digits without a carry into an 18th: the largest float below each
+        # power of ten in the window has 17 digits that are not all nines rounded up
+        for j in range(-10, 18):
+            below = np.nextafter(10.0 ** j, 0.0) if Fraction(10.0 ** j) >= Fraction(10) ** j else 10.0 ** j
+            assert ("%.16e" % below).startswith("9.9999999999999")
+
+    def test_exact_ties_at_the_eighteenth_digit_round_half_even(self, tmp_path):
+        # j / 2**t with t = 17 - k has exactly 18 significant digits, the last a 5: a tie
+        rng = np.random.default_rng(18)
+        ties = [1234567890123456.25, 1234567890123456.75]
+        for k in range(-7, 16):
+            t = 17 - k
+            lo = int(Fraction(10) ** k * 2 ** t) + 1
+            hi = min(int(Fraction(10) ** (k + 1) * 2 ** t), 2 ** 53)
+            ties += [(int(j) | 1) * 2.0 ** -t for j in rng.integers(lo, hi, 12)]
+        for x in ties:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        ties = np.array(ties)
+        self._assert_per_value(tmp_path / "t.csv", np.stack([ties, -ties], axis=1))
+
+    def test_both_sides_of_the_notation_switches(self, tmp_path):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 9.5e-5, 9.99e15, 1.5e16, 9.9e16])
+        family = np.stack([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)], axis=1)
+        self._assert_per_value(tmp_path / "g.csv", np.concatenate([family, -family]))
+
+    def test_edges_of_the_exact_window(self, tmp_path):
+        edges = np.array([_EXACT_MIN, 1e-11, 1e-12, 1e16, 1e17, np.nextafter(1e17, 0.0), 2.0 ** 53, 2.0 ** 56])
+        family = np.stack([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)], axis=1)
+        self._assert_per_value(tmp_path / "w.csv", np.concatenate([family, -family]))
+        assert Fraction(_EXACT_MIN) >= Fraction(1, 10 ** 11) > Fraction(np.nextafter(_EXACT_MIN, 0.0))
+
+    def test_a_table_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n_rows = 3 * _CSV_BLOCK // 7 + 5
+        table = rng.standard_normal((n_rows, 7)) * 10.0 ** rng.integers(-14, 18, (n_rows, 7))
+        table.ravel()[rng.choice(table.size, 300, replace=False)] = rng.choice(self.SPECIAL, 300)
+        self._assert_per_value(tmp_path / "b.csv", table)
+
+    @given(table=CSV_TABLES)
+    def test_any_table_matches_per_value_formatting(self, table, tmp_path_factory):
+        self._assert_per_value(tmp_path_factory.getbasetemp() / "any.csv", table)
+
+    def test_memory_does_not_grow_with_the_table(self, tmp_path):
+        # the writer formats a block of rows at a time: its traced peak is bounded by the block,
+        # and the same for a table ten times larger (the first call builds the constant tables)
+        write_csv_table(tmp_path / "m.csv", "a", [np.ones(1)])
+        peaks = []
+        for n_rows in (20_000, 200_000):
+            table = np.linspace(-1.0, 1.0, 5 * n_rows).reshape(n_rows, 5)
+            tracemalloc.start()
+            write_csv_table(tmp_path / "m.csv", "a,b,c,d,e", [table])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert max(peaks) < 400_000
