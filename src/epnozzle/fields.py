@@ -264,19 +264,20 @@ def grid_d2_parity_split(values: np.ndarray, grid: Grid) -> np.ndarray:
 # uint64: the fixed-precision method of Adams 2019, "Ryu revisited: printf floating point
 # conversion".  5**p < 2**63 for p <= 27 bounds the exact window to 10**-11 <= |x| < 1e17; zeros,
 # non-finite values and magnitudes outside it take "%.17g" one value at a time.  A value's text is
-# laid out in four little-endian 64-bit words: the sign and a "0.000" prefix at the high end of the
-# first, the digits, point, exponent and separator in the other three; the NUL padding is dropped
-# when the block is written.  Every constant that meets a uint64 array is an np.uint64: on numpy
-# 1.x, uint64 with a signed integer promotes to float64.  Temporaries are deleted once read, which
-# keeps a block's peak near 130 bytes per value.
+# laid out in five little-endian 64-bit words, each part NUL-padded in words of its own: the sign
+# and a "0.000" prefix in word 0, the digits and point in words 1-3, the exponent and separator in
+# word 4; the padding is dropped when the block is written.  Every constant that meets a uint64
+# array is an np.uint64: on numpy 1.x, uint64 with a signed integer promotes to float64.
+# Temporaries are deleted once read, which keeps a block's peak near 140 bytes per value.
 _CSV_BLOCK = 2048  # values formatted at a time
 _EXACT_END = 1e17
 _EXACT_MIN = float(np.nextafter(1e-11, 1.0))  # the float 1e-11 lies just below 10**-11
 
 
-def _words(masks, n_words: int) -> np.ndarray:
-    """``(n_words, len(masks))`` uint64: the 64-bit words, low first, of each integer in ``masks``."""
-    return np.array([[m >> 64 * w & (1 << 64) - 1 for m in masks] for w in range(n_words)], dtype=np.uint64)
+def _u64(texts, width: int = 8) -> np.ndarray:
+    """The little-endian 64-bit words of the byte strings ``texts``, each NUL-padded to ``width``
+    bytes (a multiple of 8), one after another."""
+    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts), "<u8")
 
 
 class _CsvTables(NamedTuple):
@@ -284,7 +285,7 @@ class _CsvTables(NamedTuple):
     zeros4: np.ndarray  # its trailing zeros: 4 for 0000
     pow5_lo: np.ndarray  # 5**p, p = 0..27, in 32-bit limbs
     pow5_hi: np.ndarray
-    # three words over the 17-digit string: bytes [0, n) kept (row n); bytes [a, 17) and the
+    # three words over the 17-digit string: bytes [0, n) kept (row n); bytes [a, 24) and the
     # '.' at byte a for a point before digit a (row 17: no point)
     keep: np.ndarray
     after: np.ndarray
@@ -292,42 +293,32 @@ class _CsvTables(NamedTuple):
     # per k in -11..16: the digits before the point, and the digit the point goes before
     int_digits: np.ndarray
     point_at: np.ndarray
-    # per (k, flag): the sign and "0.000" prefix (flag: negative), at the high end of a word,
-    # and the exponent and separator (flag: last column)
+    # per (k, flag): the sign and "0.000" prefix (flag: negative), and the exponent and
+    # separator (flag: last column)
     prefix: np.ndarray
     suffix: np.ndarray
-    byte_bits: np.ndarray  # 0, 8, ..., 56
 
 
 @functools.cache
 def _csv_tables() -> _CsvTables:
     """The writer's constant tables, built on its first call (a run that writes no CSV never
     touches them)."""
-    U = np.uint64
-    group = np.arange(10000, dtype=U)
-    digits4 = np.zeros(10000, U)
-    zeros4 = np.zeros(10000, np.int64)
-    for c in range(4):
-        tens = group // U(10 ** (c + 1))
-        zeros4 += tens * U(10 ** (c + 1)) == group
-        digits4 |= (group // U(10 ** c) - tens * U(10) + U(48)) << U(24 - 8 * c)
-    pow5 = _words([5 ** p for p in range(28)], 1)[0]
+    groups = [b"%04d" % i for i in range(10000)]
+    pow5 = np.array([5 ** p for p in range(28)], np.uint64)
     int_digits, point_at, prefix, suffix = [], [], [], []
     for k in range(-11, 17):
         int_digits.append(k + 1 if k >= 0 else 1)
         point_at.append(k + 1 if k >= 0 else 17 if k >= -4 else 1)
         for flag in (0, 1):
-            text = b"-" * flag + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"")
-            prefix.append(int.from_bytes(text, "little") << 8 * (8 - len(text)))
-            text = (b"e%+03d" % k if k < -4 else b"") + (b"\n" if flag else b",")
-            suffix.append(int.from_bytes(text, "little"))
+            prefix.append(b"-" * flag + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b""))
+            suffix.append((b"e%+03d" % k if k < -4 else b"") + (b"\n" if flag else b","))
     tables = _CsvTables(
-        digits4, zeros4, pow5 & U(0xFFFFFFFF), pow5 >> U(32),
-        _words([(1 << 8 * n) - 1 for n in range(18)], 3),
-        _words([(1 << 192) - (1 << 8 * a) for a in range(17)] + [0], 3),
-        _words([ord(".") << 8 * a for a in range(17)] + [0], 3),
-        np.array(int_digits), np.array(point_at), _words(prefix, 1)[0], _words(suffix, 1)[0],
-        np.arange(0, 64, 8, dtype=U))
+        _u64(groups), np.array([4 - len(g.rstrip(b"0")) for g in groups]),
+        pow5 & np.uint64(0xFFFFFFFF), pow5 >> np.uint64(32),
+        _u64([b"\xff" * n for n in range(18)], 24).reshape(18, 3).T,
+        _u64([b"\0" * a + b"\xff" * (24 - a) for a in range(18)], 24).reshape(18, 3).T,
+        _u64([b"\0" * a + b"." * (a < 17) for a in range(18)], 24).reshape(18, 3).T,
+        np.array(int_digits), np.array(point_at), _u64(prefix), _u64(suffix))
     for table in tables:
         table.flags.writeable = False  # every call shares them
     return tables
@@ -389,7 +380,7 @@ def _decimal17(values: np.ndarray):
 
 
 def _text_words(N, k, negative, last_col) -> np.ndarray:
-    """``(n, 4)`` little-endian words holding the NUL-padded ``%.17g`` text of ``N 10**(k - 16)``,
+    """``(n, 5)`` little-endian words holding the NUL-padded ``%.17g`` text of ``N 10**(k - 16)``,
     its separator included (``N`` and ``k`` are overwritten)."""
     U, tab = np.uint64, _csv_tables()
     # the digits in groups 4 + 4 | 1 + 4 + 4, and the count of trailing zeros
@@ -431,24 +422,12 @@ def _text_words(N, k, negative, last_col) -> np.ndarray:
     words |= after << U(8)
     words[1:] |= after[:2] >> U(56)
     words |= tab.point.take(point, axis=1)
-    # the sign and the "0.000" prefix in word 0, ending where the string starts, and the exponent
-    # and separator after the string
-    end = kept + (point < 17)
     del kept, point, after
-    n = k.size
-    text = np.empty(4 * n + 1, np.dtype("<u8"))  # a spare word for the last separator's high half
-    text[-1] = 0
-    rows = text[:-1].reshape(n, 4)
+    rows = np.empty((k.size, 5), np.dtype("<u8"))
     rows[:, 0] = tab.prefix.take(2 * k + negative)
-    rows[:, 1:] = words.T
+    rows[:, 1:4] = words.T
     del words
-    suffix = tab.suffix.take(2 * k + last_col)
-    bits = tab.byte_bits.take(end & 7)
-    at = np.arange(1, 4 * n, 4) + (end >> 3)
-    text[at] |= suffix << bits
-    suffix >>= U(63) - bits  # the bits shifted out, in two steps: bits = 0 is allowed
-    suffix >>= U(1)
-    text[at + 1] |= suffix
+    rows[:, 4] = tab.suffix.take(2 * k + last_col)
     return rows
 
 
@@ -462,7 +441,7 @@ def _format_block(values: np.ndarray, last_col: np.ndarray) -> bytes:
     if slow.size:
         lines = [("%.17g\n" if last else "%.17g,") % x
                  for x, last in zip(values[slow].tolist(), last_col[slow].tolist())]
-        text[slow] = np.array(lines, "S32").view(np.uint8).reshape(-1, 32)
+        text[slow] = np.array(lines, "S40").view(np.uint8).reshape(-1, 40)
     return text.tobytes().translate(None, b"\0")
 
 

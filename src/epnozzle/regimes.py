@@ -65,13 +65,6 @@ def curly_F(kappa: float, params: GasParameters) -> float:
     return float(_curly_F_closed(kappa, params))
 
 
-def _check_window(kappa0: float, kappaL: float, params: GasParameters) -> None:
-    if not (0 < kappa0 <= 1.0 <= kappaL):
-        raise InputError(f"window must straddle 1: got [{kappa0}, {kappaL}]")
-    if kappaL > kappa_max(params) + 1e-12:
-        raise InputError(f"kappaL = {kappaL} beyond the orbit range")
-
-
 def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     """Squared window integral ``(integral dkappa / (kappa * kappa_H))^2``.
 
@@ -117,7 +110,8 @@ def nozzle_length(kappa0: float, kappaL: float, params: GasParameters) -> float:
         raise InputError("empty window: kappaL < kappa0")
     if kappaL == kappa0:
         return 0.0
-    _check_window(kappa0, kappaL, params)
+    if not (0 < kappa0 <= 1.0 <= kappaL):
+        raise InputError(f"window must straddle 1: got [{kappa0}, {kappaL}]")
     J, h0, g = params.J, params.h0, params.gamma
     return np.sqrt(h0 ** 3 / 2.0) * J ** ((g - 2.0) / (g + 1.0)) * np.sqrt(
         lambda_window(kappa0, kappaL, params)

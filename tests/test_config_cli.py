@@ -74,6 +74,15 @@ def cfg_file(tmp_path):
     return path
 
 
+def read_json_artifact(path: Path):
+    """The JSON artifact at ``path``, whose text must be its own 2-space-indented dump and one
+    trailing newline."""
+    text = path.read_text()
+    value = json.loads(text)
+    assert text == json.dumps(value, indent=2) + "\n", path
+    return value
+
+
 def assert_float_tables_per_value(out: Path) -> int:
     """Every float CSV under ``out`` is per-value ``%.17g`` of its own cells (the text round-trips
     through float); returns how many were checked.  ``sweep.csv`` holds words and is skipped."""
@@ -294,14 +303,14 @@ class TestCliEntry:
         out = tmp_path / "bg"
         rc = main(["background", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_json_artifact(out / "summary.json")
         assert summary["l_s"] == pytest.approx(0.28849347260501723, abs=1e-9)
 
     def test_regimes_subcommand(self, cfg_file, tmp_path):
         out = tmp_path / "rg"
         rc = main(["regimes", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 0
-        report = json.loads((out / "regime.json").read_text())
+        report = read_json_artifact(out / "regime.json")
         assert report["certified"] is False
 
     def test_solve_subcommand_and_scale_sigma(self, cfg_file, tmp_path):
@@ -311,8 +320,8 @@ class TestCliEntry:
         assert main([
             "solve", "--config", str(cfg_file), "--out", str(out2), "--scale-sigma", "0.5",
         ]) == 0
-        s1 = json.loads((out1 / "summary.json").read_text())
-        s2 = json.loads((out2 / "summary.json").read_text())
+        s1 = read_json_artifact(out1 / "summary.json")
+        s2 = read_json_artifact(out2 / "summary.json")
         ratio = s1["state_norms"]["h1"] / s2["state_norms"]["h1"]
         assert 1.8 <= ratio <= 2.2
 

@@ -145,6 +145,16 @@ class TestNozzleLength:
         with pytest.raises(InputError):
             nozzle_length(0.9, kappa_max(CANON) + 0.5, CANON)
 
+    @pytest.mark.parametrize("k0, kL, message", [
+        (1.02, 1.05, "must straddle 1"),
+        (0.9, 0.95, "must straddle 1"),
+        (0.0, 1.1, "must straddle 1"),
+        (1.1, 1.05, "empty window"),
+    ])
+    def test_window_not_straddling_one_rejected(self, k0, kL, message):
+        with pytest.raises(InputError, match=message):
+            nozzle_length(k0, kL, CANON)
+
 
 class TestAlpha:
     def test_vanishing_window_limit(self):
