@@ -38,8 +38,9 @@ numerical notes), so the schedule is floored at ``eps >= h^2``.
 
 The box system is numbered mode-major and solved at each ``eps`` by GMRES
 (Saad & Schultz 1986) on the full operator, right-preconditioned by an
-exact LU of its mode-diagonal part: K independent box systems, one per
-cosine mode.  A mode's 5n rows are the five slots of its row stations
+exact LU of its wall-mean part (the operator of the coefficients' w2-means
+across the channel): K independent box systems, one per cosine mode.  A
+mode's 5n rows are the five slots of its row stations
 0..n: the inlet station holds the rows of ``Pi``'s components at node 0,
 each cell station its cell's box equations and the exit station the rows
 of the complement at node n - 1; rows ordered by slot 2, 4, 3 | 0, 1 (``ROW``)
@@ -48,9 +49,9 @@ are sums of the terms of one table, the
 boundary rows generated from ``Pi`` and ``eps`` in the viscous terms: per
 ``eps`` it is scattered into one Fortran-order band, factored in place by
 a single LAPACK ``dgbtrf``, and the matrix-free operator sums it into the
-row stations, which also place the right-hand side and the off-mode
-coupling ``C``, the only path by which modes couple (transform method,
-Orszag 1970, from the O(sigma) wall variation of the coefficient fields;
+row stations, which also place the right-hand side and the coupling ``C``
+of the coefficients less their means, the only path by which modes couple
+(transform method, Orszag 1970, from their O(sigma) wall variation;
 GMRES closes in 3 to 5 steps on the canonical solve's later iterates,
 whose Arnoldi products need the ``C`` product only).  On a wall-uniform
 coefficient set (the first outer iterate) the modes decouple exactly: the
@@ -195,7 +196,7 @@ def _nodes(stations: slice, side: int, n: int) -> slice:
 
 
 class BandLU(NamedTuple):
-    """``dgbtrf`` factors of the mode-diagonal band and their row pivots."""
+    """``dgbtrf`` factors of the wall-mean band and their row pivots."""
 
     lu: np.ndarray
     piv: np.ndarray
@@ -284,6 +285,12 @@ class ModeSystem:
     reads, or ``None``.  No array it holds grows like ``K^2`` per station.
     Solutions span every mode, with zeros in those it does not carry.
 
+    The terms hold the operator of the w2-means ``<c>`` across the channel,
+    whose Galerkin blocks are ``<c> Id`` (``<a12>``'s is zero: ``<2 eta_k',
+    eta_k> = 0``), as ``(n, 1)`` columns for every mode; :meth:`coupling`
+    applies the whole Galerkin product of ``c - <c>``, its mode diagonal
+    included, so that the two sum to the full operator.
+
     A set whose coefficients couple the modes (any of ``a11, a12, a, b1,
     b0`` varies along x2) carries every mode if its projected forcing is
     nonzero.  On a wall-uniform set, such as the background state of the
@@ -329,17 +336,11 @@ class ModeSystem:
         self.coupled = None
         if not self.forced:
             return
-        # mode-diagonal Galerkin entries <c B_k, eta_k>(x1_i), one GEMM per field c against w2 eta_k B_k
-        eta = eta[:, self.modes]
-        bases = (2.0 * eta_d[:, self.modes], eta, eta, eta, eta)
-        pairs = [w2[:, None] * eta * B for B in bases]
-        blocks = {}   # <c B_k, eta_k> summed per X_blk, the a12 block before the a one
-        for blk, c, pair in zip(COUPLED_BLOCKS, fields, pairs):
-            blocks[blk] = blocks[blk] + c @ pair if blk in blocks else c @ pair
+        means = [(c @ w2)[:, None] / np.sum(w2) for c in fields]
         lam, c0, c1 = cos.freq[self.modes] ** 2, coeffs.c0[:, None], coeffs.c1[:, None]   # d22: -lam_k
         # node-valued coefficients, (n, K) or (n, 1), of the two trapezoid ends of dynamic row 1,
-        # trap(C3 X3 + C2 X2 + C5 X5 + C4 X4), and of row 2, X5' - trap((lam + c0) X4 + c1 X2)
-        nodal = [(2, blk, half * C) for blk, C in blocks.items()]
+        # trap(<a11> X3 + <a> X2 + <b1> X5 + <b0> X4), and of row 2, X5' - trap((lam + c0) X4 + c1 X2)
+        nodal = [(2, blk, half * mean) for blk, mean in zip(COUPLED_BLOCKS[1:], means[1:])]
         nodal += [(4, 3, -half * (lam + c0)), (4, 1, -half * c1)]
         self.terms = []
         for side, sign in ((0, -1.0), (1, 1.0)):
@@ -351,11 +352,8 @@ class ModeSystem:
         self.terms += [(p, blk, 0, 1.0, EXIT) for p, blk in zip(range(2), np.flatnonzero(~PI))]  # node n - 1
         self.terms.sort(key=lambda term: term[1:3])   # the band scatter then walks its columns in order
         if not wall_uniform:
-            # the coupling reads the wall-varying parts c - <c> (a w2-mean couples no modes)
-            self.coupled, self.bases = [(c, (c @ w2) / np.sum(w2)) for c in fields], bases
-            self.diagonal = np.zeros((K, grid.n_x1, 5))
-            for blk, (c, mean), pair in zip(COUPLED_BLOCKS, self.coupled, pairs):
-                self.diagonal[:, :, blk] += ((c - mean[:, None]) @ pair).T
+            # the coupling reads the wall-varying parts c - <c>, every mode being carried
+            self.coupled, self.bases = list(zip(fields, means)), (2.0 * eta_d, eta, eta, eta, eta)
 
     def _rows(self, eps: float):
         """The box rows at ``eps``, read by :meth:`_assemble_banded` and :meth:`operator`.
@@ -370,7 +368,7 @@ class ModeSystem:
                 for p, blk, side, c, j in self.terms]
 
     def _assemble_banded(self, eps: float) -> np.ndarray:
-        """The mode-diagonal part of the box operator at ``eps``, scattered from :meth:`_rows`.
+        """The wall-mean part of the box operator at ``eps``, scattered from :meth:`_rows`.
 
         Unknown ``X_blk`` of the ``k``-th carried mode at node ``i`` is column ``k 5n + 5i + blk``, so a
         term of slot ``p`` on ``side`` lies ``5 + ROW[p] - 5 side - blk`` below the diagonal: each mode block
@@ -386,20 +384,20 @@ class ModeSystem:
         return ab.reshape(-1, K * 5 * n)
 
     def _off_mode(self, x: np.ndarray) -> np.ndarray:
-        """The off-mode part of ``A x`` on the X3' rows of ``CELLS``, ``(n - 1, K)``: X2..X5 (and 2 X2')
+        """The coupling part of ``A x`` on the X3' rows of ``CELLS``, ``(n - 1, K)``: X2..X5 (and 2 X2')
         synthesized on the nodes, times the wall-varying part of their coefficients, projected on ``w2 eta``
-        less that part's own mode diagonal, then the trapezoid over the cells."""
+        (its mode diagonal included), then the trapezoid over the cells."""
         X, eta = x.reshape(self.K, -1, 5), self.bases[1]
         product = np.zeros((X.shape[1], eta.shape[0]))
         for blk, (c, mean), B in zip(COUPLED_BLOCKS, self.coupled, self.bases):
-            term = c - mean[:, None]
+            term = c - mean
             term *= X[:, :, blk].T @ B.T
             product += term
-        z = product @ (self.grid.w2[:, None] * eta) - np.einsum("kib,kib->ik", self.diagonal, X)
+        z = product @ (self.grid.w2[:, None] * eta)
         return (self.grid.h1 / 2.0) * (z[:-1] + z[1:])
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
-        """Off-mode part ``C x`` of the box operator (zero off the X3' rows)."""
+        """Coupling part ``C x`` of the box operator, from the wall-varying coefficients (zero off the X3' rows)."""
         # the product first, so that its temporaries are gone when ``out`` is allocated
         off = self._off_mode(x).T if self.coupled is not None else 0.0
         out = np.zeros((self.K, self.grid.n_x1, 5))
@@ -408,7 +406,7 @@ class ModeSystem:
 
     def operator(self, eps: float):
         """Matrix-free ``x -> A x`` at ``eps``: the terms of :meth:`_rows` summed into the
-        ``(5, n + 1, K)`` row array, then the off-mode coupling, if any, on the X3' rows."""
+        ``(5, n + 1, K)`` row array, then the coupling, if any, on the X3' rows."""
         K, n = self.K, self.grid.n_x1
         terms = [(p, blk, coef, j, _nodes(j, side, n)) for p, blk, side, coef, j in self._rows(eps)]
 
@@ -424,7 +422,7 @@ class ModeSystem:
         return apply
 
     def factor(self, eps: float) -> BandLU:
-        """Band LU of the mode-diagonal part at ``eps``: :meth:`_assemble_banded`
+        """Band LU of the wall-mean part at ``eps``: :meth:`_assemble_banded`
         factored in place by ``dgbtrf``, with no copy.
 
         Raises ``NonConvergenceError`` if the band is singular.
@@ -441,7 +439,7 @@ class ModeSystem:
 
         Runs GMRES(``GMRES_RESTART``) for at most ``GMRES_CYCLES`` restart
         cycles on the matrix-free :meth:`operator` of the carried modes,
-        right-preconditioned by the LU of its mode-diagonal part
+        right-preconditioned by the LU of its wall-mean part
         (:meth:`factor`), from ``starts[eps]`` if that is closer than zero;
         the solution replaces it.  Starts and solutions span every mode,
         with zeros in the modes the system does not carry.  An unforced

@@ -35,13 +35,13 @@ class SolverOptions:
             raise InputError(f"damping factor theta must lie in (0, 1], got {self.theta}")
         if self.max_outer < 1:
             raise InputError(f"outer iteration budget max_outer must be at least 1, got {self.max_outer}")
-        if not self.tol_outer >= 0:
-            raise InputError(f"outer tolerance tol_outer must be nonnegative, got {self.tol_outer}")
+        if not 0 <= self.tol_outer < np.inf:
+            raise InputError(f"outer tolerance tol_outer must be finite and nonnegative, got {self.tol_outer}")
         if self.sigma_cap is not None and not 0 < self.sigma_cap < np.inf:
             raise InputError(f"amplitude cap sigma_cap must be finite and positive, got {self.sigma_cap}")
         if not 0 < self.eps0 < np.inf:
             raise InputError(f"initial viscosity eps0 must be finite and positive, got {self.eps0}")
-        if not self.tol_eps >= 0:
-            raise InputError(f"continuation tolerance tol_eps must be nonnegative, got {self.tol_eps}")
+        if not 0 <= self.tol_eps < np.inf:
+            raise InputError(f"continuation tolerance tol_eps must be finite and nonnegative, got {self.tol_eps}")
         if self.eps_cap < 0:
             raise InputError(f"viscosity schedule cap must be nonnegative, got {self.eps_cap}")

@@ -83,13 +83,16 @@ def lambda_window(kappa0: float, kappaL: float, params: GasParameters) -> float:
     Raises
     ------
     InputError
-        If ``kappaL`` lies beyond ``kappa_max``.
+        If ``kappaL < kappa0``, or the window leaves the orbit range
+        ``(0, kappa_max]``; an empty window in range gives 0.
     """
-    if kappaL <= kappa0:
-        return 0.0
+    if kappaL < kappa0:
+        raise InputError(f"empty window: kappaL = {kappaL} < kappa0 = {kappa0}")
     kmax = kappa_max(params)
-    if kappaL > kmax + 1e-12:
-        raise InputError(f"kappaL = {kappaL} beyond the orbit range")
+    if not (0 < kappa0 and kappaL <= kmax + 1e-12):
+        raise InputError(f"window [{kappa0}, {kappaL}] beyond the orbit range (0, {kmax}]")
+    if kappaL == kappa0:
+        return 0.0
     switches = (1.0 - KAPPA_SWITCH, 1.0, 1.0 + KAPPA_SWITCH, kmax - NEAR_MAX_SWITCH * (kmax - 1.0))
     k = np.array([kappa0, *(b for b in switches if kappa0 < b < kappaL), kappaL])
     s = np.sqrt(np.maximum(kmax - k, 0.0))
@@ -104,13 +107,10 @@ def nozzle_length(kappa0: float, kappaL: float, params: GasParameters) -> float:
 
     ``L = sqrt(h0^3 / 2) J^((gamma-2)/(gamma+1)) sqrt(lambda(kappa0, kappaL))``
     at the momentum density ``params.J``; agrees with the arclength between
-    the same speeds on the 1D profile.
+    the same speeds on the 1D profile; 0 for an empty window in the orbit range
+    (:func:`lambda_window` checks the order and the range).
     """
-    if kappaL < kappa0:
-        raise InputError("empty window: kappaL < kappa0")
-    if kappaL == kappa0:
-        return 0.0
-    if not (0 < kappa0 <= 1.0 <= kappaL):
+    if kappaL > kappa0 and not (0 < kappa0 <= 1.0 <= kappaL):
         raise InputError(f"window must straddle 1: got [{kappa0}, {kappaL}]")
     J, h0, g = params.J, params.h0, params.gamma
     return np.sqrt(h0 ** 3 / 2.0) * J ** ((g - 2.0) / (g + 1.0)) * np.sqrt(

@@ -455,6 +455,7 @@ class TestExitCodes:
             ("solver.max_outer = 0", "max_outer"),
             ("tol.outer = -1", "tol_outer"),
             ("tol.outer = nan", "tol_outer"),
+            ("tol.outer = inf", "tol_outer"),
             ("tol.root = 1e-12", "unknown config key 'tol.root'"),
             ("solver.eps0 = inf", "eps0"),
             ("tol.eps = nan", "tol_eps"),
@@ -462,7 +463,7 @@ class TestExitCodes:
             ("boundary.w_modes = 0:1.0", "w_modes: mode (0, 1.0)"),
             ("boundary.e_modes = 1:inf", "e_modes: mode (1, inf)"),
         ],
-        ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan",
+        ids=["max_outer_zero", "tol_outer_negative", "tol_outer_nan", "tol_outer_inf",
              "tol_root_removed", "eps0_inf", "tol_eps_nan",
              "s_mode_nan_coefficient", "w_mode_zero", "e_mode_inf_coefficient"],
     )

@@ -127,6 +127,8 @@ class TestInvalidSolverInputs:
             ({"eps0": np.inf}, "eps0"),
             ({"tol_eps": -1.0}, "tol_eps"),
             ({"tol_eps": np.nan}, "tol_eps"),
+            ({"tol_eps": np.inf}, "tol_eps"),
+            ({"tol_outer": np.inf}, "tol_outer"),
             ({"eps_cap": -1}, "cap"),
             ({"max_outer": 2.5}, "max_outer"),
             ({"max_outer": True}, "max_outer"),
@@ -145,7 +147,7 @@ class TestInvalidSolverInputs:
             ({"eps0": 1j}, "eps0"),
         ],
         ids=["theta0", "theta1.5", "eps0_negative", "eps0_zero", "eps0_inf", "tol_eps_negative",
-             "tol_eps_nan", "eps_cap_negative", "max_outer_fraction", "max_outer_bool", "eps_cap_fraction",
+             "tol_eps_nan", "tol_eps_inf", "tol_outer_inf", "eps_cap_negative", "max_outer_fraction", "max_outer_bool", "eps_cap_fraction",
              "eps_cap_float64", "sigma_cap_nan", "sigma_cap_inf", "sigma_cap_zero",
              "sigma_cap_negative", "theta_bool", "eps0_bool", "tol_eps_bool", "sigma_cap_bool",
              "theta_str", "tol_outer_str", "eps0_complex"],

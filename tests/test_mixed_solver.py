@@ -287,7 +287,7 @@ class TestEpsSystem:
     @pytest.mark.parametrize("eps", ["1e-2", "h1^2"])
     def test_small_instance_matches_dense_integral_oracle(self, bg_narrow, amp, n_x1, m, eps):
         # window 0.95..1.05; amp = 0 keeps the background coefficients, which
-        # are exactly mode-diagonal (the preconditioner is then exact), while
+        # are wall-uniform (the wall-mean preconditioner is then exact), while
         # amp > 0 couples the modes so GMRES has to close the gap
         grid, sysm, data = _oracle_system(bg_narrow, n_x1, m, amp)
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
@@ -298,7 +298,7 @@ class TestEpsSystem:
 
     def test_residual_gate_raises_far_outside_sigma_cap(self, bg_narrow):
         # an O(1) wall-direction modulation couples the modes as strongly as
-        # the diagonal, so the mode-diagonal preconditioner is poor and GMRES
+        # the wall means, so the wall-mean preconditioner is poor and GMRES
         # stalls: the solve must raise instead of returning the iterate
         grid, sysm, _ = _oracle_system(bg_narrow, 33, 4, 1.0)
         with pytest.raises(NonConvergenceError, match=r"m=4: .*iterations"):
@@ -317,43 +317,46 @@ class TestEpsSystem:
         coeffs = assemble_coefficients(collocate(state, prof), default_d0(prof))
         assert np.max(np.abs(coeffs.a12)) > 1e-6
         sysm = ModeSystem(coeffs, coeffs.f1, coeffs.f2)
-        blocks = batched_coupling_blocks(coeffs)
         K, N, half = m + 1, 5 * n_x1, grid.h1 / 2.0
-        assert all(ref.shape == (n_x1, K, K) for ref in blocks)
-        # the X3' row of cell i carries (h/2) diag C(x1_i) on its left station's
-        # X_blk and (h/2) diag C(x1_(i+1)) on its right one (band row l + u + r - c);
-        # at eps = 0 the band holds no viscous X3 entry
+        # the coefficients split into their w2-means <c> and the wall-varying rest
+        fields = {name: getattr(coeffs, name) for name in ("a11", "a12", "a", "b1", "b0")}
+        means = {name: np.broadcast_to((c @ grid.w2)[:, None] / np.sum(grid.w2), c.shape)
+                 for name, c in fields.items()}
+        mean_blocks = batched_coupling_blocks(SimpleNamespace(grid=grid, **means))
+        varying = batched_coupling_blocks(SimpleNamespace(grid=grid, **{
+            name: c - means[name] for name, c in fields.items()}))
+        assert all(ref.shape == (n_x1, K, K) for ref in mean_blocks + varying)
+        # the blocks of the means are <c> Id (eta_k orthonormal; eta_k eta_j' odd, so
+        # <a12> adds nothing), up to the roundoff of their n_x2-term quadrature; the
+        # X3' row of cell i carries (h/2) <C>(x1_i) on its left station's X_blk and
+        # (h/2) <C>(x1_(i+1)) on its right one (band row l + u + r - c), the same for
+        # every mode; at eps = 0 the band holds no viscous X3 entry
         ab = sysm._assemble_banded(0.0).reshape(-1, K, N)
-        for blk, ref in zip((2, 1, 4, 3), blocks):
+        for blk, ref, name in zip((2, 1, 4, 3), mean_blocks, ("a11", "a", "b1", "b0")):
+            mean = half * means[name][:, 0]                                # (n,)
+            roundoff = grid.n_x2 * np.finfo(float).eps * half * np.max(np.abs(ref))
+            assert np.max(np.abs(half * ref - mean[:, None, None] * np.eye(K))) <= roundoff
             tol = 1e-15 * half * np.max(np.abs(ref))
-            diag = half * np.diagonal(ref, axis1=1, axis2=2).T          # (K, n)
             left = ab[BAND_L + BAND_U + 5 - blk, :, blk:5 * (n_x1 - 1):5]
             right = ab[BAND_L + BAND_U - blk, :, 5 + blk::5]
-            for got, want in ((left, diag[:, :-1]), (right, diag[:, 1:])):
+            for got, want in ((left, mean[:-1]), (right, mean[1:])):
                 assert np.max(np.abs(got - want)) <= tol
-        # and (h/2) times the off-diagonal part of C applied at both stations,
-        # nothing on the other rows; a random vector and a box solution, whose
-        # X components differ in scale.  The tolerance is the per-entry bound
-        # 1e-15 (h/2) max|C| summed over the 2 K entries of each block a row
-        # reads, times the largest |X_blk| of the vector.  A wall-constant
-        # coefficient adds nothing off the diagonal (eta_k orthonormal, eta_k
-        # eta_j' odd), so the blocks of the coefficients less their wall means
-        # have the same off-diagonal part, with roundoff 1e-15 (h/2) max|C_var|
-        fields = {name: getattr(coeffs, name) for name in ("a11", "a12", "a", "b1", "b0")}
-        varying = SimpleNamespace(grid=grid, **{name: c - (c @ grid.w2)[:, None] / 2.0
-                                                for name, c in fields.items()})
+        # and (h/2) times the whole block product of the wall-varying parts, its
+        # mode diagonal included, applied at both stations, nothing on the other
+        # rows; a random vector and a box solution, whose X components differ in
+        # scale.  The tolerance is the per-entry bound 1e-15 (h/2) max|C_var|
+        # summed over the 2 K entries of each block a row reads, times the
+        # largest |X_blk| of the vector
         starts = {}
         sysm.solve_banded(1e-2, starts)
         for x in (np.random.default_rng(m).standard_normal(K * N), starts[1e-2]):
             X = x.reshape(K, n_x1, 5)
-            for ref_blocks in (blocks, batched_coupling_blocks(varying)):
-                z = sum(np.einsum("ikj,ji->ik", (1.0 - np.eye(K)) * ref, X[:, :, blk])
-                        for blk, ref in zip((2, 1, 4, 3), ref_blocks))
-                want = np.zeros((K, N))
-                want[:, 5:-2:5] = half * (z[:-1] + z[1:]).T
-                tol = sum(2 * K * 1e-15 * half * np.max(np.abs(ref)) * np.max(np.abs(X[:, :, blk]))
-                          for blk, ref in zip((2, 1, 4, 3), ref_blocks))
-                assert np.max(np.abs(sysm.coupling(x) - want.ravel())) <= tol
+            z = sum(np.einsum("ikj,ji->ik", ref, X[:, :, blk]) for blk, ref in zip((2, 1, 4, 3), varying))
+            want = np.zeros((K, N))
+            want[:, 5:-2:5] = half * (z[:-1] + z[1:]).T
+            tol = sum(2 * K * 1e-15 * half * np.max(np.abs(ref)) * np.max(np.abs(X[:, :, blk]))
+                      for blk, ref in zip((2, 1, 4, 3), varying))
+            assert np.max(np.abs(sysm.coupling(x) - want.ravel())) <= tol
 
     def test_no_held_array_grows_like_k_squared_per_station(self, bg_narrow):
         # the entries each array of a coupled system adds per station, from
@@ -519,6 +522,26 @@ class TestForcedModes:
         assert len(first) > 1 and first == [1] * len(first)
         assert 1 not in products and len(products) > 0
 
+    def test_near_edge_solve_gmres_steps(self, bg, monkeypatch):
+        # the canonical gas near the outer contraction edge: 41 outer iterates and
+        # 134 box solves, each later one preconditioned by the wall-uniform operator
+        # of its own coefficient means.  Its GMRES steps total 696, against 709 with
+        # the band of the exact Galerkin mode diagonals, and none restarts
+        steps, gmres = [], mixed_solver._gmres
+
+        def counted(*args):
+            out = gmres(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(mixed_solver, "_gmres", counted)
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=201, m=8)
+        bdata = BoundaryDataSpec(sigma=3e-3, s_modes=((1, 1.0), (2, 0.5)), e_modes=((1, 1.0), (3, 0.3)),
+                                 w_modes=((1, 1.0),))
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, sigma_cap=1.0)
+        assert out.converged and out.iterations > 30
+        assert sum(steps) <= 709 and max(steps) <= GMRES_RESTART
+
     def test_residual_gate_counts_the_dropped_modes(self, setup):
         # the modes a wall-uniform set drops keep their right-hand side in |b - A x|
         grid, _, coeffs = setup
@@ -562,7 +585,9 @@ class TestBandSystem:
         A, rhs = dense_box_system(*data, eps)
         N = 5 * grid.n_x1
         rows, cols = np.indices(A.shape)
-        D = np.where(rows // N == cols // N, A, 0.0)       # mode-diagonal part
+        # the mode-diagonal part, here the wall-mean operator of the band:
+        # cos(pi x2) adds no mode-diagonal Galerkin entry
+        D = np.where(rows // N == cols // N, A, 0.0)
         return sysm, eps, A, rhs, D
 
     def test_operator_equals_dense_matrix(self, instance):
@@ -621,7 +646,7 @@ class TestBandSystem:
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(after, before))
 
     def test_arnoldi_product_from_coupling_only(self, instance):
-        # A M^-1 v = v + C M^-1 v for the exact mode-diagonal LU M
+        # A M^-1 v = v + C M^-1 v for the exact LU M of the wall-mean band
         sysm, eps, A, rhs, D = instance
         v = rhs + np.cos(np.arange(len(rhs)))
         z = sysm.factor(eps).solve(v)

@@ -155,6 +155,16 @@ class TestNozzleLength:
         with pytest.raises(InputError, match=message):
             nozzle_length(k0, kL, CANON)
 
+    @pytest.mark.parametrize("window, k0, kL, message", [
+        (nozzle_length, -1.0, -1.0, "orbit range"),
+        (nozzle_length, 50.0, 50.0, "orbit range"),
+        (lambda_window, 5.0, 4.0, "empty window"),
+    ], ids=["nozzle_negative_point", "nozzle_point_beyond_orbit", "lambda_reversed"])
+    def test_window_checked_before_zero_width(self, window, k0, kL, message):
+        # a window of zero width is 0 only inside (0, kappa_max]
+        with pytest.raises(InputError, match=message):
+            window(k0, kL, CANON)
+
 
 class TestAlpha:
     def test_vanishing_window_limit(self):
