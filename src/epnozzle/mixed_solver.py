@@ -98,7 +98,7 @@ def _scipy_linalg_extension(name: str):
 
 lapack = _scipy_linalg_extension("_flapack")   # the f2py wrappers that scipy.linalg.lapack re-exports
 
-WARM_START_OCTAVES = 2          # later outer iterates start their schedule 2**2 above the last stop
+WARM_START_OCTAVES = 2          # later walks start 2**2 above the last stop, so their stop can also rise
 
 LINEAR_RESIDUAL_MAX = 1e-10     # bound on |b - A x| / |b| of every box solve
 FORCED_MODE_ROUNDOFF = 1024     # projection roundoff, in ulps of its magnitude sum (ModeSystem)
@@ -522,26 +522,25 @@ def vanishing_viscosity(
     viscosity would drop below the resolution floor ``h1^2``.  Below about
     ``0.5 h1^2`` the discrete problem leaves the continuum family (the
     limit problem sheds two boundary conditions whose eps-layers the grid
-    can no longer carry; see the module notes).  The difference trace must
-    become decreasing (five consecutive non-decreasing steps raise
-    ``NonConvergenceError``) and the viscous energy
-    ``sqrt(eps)|d11 v| + |v|_H1 + |w|_H1`` may not exceed 1e3 times that
-    of the walk's first solve.  Trace entries carry the absolute index
-    ``k``; ``trace_sink`` receives each as it is made.
+    can no longer carry; see the module notes).  A walk that never meets
+    ``tol_eps`` returns its solution at the floor or the cap.  The viscous
+    energy ``sqrt(eps)|d11 v| + |v|_H1 + |w|_H1`` may not exceed 1e3 times
+    that of the walk's first solve (``NonConvergenceError``).  Trace entries
+    carry the absolute index ``k``; ``trace_sink`` receives each as it is made.
 
     ``warm`` (one dict per outer fixed point) maps a viscosity to the box
     solution the previous walk kept there.  The walk starts
-    ``WARM_START_OCTAVES`` halvings (the fewest that give the two
-    differences the decrease check reads) above the smallest kept
-    viscosity, the last stop, but not above ``eps0`` nor below
-    ``eps0 2^-cap``; with nothing kept, at ``eps0``.  A box solve at a kept viscosity starts GMRES from
-    that solution, never from another viscosity's, and stops on the same
-    residual bounds as from zero.  So the result agrees with the full
-    schedule's to the solve tolerance if that would stop below the start,
-    and is more resolved if it would stop earlier.  Each solution replaces
-    the kept one at its viscosity and is dropped once no later start can
-    revisit it; on return ``warm`` holds the next walk's starts, down to
-    this one's stop.
+    ``WARM_START_OCTAVES`` halvings (the fewest that give a difference one
+    octave above the last stop, so the stop can rise as well as fall)
+    above the smallest kept viscosity, the last stop, but not above
+    ``eps0`` nor below ``eps0 2^-cap``; with nothing kept, at ``eps0``.  A
+    box solve at a kept viscosity starts GMRES from that solution, never
+    from another viscosity's, and stops on the same residual bounds as
+    from zero.  So the result agrees with the full schedule's to the solve
+    tolerance if that would stop below the start, and is more resolved if
+    it would stop earlier.  Each solution replaces the kept one at its
+    viscosity and is dropped once no later start can revisit it; on return
+    ``warm`` holds the next walk's starts, down to this one's stop.
 
     Returns ``(v, w, trace)``.
 
@@ -580,9 +579,6 @@ def vanishing_viscosity(
         trace.append({"epsilon": eps, "h1_diff": diff, "sup_diff": sup, "k": k})
         if trace_sink is not None:
             trace_sink(trace[-1])
-        tail = [t["h1_diff"] for t in trace[-6:]]
-        if len(tail) == 6 and all(tail[i + 1] >= tail[i] for i in range(5)):
-            raise NonConvergenceError("eps-continuation trace non-decreasing over 5 consecutive steps")
         if diff <= tol_eps:
             break
     for eps in [eps for eps in starts if eps < stop]:   # a deeper walk's, below this stop

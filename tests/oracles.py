@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
-Quadrature and RK routes for the background, the closed-form sonic limit
-of the regime function ``alpha``, the Galerkin data of the mode system
+Quadrature and RK routes for the background, the exact 1-D answer for
+wall-uniform inlet data, the closed-form sonic limit of the regime
+function ``alpha``, the Galerkin data of the mode system
 (batched coupling blocks and an own forcing projection, built from the
 coefficients and never read from a ``ModeSystem``), the dense
 integral-equation solve and dense box assembly on that data, the
@@ -21,7 +22,7 @@ from scipy.interpolate import PchipInterpolator, RectBivariateSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from epnozzle import flux_F, u_max_root
+from epnozzle import GasParameters, flux_F, hamiltonian_H, solve_background, u_max_root
 from epnozzle.fields import grid_d2_parity_split
 from epnozzle.regimes import ENDPOINT_REFINE, KAPPA_RESOLUTION
 
@@ -87,6 +88,37 @@ def rk_station_events(params, u0, rtol=1e-12, max_step=np.inf, dstop=1e-7):
     Hp = (params.J / (params.u_bar_inf * umax ** (g + 1))) * num * (params.u_bar_inf - umax)
     tail = num / (umax ** g * np.sqrt(2 * abs(Hp))) * 2 * np.sqrt(dstop)
     return sol.t_events[0][0], sol.t_events[1][0] + tail
+
+
+def exact_wall_uniform(gas, u0, L, sigma, a0, b0) -> SimpleNamespace:
+    """Exact vanishing-viscosity answer for inlet data in mode 0 only, from 1-D orbit theory.
+
+    Entropy data ``S0 + sigma a0`` and field data ``E0 + sigma b0`` (no
+    transverse speed) leave the flow x2-constant: a 1-D C^1 transonic flow
+    of the gas with entropy ``S0 + sigma a0``, the far-field density held
+    (``zeta0' = J' / (rho_bar_inf u_s')``), the inlet state on that gas's
+    critical orbit with field ``E0 + sigma b0`` (which fixes ``u0'``) and
+    the exit potential ``Phi(L)`` of the unperturbed flow.  Brent in the
+    mass flux ``J'`` meets the exit condition; each step is a Brent solve
+    for ``u0'`` and a ``solve_background``.  Returns ``J``, ``u0``, ``l_s``
+    and ``sup_gs_minus_ls = |l_s' - l_s|``.
+    """
+    bg = solve_background(gas, u0, resolution=2)
+    S, E_in = gas.S0 + sigma * a0, bg.E0 + sigma * b0
+    Phi_L = bg.evaluate(L)["Phi"]
+
+    def perturbed(J):
+        u_s = (gas.gamma * S * J ** (gas.gamma - 1)) ** (1.0 / (gas.gamma + 1))
+        new = GasParameters(gas.gamma, J / (gas.rho_bar_inf * u_s), J, S)
+        u_in = brentq(lambda u: hamiltonian_H(u, new) - 0.5 * E_in ** 2, 1e-3 * u_s, u_s, xtol=1e-16,
+                      rtol=8.9e-16)
+        return solve_background(new, u_in, resolution=2)
+
+    width = 50.0 * abs(sigma) * gas.J      # the measured |J' - J| is about 0.2 sigma J (E) and 1.4 sigma J (S)
+    J = brentq(lambda J: perturbed(J).evaluate(L)["Phi"] - Phi_L, gas.J - width, gas.J + width, xtol=1e-16,
+               rtol=8.9e-16)
+    flow = perturbed(J)
+    return SimpleNamespace(J=J, u0=flow.u0, l_s=flow.l_s, sup_gs_minus_ls=abs(flow.l_s - bg.l_s))
 
 
 # projection Pi of the first-order variables: (X1, X2, X5) anchored at the inlet

@@ -112,7 +112,7 @@ class TestZeroState:
 
 class TestPerturbedState:
     def test_wall_structure_holds(self, prof, grid, d0):
-        coeffs = assemble_coefficients(collocate(small_state(grid), prof), d0)  # verify_structure inside
+        coeffs = assemble_coefficients(collocate(small_state(grid), prof), d0)
         walls = np.abs(coeffs.a12[:, [0, -1]])
         assert np.max(walls) < 1e-12
 

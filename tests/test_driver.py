@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import per_line_sonic_roots
+from oracles import exact_wall_uniform, per_line_sonic_roots
 
 from epnozzle import (
     AdmissibilityError,
@@ -593,6 +593,69 @@ class TestManyModes:
         assert out.converged
         assert out.classification_mismatches == 0
         assert 0 < out.sup_gs_minus_ls < 1e-3
+
+    def test_data_in_the_top_mode(self, bg):
+        # mode 32's wall-normal derivatives vanish exactly at the walls, while a
+        # one-sided difference of a11 there reads about (32 pi)^3 h2^2
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=51, m=32)
+        bdata = BoundaryDataSpec(sigma=1e-4, s_modes=((32, 1.0),), w_modes=((32, 1.0),))
+        assert bdata.sigma <= default_sigma_cap(bg)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True)
+        assert out.converged
+        assert out.classification_mismatches == 0
+
+
+class TestWalkToTheFloor:
+    """A walk that never meets ``tol_eps`` returns its solution at the h^2 floor."""
+
+    def test_certified_sweep_gas_at_tight_tol_eps(self):
+        # the gamma = 1.4 gas at J = 1e-3 on the d = 1/64 window with three-mode
+        # data: the first walk's differences grow from eps = 0.05 to 1.6e-3, and
+        # no walk's reach 1e-9 above the floor 0.1 2^-13
+        gas = GasParameters(gamma=1.4, zeta0=2.0, J=1e-3, S0=1.0)
+        bg = solve_background(gas, (1.0 - 1.0 / 64) * gas.u_s)
+        grid = Grid(L=bg.x1_at_speed((1.0 + 1.0 / 64) * gas.u_s), n_x1=151, m=6)
+        modes = ((1, 1.0), (2, 0.5), (3, 1.0 / 3.0))
+        bdata = BoundaryDataSpec(sigma=1.5e-7, s_modes=modes, e_modes=modes)
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-9)
+        assert out.converged
+        assert out.classification_mismatches == 0
+        floor = 0.1 * 0.5 ** 13
+        assert floor >= grid.h1 ** 2 > floor / 2
+        last = {entry["iterations"]: entry for entry in out.eps_trace}
+        assert sorted(last) == list(range(1, out.iterations + 1))
+        assert all(entry["epsilon"] == floor and entry["h1_diff"] > 1e-9 for entry in last.values())
+
+
+class TestWallUniformData:
+    """Inlet data in mode 0 only against the exact 1-D answer of ``oracles.exact_wall_uniform``."""
+
+    SIGMA = 1e-4
+
+    @pytest.fixture(scope="class", params=[("e_modes", 0.0, 1.0), ("s_modes", 1.0, 0.0)], ids=["E", "S"])
+    def wall_uniform(self, request, bg):
+        family, a0, b0 = request.param
+        grid = Grid(L=bg.x1_at_speed(1.1 * CANON.u_s), n_x1=401, m=2)
+        bdata = BoundaryDataSpec(sigma=self.SIGMA, **{family: ((0, 1.0),)})
+        out = fixed_point_solve(bg, bdata, grid, override_certificate=True, tol_eps=1e-9)
+        return out, exact_wall_uniform(CANON, bg.u0, grid.L, self.SIGMA, a0, b0)
+
+    def test_sup_gs_minus_ls_matches_exact(self, wall_uniform):
+        # measured 2.3e-6 relative for either datum; first order in sigma only
+        # (the gap of second order in sigma is open)
+        out, exact = wall_uniform
+        assert out.converged
+        assert abs(out.sup_gs_minus_ls - exact.sup_gs_minus_ls) <= 1e-5 * exact.sup_gs_minus_ls
+
+    def test_solution_is_x2_constant(self, wall_uniform):
+        out, _ = wall_uniform
+        psi = out.state.psi.values()
+        for f in (out.state.psi, out.state.Psi, out.state.T):
+            values = f.values()
+            assert np.max(np.ptp(values, axis=1)) <= 1e-12 * np.max(np.abs(values))
+        # phi is driven only by the x2-derivative of T
+        assert np.max(np.abs(out.state.phi.values())) <= 1e-12 * np.max(np.abs(psi))
+        assert np.ptp(out.sonic_interface) == 0.0
 
 
 class TestInteriorMask:

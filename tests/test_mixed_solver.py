@@ -118,11 +118,11 @@ def box_solves(monkeypatch):
     return calls
 
 
-def _oracle_system(bg, n_x1, m, amp, every_mode=False, L=None):
+def _oracle_system(bg, n_x1, m, amp, every_mode=False, L=None, wave=1):
     """Small mode system on the window from ``bg``'s inlet to length ``L``
     (default: CANON's speed 1.05 u_s, so 0.95..1.05 on ``bg_narrow``), with
-    ``a11``, ``a`` and ``b0`` scaled by ``1 + amp cos(pi x2)``, which couples
-    the cosine modes.
+    ``a11``, ``a`` and ``b0`` scaled by ``1 + amp cos(wave pi x2)``, which
+    couples the cosine modes (``wave = 2`` also moves mode 1's diagonal).
 
     The forcing drives modes 0 and 1, or every mode with ``every_mode``, so
     that a wall-uniform set (``amp = 0``) carries all of them too.  Returns
@@ -132,7 +132,7 @@ def _oracle_system(bg, n_x1, m, amp, every_mode=False, L=None):
     grid = Grid(L=L, n_x1=n_x1, m=m)
     prof = background_profile(bg, grid)
     coeffs = assemble_coefficients(collocate(FlowState.zeros(grid), prof), default_d0(prof))
-    mod = 1.0 + amp * np.cos(np.pi * grid.x2)
+    mod = 1.0 + amp * np.cos(wave * np.pi * grid.x2)
     coeffs.a11, coeffs.a, coeffs.b0 = coeffs.a11 * mod, coeffs.a * mod, coeffs.b0 * mod
     f1 = np.outer(np.sin(np.pi * grid.x1 / L), np.ones(grid.n_x2)) + 0.5 * np.outer(
         grid.x1 / L, np.cos(np.pi * grid.x2)
@@ -141,6 +141,14 @@ def _oracle_system(bg, n_x1, m, amp, every_mode=False, L=None):
     if every_mode:
         f2 = f2 + 0.2 * np.outer(grid.x1 / L, grid.families["cosine"].value.sum(axis=1))
     return grid, ModeSystem(coeffs, f1, f2), (coeffs, f1, f2)
+
+
+def _wall_means(coeffs):
+    """``coeffs`` with ``a12, a, a11, b1, b0`` replaced by their w2-means across the channel."""
+    w2 = coeffs.grid.w2
+    fields = {name: getattr(coeffs, name) for name in ("a12", "a", "a11", "b1", "b0")}
+    return replace(coeffs, **{name: np.broadcast_to((c @ w2)[:, None] / np.sum(w2), c.shape)
+                              for name, c in fields.items()})
 
 
 class TestPoisson:
@@ -320,8 +328,8 @@ class TestEpsSystem:
         K, N, half = m + 1, 5 * n_x1, grid.h1 / 2.0
         # the coefficients split into their w2-means <c> and the wall-varying rest
         fields = {name: getattr(coeffs, name) for name in ("a11", "a12", "a", "b1", "b0")}
-        means = {name: np.broadcast_to((c @ grid.w2)[:, None] / np.sum(grid.w2), c.shape)
-                 for name, c in fields.items()}
+        wall = _wall_means(coeffs)
+        means = {name: getattr(wall, name) for name in fields}
         mean_blocks = batched_coupling_blocks(SimpleNamespace(grid=grid, **means))
         varying = batched_coupling_blocks(SimpleNamespace(grid=grid, **{
             name: c - means[name] for name, c in fields.items()}))
@@ -564,31 +572,38 @@ class TestForcedModes:
             assert th.shape == (grid.n_x1, grid.n_cos) and not th.any() and not Th.any()
 
 
-@pytest.mark.parametrize("amp", [0.0, 0.5])
-@pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)])
-@pytest.mark.parametrize("eps", ["1e-2", "h1^2"])
-@pytest.mark.parametrize("gas", ["canon", "certified"])
+@pytest.mark.parametrize("amp, wave", [(0.0, 1), (0.5, 1), (0.5, 2)], ids=["uniform", "cos_pi", "cos_2pi"],
+                         scope="class")
+@pytest.mark.parametrize("n_x1, m", [(17, 2), (33, 4)], scope="class")
+@pytest.mark.parametrize("eps", ["1e-2", "h1^2"], scope="class")
+@pytest.mark.parametrize("gas", ["canon", "certified"], scope="class")
 class TestBandSystem:
     """The matrix-free operator, the band and its LU against a dense assembly,
-    on CANON's window 0.95..1.05 and on the certified gamma = 1.4 background."""
+    on CANON's window 0.95..1.05 and on the certified gamma = 1.4 background.
 
-    @pytest.fixture
-    def instance(self, request, gas, amp, n_x1, m, eps):
+    The band's reference ``M`` is the same dense assembly on the coefficients
+    replaced by their w2-means: the wall-mean operator.  ``cos(2 pi x2)``
+    gives mode 1 a diagonal Galerkin entry that ``M`` does not hold."""
+
+    @pytest.fixture(scope="class")
+    def instance(self, request, gas, amp, wave, n_x1, m, eps):
+        # one instance per parameter set, shared by the class's tests: none writes it
         # forced in every mode, so the wall-uniform set (amp = 0) carries the full band
         if gas == "canon":
             bg, L = request.getfixturevalue("bg_narrow"), None
         else:
             bg, L = request.getfixturevalue("bg_certified")
-        grid, sysm, data = _oracle_system(bg, n_x1, m, amp, every_mode=True, L=L)
+        grid, sysm, (coeffs, f1, f2) = _oracle_system(bg, n_x1, m, amp, every_mode=True, L=L, wave=wave)
         assert sysm.K == m + 1
         eps = 1e-2 if eps == "1e-2" else grid.h1 ** 2
-        A, rhs = dense_box_system(*data, eps)
+        A, rhs = dense_box_system(coeffs, f1, f2, eps)
+        M, _ = dense_box_system(_wall_means(coeffs), f1, f2, eps)
+        # its Galerkin blocks are <c> Id; the quadrature leaves roundoff off the mode diagonal
         N = 5 * grid.n_x1
-        rows, cols = np.indices(A.shape)
-        # the mode-diagonal part, here the wall-mean operator of the band:
-        # cos(pi x2) adds no mode-diagonal Galerkin entry
-        D = np.where(rows // N == cols // N, A, 0.0)
-        return sysm, eps, A, rhs, D
+        rows, cols = np.indices(M.shape)
+        same_mode = rows // N == cols // N
+        assert np.max(np.abs(M[~same_mode])) <= 1e-15 * np.max(np.abs(M))
+        return sysm, eps, A, rhs, np.where(same_mode, M, 0.0)
 
     def test_operator_equals_dense_matrix(self, instance):
         sysm, eps, A, rhs, _ = instance
@@ -597,27 +612,27 @@ class TestBandSystem:
         assert np.max(np.abs(columns - A)) <= 1e-14 * np.max(np.abs(A))
         assert np.max(np.abs(sysm.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
-    def test_mode_diagonal_part_is_banded(self, instance):
-        *_, D = instance
-        rows, cols = np.nonzero(D)
+    def test_wall_mean_operator_is_banded(self, instance):
+        *_, M = instance
+        rows, cols = np.nonzero(M)
         assert np.all(rows - cols <= BAND_L) and np.all(cols - rows <= BAND_U)
         assert np.max(rows - cols) == BAND_L == 5 and np.max(cols - rows) == BAND_U == 4
 
-    def test_assembled_band_is_mode_diagonal_part(self, instance):
-        # entry by entry in dgbtrf storage, D[r, c] at ab[l + u + r - c, c],
+    def test_assembled_band_is_wall_mean_operator(self, instance):
+        # entry by entry in dgbtrf storage, M[r, c] at ab[l + u + r - c, c],
         # with the l fill rows zero
-        sysm, eps, *_, D = instance
+        sysm, eps, *_, M = instance
         ab = sysm._assemble_banded(eps)
-        rows, cols = np.nonzero(D)
-        ref = np.zeros((2 * BAND_L + BAND_U + 1, len(D)))
-        ref[BAND_L + BAND_U + rows - cols, cols] = D[rows, cols]
+        rows, cols = np.nonzero(M)
+        ref = np.zeros((2 * BAND_L + BAND_U + 1, len(M)))
+        ref[BAND_L + BAND_U + rows - cols, cols] = M[rows, cols]
         assert ab.shape == ref.shape and ab.flags.f_contiguous
-        assert np.max(np.abs(ab - ref)) <= 1e-14 * np.max(np.abs(D))
+        assert np.max(np.abs(ab - ref)) <= 1e-14 * np.max(np.abs(M))
 
-    def test_factor_solves_mode_diagonal_part(self, instance):
-        sysm, eps, _, rhs, D = instance
+    def test_factor_solves_wall_mean_operator(self, instance):
+        sysm, eps, _, rhs, M = instance
         b = rhs + np.cos(np.arange(len(rhs)))               # excite every row
-        x_ref = np.linalg.solve(D, b)
+        x_ref = np.linalg.solve(M, b)
         x = sysm.factor(eps).solve(b)
         assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
 
@@ -647,20 +662,20 @@ class TestBandSystem:
 
     def test_arnoldi_product_from_coupling_only(self, instance):
         # A M^-1 v = v + C M^-1 v for the exact LU M of the wall-mean band
-        sysm, eps, A, rhs, D = instance
+        sysm, eps, A, rhs, M = instance
         v = rhs + np.cos(np.arange(len(rhs)))
         z = sysm.factor(eps).solve(v)
         Az = sysm.operator(eps)(z)
-        assert np.max(np.abs(sysm.coupling(z) - (A - D) @ z)) <= 1e-14 * np.max(np.abs(Az))
+        assert np.max(np.abs(sysm.coupling(z) - (A - M) @ z)) <= 1e-14 * np.max(np.abs(Az))
         assert np.max(np.abs(v + sysm.coupling(z) - Az)) <= 1e-13 * np.max(np.abs(Az))
 
-    def test_factor_undoes_mode_diagonal_part_of_operator(self, instance, amp):
+    def test_factor_undoes_wall_mean_operator(self, instance, amp):
         # x solves a box system, so it carries a solution's scales across the
         # X components; at amp = 0 (no off-mode coupling) the round trip is x
-        sysm, eps, A, rhs, D = instance
+        sysm, eps, A, rhs, M = instance
         x = np.linalg.solve(A, rhs + np.cos(np.arange(len(rhs))))
         y = sysm.factor(eps).solve(sysm.operator(eps)(x))
-        expect = x if amp == 0.0 else np.linalg.solve(D, A @ x)
+        expect = x if amp == 0.0 else np.linalg.solve(M, A @ x)
         assert np.max(np.abs(y - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -910,16 +925,20 @@ class TestVanishingViscosity:
         v0, _ = sysm.to_fields(*sysm.solve_banded(0.1))
         assert trace == [] and np.array_equal(v.modes, v0.modes)
 
-    def test_divergent_trace_detected(self, setup):
+    def test_divergent_trace_detected(self, setup, box_solves):
         # starting the schedule far above the resolved range makes the
-        # consecutive differences grow for many steps (solution ~ 1/eps);
-        # the energy grows only 2x per step, so the trace guard fires first
+        # solution grow as eps falls; its energy passes 1e3 times the first
+        # solve's on the 20th halving, where the energy guard fires
         grid, d0, coeffs = setup
         f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
-        with pytest.raises(NonConvergenceError, match="non-decreasing over 5"):
+        seen = []
+        with pytest.raises(NonConvergenceError, match=re.escape(f"blow-up at eps={1e10 * 0.5 ** 20}: ")
+                           + ".* " + re.escape(f"at eps={1e10}")):
             vanishing_viscosity(
-                coeffs, f1, np.zeros_like(f1), eps0=1e10, tol_eps=1e-18, cap=40
+                coeffs, f1, np.zeros_like(f1), eps0=1e10, tol_eps=1e-18, cap=40, trace_sink=seen.append
             )
+        assert [t["k"] for t in seen] == list(range(1, 20))
+        assert box_solves == [1e10 * 0.5 ** k for k in range(21)]
 
     def test_energy_blowup_detected(self, setup, monkeypatch):
         # one solve 1e4 times too large trips the energy guard, not the trace one
@@ -1078,7 +1097,8 @@ class TestWarmStart:
         assert box_solves[n_before:] == [0.2 * 0.5 ** t["k"] for t in trace0]
 
     def test_rising_warm_trace_can_fail(self, setup, box_solves):
-        # far above the resolved range a warm walk's own trace guard fires
+        # far above the resolved range a warm walk's own energy guard fires,
+        # against the walk's first solve at k = 3
         grid, _, coeffs = setup
         f1 = np.outer(np.sin(np.pi * grid.x1 / grid.L), np.ones(grid.n_x2))
         f2 = np.zeros_like(f1)
@@ -1087,11 +1107,12 @@ class TestWarmStart:
         assert min(carrier) == 1e10 * 0.5 ** 5
         n_before = len(box_solves)
         seen = []
-        with pytest.raises(NonConvergenceError, match="non-decreasing over 5"):
+        with pytest.raises(NonConvergenceError, match=re.escape(f"blow-up at eps={1e10 * 0.5 ** 23}: ")
+                           + ".* " + re.escape(f"at eps={1e10 * 0.5 ** 3}")):
             vanishing_viscosity(coeffs, f1, f2, eps0=1e10, tol_eps=1e-18, cap=40, trace_sink=seen.append,
                                 warm=carrier)
-        assert [t["k"] for t in seen] == [4, 5, 6, 7, 8, 9]
-        assert box_solves[n_before:] == [1e10 * 0.5 ** k for k in range(3, 10)]
+        assert [t["k"] for t in seen] == list(range(4, 23))
+        assert box_solves[n_before:] == [1e10 * 0.5 ** k for k in range(3, 24)]
 
     def test_coupled_solve_writes_no_start_and_no_rhs(self, setup, monkeypatch):
         # a system that carries every mode reads its kept start in place, not as
