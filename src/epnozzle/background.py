@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InputError, InternalError
 from .fields import write_csv_table
-from .numerics import brentq
+from .numerics import bisect
 
 # Inside |kappa - 1| < KAPPA_SWITCH (kappa = u / u_s) the sonic function
 # switches from its defining ratio to its Taylor form.
@@ -254,22 +254,23 @@ def kappa_H(kappa, params: GasParameters):
 def kappa_max(params: GasParameters) -> float:
     """Upper end of the orbit in ratio units: the root of ``curly_F`` above ``zeta0``.
 
-    Brackets ``curly_F`` on ``(zeta0, 10 zeta0)``, expanding the upper
-    endpoint geometrically if needed, then bisects (Brent) to 4 ulp
-    relative, so that the closed form vanishes there to its own rounding
-    and meets the near-``kappa_max`` form of :func:`_orbit_s_integrand`.
+    ``curly_F`` peaks at ``zeta0`` and, for every ``gamma > 1`` and
+    ``zeta0 > 1``, is below ``-38`` at ``10 zeta0`` (the integral of
+    ``1 - t/zeta0`` there is ``-40 zeta0 - 1 + 1/(2 zeta0)``, and the
+    ``t^-(gamma+1)`` part adds at most ``ln(10 zeta0)/zeta0 < 2.31``).  The
+    closed form is bisected on that bracket to a sign change between
+    adjacent floats, and the lower float is returned: the last at which
+    the closed form is positive, so that it vanishes there to its own
+    rounding, is still positive at ``kappa_max`` itself, and meets the
+    near-``kappa_max`` form of :func:`_orbit_s_integrand`.
+
+    Raises ``InputError`` if ``curly_F(zeta0)``, of order
+    ``(zeta0 - 1)^3``, is not positive in floating point.
     """
     z = params.zeta0
-    hi = 10.0 * z
-    for _ in range(60):
-        if _curly_F_closed(hi, params) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise InternalError("no sign change of curly_F found above zeta0")
-    return brentq(
-        lambda k: _curly_F_closed(k, params), z * (1 + 1e-13), hi, xtol=1e-15, rtol=4 * np.finfo(float).eps
-    )
+    if not _curly_F_closed(z, params) > 0:
+        raise InputError(f"zeta0 = {z!r} is too close to 1: curly_F(zeta0) is not positive in floating point")
+    return float(bisect(lambda k: _curly_F_closed(k, params), z, 10.0 * z))
 
 
 def _orbit_s_integrand(s, params: GasParameters):

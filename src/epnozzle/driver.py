@@ -45,7 +45,7 @@ from .coefficients import (
 from .errors import InputError, InternalError, NonConvergenceError
 from .fields import Grid, grid_d2_parity_split
 from .mixed_solver import solve_linear_problem
-from .numerics import Pchip, brentq
+from .numerics import Pchip, bisect, cubic
 from .options import SolverOptions
 from .transport import lagrangian_map, stream_function, transport_entropy
 
@@ -213,17 +213,15 @@ def sonic_interface(coeffs: CoefficientSet):
     """Per-line root of the principal determinant ``a11 - a12^2``.
 
     Asserts exactly one sign change per wall-normal line (elliptic at the
-    inlet, hyperbolic at the exit) and refines each root with Brent's
-    method (bisection + inverse quadratic interpolation) on a monotone
-    interpolant of the determinant profile, to ``xtol = 1e-12``.
+    inlet, hyperbolic at the exit) and bisects each line's monotone cubic
+    interpolant of the determinant over its crossing cell to a sign change
+    between adjacent floats; the root is the lower float, the last at which
+    the cubic is positive (elliptic).
 
     All lines share one column-wise PCHIP over the stations around their
     crossing cells.  PCHIP is local (a cell's cubic reads one node before
-    it to two after it), so on the cells a root search reaches each line
-    gets bit for bit the cubic of its own full-length interpolant.  Brent
-    evaluates each line's cubic in Python floats (``Pchip.column``), with
-    the cells and operation order of the vectorized evaluation, so it sees
-    the same values.
+    it to two after it), so each line gets bit for bit the cubic of its own
+    full-length interpolant, evaluated in the same operation order.
     """
     g = coeffs.grid
     det = coeffs.det_principal()
@@ -242,10 +240,9 @@ def sonic_interface(coeffs: CoefficientSet):
             )
     cells = np.argmax(crossings, axis=0)
     rows = slice(max(cells.min() - 2, 0), cells.max() + 4)
-    prof = Pchip(g.x1[rows], det[rows])
-    gs = [brentq(prof.column(j), g.x1[i], g.x1[i + 1], xtol=1e-12, rtol=8.9e-16)
-          for j, i in enumerate(cells)]
-    return g.x2.copy(), np.array(gs)
+    c = Pchip(g.x1[rows], det[rows]).c[:, cells - rows.start, np.arange(g.n_x2)]
+    lo = g.x1[cells]
+    return g.x2.copy(), bisect(lambda x: cubic(c, x - lo), lo, g.x1[cells + 1])
 
 
 def mach_field(prim: dict, coeffs: CoefficientSet, gs: np.ndarray):

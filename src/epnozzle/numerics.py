@@ -1,86 +1,42 @@
-"""Brent root finding, monotone cubic interpolation and cumulative Simpson quadrature.
+"""Bisection to adjacent floats, monotone cubic interpolation and cumulative Simpson quadrature.
 
-Ports of ``scipy.optimize.brentq``, ``scipy.interpolate.PchipInterpolator``
-and ``scipy.integrate.cumulative_simpson`` that keep scipy's order of
-floating-point operations, so every result is bit-identical to scipy's
+``Pchip`` and ``cumulative_simpson`` are ports of scipy's
+``PchipInterpolator`` and ``cumulative_simpson`` that keep scipy's order
+of floating-point operations, so every result is bit-identical to scipy's
 (``tests/test_numerics.py`` pins this).  They carry only what the solver
-uses: importing those three subpackages also loads ``scipy.special``,
+uses: importing those subpackages also loads ``scipy.special``,
 ``spatial`` and ``fft``, about 0.3 s of every fresh process.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-
 import numpy as np
 
-BRENT_MAXITER = 100
-BRENT_RTOL_MIN = 4 * np.finfo(float).eps
 
+def bisect(f, lo, hi):
+    """A sign change of ``f`` between adjacent floats in each bracket ``[lo, hi]``: its lower float.
 
-def _value(f, x):
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    return fx
-
-
-def brentq(f, a, b, xtol, rtol):
-    """Root of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in sign, by Brent's method.
-
-    scipy's ``brentq.c`` line for line in Python floats, with its wrapper's
-    checks: ``ValueError`` for ``xtol <= 0``, ``rtol < 4 eps``, a NaN value
-    or no sign change, ``RuntimeError`` after ``BRENT_MAXITER`` iterations.
+    ``lo`` and ``hi`` are floats or arrays of one shape with
+    ``f(lo) > 0 >= f(hi)`` (not checked); ``f`` maps an array of points to
+    their values elementwise.  Every bracket is halved at its rounded
+    midpoint, which lies strictly inside as long as a float does, until
+    none does; a bracket already down to adjacent floats has its midpoint
+    at one of its ends and keeps them.  Returns ``lo``, of the brackets'
+    shape: ``f(lo) > 0 >= f(hi)`` with ``hi`` the float just above ``lo``.
     """
-    xtol, rtol = float(xtol), float(rtol)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < BRENT_RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL_MIN:g})")
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = _value(f, xpre), _value(f, xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # inf or NaN in C, which fails the step test
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
-    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return lo
+        up = f(mid) > 0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+
+
+def cubic(c, s):
+    """``c[0] s^3 + c[1] s^2 + c[2] s + c[3]`` in scipy's Horner order (``PPoly`` evaluation)."""
+    ss = s * s
+    return 0.0 + c[3] + c[2] * s + c[1] * ss + c[0] * (ss * s)
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -131,30 +87,12 @@ class Pchip:
         return [c.take(cell, axis=0) for c in self.c], s.reshape(s.shape + (1,) * (self.c.ndim - 2))
 
     def __call__(self, x):
-        c, s = self._local(x)
-        ss = s * s
-        return 0.0 + c[3] + c[2] * s + c[1] * ss + c[0] * (ss * s)
+        return cubic(*self._local(x))
 
     def value_and_slope(self, x):
         """Value and first derivative at ``x`` from one cell search."""
         c, s = self._local(x)
-        ss = s * s
-        return (0.0 + c[3] + c[2] * s + c[1] * ss + c[0] * (ss * s),
-                0.0 + c[2] + (2.0 * c[1]) * s + (3.0 * c[0]) * ss)
-
-    def column(self, j):
-        """Column ``j`` of a 2-D interpolant as a Python-float function (same cells and order)."""
-        xs = self.x.tolist()
-        c0, c1, c2, c3 = self.c[:, :, j].tolist()
-        last = len(xs) - 2
-
-        def value(x):
-            i = min(max(bisect_right(xs, x) - 1, 0), last)
-            s = x - xs[i]
-            ss = s * s
-            return 0.0 + c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
-
-        return value
+        return cubic(c, s), 0.0 + c[2] + (2.0 * c[1]) * s + (3.0 * c[0]) * (s * s)
 
 
 def _simpson_pairs(y, dx):

@@ -221,8 +221,9 @@ def certify_regime(params: GasParameters) -> RegimeReport:
     ``KAPPA_RESOLUTION`` plus endpoint refinement); falls back to the
     large-momentum exponent ``eta = gamma / 4``.  An uncertified report
     (the first scanned window with the largest minimum) is a valid outcome,
-    not an error.  Only the returned window gets a report and a nozzle
-    length.  A certificate at another J takes
+    not an error; ``InputError`` if no scanned window lies below
+    ``kappa_max`` (``zeta0`` within about ``8e-5`` of 1).  Only the returned
+    window gets a report and a nozzle length.  A certificate at another J takes
     ``dataclasses.replace(params, J=J)``.
     """
     g = params.gamma
@@ -239,7 +240,10 @@ def certify_regime(params: GasParameters) -> RegimeReport:
                 if best is None or amin > best[0]:
                     best = (amin, eta, d)
             d *= D_SHRINK
-    assert best is not None
+    if best is None:
+        d /= D_SHRINK   # the last half-width scanned
+        raise InputError(f"no almost-sonic window fits below kappa_max = {kmax!r}: the smallest half-width "
+                         f"scanned, d = {d!r}, already reaches 1 + d = {1.0 + d!r}")
     amin, eta, d = best
     return _report(params, eta, "uncertified", d, amin)
 

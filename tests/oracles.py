@@ -390,13 +390,13 @@ def per_value_csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
 
 
-def per_line_sonic_roots(x1, det, xtol: float) -> np.ndarray:
-    """Root of each column of ``det`` by Brent's method on its own PCHIP
-    interpolant, bracketed by the column's single ``+ -> -`` sign change."""
+def per_line_sonic_roots(x1, det, xtol: float, rtol: float) -> np.ndarray:
+    """Root of each column of ``det`` by scipy's Brent method, to ``(xtol, rtol)``, on its own
+    PCHIP interpolant, bracketed by the column's single ``+ -> -`` sign change."""
     roots = []
     for col in det.T:
         i = np.nonzero((col[:-1] > 0) & (col[1:] < 0))[0][0]
-        roots.append(brentq(PchipInterpolator(x1, col), x1[i], x1[i + 1], xtol=xtol, rtol=8.9e-16))
+        roots.append(brentq(PchipInterpolator(x1, col), x1[i], x1[i + 1], xtol=xtol, rtol=rtol))
     return np.array(roots)
 
 

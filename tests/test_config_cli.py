@@ -341,6 +341,28 @@ class TestCliEntry:
         error = json.loads(proc.stderr.strip().splitlines()[-1])
         assert error["error"] == "InputError"
 
+    @pytest.mark.parametrize("command, zeta0, message", [
+        ("background", "1.000000001", "zeta0 = 1.000000001 is too close to 1"),
+        ("regimes", "1.00001", "no almost-sonic window fits below kappa_max = 1.000015"),
+    ], ids=["background_zeta0_1e-9", "regimes_zeta0_1e-5"])
+    def test_zeta0_near_1_exit_code_and_one_json_line(self, tmp_path, command, zeta0, message):
+        # no warning, no traceback: stderr is the one JSON error line
+        cfgp = tmp_path / "near1.cfg"
+        cfgp.write_text(BASE_CONFIG.replace("gas.zeta0 = 2.0", f"gas.zeta0 = {zeta0}"))
+        src = str(Path(epnozzle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "epnozzle.cli", command, "--config", str(cfgp), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InputError" and error["message"].startswith(message)
+        assert not (tmp_path / "o").exists()
+
     def test_zero_damping_exit_code_and_json(self, tmp_path, capsys):
         cfgp = tmp_path / "theta0.cfg"
         cfgp.write_text(BASE_CONFIG + "\ndamping.theta = 0\n")

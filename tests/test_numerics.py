@@ -1,7 +1,6 @@
-"""In-package Brent, PCHIP and cumulative Simpson against scipy, bit for bit; the import graph."""
+"""Bisection to adjacent floats; PCHIP and cumulative Simpson against scipy, bit for bit; the import graph."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,69 +10,61 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.interpolate
-import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import epnozzle
-from epnozzle.numerics import Pchip, brentq, cumulative_simpson
+from epnozzle.numerics import Pchip, bisect, cumulative_simpson
 
-# (xtol, rtol) as kappa_max and sonic_interface call Brent, and a looser xtol
-BRENT_TOLS = [(1e-15, 4 * np.finfo(float).eps), (1e-12, 8.9e-16), (1e-10, 8.9e-16)]
 COEF = st.floats(-10.0, 10.0)
 SCALES = st.sampled_from([1e-8, 1e-3, 1.0, 1e3])
 # no near-subnormal data: there scipy's slope formula itself overflows and warns
 VALUES = st.floats(-10.0, 10.0).filter(lambda v: v == 0 or abs(v) > 1e-100)
 
 
-def outcome(solver, f, a, b, xtol, rtol):
-    """The root, or the exception's type and message."""
-    try:
-        return solver(f, a, b, xtol=xtol, rtol=rtol)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
+def assert_adjacent_sign_change(f, lo, hi, root):
+    above = np.nextafter(root, np.inf)
+    assert np.all((lo <= root) & (above <= hi))
+    assert np.all(f(root) > 0) and np.all(f(above) <= 0)
 
 
-def assert_same_brent(f, a, b):
-    for xtol, rtol in BRENT_TOLS:
-        ours = outcome(brentq, f, a, b, xtol, rtol)
-        ref = outcome(scipy.optimize.brentq, f, a, b, xtol, rtol)
-        assert repr(ours) == repr(ref), (xtol, rtol)  # repr tells -0.0 from 0.0
+def falling_cubic(a, r, scale):
+    """A cubic whose one real root is ``r``, positive below it (in floats it may change sign
+    more than once near ``r``)."""
+    return lambda x: scale * (r - x) * ((a[0] * (x - r) + a[1]) ** 2 + np.abs(a[2]) + 1e-3)
 
 
-class TestBrent:
+BRACKET = st.tuples(st.tuples(COEF, COEF, COEF), COEF, st.floats(1e-9, 20.0), st.floats(1e-9, 20.0), SCALES)
+
+
+class TestBisect:
     @settings(max_examples=150)
-    @given(a=st.tuples(COEF, COEF, COEF, COEF), lo=COEF, width=st.floats(1e-6, 20.0))
-    def test_random_cubics(self, a, lo, width):
-        # includes brackets without a sign change (the ValueError path)
-        assert_same_brent(lambda x: ((a[3] * x + a[2]) * x + a[1]) * x + a[0], lo, lo + width)
+    @given(bracket=BRACKET)
+    def test_scalar_bracket(self, bracket):
+        a, r, left, right, scale = bracket
+        f = falling_cubic(a, r, scale)
+        lo, hi = r - left, r + right
+        assume(lo < r < hi and f(lo) > 0 >= f(hi))
+        root = bisect(f, lo, hi)
+        assert np.shape(root) == ()
+        assert_adjacent_sign_change(f, lo, hi, root)
 
-    @settings(max_examples=150)
-    @given(lo=COEF, width=st.floats(1e-6, 20.0), at=st.floats(0.0, 1.0), s=COEF, c=st.floats(0.0, 5.0),
-           scale=SCALES)
-    def test_cubics_with_a_bracketed_root(self, lo, width, at, s, c, scale):
-        # one simple root r inside the bracket, a double root s where c = 0
-        hi = lo + width
-        r = lo + at * width
-        assume(lo < r < hi)
-        assert_same_brent(lambda x: scale * (x - r) * ((x - s) ** 2 + c), lo, hi)
+    @settings(max_examples=100)
+    @given(brackets=st.lists(BRACKET, min_size=1, max_size=8))
+    def test_array_brackets(self, brackets):
+        # one cubic per bracket, as the sonic interface bisects one per line
+        a, r, left, right, scale = (np.array(v, dtype=float) for v in zip(*brackets))
+        f = falling_cubic(a.T, r, scale)
+        lo, hi = r - left, r + right
+        assume(np.all((lo < r) & (r < hi) & (f(lo) > 0) & (f(hi) <= 0)))
+        root = bisect(f, lo, hi)
+        assert root.shape == r.shape
+        assert_adjacent_sign_change(f, lo, hi, root)
 
-    def test_root_at_either_endpoint(self):
-        assert brentq(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-12, rtol=8.9e-16) == 0.25
-        assert brentq(lambda x: x - 1.0, 0.25, 1.0, xtol=1e-12, rtol=8.9e-16) == 1.0
-        assert_same_brent(lambda x: x - 0.25, 0.25, 1.0)
-        assert_same_brent(lambda x: (x - 1.0) ** 3, 0.25, 1.0)
-
-    def test_errors_match_scipy(self):
-        # same sign at both ends, a NaN met on the way, an iteration cap too small
-        assert_same_brent(lambda x: x * x + 1.0, -1.0, 1.0)
-        assert_same_brent(lambda x: math.nan if x > 0.7 else x - 0.5, 0.0, 1.0)
-        assert_same_brent(lambda x: math.copysign(abs(x) ** (1 / 9), x), -1e300, 2e300)
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            brentq(lambda x: math.copysign(abs(x) ** (1 / 9), x), -1e300, 2e300, xtol=1e-15, rtol=8.9e-16)
-        for xtol, rtol in ((0.0, 8.9e-16), (1e-12, 1e-17)):
-            assert outcome(brentq, lambda x: x, -1.0, 2.0, xtol, rtol) == outcome(
-                scipy.optimize.brentq, lambda x: x, -1.0, 2.0, xtol, rtol)
+    def test_brackets_already_adjacent(self):
+        lo = np.array([1.0, 0.25])
+        hi = np.nextafter(lo, np.inf)
+        assert np.array_equal(bisect(lambda x: 1.0 - 2.0 * (x > lo), lo, hi), lo)
 
 
 @st.composite
@@ -115,17 +106,6 @@ class TestPchip:
         # a 2-D query, as lagrangian_map makes
         q2 = q[: 2 * (len(q) // 2)].reshape(2, -1)
         assert np.array_equal(ours(q2), ref(q2))
-
-    @settings(max_examples=60)
-    @given(data=st.integers(1, 3).flatmap(pchip_data))
-    def test_column_matches_scipy(self, data):
-        x, y = data
-        ref = scipy.interpolate.PchipInterpolator(x, y, axis=0)
-        ours = Pchip(x, y)
-        q = probe_points(x)
-        for j in range(y.shape[1]):
-            line = ours.column(j)
-            assert np.array_equal([line(float(v)) for v in q], ref(q)[:, j])
 
     def test_rejects_non_finite_data(self):
         with pytest.raises(ValueError, match="finite"):

@@ -111,11 +111,22 @@ class TestKappaH:
         ks = np.linspace(0.5, 0.99 * kappa_max(params), 9)
         quads = np.array([oracle_curly_F(k, params) for k in ks])
         assert np.max(np.abs(np.array([curly_F(k, params) for k in ks]) - quads)) <= 1e-12
+        # kappa_max is the lower float of a sign change of the closed form
+        kmax = kappa_max(params)
+        assert curly_F(kmax, params) > 0 >= curly_F(np.nextafter(kmax, np.inf), params)
 
     def test_kappa_max_matches_u_max(self):
         from epnozzle import u_max_root
 
         assert kappa_max(CANON) == pytest.approx(u_max_root(CANON) / CANON.u_s, rel=1e-11)
+
+    @pytest.mark.parametrize("zeta0", [1 + 1e-9, 1.0000000017])
+    def test_kappa_max_rejects_zeta0_too_close_to_1(self, zeta0):
+        # curly_F(zeta0), of order (zeta0 - 1)^3, is not positive in floating point there
+        params = GasParameters(gamma=3.0, zeta0=zeta0, J=1.0, S0=1.0 / 3.0)
+        assert not _curly_F_closed(zeta0, params) > 0
+        with pytest.raises(InputError, match=f"zeta0 = {zeta0!r} is too close to 1"):
+            kappa_max(params)
 
 
 class TestNozzleLength:
@@ -246,6 +257,14 @@ class TestCertify:
         assert (rep.certified, rep.J_regime, rep.J) == (False, "uncertified", params.J)
         assert (rep.alpha_min, rep.eta, rep.d, rep.kappa0, rep.kappaL) == (amin, eta, d, 1 - d, 1 + d)
         assert rep.L == nozzle_length(1 - d, 1 + d, params)
+
+    def test_no_window_below_kappa_max_rejected(self):
+        # kappa_max = 1.000015 lies below 1 + d for every half-width d scanned
+        params = replace(CANON, zeta0=1.00001)
+        smallest = float(min(d for d in D_START * D_SHRINK ** np.arange(64) if d >= D_MIN))
+        assert 1 + smallest > kappa_max(params)
+        with pytest.raises(InputError, match=rf"kappa_max = {kappa_max(params)!r}.*d = {smallest!r}"):
+            certify_regime(params)
 
     def test_large_J_certificate_uses_large_branch(self):
         params = GasParameters(gamma=3.0, zeta0=2.0, J=300.0, S0=1.0 / 3.0)
